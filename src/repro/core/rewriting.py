@@ -2,13 +2,13 @@
 
 Two engines implement the algorithm:
 
-* ``engine="worklist"`` (the default) — an in-place, worklist-driven
-  sweep over one mutable graph: each effort cycle seeds every live gate in
-  topological order, applies the Ω rule sequence locally through
-  :meth:`~repro.mig.graph.Mig.replace_node`, and re-enqueues only the
-  fan-in/fan-out cone a rule touched.  The fixed-point signature is
-  maintained incrementally (O(1) per check), and dead-node compaction is
-  deferred to a single final cleanup;
+* ``engine="worklist"`` (the default) — an in-place sweep over one
+  mutable graph: each phase of an effort cycle visits every live gate
+  once in topological order and applies its Ω rules locally through
+  :meth:`~repro.mig.graph.Mig.replace_node`, matching and building on raw
+  child encodings.  The fixed-point signature is maintained
+  incrementally (O(1) per check), and dead-node compaction is deferred
+  to a single final cleanup;
 * ``engine="rebuild"`` — the original pass pipeline in which every Ω pass
   is a full :meth:`~repro.mig.graph.Mig.rebuild` (one effort cycle copies
   the whole MIG ~8 times).  Kept as the differential-testing oracle.
@@ -38,7 +38,6 @@ with ``fix_output_polarity`` they cost 2 instructions each, which
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -53,12 +52,14 @@ from repro.core.cost import (
     Depth,
     NodeCount,
     estimate_from_histogram,
-    estimate_instructions,
     negation_cost,
     resolve_cost_model,
 )
 from repro.errors import MigError, ReproError
 from repro.mig.algebra import (
+    _best_permutation,
+    _gate_key,
+    _leaf_keys,
     complement_profile,
     flip_complement,
     pass_associativity,
@@ -75,9 +76,8 @@ from repro.mig.algebra import (
     try_majority,
     try_push_inverters,
 )
-from repro.mig.analysis import complement_stats, depth
+from repro.mig.analysis import depth
 from repro.mig.graph import Mig
-from repro.mig.signal import Signal
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,29 @@ def _rewrite_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
 
 
 def _signature(mig: Mig) -> tuple:
-    """Cheap fixed-point detector for the effort loop (full traversal)."""
-    return (mig.num_gates, complement_stats(mig).by_count, estimate_instructions(mig))
+    """Cheap fixed-point detector for the effort loop (full traversal).
+
+    ``(gate count, complemented-child histogram, instruction estimate)`` —
+    :func:`~repro.mig.analysis.complement_stats` and
+    :func:`~repro.core.cost.estimate_instructions` folded into one loop
+    over the child encodings (constants are encodings 0 and 1).
+    """
+    hist = [0, 0, 0, 0]
+    zero_comp_no_const = 0
+    profile = Mig._profile_enc
+    for ea, eb, ec in zip(mig._ca, mig._cb, mig._cc):
+        if ea < 0:
+            continue
+        complemented, has_const = profile(ea, eb, ec)
+        hist[complemented] += 1
+        if complemented == 0 and not has_const:
+            zero_comp_no_const += 1
+    num_gates = mig.num_gates
+    return (
+        num_gates,
+        tuple(hist),
+        estimate_from_histogram(num_gates, hist, zero_comp_no_const),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -357,13 +378,13 @@ def _size_cycle_worklist(work: Mig, opts: RewriteOptions) -> None:
 def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     """One size-rule cycle: the paper's Ω.M; Ω.D; Ω.A[; Ψ.A]; Ω.C; Ω.M; Ω.D.
 
-    Each phase is a worklist that seeds every live gate in topological
-    order, applies its rule locally, and re-enqueues only the nodes a
-    rewrite touched (Ω.M and structural-hash merging additionally cascade
-    inside ``replace_node``, so every phase is also an Ω.M pass).  Keeping
-    the rebuild pipeline's phase order — all Ω.D applications before any
-    Ω.A reshaping, with the Ω.C reorder in between — keeps the two engines'
-    search order, and therefore their results, closely aligned.
+    Each phase visits every live gate once in topological order and
+    applies its rules locally (Ω.M and structural-hash merging
+    additionally cascade inside ``replace_node``, so every phase is also
+    an Ω.M pass).  Keeping the rebuild pipeline's phase order — all Ω.D
+    applications before any Ω.A reshaping, with the Ω.C reorder in
+    between — keeps the two engines' search order, and therefore their
+    results, closely aligned.
 
     With ``opts.depth_budget`` set (level-maintained graphs only), every
     phase gates its candidates so no primary-output level can exceed the
@@ -386,44 +407,27 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
 def _worklist_phase(
     work: Mig,
     rules: tuple,
-    revisit: bool = False,
     depth_budget: Optional[int] = None,
 ) -> None:
-    """Run one rule family over a worklist seeded with all live gates.
+    """Run one rule family once over every live gate, in topological order.
 
-    With ``revisit=False`` (the pass-faithful default) every seed is
-    visited once, like one rebuild pass: merge/collapse cascades still run
-    inside ``replace_node``, and follow-up opportunities are picked up by
-    the next phase or cycle.  ``revisit=True`` re-enqueues the affected
-    cone until a local fixed point — more eager, but the greedier search
-    order can land in different (not reliably better) local optima, so the
-    engine keeps it off to stay aligned with the rebuild oracle.  A step
-    budget bounds pathological reshaping loops either way (Ω.A is
-    size-neutral, so a cycle of free swaps could otherwise ping-pong).
+    Every seed is visited once, like one rebuild pass: merge/collapse
+    cascades still run inside ``replace_node``, and follow-up
+    opportunities are picked up by the next phase or cycle.  The first
+    rule that fires at a gate ends that gate's visit.
     """
-    queue = deque(work.topo_gates())
-    queued = set(queue)
+    ca = work._ca
     fanouts = work.fanout_snapshot()
-    budget = 20 * len(work) + 1000
-    while queue and budget > 0:
-        budget -= 1
-        v = queue.popleft()
-        queued.discard(v)
-        if not work.is_gate(v):
+    for v in list(work.topo_gates()):
+        if ca[v] < 0:  # retired by an earlier rewrite's cascade
             continue
         for rule in rules:
-            affected = rule(work, v, fanouts, depth_budget)
             # A rule can fire and still report an empty affected set (the
             # replacement is a literal and ``v`` was read only by POs, so
             # no gate's children changed); ``v`` is tombstoned then, and
             # the next rule must not run on the dead node.
-            if affected or not work.is_gate(v):
+            if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
                 break
-        if revisit:
-            for u in affected:
-                if u not in queued and work.is_gate(u):
-                    queue.append(u)
-                    queued.add(u)
 
 
 def _sweep_commutativity(work: Mig) -> None:
@@ -431,45 +435,40 @@ def _sweep_commutativity(work: Mig) -> None:
     tie-breaking as :func:`~repro.mig.algebra.pass_commutativity`.
 
     Purely a stored-order change (the strash key is order-insensitive), so
-    no worklist is needed — one linear sweep suffices.
+    no worklist is needed — one linear sweep suffices.  The sweep computes
+    the :func:`~repro.mig.algebra.structural_keys` tie-break keys in the
+    same topological pass (a reorder never changes a key), classifies each
+    child into one of the four :data:`~repro.mig.algebra.SLOT_CLASSES`,
+    and picks the permutation with
+    :func:`~repro.mig.algebra._best_permutation` (a table lookup plus the
+    structural-key tie-break).
     """
-    from repro.mig.algebra import (
-        SLOT_SCORES_CONST,
-        SLOT_SCORES_INVERTED,
-        SLOT_SCORES_PLAIN,
-        SLOT_SCORES_PLAIN_SINGLE_GATE,
-        _best_permutation,
-        structural_keys,
-    )
-
-    keys = structural_keys(work)
-    # bound once: this sweep is a hot path (encoding views work on both
-    # the array core and the DictMig reference core)
+    keys = _leaf_keys(work)
     ca, cb, cc = work._ca, work._cb, work._cc
     refs = work._refs
     for v in list(work.topo_gates()):
         ea = ca[v]
         if ea < 0:
             continue
-        triple = (Signal(ea), Signal(cb[v]), Signal(cc[v]))
-        scores = []
-        child_keys = []
-        for child in triple:
-            encoding = int(child)
-            n = encoding >> 1
-            child_keys.append(keys[n])
+        eb, ec = cb[v], cc[v]
+        enc = (ea, eb, ec)
+        pairs = ((keys[ea >> 1], ea & 1), (keys[eb >> 1], eb & 1), (keys[ec >> 1], ec & 1))
+        keys[v] = _gate_key(*pairs)
+        index = 0
+        for e in enc:
+            n = e >> 1
             if n == 0:
-                scores.append(SLOT_SCORES_CONST)
-            elif encoding & 1:
-                scores.append(SLOT_SCORES_INVERTED)
+                cls = 0  # constant
+            elif e & 1:
+                cls = 1  # complemented
             elif ca[n] >= 0 and refs[n] == 1:
-                scores.append(SLOT_SCORES_PLAIN_SINGLE_GATE)
+                cls = 2  # plain single-fanout gate
             else:
-                scores.append(SLOT_SCORES_PLAIN)
-        a, b, z = _best_permutation(scores, triple, child_keys)
-        new_triple = (triple[a], triple[b], triple[z])
-        if new_triple != triple:
-            work.reorder_children(v, new_triple)
+                cls = 3  # other plain child
+            index = 4 * index + cls
+        a, b, z = _best_permutation(index, pairs)
+        if (enc[a], enc[b], enc[z]) != enc:
+            work.reorder_children_enc(v, enc[a], enc[b], enc[z])
 
 
 def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
@@ -481,42 +480,49 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
     current in-place state.  The flip balance consults the static model's
     :func:`~repro.core.cost.negation_cost` (it *is* the per-node
     :class:`~repro.core.cost.StaticPlim` objective, restricted to the
-    touched nodes).
+    touched nodes), tabulated once per sweep.
     """
-    extra_cost = negation_cost
+    # extra[c][has_const]: negation cost of c complemented non-constant
+    # children (c + 1 covers a parent whose edge to us becomes complemented)
+    extra = [[negation_cost(c, False), negation_cost(c, True)] for c in range(4)]
     order = list(work.topo_gates())
     position = {v: i for i, v in enumerate(order)}
     evicted: set[int] = set()
     ca, cb, cc = work._ca, work._cb, work._cc  # encoding views, hot sweep
+    parents = work._parents
+    po_of = work._po_of
+    pos = work._pos
     for v in order:
-        if ca[v] < 0:  # replaced by an earlier flip's cascade
+        ea = ca[v]
+        if ea < 0:  # replaced by an earlier flip's cascade
             continue
-        enc = (ca[v], cb[v], cc[v])
-        num_nonconst = sum(1 for e in enc if e >= 2)
-        complemented = sum(1 for e in enc if e >= 2 and e & 1)
-        has_const = num_nonconst < 3
-        flip = False
-        if complemented >= 2:
-            # Cost at this node if we flip: complements become k - c.
-            delta = extra_cost(num_nonconst - complemented, has_const) - extra_cost(
-                complemented, has_const
-            )
-            # Cost at each fanout target: its edge to us toggles polarity.
-            for p in work.parents_of_node(v):
-                pe = (ca[p], cb[p], cc[p])
-                c_p, const_p = Mig._profile_enc(*pe)
-                for edge in pe:
-                    if edge >> 1 == v:
-                        c_p_flipped = c_p + (-1 if edge & 1 else 1)
-                        delta += extra_cost(c_p_flipped, const_p) - extra_cost(
-                            c_p, const_p
-                        )
-            # Complemented primary outputs (only charged in honest mode).
-            if po_negation_cost:
-                for po in work.po_edges_of(v):
-                    delta += po_negation_cost * (-1 if po.inverted else 1)
-            flip = delta <= 0
-        _visit_for_flip(work, v, flip, position, evicted)
+        eb, ec = cb[v], cc[v]
+        complemented = (ea > 1 and ea & 1) + (eb > 1 and eb & 1) + (ec > 1 and ec & 1)
+        if complemented < 2:
+            if v in evicted:
+                _visit_for_flip(work, v, False, position, evicted)
+            continue
+        has_const = ea < 2 or eb < 2 or ec < 2
+        num_nonconst = (ea > 1) + (eb > 1) + (ec > 1)
+        # Cost at this node if we flip: complements become k - c.
+        delta = extra[num_nonconst - complemented][has_const] - extra[complemented][has_const]
+        # Cost at each fanout target: its edge to us toggles polarity.
+        for p in parents[v]:
+            pa = ca[p]
+            if pa < 0:  # retired parent
+                continue
+            pb, pc = cb[p], cc[p]
+            c_p, const_p = Mig._profile_enc(pa, pb, pc)
+            p_extra = extra[c_p]
+            for edge in (pa, pb, pc):
+                if edge >> 1 == v:
+                    c_p_flipped = c_p - 1 if edge & 1 else c_p + 1
+                    delta += extra[c_p_flipped][const_p] - p_extra[const_p]
+        # Complemented primary outputs (only charged in honest mode).
+        if po_negation_cost:
+            for po_index in po_of.get(v, ()):
+                delta += po_negation_cost * (-1 if pos[po_index] & 1 else 1)
+        _visit_for_flip(work, v, delta <= 0, position, evicted)
 
 
 def _sweep_push_inverters(work: Mig, threshold: int) -> None:
@@ -526,12 +532,13 @@ def _sweep_push_inverters(work: Mig, threshold: int) -> None:
     evicted: set[int] = set()
     ca, cb, cc = work._ca, work._cb, work._cc  # encoding views, hot sweep
     for v in order:
-        if ca[v] < 0:
+        ea = ca[v]
+        if ea < 0:
             continue
-        inverted_nonconst = sum(
-            1 for e in (ca[v], cb[v], cc[v]) if e >= 2 and e & 1
-        )
-        _visit_for_flip(work, v, inverted_nonconst >= threshold, position, evicted)
+        eb, ec = cb[v], cc[v]
+        inverted_nonconst = (ea > 1 and ea & 1) + (eb > 1 and eb & 1) + (ec > 1 and ec & 1)
+        if inverted_nonconst >= threshold or v in evicted:
+            _visit_for_flip(work, v, inverted_nonconst >= threshold, position, evicted)
 
 
 def _visit_for_flip(
@@ -551,11 +558,13 @@ def _visit_for_flip(
     comes (merging it into whichever node now owns its key).
     """
     if flip:
-        a, b, c = work.children(v)
-        owner = work.strash_owner(~a, ~b, ~c)
+        ca = work._ca
+        owner = work._strash.get(
+            work._pack_key(ca[v] ^ 1, work._cb[v] ^ 1, work._cc[v] ^ 1)
+        )
         if (
             owner is not None
-            and work.is_gate(owner)
+            and ca[owner] >= 0
             and position.get(owner, -1) > position[v]
         ):
             work.evict_strash(owner)

@@ -109,43 +109,84 @@ def structural_keys(mig: Mig) -> list[int]:
     ordinary ``hash`` values of int tuples — deterministic across
     processes (no strings involved).
     """
-    keys = [0] * len(mig)
-    keys[0] = hash((1, 0))
-    for i, pi in enumerate(mig.pis()):
-        keys[pi.node] = hash((2, i))
+    keys = _leaf_keys(mig)
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
     for v in mig.topo_gates():
-        a, b, c = mig.children(v)
-        pairs = sorted(
-            (keys[s.node], int(s) & 1) for s in (a, b, c)
+        ea, eb, ec = ca[v], cb[v], cc[v]
+        keys[v] = _gate_key(
+            (keys[ea >> 1], ea & 1), (keys[eb >> 1], eb & 1), (keys[ec >> 1], ec & 1)
         )
-        keys[v] = hash((3,) + pairs[0] + pairs[1] + pairs[2])
     return keys
 
 
-def _best_permutation(
-    scores: list[tuple[int, int, int]],
-    triple,
-    child_keys: list[int],
-) -> tuple[int, int, int]:
+def _leaf_keys(mig: Mig) -> list[int]:
+    """:func:`structural_keys` table with only the constant and PIs set."""
+    keys = [0] * len(mig)
+    keys[0] = hash((1, 0))
+    for i, node in enumerate(mig._pi_ids):
+        keys[node] = hash((2, i))
+    return keys
+
+
+def _gate_key(pa: tuple[int, int], pb: tuple[int, int], pc: tuple[int, int]) -> int:
+    """A gate's structural key from its children's ``(key, polarity)``
+    pairs, in any order: the hash of the sorted pairs."""
+    if pa > pb:
+        pa, pb = pb, pa
+    if pb > pc:
+        pb, pc = pc, pb
+        if pa > pb:
+            pa, pb = pb, pa
+    return hash((3, pa[0], pa[1], pb[0], pb[1], pc[0], pc[1]))
+
+
+#: the four Ω.C child classes, by index: constant, complemented, plain
+#: single-fanout gate, other plain child
+SLOT_CLASSES = (
+    SLOT_SCORES_CONST,
+    SLOT_SCORES_INVERTED,
+    SLOT_SCORES_PLAIN_SINGLE_GATE,
+    SLOT_SCORES_PLAIN,
+)
+
+
+def _min_cost_permutations(classes: tuple[int, int, int]) -> tuple:
+    """The slot permutations of minimal score for one child-class triple,
+    in :data:`_CHILD_PERMUTATIONS` order."""
+    scores = [SLOT_CLASSES[c] for c in classes]
+    costs = [scores[a][0] + scores[b][1] + scores[z][2] for a, b, z in _CHILD_PERMUTATIONS]
+    lowest = min(costs)
+    return tuple(
+        perm for perm, cost in zip(_CHILD_PERMUTATIONS, costs) if cost == lowest
+    )
+
+
+#: entry ``16 * class_a + 4 * class_b + class_c`` lists the minimal-score
+#: slot permutations for children of those :data:`SLOT_CLASSES` indices
+PERMUTATION_TABLE = tuple(
+    _min_cost_permutations((i >> 4, (i >> 2) & 3, i & 3)) for i in range(64)
+)
+
+
+def _best_permutation(index: int, pairs: tuple) -> tuple[int, int, int]:
     """Slot permutation with minimal score, ties broken canonically.
 
-    ``child_keys`` holds the per-slot structural keys of the (pre-rewrite)
-    children.  The tie-break ranks the permuted arrangement by each
-    child's key and stored polarity, so the chosen order does not depend
-    on the incoming stored order.
+    ``index`` packs the children's :data:`SLOT_CLASSES` indices as in
+    :data:`PERMUTATION_TABLE`; ``pairs`` holds each child's (pre-rewrite)
+    structural key and stored polarity.  Among equal-score permutations
+    the first in ``(key, polarity)`` order of the children placed in
+    slots A and B wins, so the chosen order does not depend on the
+    incoming stored order.
     """
-    best = None
-    for perm in _CHILD_PERMUTATIONS:
-        a, b, z = perm
-        cost = scores[a][0] + scores[b][1] + scores[z][2]
-        rank = (
-            cost,
-            (child_keys[a], int(triple[a]) & 1),
-            (child_keys[b], int(triple[b]) & 1),
-        )
-        if best is None or rank < best[0]:
-            best = (rank, perm)
-    return best[1]
+    perms = PERMUTATION_TABLE[index]
+    best = perms[0]
+    if len(perms) > 1:
+        best_rank = (pairs[best[0]], pairs[best[1]])
+        for perm in perms[1:]:
+            rank = (pairs[perm[0]], pairs[perm[1]])
+            if rank < best_rank:
+                best, best_rank = perm, rank
+    return best
 
 
 def pass_commutativity(mig: Mig) -> Mig:
@@ -173,24 +214,24 @@ def pass_commutativity(mig: Mig) -> Mig:
     fanouts = fanout_counts(mig)
     keys = structural_keys(mig)
 
-    def slot_scores(child: Signal, single_gate: bool) -> tuple[int, int, int]:
-        """(A, B, Z) overhead estimates for placing ``child`` in each slot."""
+    def slot_class(child: Signal, old_child: Signal) -> int:
+        """:data:`SLOT_CLASSES` index of ``child`` (``old_child`` in ``mig``)."""
         if child.is_const:
-            return SLOT_SCORES_CONST
+            return 0
         if child.inverted:
-            return SLOT_SCORES_INVERTED
-        return SLOT_SCORES_PLAIN_SINGLE_GATE if single_gate else SLOT_SCORES_PLAIN
+            return 1
+        single_gate = mig.is_gate(old_child.node) and fanouts[old_child.node] == 1
+        return 2 if single_gate else 3
 
     def gate_fn(new: Mig, old: int, mapped):
         old_children = mig.children(old)
-        scores = []
-        for i, child in enumerate(mapped):
-            single_gate = (
-                mig.is_gate(old_children[i].node) and fanouts[old_children[i].node] == 1
-            )
-            scores.append(slot_scores(child, single_gate))
-        old_keys = [keys[s.node] for s in old_children]
-        a, b, z = _best_permutation(scores, mapped, old_keys)
+        index = 0
+        for child, old_child in zip(mapped, old_children):
+            index = 4 * index + slot_class(child, old_child)
+        pairs = tuple(
+            (keys[o.node], int(m) & 1) for m, o in zip(mapped, old_children)
+        )
+        a, b, z = _best_permutation(index, pairs)
         return new.add_maj(mapped[a], mapped[b], mapped[z])
 
     new, _ = mig.rebuild(gate_fn)
@@ -483,6 +524,13 @@ def pass_push_inverters(mig: Mig, threshold: int = 2) -> Mig:
 # The conditions are heuristics for node-count reduction, not correctness
 # requirements, so a stale snapshot is always safe.
 #
+# The rules match and build on raw child encodings (``node << 1 |
+# complement``, read straight from the ``_ca``/``_cb``/``_cc`` vectors and
+# built with ``add_maj_enc``): a complemented edge to ``⟨x y z⟩`` is matched
+# as the plain triple ``(x ^ 1, y ^ 1, z ^ 1)`` (Ω.I, the encoding form of
+# :func:`effective_children`).  Signals appear only at the
+# ``replace_node`` boundary.
+#
 # Rules that can raise a node's level (Ω.D restructuring, Ω.A/Ψ.A
 # reshaping) additionally accept ``depth_budget``: on a graph with level
 # maintenance (:meth:`~repro.mig.graph.Mig.enable_levels`) a candidate is
@@ -496,11 +544,44 @@ def pass_push_inverters(mig: Mig, threshold: int = 2) -> Mig:
 # and ignore the budget.
 # ----------------------------------------------------------------------
 
+#: for each child slot k, the other two slots (outer ``u``/``x`` candidates)
+_OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
+
 
 def _fanout(mig: Mig, fanouts: Optional[list[int]], node: int) -> int:
     if fanouts is not None and node < len(fanouts):
         return fanouts[node]
     return mig.fanout_of(node)
+
+
+def _gate_children(mig: Mig, v: int) -> tuple[int, int, int]:
+    """Child encodings of live gate ``v``; raises for any other node."""
+    ea = mig._ca[v]
+    if ea < 0:
+        raise MigError(f"node {v} is not a gate")
+    return ea, mig._cb[v], mig._cc[v]
+
+
+def _inner_rest(inner: tuple[int, int, int], u: int) -> Optional[tuple[int, int]]:
+    """``(y, z)`` of an Ω.A match ``⟨x u ⟨y u z⟩⟩``: the encoded ``inner``
+    triple without its first ``u``, or ``None`` when ``u`` is not in it."""
+    i0, i1, i2 = inner
+    if u == i0:
+        return i1, i2
+    if u == i1:
+        return i0, i2
+    if u == i2:
+        return i0, i1
+    return None
+
+
+def _inherit_order(mig: Mig, first_new: int, like: int) -> None:
+    """:meth:`~repro.mig.graph.Mig.inherit_order` for every node created
+    since ``first_new``: they all slot into ``like``'s position."""
+    order = mig._order
+    base = order[like]
+    for node in range(first_new, len(mig)):
+        order[node] = base + (node,)
 
 
 def _require_levels_for_budget(mig: Mig, depth_budget: Optional[int]) -> None:
@@ -512,16 +593,16 @@ def _require_levels_for_budget(mig: Mig, depth_budget: Optional[int]) -> None:
         )
 
 
-def _predicted_level(levels: list[int], signals, floor: int = 0) -> int:
-    """Upper bound on the level of a gate over ``signals``.
+def _predicted_level(levels: list[int], encodings, floor: int = 0) -> int:
+    """Upper bound on the level of a gate over child ``encodings``.
 
     ``floor`` folds in an already-predicted level of a not-yet-created
     inner gate.  An upper bound because ``add_maj`` can only simplify or
     share to something equal or shallower.
     """
     level = floor
-    for s in signals:
-        child_level = levels[int(s) >> 1]
+    for e in encodings:
+        child_level = levels[e >> 1]
         if child_level > level:
             level = child_level
     return 1 + level
@@ -574,54 +655,53 @@ def try_distributivity_rl(
     """Ω.D(R→L) at ``v``: ``⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩``.
 
     Applied when both inner gates have a single fanout, so the rewrite
-    removes one node.  Edge polarity is handled through Ω.I
-    (:func:`effective_children`).  The restructured cone can be *deeper*
-    than the original (``z`` gains a level); under ``depth_budget`` a
-    candidate whose predicted level increase could push a PO past the
-    budget is rejected before any node is created.
+    removes one node.  Edge polarity is handled through Ω.I (the inner
+    triples are matched polarity-adjusted).  The restructured cone can be
+    *deeper* than the original (``z`` gains a level); under
+    ``depth_budget`` a candidate whose predicted level increase could push
+    a PO past the budget is rejected before any node is created.
     """
     _require_levels_for_budget(mig, depth_budget)
-    # bound once, matched on raw encodings: this loop is the hot path and
-    # mostly rejects, so Signals are only built for surviving candidates
     ca, cb, cc = mig._ca, mig._cb, mig._cc
-    enc = (ca[v], cb[v], cc[v])
-    levels = mig._levels
+    enc = _gate_children(mig, v)
+    # the inner-gate candidates: single-fanout gate children (child slot
+    # a empty => not a gate); the rule needs two of them
+    single = [ca[e >> 1] >= 0 and _fanout(mig, fanouts, e >> 1) == 1 for e in enc]
+    if single.count(True) < 2:
+        return set()
     for i, j in ((0, 1), (0, 2), (1, 2)):
+        if not (single[i] and single[j]):
+            continue
         ei, ej = enc[i], enc[j]
         ni, nj = ei >> 1, ej >> 1
         if ni == nj:
             continue
-        if ca[ni] < 0 or ca[nj] < 0:  # child slot a empty => not a gate
-            continue
-        if _fanout(mig, fanouts, ni) != 1 or _fanout(mig, fanouts, nj) != 1:
-            continue
+        pi, pj = ei & 1, ej & 1
         common = _common_pair(
-            effective_children(mig, Signal(ei)), effective_children(mig, Signal(ej))
+            (ca[ni] ^ pi, cb[ni] ^ pi, cc[ni] ^ pi),
+            (ca[nj] ^ pj, cb[nj] ^ pj, cc[nj] ^ pj),
         )
         if common is None:
             continue
         (x, y), p, q = common
-        z = Signal(enc[3 - i - j])
+        z = enc[3 - i - j]
         if depth_budget is not None:
-            inner_level = _predicted_level(levels, (p, q, z))
-            outer_level = _predicted_level(levels, (x, y), floor=inner_level)
+            inner_level = _predicted_level(mig._levels, (p, q, z))
+            outer_level = _predicted_level(mig._levels, (x, y), floor=inner_level)
             if _exceeds_depth_budget(mig, v, outer_level, depth_budget):
                 continue
         first_new = len(mig)
-        inner = mig.add_maj(p, q, z)
-        outer = mig.add_maj(x, y, inner)
-        for node in range(first_new, len(mig)):
-            mig.inherit_order(node, v)
-        if outer.node == v:  # degenerate: the pattern reproduced v itself
-            mig.release_if_dead(inner.node)
+        inner = mig.add_maj_enc(p, q, z)
+        outer = mig.add_maj_enc(x, y, inner)
+        _inherit_order(mig, first_new, v)
+        if outer >> 1 == v:  # degenerate: the pattern reproduced v itself
+            mig.release_if_dead(inner >> 1)
             continue
-        affected = mig.replace_node(v, outer)
+        affected = mig.replace_node(v, Signal(outer))
         # ``outer`` may have simplified or hashed past a freshly created
         # ``inner``; sweep the speculative gate if nothing reads it.
-        mig.release_if_dead(inner.node)
-        affected.update(
-            u for u in (inner.node, outer.node) if mig.is_gate(u)
-        )
+        mig.release_if_dead(inner >> 1)
+        affected.update(u for u in (inner >> 1, outer >> 1) if ca[u] >= 0)
         return affected
     return set()
 
@@ -649,45 +729,38 @@ def try_associativity(
     gated).
     """
     _require_levels_for_budget(mig, depth_budget)
-    # raw-encoding prefilter: most gates reject on the fanout test, so
-    # Signal construction is deferred until a candidate child survives
-    ca = mig._ca
-    enc = (ca[v], mig._cb[v], mig._cc[v])
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = _gate_children(mig, v)
     for k in range(3):
-        n = enc[k] >> 1
+        g = enc[k]
+        n = g >> 1
         if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
             continue
-        g = Signal(enc[k])
-        inner = effective_children(mig, g)
-        others = [Signal(enc[i]) for i in range(3) if i != k]
-        for u_pos in range(2):
-            u = others[u_pos]
-            x = others[1 - u_pos]
-            if u not in inner:
+        pol = g & 1
+        inner = (ca[n] ^ pol, cb[n] ^ pol, cc[n] ^ pol)
+        s, t = _OTHER_SLOTS[k]
+        for u, x in ((enc[s], enc[t]), (enc[t], enc[s])):
+            rest = _inner_rest(inner, u)
+            if rest is None:
                 continue
-            rest = list(inner)
-            rest.remove(u)
             y, z = rest
             before = len(mig)
-            swapped = mig.add_maj(y, u, x)
+            swapped = mig.add_maj_enc(y, u, x)
             if len(mig) > before:  # not free: keep the speculative gate
-                mig.inherit_order(swapped.node, v)
+                _inherit_order(mig, before, v)
                 continue
             if depth_budget is not None:
-                replacement_level = _predicted_level(
-                    mig._levels, (z, u, swapped)
-                )
+                replacement_level = _predicted_level(mig._levels, (z, u, swapped))
                 if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
                     continue
             first_new = len(mig)
-            replacement = mig.add_maj(z, u, swapped)
-            for node in range(first_new, len(mig)):
-                mig.inherit_order(node, v)
-            if replacement.node == v:  # the swap reproduced v itself
+            replacement = mig.add_maj_enc(z, u, swapped)
+            _inherit_order(mig, first_new, v)
+            if replacement >> 1 == v:  # the swap reproduced v itself
                 continue
-            affected = mig.replace_node(v, replacement)
-            if mig.is_gate(replacement.node):
-                affected.add(replacement.node)
+            affected = mig.replace_node(v, Signal(replacement))
+            if ca[replacement >> 1] >= 0:
+                affected.add(replacement >> 1)
             return affected
     return set()
 
@@ -713,55 +786,53 @@ def try_associativity_depth(
     beyond Ω.A itself: the single-fanout inner gate is freed whenever the
     replacement commits.
     """
-    if mig._levels is None:
+    levels = mig._levels
+    if levels is None:
         raise MigError(
             "try_associativity_depth needs level maintenance; "
             "call enable_levels() first"
         )
-    triple = mig.children(v)
-    ca = mig._ca  # bound once: this match loop is the hot path
-    levels = mig._levels
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = _gate_children(mig, v)
     lv = levels[v]
     for k in range(3):
-        g = triple[k]
-        n = int(g) >> 1
+        g = enc[k]
+        n = g >> 1
         # A swap can only lower v's level when the inner gate is the
         # critical child — cheap reject before any pattern matching.
         if levels[n] + 1 != lv:
             continue
         if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
             continue
-        inner = effective_children(mig, g)
-        others = [triple[i] for i in range(3) if i != k]
-        for u_pos in range(2):
-            u = others[u_pos]
-            x = others[1 - u_pos]
-            if u not in inner:
+        pol = g & 1
+        inner = (ca[n] ^ pol, cb[n] ^ pol, cc[n] ^ pol)
+        s, t = _OTHER_SLOTS[k]
+        for u, x in ((enc[s], enc[t]), (enc[t], enc[s])):
+            rest = _inner_rest(inner, u)
+            if rest is None:
                 continue
-            rest = list(inner)
-            rest.remove(u)
-            # shallower inner child is y, deeper is z
-            y, z = sorted(rest, key=lambda s: levels[int(s) >> 1])
-            lu, lx = levels[int(u) >> 1], levels[int(x) >> 1]
-            ly, lz = levels[int(y) >> 1], levels[int(z) >> 1]
+            y, z = rest
+            ly, lz = levels[y >> 1], levels[z >> 1]
+            if lz < ly:  # shallower inner child is y, deeper is z
+                y, z, ly, lz = z, y, lz, ly
+            lu, lx = levels[u >> 1], levels[x >> 1]
             before = 1 + max(lx, lu, 1 + max(ly, lu, lz))
             after = 1 + max(lz, lu, 1 + max(ly, lu, lx))
             if after >= before:
                 continue  # no strict depth win
             first_new = len(mig)
-            swapped = mig.add_maj(y, u, x)
-            replacement = mig.add_maj(z, u, swapped)
-            for node in range(first_new, len(mig)):
-                mig.inherit_order(node, v)
-            if replacement.node == v:  # the swap reproduced v itself
-                mig.release_if_dead(swapped.node)
+            swapped = mig.add_maj_enc(y, u, x)
+            replacement = mig.add_maj_enc(z, u, swapped)
+            _inherit_order(mig, first_new, v)
+            if replacement >> 1 == v:  # the swap reproduced v itself
+                mig.release_if_dead(swapped >> 1)
                 continue
-            affected = mig.replace_node(v, replacement)
+            affected = mig.replace_node(v, Signal(replacement))
             # ``replacement`` may have simplified or hashed past the
             # freshly created ``swapped``; sweep it if nothing reads it.
-            mig.release_if_dead(swapped.node)
+            mig.release_if_dead(swapped >> 1)
             affected.update(
-                n for n in (swapped.node, replacement.node) if mig.is_gate(n)
+                node for node in (swapped >> 1, replacement >> 1) if ca[node] >= 0
             )
             return affected
     return set()
@@ -784,39 +855,39 @@ def try_complementary_associativity(
     deeper signal).
     """
     _require_levels_for_budget(mig, depth_budget)
-    triple = mig.children(v)
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    enc = _gate_children(mig, v)
     for k in range(3):
-        g = triple[k]
-        if not mig.is_gate(g.node) or _fanout(mig, fanouts, g.node) != 1:
+        g = enc[k]
+        n = g >> 1
+        if ca[n] < 0 or _fanout(mig, fanouts, n) != 1:
             continue
-        inner = effective_children(mig, g)
-        others = [triple[i] for i in range(3) if i != k]
-        for u_pos in range(2):
-            u = others[u_pos]
-            x = others[1 - u_pos]
-            if ~u not in inner:
+        pol = g & 1
+        i0, i1, i2 = ca[n] ^ pol, cb[n] ^ pol, cc[n] ^ pol
+        s, t = _OTHER_SLOTS[k]
+        for u, x in ((enc[s], enc[t]), (enc[t], enc[s])):
+            nu = u ^ 1
+            if nu != i0 and nu != i1 and nu != i2:
                 continue
-            replaced = tuple(x if s == ~u else s for s in inner)
             before = len(mig)
-            new_inner = mig.add_maj(*replaced)
+            new_inner = mig.add_maj_enc(
+                x if i0 == nu else i0, x if i1 == nu else i1, x if i2 == nu else i2
+            )
             if len(mig) > before:  # not free: keep the speculative gate
-                mig.inherit_order(new_inner.node, v)
+                _inherit_order(mig, before, v)
                 continue
             if depth_budget is not None:
-                replacement_level = _predicted_level(
-                    mig._levels, (x, u, new_inner)
-                )
+                replacement_level = _predicted_level(mig._levels, (x, u, new_inner))
                 if _exceeds_depth_budget(mig, v, replacement_level, depth_budget):
                     continue
             first_new = len(mig)
-            replacement = mig.add_maj(x, u, new_inner)
-            for node in range(first_new, len(mig)):
-                mig.inherit_order(node, v)
-            if replacement.node == v:  # the rewrite reproduced v itself
+            replacement = mig.add_maj_enc(x, u, new_inner)
+            _inherit_order(mig, first_new, v)
+            if replacement >> 1 == v:  # the rewrite reproduced v itself
                 continue
-            affected = mig.replace_node(v, replacement)
-            if mig.is_gate(replacement.node):
-                affected.add(replacement.node)
+            affected = mig.replace_node(v, Signal(replacement))
+            if ca[replacement >> 1] >= 0:
+                affected.add(replacement >> 1)
             return affected
     return set()
 
@@ -830,14 +901,13 @@ def flip_complement(mig: Mig, v: int) -> set[int]:
     callers (:func:`try_push_inverters`, the worklist engine's cost-aware
     sweep).
     """
-    a, b, c = mig.children(v)
+    ea, eb, ec = _gate_children(mig, v)
     first_new = len(mig)
-    flipped = mig.add_maj(~a, ~b, ~c)
-    for node in range(first_new, len(mig)):
-        mig.inherit_order(node, v)
-    affected = mig.replace_node(v, ~flipped)
-    if mig.is_gate(flipped.node):
-        affected.add(flipped.node)
+    flipped = mig.add_maj_enc(ea ^ 1, eb ^ 1, ec ^ 1)
+    _inherit_order(mig, first_new, v)
+    affected = mig.replace_node(v, Signal(flipped ^ 1))
+    if mig._ca[flipped >> 1] >= 0:
+        affected.add(flipped >> 1)
     return affected
 
 
@@ -848,9 +918,7 @@ def try_push_inverters(mig: Mig, v: int, threshold: int = 2) -> set[int]:
     Flips the gate when at least ``threshold`` non-constant children are
     complemented.  Algorithm 1's final sweep uses ``threshold=3``.
     """
-    inverted_nonconst = sum(
-        1 for s in mig.children(v) if s.inverted and not s.is_const
-    )
+    inverted_nonconst = sum(e & 1 for e in _gate_children(mig, v) if e >= 2)
     if inverted_nonconst < threshold:
         return set()
     return flip_complement(mig, v)

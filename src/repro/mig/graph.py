@@ -70,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from array import array
+from itertools import compress
 from typing import Callable, Iterator, Optional
 
 from repro.errors import MigError
@@ -86,6 +87,11 @@ _DEAD = 3
 #: 24-bit fields of the 72-bit strash key, so indices stop at 2^23 - 1
 #: (about 8.4M nodes — PIs, gates, and tombstoned slots all count)
 _MAX_NODE = (1 << 23) - 1
+
+#: ``bytes.translate`` tables over ``_kind``: 1 for live gates / for
+#: everything else (the topological-order fast path's C-speed scans)
+_GATE_MASK = bytes(int(k == _GATE) for k in range(256))
+_NON_GATE_MASK = bytes(int(k != _GATE) for k in range(256))
 
 
 class Mig:
@@ -444,44 +450,60 @@ class Mig:
         order a chain of rebuild passes would have created them in.
         """
         if not self._topo_dirty:
-            yield from self.gates()
-            return
+            return self.gates()
         if self._topo_cache_version != self._shape_version:
             self._topo_cache = self._topo_order()
             self._topo_cache_version = self._shape_version
-        yield from self._topo_cache
+        return iter(self._topo_cache)
 
     def _topo_order(self) -> list[int]:
-        """Stable topological sort of the live gates by order key."""
+        """Stable topological sort of the live gates by order key.
+
+        The result is exactly what Kahn's algorithm with a min-heap on
+        order keys returns — at every step the ready gate with the
+        smallest key — computed as a merge.  The live gates sorted by key
+        are usually already topological, so they stream out in that
+        order; only a gate whose children are not all placed when its turn
+        comes is deferred, and it re-enters through a min-heap once its
+        last child is placed.  Order keys are unique (each ends with its
+        node's index), so the order is fully determined, and a key-ordered
+        graph never touches the heap.
+        """
+        kind = self._kind
+        gates = list(compress(range(len(kind)), kind.translate(_GATE_MASK)))
+        keys = self._order if self._order is not None else range(len(kind))
+        if self._order is not None:
+            gates.sort(key=keys.__getitem__)
+        placed = kind.translate(_NON_GATE_MASK)  # 1 = placed, or not a gate
         ca, cb, cc = self._ca, self._cb, self._cc
-        order = self._order
-
-        def key(v: int) -> tuple[int, ...]:
-            return order[v] if order is not None else (v,)
-
         result: list[int] = []
-        remaining: dict[int, int] = {}
-        dependents: dict[int, list[int]] = {}
-        heap: list[tuple[tuple[int, ...], int]] = []
-        for v in self.gates():
-            count = 0
-            for e in (ca[v], cb[v], cc[v]):
-                child = e >> 1
-                if ca[child] >= 0:
-                    count += 1
-                    dependents.setdefault(child, []).append(v)
-            if count == 0:
-                heapq.heappush(heap, (key(v), v))
-            else:
-                remaining[v] = count
+        heap: list[tuple] = []  # (key, gate): deferred gates now ready
+        missing: dict[int, int] = {}  # deferred gate -> unplaced child edges
+        waiters: dict[int, list[int]] = {}  # gate -> deferred readers
+
+        def place(u: int) -> None:
+            result.append(u)
+            placed[u] = 1
+            for p in waiters.pop(u, ()):
+                missing[p] -= 1
+                if not missing[p]:
+                    del missing[p]
+                    heapq.heappush(heap, (keys[p], p))
+
+        for v in gates:
+            kv = keys[v]
+            while heap and heap[0][0] < kv:
+                place(heapq.heappop(heap)[1])
+            ea, eb, ec = ca[v], cb[v], cc[v]
+            if placed[ea >> 1] and placed[eb >> 1] and placed[ec >> 1]:
+                place(v)
+                continue
+            for e in (ea, eb, ec):
+                if not placed[e >> 1]:
+                    missing[v] = missing.get(v, 0) + 1
+                    waiters.setdefault(e >> 1, []).append(v)
         while heap:
-            v = heapq.heappop(heap)[1]
-            result.append(v)
-            for p in dependents.get(v, ()):
-                remaining[p] -= 1
-                if remaining[p] == 0:
-                    del remaining[p]
-                    heapq.heappush(heap, (key(p), p))
+            place(heapq.heappop(heap)[1])
         return result
 
     def nodes(self) -> Iterator[int]:
@@ -827,9 +849,18 @@ class Mig:
             return
         if sorted((na, nb, nc)) != sorted(current):
             raise MigError("reorder_children requires a permutation of the children")
-        self._ca[node] = na
-        self._cb[node] = nb
-        self._cc[node] = nc
+        self.reorder_children_enc(node, na, nb, nc)
+
+    def reorder_children_enc(self, node: int, ea: int, eb: int, ec: int) -> None:
+        """Trusted encoding-level :meth:`reorder_children`: no checks.
+
+        The caller guarantees ``(ea, eb, ec)`` is a permutation of live
+        gate ``node``'s current children that differs from the stored
+        order (the Ω.C sweep's hot path).
+        """
+        self._ca[node] = ea
+        self._cb[node] = eb
+        self._cc[node] = ec
         self._edit_count += 1
 
     def release_if_dead(self, node: int) -> None:
@@ -854,8 +885,9 @@ class Mig:
         before = self._num_dead
         kind = self._kind
         refs = self._refs
-        for v in range(1, len(kind)):
-            if kind[v] == _GATE and refs[v] == 0:
+        for v in compress(range(len(kind)), kind.translate(_GATE_MASK)):
+            # a cascade may have retired v since the scan started
+            if refs[v] == 0 and kind[v] == _GATE:
                 self._kill(v)
         return self._num_dead - before
 
@@ -939,31 +971,13 @@ class Mig:
                     stack.append(n)
 
     @staticmethod
-    def _triple_profile(
-        triple: tuple[Signal, Signal, Signal],
-    ) -> tuple[int, bool]:
-        """``(complemented non-constant children, has a constant child)``."""
-        complemented = 0
-        has_const = False
-        for s in triple:
-            if s.node == 0:
-                has_const = True
-            elif int(s) & 1:
-                complemented += 1
-        return complemented, has_const
-
-    @staticmethod
     def _profile_enc(ea: int, eb: int, ec: int) -> tuple[int, bool]:
-        """Encoding form of :meth:`_triple_profile` (constant = node 0,
-        i.e. encoding below 2)."""
-        complemented = 0
-        has_const = False
-        for e in (ea, eb, ec):
-            if e < 2:
-                has_const = True
-            elif e & 1:
-                complemented += 1
-        return complemented, has_const
+        """``(complemented non-constant children, has a constant child)``
+        of an encoded triple (the constant is node 0: encodings 0 and 1)."""
+        return (
+            (ea > 1 and ea & 1) + (eb > 1 and eb & 1) + (ec > 1 and ec & 1),
+            ea < 2 or eb < 2 or ec < 2,
+        )
 
     def _hist_add_enc(self, ea: int, eb: int, ec: int) -> None:
         if self._hist is None:

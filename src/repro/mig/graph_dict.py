@@ -17,7 +17,8 @@ struct-of-arrays core — but it stays behind as
   (``benchmarks/bench_graph_core.py``).
 
 It exposes the same hot-path encoding protocol as the array core
-(``_ca``/``_cb``/``_cc`` views, ``is_append_clean``) so the worklist
+(read-only ``_ca``/``_cb``/``_cc`` views, ``add_maj_enc``, ``_pack_key``,
+``reorder_children_enc``, ``is_append_clean``) so the worklist
 rewriting engine runs on either class unchanged.  Everything below the
 protocol shims is the historical implementation, kept byte-for-byte in
 sync with the algorithms of the array core.
@@ -264,10 +265,18 @@ class DictMig:
             return a
         return None
 
+    def add_maj_enc(self, ea: int, eb: int, ec: int, *, simplify: bool = True) -> int:
+        """Encoding-protocol shim: :meth:`add_maj` on child encodings."""
+        return int(self.add_maj(Signal(ea), Signal(eb), Signal(ec), simplify=simplify))
+
     @staticmethod
     def _strash_key(a: Signal, b: Signal, c: Signal) -> tuple[int, int, int]:
         x, y, z = sorted((int(a), int(b), int(c)))
         return (x, y, z)
+
+    #: encoding-protocol name of the strash key (the array core packs the
+    #: sorted triple into one int; this core keys on the sorted tuple)
+    _pack_key = _strash_key
 
     # ------------------------------------------------------------------
     # queries
@@ -763,6 +772,12 @@ class DictMig:
         if sorted(map(int, triple)) != sorted(map(int, current)):
             raise MigError("reorder_children requires a permutation of the children")
         self._children[node] = triple
+        self._edit_count += 1
+
+    def reorder_children_enc(self, node: int, ea: int, eb: int, ec: int) -> None:
+        """Encoding-protocol shim: trusted :meth:`reorder_children` (the
+        ``_ca`` views are read-only)."""
+        self._children[node] = (Signal(ea), Signal(eb), Signal(ec))
         self._edit_count += 1
 
     def release_if_dead(self, node: int) -> None:
