@@ -1,6 +1,6 @@
 """Graph-core benches: array-backed storage vs the dict reference core.
 
-Three families of numbers, written to ``BENCH_graph_core.json``:
+Four families of numbers, written to ``BENCH_graph_core.json``:
 
 * **rewriting throughput** — Algorithm 1 (worklist engine, effort 4) on
   the flat struct-of-arrays :class:`~repro.mig.graph.Mig` vs the same
@@ -15,13 +15,22 @@ Three families of numbers, written to ``BENCH_graph_core.json``:
   ingest + rewrite + batched simulation, guarded by a hard ceiling so
   memory regressions in the core fail the CI quick job, not a profiler
   session three PRs later.
+* **ingest throughput** — ``read_aiger`` AIG nodes/second per circuit of
+  the served hot set (the 18 registry circuits at ci and default scale,
+  34 distinct), for binary and ASCII AIGER, next to the Signal-level
+  reference reader kept in ``tests/aiger_reference.py``, plus
+  ``Mig.fingerprint`` nodes/second — what a cache hit pays before the
+  cache can answer.  Independent of ``--scale``.
 
 Run directly (``python benchmarks/bench_graph_core.py [--scale ci]``) for
 the snapshot; the pytest entries feed the same workloads through
 pytest-benchmark for the quick-mode timing trend.
 """
 
+import io
 import random
+import sys
+from pathlib import Path
 
 try:
     import pytest
@@ -31,6 +40,7 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
 from repro.circuits.registry import benchmark_info
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.graph_dict import as_dict_mig
+from repro.mig.io_aiger import read_aiger
 from repro.mig.simulate import simulate_outputs
 
 REPRESENTATIVE = ["adder", "cavlc", "sin", "voter"]
@@ -40,11 +50,59 @@ REPRESENTATIVE = ["adder", "cavlc", "sin", "voter"]
 #: superlinear blowup without tripping on allocator noise.
 RSS_WORKLOAD = ("mem_ctrl", "default")
 RSS_CEILING_MB = 600
+#: fewest timing runs per ingest measurement (each takes milliseconds)
+INGEST_REPEATS = 7
 
 
 def _sim_workload(mig, num_patterns: int, seed: int = 20160605):
     rng = random.Random(seed)
     return [rng.getrandbits(num_patterns) for _ in range(mig.num_pis)]
+
+
+def _ingest_snapshot(repeats: int) -> dict:
+    """Per-circuit and total ingest rates over the hot set.
+
+    Rates count AIG nodes (the header's ``M``).  The four timings of a
+    circuit alternate within each repeat and keep their best, so a
+    change in CPU speed hits the shipped and the reference reader alike;
+    ``aig_vs_reference`` is the reference reader's time over the shipped
+    one's on the same bytes.
+    """
+    import time
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from aiger_reference import hot_set, reference_read_aiger
+
+    keys = ("aig", "aag", "reference_aig", "fingerprint")
+    rows = []
+    totals = dict.fromkeys(keys, 0.0)
+    nodes_total = 0
+    for label, (aig, aag) in hot_set().items():
+        nodes = int(aig.split(None, 2)[1])
+        mig = read_aiger(io.BytesIO(aig))
+        calls = {
+            "aig": lambda: read_aiger(io.BytesIO(aig)),
+            "aag": lambda: read_aiger(io.BytesIO(aag)),
+            "reference_aig": lambda: reference_read_aiger(aig),
+            "fingerprint": mig.fingerprint,
+        }
+        seconds = dict.fromkeys(keys, float("inf"))
+        for _ in range(repeats):
+            for key, call in calls.items():
+                start = time.perf_counter()
+                call()
+                seconds[key] = min(seconds[key], time.perf_counter() - start)
+        row = {"circuit": label, "nodes": nodes}
+        for key in keys:
+            row[f"{key}_nodes_per_second"] = round(nodes / seconds[key])
+            totals[key] += seconds[key]
+        nodes_total += nodes
+        rows.append(row)
+    total = {"circuits": len(rows), "nodes": nodes_total, "repeats": repeats}
+    for key in keys:
+        total[f"{key}_us_per_node"] = round(1e6 * totals[key] / nodes_total, 3)
+    total["aig_vs_reference"] = round(totals["reference_aig"] / totals["aig"], 2)
+    return {"total": total, "circuits": rows}
 
 
 def _scalar_patterns_per_second(mig, packed, num_patterns, budget_patterns=64):
@@ -141,8 +199,16 @@ def main(argv=None) -> int:
                 elapsed = took
         return elapsed, result
 
-    circuits = []
     wall_start = time.perf_counter()
+    ingest = _ingest_snapshot(max(args.repeats, INGEST_REPEATS))
+    total = ingest["total"]
+    print(
+        f"ingest: read_aiger {total['aig_us_per_node']} us/node (aig), "
+        f"{total['aag_us_per_node']} (aag), {total['aig_vs_reference']}x the "
+        f"reference reader; fingerprint {total['fingerprint_us_per_node']} us/node"
+    )
+
+    circuits = []
     options = RewriteOptions(effort=4)
     for name in REPRESENTATIVE:
         mig = benchmark_info(name).build(args.scale)
@@ -203,6 +269,7 @@ def main(argv=None) -> int:
                       "gates": rss_mig.num_gates},
         peak_rss_mb=round(peak_rss_mb, 1),
         rss_ceiling_mb=args.rss_ceiling_mb,
+        ingest=ingest,
     )
     if peak_rss_mb > args.rss_ceiling_mb:
         print(

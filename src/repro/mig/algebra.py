@@ -112,10 +112,18 @@ def structural_keys(mig: Mig) -> list[int]:
     keys = _leaf_keys(mig)
     ca, cb, cc = mig._ca, mig._cb, mig._cc
     for v in mig.topo_gates():
+        # _gate_key inlined: sort the (key, polarity) pairs without
+        # building them as tuples
         ea, eb, ec = ca[v], cb[v], cc[v]
-        keys[v] = _gate_key(
-            (keys[ea >> 1], ea & 1), (keys[eb >> 1], eb & 1), (keys[ec >> 1], ec & 1)
-        )
+        ka, kb, kc = keys[ea >> 1], keys[eb >> 1], keys[ec >> 1]
+        pa, pb, pc = ea & 1, eb & 1, ec & 1
+        if ka > kb or (ka == kb and pa > pb):
+            ka, kb, pa, pb = kb, ka, pb, pa
+        if kb > kc or (kb == kc and pb > pc):
+            kb, kc, pb, pc = kc, kb, pc, pb
+            if ka > kb or (ka == kb and pa > pb):
+                ka, kb, pa, pb = kb, ka, pb, pa
+        keys[v] = hash((3, ka, pa, kb, pb, kc, pc))
     return keys
 
 

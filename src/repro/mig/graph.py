@@ -1025,7 +1025,7 @@ class Mig:
         mapping: dict[int, Signal] = {0: Signal.CONST0}
         for node, name in zip(self._pi_ids, self._pi_names):
             mapping[node] = new.add_pi(name)
-        live = self._live_set() if not keep_dead else None
+        live = self._live_mark() if not keep_dead else None
         ca, cb, cc = self._ca, self._cb, self._cc
         if gate_fn is None:
             # Hot path (cleanup): carry the map as raw encodings and append
@@ -1034,7 +1034,7 @@ class Mig:
             enc_map: dict[int, int] = {n: int(s) for n, s in mapping.items()}
             add_enc = new.add_maj_enc
             for v in self.topo_gates():
-                if live is not None and v not in live:
+                if live is not None and not live[v]:
                     continue
                 ea, eb, ec = ca[v], cb[v], cc[v]
                 enc_map[v] = add_enc(
@@ -1046,7 +1046,7 @@ class Mig:
                 new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
             return new, {n: Signal(e) for n, e in enc_map.items()}
         for v in self.topo_gates():
-            if live is not None and v not in live:
+            if live is not None and not live[v]:
                 continue
             ea, eb, ec = ca[v], cb[v], cc[v]
             mapped = (
@@ -1059,21 +1059,25 @@ class Mig:
             new.add_po(mapping[po.node].xor_inversion(po.inverted), name)
         return new, mapping
 
-    def _live_set(self) -> set[int]:
-        """Gates reachable from the primary outputs."""
+    def _live_mark(self) -> bytearray:
+        """One byte per node slot: 1 for gates reachable from the primary
+        outputs, 0 for everything else."""
         ca, cb, cc = self._ca, self._cb, self._cc
-        live: set[int] = set()
-        stack = [po.node for po in self._pos if ca[po.node] >= 0]
+        mark = bytearray(len(ca))
+        stack = []
+        for po in self._pos:
+            v = po.node
+            if ca[v] >= 0 and not mark[v]:
+                mark[v] = 1
+                stack.append(v)
         while stack:
             v = stack.pop()
-            if v in live:
-                continue
-            live.add(v)
             for e in (ca[v], cb[v], cc[v]):
                 child = e >> 1
-                if ca[child] >= 0 and child not in live:
+                if not mark[child] and ca[child] >= 0:
+                    mark[child] = 1
                     stack.append(child)
-        return live
+        return mark
 
     def cleanup(self) -> tuple["Mig", dict[int, Signal]]:
         """Remove dead gates and re-hash; returns (new MIG, node map)."""
@@ -1152,7 +1156,7 @@ class Mig:
             tuple(self._pi_names),
             tuple(self._po_names),
             tuple((keys[po.node], int(po) & 1) for po in self._pos),
-            len(self._live_set()),
+            self._live_mark().count(1),
         )
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 

@@ -21,16 +21,19 @@ implicit LHS ``2*(I + L + i + 1)`` and stores ``lhs - rhs0`` and
 requires ``rhs0 >= rhs1`` and increasing LHS order, which the literal
 assignment here produces naturally (inputs first, gates in topological
 order).
+
+Reading decodes both flavours into flat literal rows and builds the graph
+on raw child encodings (:func:`_build_mig`), because every served request
+pays for ingest before the cache can answer.  Malformed input raises
+:class:`~repro.errors.ParseError` only.
 """
 
 from __future__ import annotations
 
-import io
 from typing import TextIO, Union
 
-from repro.errors import ParseError
-from repro.mig.build import LogicBuilder
-from repro.mig.graph import Mig
+from repro.errors import MigError, ParseError
+from repro.mig.graph import _MAX_NODE, Mig
 from repro.mig.signal import Signal
 
 
@@ -39,7 +42,9 @@ def read_aiger(path_or_file) -> Mig:
 
     The format is sniffed from the header magic (``aag`` vs ``aig``), so
     callers never need to know which flavour a benchmark ships in.  ANDs
-    become ``⟨a b 0⟩``.
+    become ``⟨a b 0⟩``.  Malformed input of either flavour raises
+    :class:`~repro.errors.ParseError` and nothing else, and the sizes a
+    header declares are checked before anything is allocated for them.
     """
     if hasattr(path_or_file, "read"):
         data = path_or_file.read()
@@ -52,163 +57,245 @@ def read_aiger(path_or_file) -> Mig:
         raw = data
     if raw.startswith(b"aig "):
         return _read_binary(raw)
-    return _read(io.StringIO(raw.decode("utf-8")))
-
-
-def _read(handle: TextIO) -> Mig:
-    header = handle.readline().split()
-    if len(header) != 6 or header[0] != "aag":
-        raise ParseError("expected header 'aag M I L O A'", 1)
     try:
-        max_var, num_in, num_latch, num_out, num_and = (int(x) for x in header[1:])
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ParseError(f"ASCII AIGER is not valid UTF-8: {error}") from None
+    return _read(text)
+
+
+def _header(fields: list[str], magic: str) -> tuple[int, int, int, int]:
+    """``(M, I, O, A)`` of a split ``magic M I L O A`` header line.
+
+    ``M`` may not exceed the MIG node limit: every variable becomes at
+    most one node, and the reader sizes its variable table by ``M``.
+    """
+    if len(fields) != 6 or fields[0] != magic:
+        raise ParseError(f"expected header '{magic} M I L O A'", 1)
+    try:
+        max_var, num_in, num_latch, num_out, num_and = (int(x) for x in fields[1:])
     except ValueError:
         raise ParseError("non-numeric AIGER header fields", 1) from None
+    if min(max_var, num_in, num_latch, num_out, num_and) < 0:
+        raise ParseError("negative AIGER header field", 1)
     if num_latch:
         raise ParseError("sequential AIGER (latches) is not supported", 1)
+    if max_var > _MAX_NODE:
+        raise ParseError(
+            f"maximum variable index M={max_var} exceeds the MIG node limit "
+            f"{_MAX_NODE}",
+            1,
+        )
+    return max_var, num_in, num_out, num_and
 
-    input_literals: list[int] = []
-    for i in range(num_in):
-        literal = int(handle.readline())
-        if literal % 2:
-            raise ParseError(f"input literal {literal} must be even", 2 + i)
-        input_literals.append(literal)
 
-    output_literals: list[int] = []
-    for i in range(num_out):
-        output_literals.append(int(handle.readline()))
+def _ints(fields: list, first_line: int, per_line: int, what: str) -> list[int]:
+    """``int`` of every field, or a :class:`ParseError` naming the line
+    of the first non-numeric one (``per_line`` fields per line)."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        for index, field in enumerate(fields):
+            try:
+                int(field)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric {what} {field!r}", first_line + index // per_line
+                ) from None
+        raise
 
-    and_rows: list[tuple[int, int, int]] = []
-    for i in range(num_and):
-        parts = handle.readline().split()
+
+def _read(text: str) -> Mig:
+    """Parse the ASCII (``aag``) encoding."""
+    lines = text.split("\n")
+    max_var, num_in, num_out, num_and = _header(lines[0].split(), "aag")
+    first_and = 1 + num_in + num_out
+    end = first_and + num_and
+    if len(lines) < end:
+        raise ParseError(
+            f"truncated AIGER: the header declares {end - 1} literal lines, "
+            f"{len(lines) - 1} follow",
+            len(lines) + 1,
+        )
+    input_literals = _ints(lines[1 : 1 + num_in], 2, 1, "input literal")
+    output_literals = _ints(lines[1 + num_in : first_and], 2 + num_in, 1, "output literal")
+    fields: list[str] = []
+    for number, row in enumerate(lines[first_and:end], first_and + 1):
+        parts = row.split()
         if len(parts) != 3:
-            raise ParseError("malformed AND row", 2 + num_in + num_out + i)
-        and_rows.append(tuple(int(p) for p in parts))
+            raise ParseError("malformed AND row", number)
+        fields += parts
+    ands = _ints(fields, first_and + 1, 3, "AND literal")
 
-    input_names, output_names = _parse_symbols(handle)
+    limit = 2 * max_var + 1
+    _check_range(input_literals, limit, 2, 1)
+    _check_range(output_literals, limit, 2 + num_in, 1)
+    _check_range(ands, limit, first_and + 1, 3)
+    for number, literal in enumerate(input_literals, 2):
+        if literal & 1:
+            raise ParseError(f"input literal {literal} must be even", number)
+    for number, lhs in enumerate(ands[::3], first_and + 1):
+        if lhs & 1:
+            raise ParseError(f"AND literal {lhs} must be even", number)
+
+    input_names, output_names = _parse_symbols(lines[end:], end + 1)
     return _build_mig(
-        input_literals, output_literals, and_rows, input_names, output_names
+        max_var, input_literals, output_literals, ands, input_names, output_names
     )
+
+
+def _check_range(literals: list[int], limit: int, first_line: int, per_line: int) -> None:
+    """Every literal must lie in ``0 .. limit`` (``2M + 1``)."""
+    if literals and (min(literals) < 0 or max(literals) > limit):
+        index = next(i for i, x in enumerate(literals) if not 0 <= x <= limit)
+        raise ParseError(
+            f"literal {literals[index]} outside 0..{limit}", first_line + index // per_line
+        )
 
 
 def _read_binary(data: bytes) -> Mig:
     """Parse the compact binary (``aig``) encoding."""
-    try:
-        nl = data.index(b"\n")
-    except ValueError:
-        raise ParseError("truncated binary AIGER header", 1) from None
-    header = data[:nl].split()
-    if len(header) != 6 or header[0] != b"aig":
-        raise ParseError("expected header 'aig M I L O A'", 1)
-    try:
-        max_var, num_in, num_latch, num_out, num_and = (int(x) for x in header[1:])
-    except ValueError:
-        raise ParseError("non-numeric AIGER header fields", 1) from None
-    if num_latch:
-        raise ParseError("sequential AIGER (latches) is not supported", 1)
-    if max_var != num_in + num_latch + num_and:
+    nl = data.find(b"\n")
+    if nl < 0:
+        raise ParseError("truncated binary AIGER header", 1)
+    fields = [field.decode("latin-1") for field in data[:nl].split()]
+    max_var, num_in, num_out, num_and = _header(fields, "aig")
+    if max_var != num_in + num_and:
         raise ParseError(
             f"binary AIGER requires M = I + L + A, got M={max_var}, "
-            f"I={num_in}, L={num_latch}, A={num_and}",
+            f"I={num_in}, L=0, A={num_and}",
             1,
         )
+    # Size checks before any allocation: an output line takes at least 2
+    # bytes ("0\n"), an AND gate at least 2 (one byte per delta).
+    remaining = len(data) - nl - 1
+    if 2 * num_out > remaining:
+        raise ParseError(
+            f"truncated output section: {num_out} outputs declared, "
+            f"{remaining} bytes follow the header",
+            2,
+        )
+    rows = data[nl + 1 :].split(b"\n", num_out)
+    if len(rows) <= num_out:
+        raise ParseError("truncated output section", 1 + len(rows))
+    output_literals = _ints(rows[:num_out], 2, 1, "output literal")
+    _check_range(output_literals, 2 * max_var + 1, 2, 1)
+    remaining = len(rows[-1])
+    if 2 * num_and > remaining:
+        raise ParseError(
+            f"truncated delta encoding: {num_and} AND gates declared, "
+            f"{remaining} bytes follow the outputs"
+        )
 
-    pos = nl + 1
-    output_literals: list[int] = []
-    for i in range(num_out):
-        try:
-            line_end = data.index(b"\n", pos)
-        except ValueError:
-            raise ParseError("truncated output section", 2 + i) from None
-        try:
-            output_literals.append(int(data[pos:line_end]))
-        except ValueError:
-            raise ParseError(
-                f"non-numeric output literal {data[pos:line_end]!r}", 2 + i
-            ) from None
-        pos = line_end + 1
-
-    size = len(data)
-    and_rows: list[tuple[int, int, int]] = []
-    for i in range(num_and):
-        lhs = 2 * (num_in + num_latch + i + 1)
-        deltas = []
-        for _ in range(2):
-            value = 0
-            shift = 0
-            while True:
-                if pos >= size:
-                    raise ParseError(
-                        f"truncated delta encoding in AND gate {i}"
-                    )
-                byte = data[pos]
-                pos += 1
-                value |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-            deltas.append(value)
-        rhs0 = lhs - deltas[0]
-        rhs1 = rhs0 - deltas[1]
-        if rhs1 < 0:
-            raise ParseError(
-                f"AND gate {i}: deltas {deltas} underflow below literal 0"
-            )
-        and_rows.append((lhs, rhs0, rhs1))
+    pos = len(data) - len(rows[-1])
+    ands: list[int] = []
+    lhs = 2 * num_in
+    try:
+        for i in range(num_and):
+            lhs += 2
+            delta0 = data[pos]
+            pos += 1
+            if delta0 & 0x80:
+                delta0, pos = _varint(data, pos, delta0)
+            delta1 = data[pos]
+            pos += 1
+            if delta1 & 0x80:
+                delta1, pos = _varint(data, pos, delta1)
+            rhs0 = lhs - delta0
+            rhs1 = rhs0 - delta1
+            if rhs1 < 0:
+                raise ParseError(
+                    f"AND gate {i}: deltas {[delta0, delta1]} underflow below literal 0"
+                )
+            ands += (lhs, rhs0, rhs1)
+    except IndexError:
+        raise ParseError(f"truncated delta encoding in AND gate {i}") from None
 
     input_names, output_names = _parse_symbols(
-        io.StringIO(data[pos:].decode("utf-8", errors="replace"))
+        data[pos:].decode("utf-8", errors="replace").split("\n"),
+        data.count(b"\n", 0, pos) + 1,
     )
-    input_literals = [2 * (i + 1) for i in range(num_in)]
     return _build_mig(
-        input_literals, output_literals, and_rows, input_names, output_names
+        max_var,
+        range(2, 2 * num_in + 1, 2),
+        output_literals,
+        ands,
+        input_names,
+        output_names,
     )
 
 
-def _parse_symbols(handle: TextIO) -> tuple[dict[int, str], dict[int, str]]:
+def _varint(data: bytes, pos: int, first: int) -> tuple[int, int]:
+    """Rest of a multi-byte delta whose first byte ``first`` is read."""
+    value = first & 0x7F
+    shift = 7
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+
+
+def _parse_symbols(lines: list[str], first_line: int) -> tuple[dict[int, str], dict[int, str]]:
     """Symbol table (and ignored comment section) of either format."""
     input_names: dict[int, str] = {}
     output_names: dict[int, str] = {}
-    for raw in handle:
-        line = raw.rstrip("\n")
+    for number, line in enumerate(lines, first_line):
         if line.startswith("c"):
             break
-        if line.startswith("i"):
-            pos, name = line[1:].split(" ", 1)
-            input_names[int(pos)] = name
-        elif line.startswith("o"):
-            pos, name = line[1:].split(" ", 1)
-            output_names[int(pos)] = name
+        if line.startswith(("i", "o")):
+            try:
+                pos, name = line[1:].split(" ", 1)
+                index = int(pos)
+            except ValueError:
+                raise ParseError(f"malformed symbol line {line!r}", number) from None
+            (input_names if line[0] == "i" else output_names)[index] = name
     return input_names, output_names
 
 
 def _build_mig(
-    input_literals: list[int],
+    max_var: int,
+    input_literals,
     output_literals: list[int],
-    and_rows: list[tuple[int, int, int]],
+    ands: list[int],
     input_names: dict[int, str],
     output_names: dict[int, str],
 ) -> Mig:
-    """Shared back half of both readers: literals → LogicBuilder calls."""
-    builder = LogicBuilder()
-    literal_map: dict[int, Signal] = {0: Signal.CONST0, 1: Signal.CONST1}
+    """Shared back half of both readers: literals → MIG encodings.
 
-    for pos, literal in enumerate(input_literals):
-        literal_map[literal] = builder.input(input_names.get(pos, f"i{pos}"))
+    ``var_enc`` maps each AIGER variable to the encoding of its MIG node
+    (``-1`` until defined), so a literal resolves to
+    ``var_enc[lit >> 1] ^ (lit & 1)`` — negative exactly when undefined.
+    Each AND ``lhs = rhs0 ∧ rhs1`` becomes ``add_maj_enc(a, b, 0)``, which
+    folds constants and merges structural duplicates.  Every literal is
+    already known to lie in ``0 .. 2M + 1``.
+    """
+    mig = Mig()
+    var_enc = [-1] * (max_var + 1)
+    var_enc[0] = 0
+    try:
+        for pos, literal in enumerate(input_literals):
+            var_enc[literal >> 1] = int(mig.add_pi(input_names.get(pos, f"i{pos}")))
+    except MigError as error:
+        raise ParseError(str(error)) from None
 
-    def resolve(literal: int) -> Signal:
-        base = literal_map.get(literal & ~1)
-        if base is None:
-            raise ParseError(f"literal {literal} used before definition")
-        return ~base if literal & 1 else base
-
-    for lhs, rhs0, rhs1 in and_rows:
-        if lhs % 2:
-            raise ParseError(f"AND literal {lhs} must be even")
-        literal_map[lhs] = builder.and_(resolve(rhs0), resolve(rhs1))
+    add_maj_enc = mig.add_maj_enc
+    rows = iter(ands)
+    for lhs, rhs0, rhs1 in zip(rows, rows, rows):
+        a = var_enc[rhs0 >> 1] ^ (rhs0 & 1)
+        b = var_enc[rhs1 >> 1] ^ (rhs1 & 1)
+        if a < 0 or b < 0:
+            raise ParseError(f"literal {rhs0 if a < 0 else rhs1} used before definition")
+        var_enc[lhs >> 1] = add_maj_enc(a, b, 0)
 
     for pos, literal in enumerate(output_literals):
-        builder.output(resolve(literal), output_names.get(pos, f"o{pos}"))
-    return builder.mig
+        enc = var_enc[literal >> 1] ^ (literal & 1)
+        if enc < 0:
+            raise ParseError(f"literal {literal} used before definition")
+        mig.add_po(Signal(enc), output_names.get(pos, f"o{pos}"))
+    return mig
 
 
 def write_aiger(mig: Mig, path_or_file, *, binary: Union[bool, None] = None) -> None:

@@ -181,6 +181,16 @@ class TestErrorPaths:
         assert response.status == 422
         assert response.json()["error"]["code"] == "parse-error"
 
+    def test_malformed_aag_is_422_with_line(self):
+        # a non-numeric AND field once escaped the reader as a bare
+        # ValueError and answered 500 internal-error
+        payload = {"circuit": "aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n", "format": "aag"}
+        response = post(make_app(), "/compile", payload)
+        assert response.status == 422
+        error = response.json()["error"]
+        assert error["code"] == "parse-error"
+        assert "line 5" in error["message"]
+
     def test_payload_too_large(self, circuit_payloads):
         app = make_app(max_body_bytes=64)
         response = post(app, "/compile", circuit_payloads["mig"])

@@ -74,7 +74,6 @@ class TestVerilogWriter:
     def test_every_gate_assigned(self):
         mig = random_mig(3, num_pis=4, num_gates=15)
         text = self.render(mig)
-        live = mig._live_set()
         assigns = re.findall(r"assign (n\d+) =", text)
         assert len(assigns) == mig.num_gates  # writer emits all gates
 
