@@ -4,8 +4,8 @@ Four families of numbers, written to ``BENCH_graph_core.json``:
 
 * **rewriting throughput** — Algorithm 1 (worklist engine, effort 4) on
   the flat struct-of-arrays :class:`~repro.mig.graph.Mig` vs the same
-  graph structurally copied into the dict-of-objects
-  :class:`~repro.mig.graph_dict.DictMig`, as nodes/second and the
+  graph structurally copied into the dict-of-objects ``DictMig`` kept
+  in ``tests/graph_dict_reference.py``, as nodes/second and the
   array/dict ratio;
 * **simulation throughput** — word-parallel batched simulation vs a
   scalar one-pattern-at-a-time loop, as patterns/second and the
@@ -39,7 +39,6 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
 
 from repro.circuits.registry import benchmark_info
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
-from repro.mig.graph_dict import as_dict_mig
 from repro.mig.io_aiger import read_aiger
 from repro.mig.simulate import simulate_outputs
 
@@ -52,6 +51,13 @@ RSS_WORKLOAD = ("mem_ctrl", "default")
 RSS_CEILING_MB = 600
 #: fewest timing runs per ingest measurement (each takes milliseconds)
 INGEST_REPEATS = 7
+
+
+def _tests_on_path() -> None:
+    """Make the reference implementations kept in ``tests/`` importable."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
 
 
 def _sim_workload(mig, num_patterns: int, seed: int = 20160605):
@@ -70,7 +76,7 @@ def _ingest_snapshot(repeats: int) -> dict:
     """
     import time
 
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    _tests_on_path()
     from aiger_reference import hot_set, reference_read_aiger
 
     keys = ("aig", "aag", "reference_aig", "fingerprint")
@@ -125,6 +131,9 @@ if pytest is not None:
     def test_rewrite_throughput_by_core(benchmark, name, core, scale):
         mig = benchmark_info(name).build(scale)
         if core == "dict":
+            _tests_on_path()
+            from graph_dict_reference import as_dict_mig
+
             mig = as_dict_mig(mig)
         options = RewriteOptions(effort=4)
         rewritten = benchmark(rewrite_for_plim, mig, options)
@@ -173,6 +182,9 @@ def main(argv=None) -> int:
     import time
 
     import _common
+
+    _tests_on_path()
+    from graph_dict_reference import as_dict_mig
 
     parser = _common.snapshot_parser(main.__doc__, __file__, "BENCH_graph_core.json")
     parser.add_argument(

@@ -1,31 +1,32 @@
-"""Array-fast Algorithm 2 benches: compile speedup, kernels, cost-loop.
+"""Algorithm 2 benches: compile speedup over the reference, kernels, cost-loop.
 
-The compiler carries two complete translation engines —
-``CompilerOptions(implementation="fast")`` (raw child encodings, flat
-program columns, lazy comments) and ``"object"``, the original
-Signal/dict path kept verbatim as the differential oracle.  Run directly
+The shipped :class:`~repro.core.compiler.PlimCompiler` translates on raw
+child encodings (flat program columns, lazy comments).
+``ReferenceCompiler``, the original Signal/dict path, is kept in
+``tests/compile_reference.py`` as the differential oracle.  Run directly
 (``python benchmarks/bench_plim_compile.py [--scale ci]``) this bench is
-the acceptance gate of that split:
+the acceptance gate of the shipped path:
 
-* every registry circuit is compiled by both engines under both
-  allocator policies *and* the naïve baseline, and the ``.plim`` texts
-  must be **byte-identical** (the recorded justification for not bumping
+* every registry circuit is compiled by both under both allocator
+  policies *and* the naïve baseline, and the ``.plim`` texts must be
+  **byte-identical** (the recorded justification for not bumping
   ``ALGORITHM_REVISION``: a bit-identical engine swap keeps cached
   entries valid, exactly like the PR 6 array-core swap);
-* the end-to-end ``PlimCompiler.compile`` speedup (aggregate over the
-  registry, best-of-``--repeats`` per engine) must meet ``--min-speedup``
-  (default 3x) or the script **exits nonzero**;
+* the end-to-end ``compile`` speedup over the reference (aggregate over
+  the registry, best-of-``--repeats`` per compiler) must meet
+  ``--min-speedup`` (default 3x) or the script **exits nonzero**;
 * machine throughput is recorded for all three kernels (object
   interpreter, compiled plan, chunked-numpy where available), plus the
   ``CompiledPlim.measure`` latency and the ``compile_cost_loop``
-  wall-clock under each engine — the downstream loops the fast path
-  exists to accelerate.
+  wall-clock — the downstream loops the shipped path exists to
+  accelerate.
 
 Results land in ``BENCH_plim_compile.json`` next to this file.
 """
 
 import random
-from dataclasses import replace
+import sys
+from pathlib import Path
 
 try:
     import pytest
@@ -45,9 +46,18 @@ IDENTITY_CONFIGS = {
 }
 
 
-def _compile_text(mig, options: CompilerOptions, implementation: str) -> str:
-    opts = replace(options, implementation=implementation)
-    return PlimCompiler(opts).compile(mig).to_text()
+def _reference_compiler():
+    """``ReferenceCompiler``, from ``tests/compile_reference.py``."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    from compile_reference import ReferenceCompiler
+
+    return ReferenceCompiler
+
+
+def _compile_text(mig, options: CompilerOptions, compiler=PlimCompiler) -> str:
+    return compiler(options).compile(mig).to_text()
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -67,14 +77,10 @@ if pytest is not None:
     @pytest.mark.parametrize("name", REPRESENTATIVE)
     def test_compile_fast_throughput(benchmark, name, scale):
         mig = benchmark_info(name).build(scale)
-        options = CompilerOptions(implementation="fast")
-        program = benchmark(lambda: PlimCompiler(options).compile(mig))
+        program = benchmark(lambda: PlimCompiler().compile(mig))
         gates = program.num_instructions  # proxy floor; exact below
-        oracle_s = _best_of(
-            1, lambda: PlimCompiler(
-                CompilerOptions(implementation="object")
-            ).compile(mig)
-        )
+        reference = _reference_compiler()
+        oracle_s = _best_of(1, lambda: reference().compile(mig))
         mean = benchmark.stats.stats.mean
         benchmark.extra_info.update(
             {
@@ -90,10 +96,10 @@ if pytest is not None:
     @pytest.mark.parametrize("name", REPRESENTATIVE)
     def test_fast_is_byte_identical(benchmark, name, scale):
         mig = benchmark_info(name).build(scale)
-        fast_text = benchmark(
-            lambda: _compile_text(mig, IDENTITY_CONFIGS["fifo"], "fast")
+        fast_text = benchmark(lambda: _compile_text(mig, IDENTITY_CONFIGS["fifo"]))
+        assert fast_text == _compile_text(
+            mig, IDENTITY_CONFIGS["fifo"], _reference_compiler()
         )
-        assert fast_text == _compile_text(mig, IDENTITY_CONFIGS["fifo"], "object")
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +145,8 @@ def _machine_kernels(program, pi_names) -> dict:
 
 
 def main(argv=None) -> int:
-    """Gate the fast engine: 18/18 byte-identical programs and the
-    aggregate compile speedup, recorded in BENCH_plim_compile.json."""
+    """Gate the shipped compiler: 18/18 byte-identical programs and the
+    aggregate speedup over the reference, in BENCH_plim_compile.json."""
     import time
 
     import _common
@@ -150,13 +156,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timing runs per engine per circuit; best-of wins (default 3)",
+        help="timing runs per compiler per circuit; best-of wins (default 3)",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=3.0,
-        help="required aggregate fast-vs-object compile speedup (default 3.0)",
+        help="required aggregate compile speedup over the reference (default 3.0)",
     )
     args = parser.parse_args(argv)
+    reference = _reference_compiler()
 
     wall_start = time.perf_counter()
     circuits = []
@@ -165,22 +172,16 @@ def main(argv=None) -> int:
     for name in BENCHMARK_NAMES:
         mig = benchmark_info(name).build(args.scale)
         for config, options in IDENTITY_CONFIGS.items():
-            fast_text = _compile_text(mig, options, "fast")
-            oracle_text = _compile_text(mig, options, "object")
+            fast_text = _compile_text(mig, options)
+            oracle_text = _compile_text(mig, options, reference)
             assert fast_text == oracle_text, (
-                f"{name}/{config}: fast and object programs differ — "
-                f"the engines must stay byte-identical"
+                f"{name}/{config}: shipped and reference programs differ — "
+                f"they must stay byte-identical"
             )
         identical += 1
 
-        fast_s = _best_of(
-            args.repeats,
-            lambda: PlimCompiler(CompilerOptions(implementation="fast")).compile(mig),
-        )
-        object_s = _best_of(
-            args.repeats,
-            lambda: PlimCompiler(CompilerOptions(implementation="object")).compile(mig),
-        )
+        fast_s = _best_of(args.repeats, lambda: PlimCompiler().compile(mig))
+        object_s = _best_of(args.repeats, lambda: reference().compile(mig))
         total_fast += fast_s
         total_object += object_s
         gates = mig.cleanup()[0].num_gates
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
             }
         )
         print(
-            f"{name:12s} fast {fast_s * 1e3:7.2f}ms  object {object_s * 1e3:7.2f}ms  "
+            f"{name:12s} shipped {fast_s * 1e3:7.2f}ms  reference {object_s * 1e3:7.2f}ms  "
             f"x{object_s / fast_s:.2f}"
         )
 
@@ -209,20 +210,14 @@ def main(argv=None) -> int:
     kernel_program = PlimCompiler().compile(kernel_mig)
     kernels = _machine_kernels(kernel_program, kernel_mig.pi_names())
 
-    measure_latency = {}
-    for implementation in ("fast", "object"):
-        model = CompiledPlim(implementation=implementation)
-        start = time.perf_counter()
-        model.measure(kernel_mig)
-        measure_latency[implementation] = round(time.perf_counter() - start, 6)
+    start = time.perf_counter()
+    CompiledPlim().measure(kernel_mig)
+    measure_latency = round(time.perf_counter() - start, 6)
 
-    cost_loop_seconds = {}
     loop_mig = benchmark_info("priority").build(args.scale)
-    for implementation in ("fast", "object"):
-        model = CompiledPlim(implementation=implementation)
-        start = time.perf_counter()
-        compile_cost_loop(loop_mig, objective=model, effort=2, max_iterations=2)
-        cost_loop_seconds[implementation] = round(time.perf_counter() - start, 4)
+    start = time.perf_counter()
+    compile_cost_loop(loop_mig, objective=CompiledPlim(), effort=2, max_iterations=2)
+    cost_loop_seconds = round(time.perf_counter() - start, 4)
 
     report_meta = {
         "scale": args.scale,

@@ -61,7 +61,6 @@ from repro.core.rewriting import (
     CostLoopResult,
     RewriteOptions,
     compile_cost_loop,
-    rewrite_depth,
     rewrite_for_plim,
 )
 from repro.plim.program import Program
@@ -97,6 +96,5 @@ __all__ = [
     "compile_many",
     "pareto_sweep",
     "resolve_cost_model",
-    "rewrite_depth",
     "rewrite_for_plim",
 ]

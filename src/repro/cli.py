@@ -151,31 +151,12 @@ def _cmd_compile(args) -> int:
             fix_output_polarity=not args.paper_outputs,
             max_work_cells=args.max_rrams,
         )
-    objective = args.objective
-    if args.depth_rewrite:
-        # Deprecation shim: the old flag ran rewrite_depth *before* area
-        # rewriting (whose reshaping could undo the depth gains) and
-        # ignored --engine.  It now maps onto the multi-objective loop,
-        # which interleaves both and ends on a depth phase.
-        print(
-            "plimc: warning: --depth-rewrite is deprecated; "
-            "use --objective balanced (or --objective depth)",
-            file=sys.stderr,
-        )
-        if args.no_rewrite:
-            # The old flag depth-rewrote even without Algorithm 1; keep
-            # that (now honoring --engine and --effort).
-            from repro.core.rewriting import rewrite_depth
-
-            mig = rewrite_depth(mig, effort=args.effort, engine=args.engine)
-        elif objective == "size":
-            objective = "balanced"
     result = compile_mig(
         mig,
         rewrite=not args.no_rewrite,
         effort=args.effort,
         engine=args.engine,
-        objective=objective,
+        objective=args.objective,
         compiler_options=options,
         cache=_make_cache(args),
     )
@@ -228,7 +209,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    program = Program.from_text(Path(args.program).read_text(encoding="utf-8"))
+    program = Program.from_text(Path(args.program).read_bytes())
     inputs = {}
     for assignment in args.set or []:
         name, _, value = assignment.partition("=")
@@ -253,7 +234,7 @@ def _cmd_controller(args) -> int:
     """Run a .plim program on the von Neumann fetching controller."""
     from repro.plim.controller import FetchingController
 
-    program = Program.from_text(Path(args.program).read_text(encoding="utf-8"))
+    program = Program.from_text(Path(args.program).read_bytes())
     inputs = {}
     for assignment in args.set or []:
         name, _, value = assignment.partition("=")
@@ -590,11 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(balanced), or a cost model — the §4.2.2 instruction estimate "
         "(static-plim) or real measured Algorithm 2 cost (plim, the "
         "synthesize/schedule/re-synthesize loop)",
-    )
-    p.add_argument(
-        "--depth-rewrite",
-        action="store_true",
-        help="deprecated: use --objective balanced (kept as a shim)",
     )
     p.add_argument(
         "--emit-verilog",

@@ -4,7 +4,7 @@
   expected instructions and RRAMs (size rules + inverter propagation).
 * :mod:`repro.core.compiler` — Algorithm 2: the compilation loop.
 * :mod:`repro.core.schedule` — §4.2.1 candidate selection priority queue.
-* :mod:`repro.core.translate` — §4.2.2 node translation case analysis.
+* :mod:`repro.core.translate_fast` — §4.2.2 node translation case analysis.
 * :mod:`repro.core.allocator` — §4.2.3 RRAM allocation (FIFO free list).
 * :mod:`repro.core.cost` — the static cost model driving rewriting choices.
 * :mod:`repro.core.pipeline` — the end-to-end convenience API.

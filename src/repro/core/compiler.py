@@ -15,6 +15,10 @@ configuration and the baselines used in the evaluation:
 * ``CompilerOptions.no_selection()`` — only the candidate-selection scheme
   disabled (the literal reading of the Table 1 baseline): index order but
   smart per-node translation.
+
+Candidate selection (§4.2.1) lives in :mod:`repro.core.schedule` and node
+translation (§4.2.2) in :mod:`repro.core.translate_fast`; both work on
+the graph core's raw child encodings.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from time import perf_counter
 from typing import Optional
 
 from repro.core.allocator import POLICIES, RramAllocator
-from repro.core.schedule import make_scheduler, make_scheduler_fast
-from repro.core.translate import CONSUMED, TranslationState, translate_node
+from repro.core.schedule import make_scheduler
 from repro.core.translate_fast import FastTranslationState, translate_node_fast
 from repro.errors import CompilationError
 from repro.mig.context import AnalysisContext
@@ -41,7 +44,6 @@ def _program_cost(program: Program) -> tuple[int, int]:
 
 SCHEDULING_MODES = ("priority", "index")
 OPERAND_MODES = ("cases", "child_order")
-IMPLEMENTATIONS = ("fast", "object")
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,6 @@ class CompilerOptions:
     #: e.g., a limited number of RRAMs").  Infeasible budgets raise
     #: CompilationError.
     max_work_cells: "Optional[int]" = None
-    #: which Algorithm 2 engine runs: "fast" (default) works on raw child
-    #: encodings with array-backed per-node state and lazy comments;
-    #: "object" is the original Signal/dict/Operand path, kept verbatim as
-    #: the differential oracle.  Both emit byte-identical programs
-    #: (tests/test_compile_fast_differential.py, BENCH_plim_compile.json).
-    implementation: str = "fast"
 
     @classmethod
     def paper_selection(cls, **overrides) -> "CompilerOptions":
@@ -112,11 +108,6 @@ class CompilerOptions:
             raise CompilationError(
                 f"unknown reorder mode {self.reorder!r}; "
                 "expected 'none', 'dfs', or 'best'"
-            )
-        if self.implementation not in IMPLEMENTATIONS:
-            raise CompilationError(
-                f"unknown implementation {self.implementation!r}; "
-                f"expected one of {IMPLEMENTATIONS}"
             )
 
     @classmethod
@@ -181,15 +172,6 @@ class PlimCompiler:
 
     def _compile_ordered(self, ctx: AnalysisContext) -> Program:
         """Run Algorithm 2 on an MIG whose node order is final."""
-        # The fast engine reads the flat-array internals of Mig; duck-typed
-        # graphs without them (e.g. the DictMig reference implementation)
-        # always take the object path.
-        if self.options.implementation == "fast" and hasattr(ctx.mig, "_kind"):
-            return self._compile_ordered_fast(ctx)
-        return self._compile_ordered_object(ctx)
-
-    def _compile_ordered_fast(self, ctx: AnalysisContext) -> Program:
-        """The encoding-level Algorithm 2 loop (same schedule, flat state)."""
         start = perf_counter()
         mig = ctx.mig
         program = Program(
@@ -224,7 +206,7 @@ class PlimCompiler:
                 + (not computed[cb[v] >> 1])
                 + (not computed[cc[v] >> 1])
             )
-        scheduler = make_scheduler_fast(self.options, ctx, state, pending)
+        scheduler = make_scheduler(self.options, ctx, state, pending)
         push = scheduler.push
         for v in gate_order:
             if not pending[v]:
@@ -266,85 +248,16 @@ class PlimCompiler:
                 f"translated {translated} of {mig.num_gates} gates — cyclic or broken MIG"
             )
 
-        self._finalize_outputs_fast(mig, state, program)
-        self._timings["translate_seconds"] += perf_counter() - start
-        return program
-
-    def _compile_ordered_object(self, ctx: AnalysisContext) -> Program:
-        """The original object-path loop — the differential oracle."""
-        start = perf_counter()
-        mig = ctx.mig
-        program = Program(
-            input_cells={name: i for i, name in enumerate(mig.pi_names())},
-            name=mig.name,
-        )
-        allocator = RramAllocator(
-            first_address=mig.num_pis, policy=self.options.allocator_policy
-        )
-        state = TranslationState(
-            ctx,
-            program,
-            allocator,
-            complement_caching=self.options.complement_caching,
-            max_work_cells=self.options.max_work_cells,
-        )
-        naive = self.options.operand_selection == "child_order"
-
-        parents = ctx.parents
-
-        computed: set[int] = {0}
-        for pi in mig.pis():
-            computed.add(pi.node)
-        pending_children: dict[int, int] = {}
-        for v in ctx.gate_order:
-            pending_children[v] = sum(
-                1 for c in mig.children(v) if c.node not in computed
-            )
-        scheduler = make_scheduler(self.options, ctx, state, pending_children)
-        for v in ctx.gate_order:
-            if pending_children[v] == 0:
-                scheduler.push(v)
-        self._timings["schedule_seconds"] += perf_counter() - start
-
-        start = perf_counter()
-        translated = 0
-        while len(scheduler):
-            v = scheduler.pop()
-            translate_node(state, v, naive=naive)
-            computed.add(v)
-            translated += 1
-            for parent in parents[v]:
-                pending_children[parent] -= 1
-                if pending_children[parent] == 0:
-                    scheduler.push(parent)
-                elif pending_children[parent] == 1:
-                    # The last missing child of `parent` just became more
-                    # attractive (unblocking rule) — re-rank it if queued.
-                    for sibling in mig.children(parent):
-                        if sibling.node not in computed and sibling.node in scheduler:
-                            scheduler.refresh(sibling.node)
-            # A child whose remaining uses just dropped to 1 raises the
-            # releasing count of its still-queued consumers.
-            for child in mig.children(v):
-                if mig.is_gate(child.node) and state.remaining_uses[child.node] == 1:
-                    for consumer in parents[child.node]:
-                        if consumer in scheduler:
-                            scheduler.refresh(consumer)
-        if translated != mig.num_gates:
-            raise CompilationError(
-                f"translated {translated} of {mig.num_gates} gates — cyclic or broken MIG"
-            )
-
         self._finalize_outputs(mig, state, program)
         self._timings["translate_seconds"] += perf_counter() - start
         return program
 
     # ------------------------------------------------------------------
 
-    def _finalize_outputs_fast(
+    def _finalize_outputs(
         self, mig: Mig, state: FastTranslationState, program: Program
     ) -> None:
-        """Encoding-level twin of :meth:`_finalize_outputs`."""
+        """Record (and, in honest mode, fix up) every output's location."""
         for po, name in zip(mig.pos(), mig.po_names()):
             if po.is_const:
                 address = state.alloc()
@@ -357,25 +270,6 @@ class PlimCompiler:
                 continue
             address = state.value_cell[po.node]
             if address < 0:  # never computed, or consumed by a parent
-                raise CompilationError(
-                    f"output {name!r} refers to node {po.node} whose cell was lost"
-                )
-            program.set_output(name, address, inverted=po.inverted)
-
-    def _finalize_outputs(self, mig: Mig, state: TranslationState, program: Program) -> None:
-        """Record (and, in honest mode, fix up) every output's location."""
-        for po, name in zip(mig.pos(), mig.po_names()):
-            if po.is_const:
-                address = state.alloc()
-                state.emit_set_const(address, po.const_value, target=name)
-                program.set_output(name, address)
-                continue
-            if po.inverted and self.options.fix_output_polarity:
-                address = state.materialize_complement(po.node)
-                program.set_output(name, address, inverted=False)
-                continue
-            address = state.value_cell.get(po.node)
-            if address is None or address == CONSUMED:
                 raise CompilationError(
                     f"output {name!r} refers to node {po.node} whose cell was lost"
                 )

@@ -36,7 +36,7 @@ the process-pool seams.  Resolve string aliases with
 
     >>> from repro.core.cost import resolve_cost_model
     >>> resolve_cost_model("plim")
-    CompiledPlim(paper_accounting=True, allocator_policy='fifo', input_seed=7, implementation='fast')
+    CompiledPlim(paper_accounting=True, allocator_policy='fifo', input_seed=7)
     >>> resolve_cost_model("size").name
     'size'
 """
@@ -355,11 +355,6 @@ class CompiledPlim(CostModel):
     ``ALGORITHM_REVISION``) — so repeated cost loops over one circuit
     family skip the compile-and-execute entirely, across processes when
     the cache is disk-backed.
-
-    ``implementation`` selects the Algorithm 2 engine being measured;
-    both emit byte-identical programs, so it only changes measurement
-    *speed* — but it reaches the repr (cache identity) like every other
-    field, so entries measured under different engines never alias.
     """
 
     name = "plim"
@@ -368,7 +363,6 @@ class CompiledPlim(CostModel):
     paper_accounting: bool = True
     allocator_policy: str = "fifo"
     input_seed: int = 7
-    implementation: str = "fast"
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __getstate__(self):
@@ -423,7 +417,6 @@ class CompiledPlim(CostModel):
         return CompilerOptions(
             fix_output_polarity=not self.paper_accounting,
             allocator_policy=self.allocator_policy,
-            implementation=self.implementation,
         )
 
 

@@ -200,6 +200,17 @@ def rewrite_for_plim(
         (2, 1)
         >>> rewrite_for_plim(m, RewriteOptions(depth_budget=2)).num_gates
         1
+
+    Example — ``objective="depth"`` swaps a late-arriving signal off the
+    critical path:
+
+        >>> from repro.mig.analysis import depth
+        >>> m = Mig()
+        >>> a, b, c, d, e, f = (m.add_pi(n) for n in "abcdef")
+        >>> deep = m.add_maj(a, b, c)                       # level 1
+        >>> _ = m.add_po(m.add_maj(f, d, m.add_maj(e, d, deep)), "y")
+        >>> depth(m), depth(rewrite_for_plim(m, RewriteOptions(objective="depth")))
+        (3, 2)
     """
     opts = options if options is not None else RewriteOptions()
     if opts.engine not in ENGINES:
@@ -583,7 +594,7 @@ def _visit_for_flip(
 def _rewrite_objective_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
     """Depth/balanced objectives on the rebuild pass pipeline (the oracle).
 
-    ``objective="depth"`` is the original one-shot ``rewrite_depth``
+    ``objective="depth"`` is the original one-shot depth-rewriting
     semantics: iterate ``pass_associativity_depth`` + Ω.M, accept only
     strictly depth-improving rounds.  ``objective="balanced"`` interleaves
     one full Algorithm 1 size cycle with one depth cycle per round until
@@ -911,34 +922,6 @@ def compile_cost_loop(
         baseline=dict(steps[0].metrics),
         final=dict(final.metrics),
         seconds=time.perf_counter() - start,
-    )
-
-
-def rewrite_depth(mig: Mig, effort: int = 4, engine: str = "worklist") -> Mig:
-    """Depth-oriented MIG rewriting (Ω.A critical-path swaps + Ω.M).
-
-    The companion RRAM-synthesis paper (Shirinzadeh et al., DATE'16 —
-    reference [13]) optimizes MIGs for both area and depth; PLiM programs
-    are serial so Table 1 only needs area, but depth matters for any
-    parallel in-memory target.  Convenience wrapper for
-    ``rewrite_for_plim(mig, RewriteOptions(objective="depth"))``; pass
-    ``engine="rebuild"`` for the original pass-pipeline oracle.
-    Function-preserving and never size-increasing beyond the Ω.A
-    reshaping itself.
-
-    Example — a late-arriving signal is swapped off the critical path:
-
-        >>> from repro import Mig, rewrite_depth
-        >>> from repro.mig.analysis import depth
-        >>> m = Mig()
-        >>> a, b, c, d, e, f = (m.add_pi(n) for n in "abcdef")
-        >>> deep = m.add_maj(a, b, c)                       # level 1
-        >>> _ = m.add_po(m.add_maj(f, d, m.add_maj(e, d, deep)), "y")
-        >>> depth(m), depth(rewrite_depth(m))
-        (3, 2)
-    """
-    return rewrite_for_plim(
-        mig, RewriteOptions(effort=effort, engine=engine, objective="depth")
     )
 
 

@@ -151,55 +151,18 @@ def make_scheduler(options, context, state, pending_children) -> "Scheduler":
     compiler; ``context`` is the :class:`~repro.mig.context.AnalysisContext`
     of the graph being compiled — its cached parents and levels feed the
     priority key, so repeated compilations of the same node order share
-    them.  ``state.remaining_uses`` and ``pending_children`` are the
-    dynamic tables the key reads at refresh time.
-    """
-    if options.scheduling == "index":
-        return IndexScheduler()
+    them.  ``state`` is a
+    :class:`~repro.core.translate_fast.FastTranslationState` (remaining
+    uses in a flat ``array('q')``) and ``pending_children`` an array
+    indexed by node id: the dynamic tables the key reads at refresh time,
+    straight from the raw child encodings.
 
-    mig = context.mig
-    parents = context.parents
-    node_levels = context.levels
-    # A primary output consumes its node "right above" it: model it as
-    # a parent one level up, otherwise PO feeders would be deferred to
-    # the end of the schedule while their children sit in live cells.
-    po_fed: set[int] = {po.node for po in mig.pos() if not po.is_const}
-    use_unblocks = options.unblocking_rule
-    use_levels = options.level_rule
-
-    def key_fn(node: int) -> CandidateKey:
-        releasing = sum(
-            1
-            for child in mig.children(node)
-            if mig.is_gate(child.node) and state.remaining_uses[child.node] == 1
-        )
-        unblocks = 0
-        if use_unblocks:
-            unblocks = sum(1 for p in parents[node] if pending_children[p] == 1)
-        if use_levels:
-            parent_levels = [node_levels[p] for p in parents[node]]
-            if node in po_fed:
-                parent_levels.append(node_levels[node] + 1)
-        else:
-            parent_levels = [0]  # constant: the level rule never fires
-        return make_key(node, releasing, parent_levels, unblocks)
-
-    return PriorityScheduler(key_fn)
-
-
-def make_scheduler_fast(options, context, state, pending_children) -> "Scheduler":
-    """Array-fast twin of :func:`make_scheduler`: same order, cheaper keys.
-
-    ``state`` is a :class:`~repro.core.translate_fast.FastTranslationState`
-    (remaining uses in a flat ``array('q')``) and ``pending_children`` an
-    array indexed by node id; the key function reads raw child encodings
-    instead of building :class:`~repro.mig.signal.Signal` objects.  With the
-    level rule off (the default) every :class:`CandidateKey` has
+    With the level rule off (the default) every :class:`CandidateKey` has
     ``min_parent_level == max_parent_level == 0``, so its comparator
     degenerates to ``(-releasing, -unblocks, index)`` — the key function
     returns exactly that tuple, which sorts identically at a fraction of
     the cost (keys of the two kinds never meet in one heap).  With the
-    level rule on, the oracle's :class:`CandidateKey` is used unchanged.
+    level rule on, the full :class:`CandidateKey` is used.
     """
     if options.scheduling == "index":
         return IndexScheduler()

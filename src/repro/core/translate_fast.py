@@ -1,21 +1,37 @@
-"""Encoding-level node translation: the array-fast twin of ``translate.py``.
+"""Node translation (paper §4.2.2): one MIG gate → RM3 instructions.
 
-Same case analysis — operand B cases (a)–(h) of Fig. 5, destination Z cases
-(a)–(e) of Fig. 6, the operand-A rules, and the naïve §3 child order — but
-working directly on the graph core's flat child encodings
-(``(node << 1) | complement``) instead of :class:`~repro.mig.signal.Signal`
-triples, with the per-node cell / complement-cell / remaining-uses maps held
-in ``array('q')`` slabs indexed by node id instead of dicts, and comments
-recorded as lazy descriptors on the program spine instead of f-strings.
+``RM3(A, B, Z)`` computes ``Z ← ⟨A, ¬B, Z⟩``, so translating a gate
+``⟨x y z⟩`` means deciding which child becomes the *inverted* operand B,
+which child's value pre-loads the destination cell Z, and which is read
+directly as A.  In the ideal case — exactly one complemented child (B) and
+one releasable plain child (Z) — a gate costs a single instruction and zero
+fresh cells; every deviation costs extra instructions and possibly extra
+RRAMs.  This module implements the paper's full case analysis:
 
-The decision order, allocation order, eviction order, and emitted
-instruction stream (including comments, once rendered) are *identical* to
-:mod:`repro.core.translate` — the object path is kept verbatim as the
-differential oracle, and ``tests/test_compile_fast_differential.py`` +
-``BENCH_plim_compile.json`` hold the two byte-identical across the whole
-registry.  Operand encodings reuse the ISA convention
-(:func:`repro.plim.isa.encode_operand`): constants 0/1 are ``1``/``3``,
-cell ``k`` is ``2k``.
+* operand B: cases (a)–(h) of Fig. 5,
+* destination Z: cases (a)–(e) of Fig. 6,
+* operand A: the four rules at the end of §4.2.2,
+
+plus the *naïve* child-order selection of §3's motivating example (operands
+A, B and destination Z taken from children 1, 2, 3 respectively), which is
+the paper's baseline translator.
+
+The :class:`FastTranslationState` tracks, per MIG node, the cell holding
+its value, an optional cell holding its *complement* ("it is remembered
+for future use", Fig. 5(f)), and the number of remaining readers — when
+that count reaches zero the node's cells go back to the allocator
+(§4.2.3).  Everything works directly on the graph core's flat child
+encodings (``(node << 1) | complement``): per-node state lives in
+``array('q')`` slabs indexed by node id, and comments are recorded as
+lazy descriptors on the program spine instead of f-strings.  Operand
+encodings reuse the ISA convention (:func:`repro.plim.isa.encode_operand`):
+constants 0/1 are ``1``/``3``, cell ``k`` is ``2k``.
+
+The Signal/dict translator this one replaced is kept in
+``tests/compile_reference.py`` as the differential oracle;
+``tests/test_compile_fast_differential.py`` and
+``BENCH_plim_compile.json`` hold the two byte-identical across the
+whole registry.
 """
 
 from __future__ import annotations
@@ -45,12 +61,12 @@ NO_CELL = -1
 
 
 class FastTranslationState:
-    """Flat-array twin of :class:`repro.core.translate.TranslationState`.
+    """Mutable state shared by all node translations of one compilation.
 
     Per-node state lives in ``array('q')`` columns indexed by node id; the
     insertion-ordered complement-cache mirror ``_compl_order`` is maintained
     only under a work-cell budget, where eviction order (oldest cached
-    complement first — dict insertion order in the oracle) is observable.
+    complement first) is observable.
     """
 
     __slots__ = (
@@ -111,10 +127,16 @@ class FastTranslationState:
         program.pi_node_names = pi_node_names
 
     # ------------------------------------------------------------------
-    # allocation / eviction (mirrors TranslationState.alloc)
+    # allocation / eviction
     # ------------------------------------------------------------------
 
     def alloc(self) -> int:
+        """Request a work cell and record it in the program's inventory.
+
+        Under a ``max_work_cells`` budget, a fresh address past the budget
+        first evicts the oldest unprotected cached complement; if nothing
+        is evictable, compilation fails.
+        """
         allocator = self.allocator
         if (
             self.max_work_cells is not None
@@ -152,7 +174,7 @@ class FastTranslationState:
         self._pending_temps.clear()
 
     # ------------------------------------------------------------------
-    # emission helpers (lazy-comment variants of the oracle's)
+    # emission helpers (lazy comments)
     # ------------------------------------------------------------------
 
     def emit_set_const(self, address: int, bit: int, target: Optional[str] = None) -> None:

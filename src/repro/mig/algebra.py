@@ -444,8 +444,8 @@ def pass_associativity_depth(mig: Mig) -> Mig:
     ``z`` arrives later than ``x`` (higher topological level), the swap
     ``⟨z u ⟨y u x⟩⟩`` takes ``z`` off the inner critical path.  This is the
     depth-rewriting move of the MIG papers (Amarù et al.) restricted to
-    strictly improving applications, used by
-    :func:`repro.core.rewriting.rewrite_depth`.
+    strictly improving applications, used by the rebuild engine's
+    ``objective="depth"`` (:func:`repro.core.rewriting.rewrite_for_plim`).
     """
     fanouts = fanout_counts(mig)
     new_levels: dict[int, int] = {}

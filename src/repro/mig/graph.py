@@ -29,8 +29,8 @@ This drops the constant factor of the previous dict-of-objects core
 simulation kernel (:mod:`repro.mig.simulate`) compile gate schedules
 straight out of the arrays — the difference between topping out at a few
 tens of thousands of nodes and ingesting the 10⁵–10⁶-node EPFL/ISCAS
-benchmark circuits.  The previous core survives verbatim as
-:class:`repro.mig.graph_dict.DictMig`, the differential oracle and
+benchmark circuits.  The previous core survives as ``DictMig`` in
+``tests/graph_dict_reference.py``, the differential oracle and
 benchmark baseline.  Node ids are capped at ``2**23 - 1`` (~8.3M live +
 tombstoned slots) by the packed strash key; exceeding the cap raises
 :class:`~repro.errors.MigError` instead of silently corrupting the table.

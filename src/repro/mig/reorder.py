@@ -35,14 +35,7 @@ def reorder_dfs(mig: Mig) -> Mig:
         enc_map[pi.node] = int(new.add_pi(mig.pi_name(pi.node)))
 
     ca, cb, cc = mig._ca, mig._cb, mig._cc
-    kind = getattr(mig, "_kind", None)
-    if kind is None:
-        # Duck-typed graphs (e.g. DictMig) lack the flat kind column;
-        # synthesize one from the is_gate predicate.
-        kind = bytearray(len(ca))
-        for v in range(len(ca)):
-            if mig.is_gate(v):
-                kind[v] = _GATE
+    kind = mig._kind
     add_enc = new.add_maj_enc
     visited: set[int] = set()
     for po in mig.pos():

@@ -305,8 +305,19 @@ class Program:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "Program":
-        """Parse the ``.plim`` text format produced by :meth:`to_text`."""
+    def from_text(cls, text: "str | bytes") -> "Program":
+        """Parse the ``.plim`` text format produced by :meth:`to_text`.
+
+        ``text`` may also be the raw bytes of a ``.plim`` file, which must
+        be UTF-8.  Malformed input raises :class:`~repro.errors.ParseError`
+        carrying the offending line number, and nothing else.
+        """
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as error:
+                line = text.count(b"\n", 0, error.start) + 1
+                raise ParseError(f"not valid UTF-8: {error.reason}", line) from None
         program: Optional[Program] = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split(";")[0].strip()
@@ -321,24 +332,29 @@ class Program:
                 raise ParseError("file must start with a .plim header", lineno)
             if line == ".end":
                 break
+            parts = line.split()
             if line.startswith(".input"):
-                _, name, addr = line.split()
-                program.input_cells[name] = int(addr)
+                if len(parts) != 3:
+                    raise ParseError(f"expected '.input NAME CELL', got {line!r}", lineno)
+                program.input_cells[parts[1]] = _parse_address(parts[2], lineno)
             elif line.startswith(".output"):
-                parts = line.split()
-                inverted = len(parts) == 4 and parts[3] == "inv"
-                program.set_output(parts[1], int(parts[2]), inverted)
+                if len(parts) < 3 or parts[3:] not in ([], ["inv"]):
+                    raise ParseError(
+                        f"expected '.output NAME CELL [inv]', got {line!r}", lineno
+                    )
+                cell = _parse_address(parts[2], lineno)
+                program.set_output(parts[1], cell, len(parts) == 4)
             elif line.startswith(".work"):
-                for token in line.split()[1:]:
-                    program.register_work_cell(int(token))
+                for token in parts[1:]:
+                    program.register_work_cell(_parse_address(token, lineno))
             else:
-                parts = line.split()
                 if len(parts) != 3:
                     raise ParseError(f"malformed instruction {line!r}", lineno)
                 a, b = (cls._parse_operand(tok, lineno) for tok in parts[:2])
                 if not parts[2].startswith("@"):
                     raise ParseError(f"destination must be @addr, got {parts[2]!r}", lineno)
-                program.append(Instruction(a, b, int(parts[2][1:]), comment))
+                z = _parse_address(parts[2][1:], lineno)
+                program.append(Instruction(a, b, z, comment))
         if program is None:
             raise ParseError("no .plim header found")
         return program
@@ -348,5 +364,21 @@ class Program:
         if token in ("0", "1"):
             return Operand.const(int(token))
         if token.startswith("@"):
-            return Operand.cell(int(token[1:]))
+            return Operand.cell(_parse_address(token[1:], lineno))
         raise ParseError(f"malformed operand {token!r}", lineno)
+
+
+#: cell addresses must fit the operand encoding (``address << 1``) of the
+#: flat ``array('q')`` instruction columns
+_ADDRESS_LIMIT = 1 << 62
+
+
+def _parse_address(token: str, lineno: int) -> int:
+    """A cell address token of a ``.plim`` file (``ParseError`` if bad)."""
+    try:
+        address = int(token)
+    except ValueError:
+        address = -1
+    if not 0 <= address < _ADDRESS_LIMIT:
+        raise ParseError(f"malformed cell address {token!r}", lineno)
+    return address

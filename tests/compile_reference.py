@@ -1,4 +1,19 @@
-"""Node translation (paper §4.2.2): one MIG gate → RM3 instructions.
+"""The Signal/dict Algorithm 2, kept as the oracle for the shipped one.
+
+This is the translation stage as it was before it moved onto raw child
+encodings (:mod:`repro.core.translate_fast`): per-node state in dicts,
+children as :class:`~repro.mig.signal.Signal` triples, operands as
+:class:`~repro.plim.isa.Operand` objects and comments as eager
+f-strings.  :class:`ReferenceCompiler` runs the paper's candidate
+scheduling and node translation on it; the shipped
+:class:`~repro.core.compiler.PlimCompiler` must emit the same ``.plim``
+text byte for byte (``tests/test_compile_fast_differential.py``,
+``tests/property/test_prop_compile_fast.py``,
+``tests/test_translate_cases.py``), and
+``benchmarks/bench_plim_compile.py`` times the two.  No third-party
+imports, so the standalone benchmark can load this module.
+
+Node translation (paper §4.2.2): one MIG gate → RM3 instructions.
 
 ``RM3(A, B, Z)`` computes ``Z ← ⟨A, ¬B, Z⟩``, so translating a gate
 ``⟨x y z⟩`` means deciding which child becomes the *inverted* operand B,
@@ -25,9 +40,12 @@ count reaches zero the node's cells go back to the allocator (§4.2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Optional
 
 from repro.core.allocator import RramAllocator
+from repro.core.compiler import PlimCompiler
+from repro.core.schedule import CandidateKey, IndexScheduler, PriorityScheduler, make_key
 from repro.errors import CompilationError
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
@@ -463,3 +481,150 @@ def _naive_destination(state: TranslationState, s: Signal) -> int:
     label = state.cell_label(address)
     state.emit_load(address, state.value_operand(s.node), f"{label} <- {state.node_label(s)}")
     return address
+
+
+# ----------------------------------------------------------------------
+# candidate scheduling (paper §4.2.1) on Signal children
+# ----------------------------------------------------------------------
+
+
+def make_reference_scheduler(options, context, state, pending_children):
+    """Build the candidate scheduler for one compilation run.
+
+    ``context`` is the :class:`~repro.mig.context.AnalysisContext` of the
+    graph being compiled — its cached parents and levels feed the
+    priority key.  ``state.remaining_uses`` and ``pending_children`` are
+    the dynamic tables the key reads at refresh time.
+    """
+    if options.scheduling == "index":
+        return IndexScheduler()
+
+    mig = context.mig
+    parents = context.parents
+    node_levels = context.levels
+    # A primary output consumes its node "right above" it: model it as
+    # a parent one level up, otherwise PO feeders would be deferred to
+    # the end of the schedule while their children sit in live cells.
+    po_fed: set[int] = {po.node for po in mig.pos() if not po.is_const}
+    use_unblocks = options.unblocking_rule
+    use_levels = options.level_rule
+
+    def key_fn(node: int) -> CandidateKey:
+        releasing = sum(
+            1
+            for child in mig.children(node)
+            if mig.is_gate(child.node) and state.remaining_uses[child.node] == 1
+        )
+        unblocks = 0
+        if use_unblocks:
+            unblocks = sum(1 for p in parents[node] if pending_children[p] == 1)
+        if use_levels:
+            parent_levels = [node_levels[p] for p in parents[node]]
+            if node in po_fed:
+                parent_levels.append(node_levels[node] + 1)
+        else:
+            parent_levels = [0]  # constant: the level rule never fires
+        return make_key(node, releasing, parent_levels, unblocks)
+
+    return PriorityScheduler(key_fn)
+
+
+# ----------------------------------------------------------------------
+# the compilation loop (Algorithm 2)
+# ----------------------------------------------------------------------
+
+
+class ReferenceCompiler(PlimCompiler):
+    """:class:`~repro.core.compiler.PlimCompiler` with the object loop.
+
+    Graph preparation (cleanup, DFS reorder, ``reorder="best"``) and the
+    timings are inherited; only the per-order Algorithm 2 loop is the
+    Signal/dict one.
+    """
+
+    def _compile_ordered(self, ctx: AnalysisContext) -> Program:
+        start = perf_counter()
+        mig = ctx.mig
+        program = Program(
+            input_cells={name: i for i, name in enumerate(mig.pi_names())},
+            name=mig.name,
+        )
+        allocator = RramAllocator(
+            first_address=mig.num_pis, policy=self.options.allocator_policy
+        )
+        state = TranslationState(
+            ctx,
+            program,
+            allocator,
+            complement_caching=self.options.complement_caching,
+            max_work_cells=self.options.max_work_cells,
+        )
+        naive = self.options.operand_selection == "child_order"
+
+        parents = ctx.parents
+
+        computed: set[int] = {0}
+        for pi in mig.pis():
+            computed.add(pi.node)
+        pending_children: dict[int, int] = {}
+        for v in ctx.gate_order:
+            pending_children[v] = sum(
+                1 for c in mig.children(v) if c.node not in computed
+            )
+        scheduler = make_reference_scheduler(self.options, ctx, state, pending_children)
+        for v in ctx.gate_order:
+            if pending_children[v] == 0:
+                scheduler.push(v)
+        self._timings["schedule_seconds"] += perf_counter() - start
+
+        start = perf_counter()
+        translated = 0
+        while len(scheduler):
+            v = scheduler.pop()
+            translate_node(state, v, naive=naive)
+            computed.add(v)
+            translated += 1
+            for parent in parents[v]:
+                pending_children[parent] -= 1
+                if pending_children[parent] == 0:
+                    scheduler.push(parent)
+                elif pending_children[parent] == 1:
+                    # The last missing child of `parent` just became more
+                    # attractive (unblocking rule) — re-rank it if queued.
+                    for sibling in mig.children(parent):
+                        if sibling.node not in computed and sibling.node in scheduler:
+                            scheduler.refresh(sibling.node)
+            # A child whose remaining uses just dropped to 1 raises the
+            # releasing count of its still-queued consumers.
+            for child in mig.children(v):
+                if mig.is_gate(child.node) and state.remaining_uses[child.node] == 1:
+                    for consumer in parents[child.node]:
+                        if consumer in scheduler:
+                            scheduler.refresh(consumer)
+        if translated != mig.num_gates:
+            raise CompilationError(
+                f"translated {translated} of {mig.num_gates} gates — cyclic or broken MIG"
+            )
+
+        self._finalize_outputs(mig, state, program)
+        self._timings["translate_seconds"] += perf_counter() - start
+        return program
+
+    def _finalize_outputs(self, mig: Mig, state: TranslationState, program: Program) -> None:
+        """Record (and, in honest mode, fix up) every output's location."""
+        for po, name in zip(mig.pos(), mig.po_names()):
+            if po.is_const:
+                address = state.alloc()
+                state.emit_set_const(address, po.const_value, target=name)
+                program.set_output(name, address)
+                continue
+            if po.inverted and self.options.fix_output_polarity:
+                address = state.materialize_complement(po.node)
+                program.set_output(name, address, inverted=False)
+                continue
+            address = state.value_cell.get(po.node)
+            if address is None or address == CONSUMED:
+                raise CompilationError(
+                    f"output {name!r} refers to node {po.node} whose cell was lost"
+                )
+            program.set_output(name, address, inverted=po.inverted)

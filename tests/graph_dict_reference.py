@@ -1,11 +1,11 @@
-"""The original dict-of-objects MIG core, preserved as a reference.
+"""The original dict-of-objects MIG core, kept as a test reference.
 
 :class:`DictMig` is the pre-array implementation of
 :class:`repro.mig.graph.Mig`: per-node child triples stored as Python
 tuples of :class:`~repro.mig.signal.Signal` in one list, tombstones in a
-``set``, strash keys as sorted int 3-tuples.  It is **not** used by the
-compiler — :mod:`repro.mig.graph` replaced it with a flat
-struct-of-arrays core — but it stays behind as
+``set``, strash keys as sorted int 3-tuples.  The package does not ship
+it — :mod:`repro.mig.graph` replaced it with a flat struct-of-arrays
+core — but it stays behind as
 
 * the **differential oracle** for the array core: both classes implement
   the same algorithms over different storage, so any behavioral
@@ -17,9 +17,11 @@ struct-of-arrays core — but it stays behind as
   (``benchmarks/bench_graph_core.py``).
 
 It exposes the same hot-path encoding protocol as the array core
-(read-only ``_ca``/``_cb``/``_cc`` views, ``add_maj_enc``, ``_pack_key``,
-``reorder_children_enc``, ``is_append_clean``) so the worklist
-rewriting engine runs on either class unchanged.  Everything below the
+(read-only ``_ca``/``_cb``/``_cc``/``_kind`` views, ``add_maj_enc``,
+``_pack_key``, ``reorder_children_enc``, ``is_append_clean``) so the
+worklist rewriting engine, the DFS reorder and the compiler run on
+either class unchanged.  No third-party imports, so the standalone
+benchmark can load this module.  Everything below the
 protocol shims is the historical implementation, kept byte-for-byte in
 sync with the algorithms of the array core.
 
@@ -74,6 +76,7 @@ import heapq
 from typing import Callable, Iterator, Optional
 
 from repro.errors import MigError
+from repro.mig.graph import _CONST, _DEAD, _GATE, _PI
 from repro.mig.signal import Signal
 
 
@@ -102,6 +105,27 @@ class _ChildEncodingView:
         return len(self._children)
 
 
+class _KindView:
+    """Array-protocol adapter: the array core's per-node ``_kind`` byte
+    (constant / PI / gate / tombstone) computed from tuple storage."""
+
+    __slots__ = ("_mig",)
+
+    def __init__(self, mig):
+        self._mig = mig
+
+    def __getitem__(self, node):
+        mig = self._mig
+        if mig._children[node] is not None:
+            return _GATE
+        if node == 0:
+            return _CONST
+        return _DEAD if node in mig._dead else _PI
+
+    def __len__(self):
+        return len(self._mig._children)
+
+
 class DictMig:
     """A majority-inverter graph with named primary inputs and outputs.
 
@@ -110,7 +134,7 @@ class DictMig:
     optional complement bit.  ``add_maj`` applies the trivial Ω.M rules
     and structural hashing by default, so building is already a cleanup:
 
-        >>> from repro.mig.graph_dict import DictMig
+        >>> from graph_dict_reference import DictMig
         >>> m = DictMig(name="demo")
         >>> a, b, c = m.add_pi("a"), m.add_pi("b"), m.add_pi("c")
         >>> g = m.add_maj(a, b, ~c)
@@ -335,6 +359,11 @@ class DictMig:
     def _cc(self) -> _ChildEncodingView:
         """Child-2 encodings (``-1`` for non-gates)."""
         return _ChildEncodingView(self._children, 2)
+
+    @property
+    def _kind(self) -> _KindView:
+        """Per-node kind bytes (``_CONST``/``_PI``/``_GATE``/``_DEAD``)."""
+        return _KindView(self)
 
     def is_append_clean(self) -> bool:
         """True when a :meth:`clone` is as good as a :meth:`rebuild`.
@@ -1021,7 +1050,7 @@ class DictMig:
         Example — rebuilding the same circuit fingerprints identically,
         flipping an output polarity does not:
 
-            >>> from repro.mig.graph_dict import DictMig
+            >>> from graph_dict_reference import DictMig
             >>> def build(flip):
             ...     m = DictMig()
             ...     a, b, c = m.add_pi("a"), m.add_pi("b"), m.add_pi("c")

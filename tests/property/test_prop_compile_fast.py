@@ -2,8 +2,9 @@
 
 Two families of invariants:
 
-* **compile identity** — for arbitrary graphs and option sets, the fast
-  engine's ``.plim`` text equals the object oracle's byte for byte;
+* **compile identity** — for arbitrary graphs and option sets, the shipped
+  compiler's ``.plim`` text equals the object reference's
+  (``tests/compile_reference.py``) byte for byte;
 * **execution identity** — for one program, the object interpreter, the
   compiled plan kernel, and (when numpy is available) the chunked uint64
   kernel produce the same cells, outputs, and endurance counters
@@ -21,6 +22,8 @@ from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.plim import machine as machine_mod
 from repro.plim.machine import PlimMachine
 from repro.plim.verify import verify_program
+
+from compile_reference import ReferenceCompiler
 
 from .strategies import migs
 
@@ -42,10 +45,8 @@ option_sets = st.builds(
 @SLOWER
 @given(mig=migs(max_gates=20), options=option_sets)
 def test_fast_equals_oracle_byte_for_byte(mig, options):
-    from dataclasses import replace
-
-    fast = PlimCompiler(replace(options, implementation="fast")).compile(mig)
-    oracle = PlimCompiler(replace(options, implementation="object")).compile(mig)
+    fast = PlimCompiler(options).compile(mig)
+    oracle = ReferenceCompiler(options).compile(mig)
     assert fast.to_text() == oracle.to_text()
 
 

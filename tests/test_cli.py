@@ -8,6 +8,8 @@ from repro.mig.io_aiger import write_aiger
 from repro.mig.io_blif import write_blif
 from repro.mig.io_mig import write_mig
 
+from test_program import MALFORMED_PLIM
+
 
 @pytest.fixture
 def circuit_file(tmp_path):
@@ -75,6 +77,20 @@ class TestRunCommand:
         out = tmp_path / "out.plim"
         main(["compile", circuit_file, "-o", str(out)])
         assert main(["run", str(out), "--set", "i1=2"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "controller"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLIM))
+    def test_malformed_program_exits_2_without_traceback(
+        self, command, case, tmp_path, capsys
+    ):
+        data, line = MALFORMED_PLIM[case]
+        path = tmp_path / "bad.plim"
+        path.write_bytes(data)
+        assert main([command, str(path), "--set", "a=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"plimc: error: line {line}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestOtherCommands:
@@ -227,12 +243,16 @@ class TestNewCompileFlags:
         assert "endmodule" in text
 
     def test_depth_rewrite_flag(self, circuit_file, capsys):
-        """The deprecated flag still compiles correctly (via the shim)."""
-        assert main(["compile", circuit_file, "--depth-rewrite", "--listing", "--verify"]) == 0
-        err = capsys.readouterr().err
-        assert "OK" in err
-        assert "deprecated" in err
-        assert "--objective" in err
+        """The removed --depth-rewrite flag is a usage error; its
+        replacement, --objective balanced, compiles correctly."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", circuit_file, "--depth-rewrite"])
+        assert excinfo.value.code == 2
+        assert "--depth-rewrite" in capsys.readouterr().err
+        assert main(
+            ["compile", circuit_file, "--objective", "balanced", "--listing", "--verify"]
+        ) == 0
+        assert "OK" in capsys.readouterr().err
 
     @pytest.mark.parametrize("objective", ["size", "depth", "balanced"])
     def test_objective_flag(self, circuit_file, objective, capsys):
@@ -243,7 +263,7 @@ class TestNewCompileFlags:
 
     @pytest.mark.parametrize("engine", ["worklist", "rebuild"])
     def test_objective_honors_engine(self, circuit_file, engine, capsys):
-        """--engine now applies to depth rewriting too (the old
+        """--engine applies to depth rewriting too (the removed
         --depth-rewrite path ignored it)."""
         assert main(
             [
@@ -256,27 +276,36 @@ class TestNewCompileFlags:
         assert "OK" in capsys.readouterr().err
 
     def test_depth_rewrite_with_no_rewrite_still_depth_rewrites(
-        self, circuit_file, capsys
+        self, circuit_file, tmp_path, capsys
     ):
-        """Regression: the shim must keep the old flag's behavior of depth
-        rewriting even when Algorithm 1 is disabled."""
-        assert main(
-            ["compile", circuit_file, "--no-rewrite", "--depth-rewrite", "--verify"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "OK" in err and "deprecated" in err
+        """What ``--no-rewrite --depth-rewrite`` did — depth rewriting
+        without Algorithm 1's size rules — is ``--objective depth``."""
+        from repro.core.pipeline import compile_mig
+        from repro.mig.analysis import depth
+        from repro.mig.io_mig import read_mig
 
-    def test_depth_rewrite_respects_explicit_objective(self, circuit_file, capsys):
-        """--depth-rewrite does not override an explicit --objective."""
+        out = tmp_path / "depth.plim"
         assert main(
-            [
-                "compile", circuit_file,
-                "--depth-rewrite",
-                "--objective", "depth",
-                "--verify",
-            ]
+            ["compile", circuit_file, "--objective", "depth", "--verify", "-o", str(out)]
         ) == 0
         assert "OK" in capsys.readouterr().err
+        mig = read_mig(circuit_file)
+        expected = compile_mig(mig, objective="depth")
+        assert out.read_text(encoding="utf-8") == expected.program.to_text()
+        assert depth(expected.compiled_mig) <= depth(mig.cleanup()[0])
+
+    def test_depth_rewrite_respects_explicit_objective(self, circuit_file, tmp_path):
+        """The program is exactly the one the chosen --objective yields."""
+        from repro.core.pipeline import compile_mig
+        from repro.mig.io_mig import read_mig
+
+        for objective in ("size", "depth"):
+            out = tmp_path / f"{objective}.plim"
+            assert main(
+                ["compile", circuit_file, "--objective", objective, "-o", str(out)]
+            ) == 0
+            expected = compile_mig(read_mig(circuit_file), objective=objective)
+            assert out.read_text(encoding="utf-8") == expected.program.to_text()
 
     def test_controller_command(self, circuit_file, tmp_path, capsys):
         out = tmp_path / "out.plim"

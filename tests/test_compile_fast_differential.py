@@ -1,12 +1,11 @@
-"""Differential oracle: the array-fast Algorithm 2 vs the object engine.
+"""Differential oracle: the shipped Algorithm 2 vs the object reference.
 
-``CompilerOptions(implementation=...)`` selects between two complete
-implementations of the translation stage: ``"fast"`` (raw child
-encodings, array-backed per-node state, lazy comments, flat program
-columns) and ``"object"`` — the original Signal/dict/Operand path kept
-verbatim as the oracle.  The contract is *byte identity*: for every
-circuit and every option set, both engines must emit the same ``.plim``
-text, comment for comment.  That is why the swap did NOT bump the
+:class:`~repro.core.compiler.PlimCompiler` translates on raw child
+encodings (array-backed per-node state, lazy comments, flat program
+columns); :class:`compile_reference.ReferenceCompiler` is the original
+Signal/dict/Operand path, kept in ``tests/`` as the oracle.  The contract
+is *byte identity*: for every circuit and every option set, both must
+emit the same ``.plim`` text, comment for comment.  That is why the swap did NOT bump the
 cache's ``ALGORITHM_REVISION`` (PR 6 precedent: bit-identical storage
 swaps keep old entries valid) — and this suite is what keeps that
 decision honest.
@@ -23,6 +22,8 @@ import pytest
 from repro.circuits.registry import BENCHMARK_NAMES, REGISTRY
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.mig.context import AnalysisContext
+
+from compile_reference import ReferenceCompiler
 
 #: the option sets the acceptance gate pins: default scheduling under
 #: both allocator recycling policies, plus the paper's naïve baseline
@@ -45,10 +46,8 @@ EXTRA_CONFIGS = {
 
 
 def _both_texts(mig, options: CompilerOptions) -> tuple[str, str]:
-    from dataclasses import replace
-
-    fast = PlimCompiler(replace(options, implementation="fast")).compile(mig)
-    oracle = PlimCompiler(replace(options, implementation="object")).compile(mig)
+    fast = PlimCompiler(options).compile(mig)
+    oracle = ReferenceCompiler(options).compile(mig)
     return fast.to_text(), oracle.to_text()
 
 
@@ -72,9 +71,9 @@ def test_shared_context_is_engine_neutral():
     """One AnalysisContext serves both engines without cross-talk."""
     mig = REGISTRY["voter"].build("ci")
     ctx = AnalysisContext.of(mig)
-    fast = PlimCompiler(CompilerOptions(implementation="fast")).compile(mig, context=ctx)
-    oracle = PlimCompiler(CompilerOptions(implementation="object")).compile(mig, context=ctx)
-    fast_again = PlimCompiler(CompilerOptions(implementation="fast")).compile(mig, context=ctx)
+    fast = PlimCompiler().compile(mig, context=ctx)
+    oracle = ReferenceCompiler().compile(mig, context=ctx)
+    fast_again = PlimCompiler().compile(mig, context=ctx)
     assert fast.to_text() == oracle.to_text() == fast_again.to_text()
 
 
@@ -83,30 +82,8 @@ def test_infeasible_budget_raises_identically():
 
     mig = REGISTRY["voter"].build("ci")
     errors = {}
-    for impl in ("fast", "object"):
+    for compiler in (PlimCompiler, ReferenceCompiler):
         with pytest.raises(CompilationError) as excinfo:
-            PlimCompiler(
-                CompilerOptions(implementation=impl, max_work_cells=1)
-            ).compile(mig)
-        errors[impl] = str(excinfo.value)
-    assert errors["fast"] == errors["object"]
-
-
-def test_implementation_is_validated():
-    from repro.errors import ReproError
-
-    with pytest.raises(ReproError):
-        CompilerOptions(implementation="vectorized")
-
-
-def test_duck_typed_graphs_fall_back_to_the_object_engine():
-    """DictMig (no flat internals) compiles under the default options."""
-    from repro.mig.graph import Mig
-    from repro.mig.graph_dict import as_dict_mig
-
-    mig = Mig(name="tiny")
-    a, b, c = (mig.add_pi(n) for n in "abc")
-    mig.add_po(mig.add_maj(a, ~b, c), "f")
-    flat = PlimCompiler().compile(mig)
-    ducked = PlimCompiler().compile(as_dict_mig(mig))
-    assert ducked.to_text() == flat.to_text()
+            compiler(CompilerOptions(max_work_cells=1)).compile(mig)
+        errors[compiler] = str(excinfo.value)
+    assert errors[PlimCompiler] == errors[ReferenceCompiler]

@@ -1,7 +1,7 @@
 """Differential tests: the worklist depth engine against the rebuild oracle.
 
-The in-place depth rewriter (``objective="depth"``, the default engine of
-``rewrite_depth``) must be functionally equivalent to the legacy
+The in-place depth rewriter (``objective="depth"`` on the default
+worklist engine) must be functionally equivalent to the legacy
 ``pass_associativity_depth`` pipeline on every registry circuit and on
 random MIGs, reach a depth no worse than the oracle's, and never grow the
 graph beyond the Ω.A reshaping (i.e. never beyond the cleaned input's gate
@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.circuits.registry import BENCHMARK_NAMES, build
-from repro.core.rewriting import RewriteOptions, rewrite_depth, rewrite_for_plim
+from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import MigError, ReproError
 from repro.mig.algebra import try_associativity_depth
 from repro.mig.analysis import depth, levels
@@ -68,8 +68,8 @@ def test_balanced_objective_equivalent_and_bounded(name):
 @pytest.mark.parametrize("name", ["int2float", "router", "adder"])
 def test_balanced_not_deeper_than_size_objective(name):
     """Interleaving the depth phase keeps depth at or below size-only
-    rewriting on the representative circuits (the --depth-rewrite ordering
-    bug was exactly this regressing)."""
+    rewriting on the representative circuits (the old depth-before-size
+    ordering bug was exactly this regressing)."""
     mig = build(name, "ci")
     size_only = rewrite_for_plim(mig, RewriteOptions())
     balanced = rewrite_for_plim(mig, BALANCED)
@@ -89,8 +89,10 @@ def test_depth_engines_equivalent_on_random_migs(seed):
 
 @pytest.mark.parametrize("engine", ["worklist", "rebuild"])
 def test_rewrite_depth_wrapper_dispatches(engine):
+    """What the removed ``rewrite_depth(mig, engine=...)`` wrapper did:
+    ``objective="depth"`` runs on either engine."""
     mig = build("int2float", "ci")
-    result = rewrite_depth(mig, engine=engine)
+    result = rewrite_for_plim(mig, RewriteOptions(engine=engine, objective="depth"))
     assert equivalent(result, mig.cleanup()[0])
     assert depth(result) <= depth(mig.cleanup()[0])
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.core.rewriting import rewrite_depth
+from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.algebra import pass_associativity_depth
 from repro.mig.analysis import depth
 from repro.mig.graph import Mig
@@ -14,6 +14,8 @@ from repro.mig.signal import Signal
 from repro.mig.simulate import truth_tables
 
 from conftest import random_mig
+
+DEPTH = RewriteOptions(objective="depth")
 
 
 def chain_mig(length=6):
@@ -32,16 +34,16 @@ class TestDepthRewriting:
     @pytest.mark.parametrize("seed", range(6))
     def test_preserves_function(self, seed):
         mig = random_mig(seed, num_pis=5, num_gates=30)
-        assert truth_tables(rewrite_depth(mig)) == truth_tables(mig)
+        assert truth_tables(rewrite_for_plim(mig, DEPTH)) == truth_tables(mig)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_never_deeper(self, seed):
         mig = random_mig(seed, num_pis=5, num_gates=30)
-        assert depth(rewrite_depth(mig)) <= depth(mig.cleanup()[0])
+        assert depth(rewrite_for_plim(mig, DEPTH)) <= depth(mig.cleanup()[0])
 
     def test_rebalances_chain(self):
         mig = chain_mig(8)
-        rewritten = rewrite_depth(mig, effort=8)
+        rewritten = rewrite_for_plim(mig, RewriteOptions(effort=8, objective="depth"))
         assert depth(rewritten) < depth(mig)
         assert truth_tables(rewritten) == truth_tables(mig)
 

@@ -23,12 +23,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: modules whose docstring examples are part of the public contract —
 #: the ``repro`` package docstring itself, the modules defining the
 #: re-exported API (compile_mig, compile_many, RewriteOptions,
-#: rewrite_for_plim, rewrite_depth, pareto_sweep, Mig), and the modules
+#: rewrite_for_plim, CompiledPlim, pareto_sweep, Mig), and the modules
 #: that carried doctests before this gate existed
 DOCTEST_MODULES = [
     "repro",
     "repro.core.batch",
     "repro.core.cache",
+    "repro.core.cost",
     "repro.core.pareto",
     "repro.core.pipeline",
     "repro.core.resilience",

@@ -1,4 +1,5 @@
-"""Differential oracle: array-backed ``Mig`` vs the reference ``DictMig``.
+"""Differential oracle: array-backed ``Mig`` vs the reference ``DictMig``
+(``tests/graph_dict_reference.py``).
 
 The struct-of-arrays core must be a pure storage refactor: for the same
 graph, the same pipeline has to produce bit-identical Table 1 numbers on
@@ -21,7 +22,8 @@ from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.eval.table1 import measure_mig
 from repro.mig.equivalence import equivalent
-from repro.mig.graph_dict import DictMig, as_dict_mig
+
+from graph_dict_reference import DictMig, as_dict_mig
 
 
 def _comparable(row):

@@ -91,3 +91,45 @@ class TestSerialization:
             Program.from_text(".plim t\nx 1 @2\n")  # bad operand
         with pytest.raises(ParseError):
             Program.from_text("")  # empty
+
+
+#: malformed ``.plim`` inputs that once escaped ``from_text`` as a bare
+#: ``ValueError`` or ``UnicodeDecodeError``, with the line they fail on
+MALFORMED_PLIM = {
+    "input-cell-not-a-number": (b".plim t\n.input a zz\n.end\n", 2),
+    "input-cell-missing": (b".plim t\n.input a\n.end\n", 2),
+    "operand-not-a-number": (b".plim t\n.input a 0\n0 @x @7\n.end\n", 3),
+    "not-utf8": (b".plim t\n.input \xff\xfe 0\n.end\n", 2),
+}
+
+
+class TestMalformedText:
+    """Only ``ParseError`` leaves ``from_text``, and it names the line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLIM))
+    def test_parse_error_with_line_number(self, case):
+        data, line = MALFORMED_PLIM[case]
+        with pytest.raises(ParseError) as excinfo:
+            Program.from_text(data)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ".plim t\n.output f\n",
+            ".plim t\n.output f 3 bogus\n",
+            ".plim t\n.work 4 q\n",
+            ".plim t\n0 1 @-1\n",
+            ".plim t\n@-3 1 @2\n",
+            ".plim t\n0 1 @99999999999999999999999\n",
+        ],
+    )
+    def test_other_malformed_lines(self, text):
+        with pytest.raises(ParseError) as excinfo:
+            Program.from_text(text)
+        assert excinfo.value.line == 2
+
+    def test_bytes_round_trip(self, small_program):
+        back = Program.from_text(small_program.to_text().encode("utf-8"))
+        assert back.to_text() == small_program.to_text()

@@ -1,28 +1,110 @@
 """Per-case tests for §4.2.2 node translation (paper Figs. 5 and 6).
 
 Each test constructs a gate whose children isolate exactly one selection
-case, drives :func:`translate_node` directly, and asserts on the emitted
+case, drives the translator directly, and asserts on the emitted
 instructions and allocations.  Together they cover operand-B cases (a)–(h),
 destination-Z cases (a)–(e), and operand-A cases (a)–(d).
+
+The harness drives both translators side by side on the same graph: the
+shipped :func:`~repro.core.translate_fast.translate_node_fast` over a
+:class:`~repro.core.translate_fast.FastTranslationState`, and the object
+reference :func:`compile_reference.translate_node` over its
+``TranslationState``.  After every translated gate both must have
+emitted identical instructions, and every value a test asserts on is read
+from both engines and must agree — so each case is asserted on both.
 """
 
 import pytest
 
 from repro.core.allocator import RramAllocator
-from repro.core.translate import CONSUMED, TranslationState, translate_node
+from repro.core.translate_fast import (
+    NO_CELL,
+    NOT_COMPUTED,
+    FastTranslationState,
+    translate_node_fast,
+)
+from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
 from repro.plim.program import Program
 
+from compile_reference import CONSUMED, TranslationState, translate_node
+
+
+class _Engine:
+    """One translator on its own program and allocator."""
+
+    def __init__(self, context, caching):
+        mig = context.mig
+        self.program = Program(input_cells={n: i for i, n in enumerate(mig.pi_names())})
+        self.allocator = RramAllocator(first_address=mig.num_pis)
+        self.state = self.make_state(context, caching)
+
+    def seed_complement(self, node):
+        """Record a fresh work cell as ``node``'s cached complement."""
+        address = self.state.alloc()
+        self.state.compl_cell[node] = address
+        return address
+
+
+class FastEngine(_Engine):
+    """The shipped translator: flat per-node arrays."""
+
+    def make_state(self, context, caching):
+        return FastTranslationState(
+            context, self.program, self.allocator, complement_caching=caching
+        )
+
+    def translate(self, node, naive):
+        translate_node_fast(self.state, node, naive=naive)
+
+    def value_cell(self, node):
+        address = self.state.value_cell[node]
+        return None if address == NOT_COMPUTED else address
+
+    def complements(self):
+        return {
+            node: address
+            for node, address in enumerate(self.state.compl_cell)
+            if address != NO_CELL
+        }
+
+    def add_uses(self, node, delta):
+        self.state.remaining[node] += delta
+
+
+class ReferenceEngine(_Engine):
+    """The object reference: dicts keyed by node."""
+
+    def make_state(self, context, caching):
+        return TranslationState(
+            context, self.program, self.allocator, complement_caching=caching
+        )
+
+    def translate(self, node, naive):
+        translate_node(self.state, node, naive=naive)
+
+    def value_cell(self, node):
+        return self.state.value_cell.get(node)
+
+    def complements(self):
+        return dict(self.state.compl_cell)
+
+    def add_uses(self, node, delta):
+        self.state.remaining_uses[node] += delta
+
+
+ENGINES = (FastEngine, ReferenceEngine)
+
 
 class Harness:
-    """A MIG plus a ready-to-use translation state."""
+    """A MIG plus both translators, driven in lockstep."""
 
     def __init__(self, caching: bool = True):
         self.mig = Mig()
         self.pis = {}
         self._caching = caching
-        self.state = None
+        self.engines = ()
 
     def pi(self, name):
         signal = self.mig.add_pi(name)
@@ -30,36 +112,51 @@ class Harness:
         return signal
 
     def finish(self, outputs=()):
-        """Create the translation state (call after building the MIG)."""
+        """Create the translation states (call after building the MIG)."""
         for i, signal in enumerate(outputs):
             self.mig.add_po(signal, f"f{i}")
-        program = Program(
-            input_cells={n: i for i, n in enumerate(self.mig.pi_names())}
-        )
-        allocator = RramAllocator(first_address=self.mig.num_pis)
-        uses = {v: 0 for v in self.mig.nodes()}
-        for v in self.mig.gates():
-            for child in self.mig.children(v):
-                if not child.is_const:
-                    uses[child.node] += 1
-        for po in self.mig.pos():
-            if not po.is_const:
-                uses[po.node] += 1
-        self.state = TranslationState(
-            self.mig, program, allocator, uses, complement_caching=self._caching
-        )
-        return self.state
+        context = AnalysisContext(self.mig)
+        self.engines = tuple(engine(context, self._caching) for engine in ENGINES)
+
+    def _agreed(self, read):
+        """``read(engine)`` on every engine; they must all agree."""
+        values = [read(engine) for engine in self.engines]
+        assert all(v == values[0] for v in values), values
+        return values[0]
 
     def translate_gates(self, *gates, naive=False):
         for g in gates:
-            translate_node(self.state, g.node, naive=naive)
+            for engine in self.engines:
+                engine.translate(g.node, naive)
+            self._agreed(lambda e: (e.program.instructions, e.program.work_cells))
+
+    def seed_complement(self, signal):
+        """Pre-seed a cached complement of ``signal`` in a fresh cell."""
+        return self._agreed(lambda e: e.seed_complement(signal.node))
+
+    def add_uses(self, signal, delta=1):
+        """Pretend ``signal`` has ``delta`` more (or fewer) future readers."""
+        for engine in self.engines:
+            engine.add_uses(signal.node, delta)
 
     def cell(self, signal):
-        return self.state.value_cell[signal.node]
+        """The cell holding ``signal``'s value (``CONSUMED`` once a parent
+        overwrote it, ``None`` before it is computed)."""
+        return self._agreed(lambda e: e.value_cell(signal.node))
+
+    def complement_cell(self, signal):
+        """The cell caching ``¬signal``, or ``None``."""
+        return self._agreed(lambda e: e.complements().get(signal.node))
+
+    def cached_complements(self):
+        return self._agreed(lambda e: e.complements())
+
+    def is_allocated(self, address):
+        return self._agreed(lambda e: e.allocator.is_allocated(address))
 
     @property
     def program(self):
-        return self.state.program
+        return self.engines[0].program
 
     def final(self):
         """The last emitted instruction (the gate's RM3)."""
@@ -132,8 +229,7 @@ class TestOperandB:
         g = h.mig.add_maj(a, b, c)
         h.finish([g])
         # Pre-seed: a complement of b already lives in a cell.
-        cached = h.state.alloc()
-        h.state.compl_cell[b.node] = cached
+        cached = h.seed_complement(b)
         before = len(h.program)
         h.translate_gates(g)
         assert h.final().b.value == cached
@@ -147,8 +243,8 @@ class TestOperandB:
         extra = h.mig.add_maj(b, c, Signal.CONST0)  # b multi-fanout
         h.finish([g, extra])
         h.translate_gates(g)
-        assert b.node in h.state.compl_cell
-        assert h.final().b.value == h.state.compl_cell[b.node]
+        assert h.complement_cell(b) is not None
+        assert h.final().b.value == h.complement_cell(b)
 
     def test_case_h_first_child_materialized(self):
         h = Harness()
@@ -162,7 +258,7 @@ class TestOperandB:
         assert fab_load.b.value == h.cell(a)  # ~a loaded from a's cell
         assert h.final().b.value == fab_clear.z  # B reads the fabricated cell
         # a had no further readers, so the cache was already released again.
-        assert a.node not in h.state.compl_cell
+        assert h.complement_cell(a) is None
 
     def test_naive_mode_does_not_cache(self):
         h = Harness(caching=False)
@@ -170,7 +266,7 @@ class TestOperandB:
         g = h.mig.add_maj(a, b, c)
         h.finish([g])
         h.translate_gates(g)
-        assert not h.state.compl_cell
+        assert not h.cached_complements()
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +284,13 @@ class TestDestinationZ:
         extra = h.mig.add_maj(g1, c, Signal.CONST0)  # g1 multi-fanout → B
         h.finish([top, extra])
         h.translate_gates(g1, g2)
-        cached = h.state.alloc()
-        h.state.compl_cell[g2.node] = cached
+        cached = h.seed_complement(g2)
         before = len(h.program)
         h.translate_gates(top)
         final = h.final()
         assert final.z == cached  # overwrote the cached complement cell
         assert len(h.program) - before == 1  # single instruction: ideal
-        assert g2.node not in h.state.compl_cell
+        assert h.complement_cell(g2) is None
 
     def test_case_b_in_place_single_fanout_gate(self):
         h = Harness()
@@ -207,7 +302,7 @@ class TestDestinationZ:
         g_cell = h.cell(g)
         h.translate_gates(top)
         assert h.final().z == g_cell
-        assert h.state.value_cell[g.node] == CONSUMED
+        assert h.cell(g) == CONSUMED
 
     def test_case_b_not_applied_to_multifanout(self):
         h = Harness()
@@ -220,7 +315,7 @@ class TestDestinationZ:
         g_cell = h.cell(g)
         h.translate_gates(top)
         assert h.final().z != g_cell  # g still needed by `extra`
-        assert h.state.value_cell[g.node] == g_cell
+        assert h.cell(g) == g_cell
 
     def test_case_b_not_applied_to_pi(self):
         """Input cells are never destinations."""
@@ -315,11 +410,10 @@ class TestOperandA:
         extra = h.mig.add_maj(g1, a, Signal.CONST0)  # g1 multi-fanout → B
         h.finish([top, extra])
         h.translate_gates(g1, g2, g3)
-        cached = h.state.alloc()
-        h.state.compl_cell[g2.node] = cached
+        cached = h.seed_complement(g2)
         # g2's complement is cached but g2 has another pending use? no — make
         # uses so Z picks g3 (plain single-fanout) and A = ~g2 via the cache.
-        h.state.remaining_uses[g2.node] += 1  # keep Z case (a) from firing
+        h.add_uses(g2)  # keep Z case (a) from firing
         before = len(h.program)
         h.translate_gates(top)
         assert h.final().a.value == cached
@@ -335,12 +429,12 @@ class TestOperandA:
         extra = h.mig.add_maj(g1, a, Signal.CONST0)
         h.finish([top, extra])
         h.translate_gates(g1, g2, g3)
-        h.state.remaining_uses[g2.node] += 1  # force A (not Z) to take ~g2
+        h.add_uses(g2)  # force A (not Z) to take ~g2
         before = len(h.program)
         h.translate_gates(top)
         # A fabricated ~g2: 2 instructions, cached; +1 RM3
         assert len(h.program) - before == 3
-        assert h.final().a.value == h.state.compl_cell[g2.node]
+        assert h.final().a.value == h.complement_cell(g2)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +453,7 @@ class TestReleasing:
         g_cell = h.cell(g)
         h.translate_gates(top)
         # g's value cell must be back on the free list (not in use).
-        assert not h.state.allocator.is_allocated(g_cell)
+        assert not h.is_allocated(g_cell)
 
     def test_po_reference_prevents_release(self):
         h = Harness()
@@ -370,7 +464,7 @@ class TestReleasing:
         h.translate_gates(g)
         g_cell = h.cell(g)
         h.translate_gates(top)
-        assert h.state.allocator.is_allocated(g_cell)
+        assert h.is_allocated(g_cell)
 
     def test_pi_complement_cache_released_with_pi(self):
         h = Harness()
@@ -379,7 +473,7 @@ class TestReleasing:
         h.finish([g])
         h.translate_gates(g)
         # a has no further readers: its cached complement is released.
-        assert a.node not in h.state.compl_cell
+        assert h.complement_cell(a) is None
 
     def test_use_count_underflow_detected(self):
         from repro.errors import CompilationError
@@ -388,6 +482,7 @@ class TestReleasing:
         a, b, c = h.pi("a"), h.pi("b"), h.pi("c")
         g = h.mig.add_maj(a, ~b, c)
         h.finish([g])
-        h.state.remaining_uses[a.node] = 0
-        with pytest.raises(CompilationError):
-            h.translate_gates(g)
+        h.add_uses(a, -1)  # a's only reader is g: now it has none left
+        for engine in h.engines:
+            with pytest.raises(CompilationError, match="went negative"):
+                engine.translate(g.node, naive=False)
