@@ -2,10 +2,10 @@
 
 Measures ``objective="depth"`` rewriting throughput on representative
 circuits for both engines — the in-place worklist engine with incremental
-level maintenance (the default) and the legacy
-``pass_associativity_depth`` rebuild pipeline kept as the differential
-oracle — plus the multi-objective ``balanced`` loop on the worklist
-engine.
+level maintenance and the legacy ``pass_associativity_depth`` rebuild
+pipeline kept as the differential oracle in ``tests/rewrite_reference.py``
+(the ``"rebuild"`` engine key) — plus the multi-objective ``balanced``
+loop on the worklist engine.
 
 Run directly (``python benchmarks/bench_depth.py [--scale ci]``) to emit
 ``BENCH_depth.json`` next to this file: per-circuit depth before/after and
@@ -20,20 +20,21 @@ try:
 except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
+from bench_rewriting import rewrite_engines
 from repro.circuits.registry import benchmark_info
-from repro.core.rewriting import ENGINES, RewriteOptions, rewrite_for_plim
+from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.analysis import depth
 
 REPRESENTATIVE = ["adder", "sin", "router", "voter", "mem_ctrl"]
 
 if pytest is not None:
 
-    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("engine", ["worklist", "rebuild"])
     @pytest.mark.parametrize("name", REPRESENTATIVE)
     def test_depth_rewrite_throughput(benchmark, name, engine, scale):
         mig = benchmark_info(name).build(scale)
-        options = RewriteOptions(effort=4, engine=engine, objective="depth")
-        rewritten = benchmark(rewrite_for_plim, mig, options)
+        options = RewriteOptions(effort=4, objective="depth")
+        rewritten = benchmark(rewrite_engines()[engine], mig, options)
         benchmark.extra_info.update(
             {
                 "scale": scale,
@@ -78,11 +79,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def best_time(mig, options):
+    def best_time(rewrite, mig, options):
         best = None
         for _ in range(max(1, args.repeats)):
             start = time.perf_counter()
-            result = rewrite_for_plim(mig, options)
+            result = rewrite(mig, options)
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best[0]:
                 best = (elapsed, result)
@@ -99,9 +100,9 @@ def main(argv=None) -> int:
             "depth_before": depth(clean),
             "engines": {},
         }
-        for engine in ENGINES:
+        for engine, rewrite in rewrite_engines().items():
             seconds, rewritten = best_time(
-                mig, RewriteOptions(effort=4, engine=engine, objective="depth")
+                rewrite, mig, RewriteOptions(effort=4, objective="depth")
             )
             row["engines"][engine] = {
                 "seconds": round(seconds, 6),
@@ -109,7 +110,7 @@ def main(argv=None) -> int:
                 "gates_after": rewritten.num_gates,
             }
         seconds, balanced = best_time(
-            mig, RewriteOptions(effort=4, objective="balanced")
+            rewrite_for_plim, mig, RewriteOptions(effort=4, objective="balanced")
         )
         row["balanced"] = {
             "seconds": round(seconds, 6),

@@ -1,15 +1,19 @@
 """Algorithm 1 benches (A1) and the rewriting-effort ablation (X1).
 
 Measures MIG rewriting throughput on representative circuits — for both
-the in-place worklist engine (the default) and the legacy rebuild pipeline
-— and sweeps the ``effort`` parameter (the paper fixes it at 4), recording
+the in-place worklist engine and the legacy rebuild pipeline kept as its
+oracle in ``tests/rewrite_reference.py`` — and sweeps the ``effort`` parameter (the paper fixes it at 4), recording
 how #N, #I and #R respond in ``extra_info``.
 
 Run directly (``python benchmarks/bench_rewriting.py [--scale ci]``) to
 emit ``BENCH_rewriting.json`` next to this file: gates/second for each
 engine plus the per-circuit speedup, so successive PRs have a
-machine-readable rewriting-perf trajectory.
+machine-readable rewriting-perf trajectory.  The ``"rebuild"`` engine key
+names the reference.
 """
+
+import sys
+from pathlib import Path
 
 try:
     import pytest
@@ -17,19 +21,31 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
 from repro.circuits.registry import benchmark_info
-from repro.core.rewriting import ENGINES, RewriteOptions, rewrite_for_plim
+from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.eval.ablations import effort_sweep
 
 REPRESENTATIVE = ["adder", "cavlc", "sin", "voter"]
 
+
+def rewrite_engines() -> dict:
+    """Engine key → rewrite function: the shipped worklist engine and
+    ``rewrite_reference`` from ``tests/rewrite_reference.py``."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    from rewrite_reference import rewrite_reference
+
+    return {"worklist": rewrite_for_plim, "rebuild": rewrite_reference}
+
+
 if pytest is not None:
 
-    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("engine", ["worklist", "rebuild"])
     @pytest.mark.parametrize("name", REPRESENTATIVE)
     def test_rewrite_throughput(benchmark, name, engine, scale):
         mig = benchmark_info(name).build(scale)
-        options = RewriteOptions(effort=4, engine=engine)
-        rewritten = benchmark(rewrite_for_plim, mig, options)
+        options = RewriteOptions(effort=4)
+        rewritten = benchmark(rewrite_engines()[engine], mig, options)
         benchmark.extra_info.update(
             {
                 "scale": scale,
@@ -85,11 +101,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def best_time(mig, options):
+    def best_time(rewrite, mig, options):
         best = None
         for _ in range(max(1, args.repeats)):
             start = time.perf_counter()
-            result = rewrite_for_plim(mig, options)
+            result = rewrite(mig, options)
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best[0]:
                 best = (elapsed, result)
@@ -100,8 +116,8 @@ def main(argv=None) -> int:
     for name in REPRESENTATIVE:
         mig = benchmark_info(name).build(args.scale)
         row = {"circuit": name, "gates_before": mig.num_gates, "engines": {}}
-        for engine in ENGINES:
-            seconds, rewritten = best_time(mig, RewriteOptions(effort=4, engine=engine))
+        for engine, rewrite in rewrite_engines().items():
+            seconds, rewritten = best_time(rewrite, mig, RewriteOptions(effort=4))
             row["engines"][engine] = {
                 "seconds": round(seconds, 6),
                 "gates_after": rewritten.num_gates,

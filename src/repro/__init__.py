@@ -22,7 +22,7 @@ It contains:
   figure of the paper.
 
 See ``docs/architecture.md`` for the module map and data flow,
-``docs/rewriting.md`` for the rewriting engines/objectives, and
+``docs/rewriting.md`` for the rewriting engine and objectives, and
 ``docs/cli.md`` for the ``plimc`` command line.
 
 Quickstart — build a majority function, compile it, inspect the counts

@@ -4,7 +4,7 @@ Subcommands::
 
     plimc compile <circuit> [-o out.plim] [--naive] [--no-rewrite]
                   [--objective size|depth|balanced|static-plim|plim]
-                  [--engine worklist|rebuild] [--cache-dir DIR] ...
+                  [--cache-dir DIR] ...
     plimc stats <circuit>
     plimc run <program.plim> --set a=1 --set b=0 ...
     plimc bench <name> [--scale ci|default|paper]
@@ -47,7 +47,6 @@ from repro._version import __version__
 from repro.circuits.registry import BENCHMARK_NAMES, SCALES, benchmark_info
 from repro.core.compiler import CompilerOptions
 from repro.core.pipeline import compile_mig
-from repro.core.rewriting import ENGINES as REWRITE_ENGINES
 from repro.core.rewriting import MODEL_OBJECTIVES
 from repro.core.rewriting import OBJECTIVES as REWRITE_OBJECTIVES
 from repro.core.resilience import ON_ERROR_MODES, TaskError, TaskFailure, TaskPolicy
@@ -155,7 +154,6 @@ def _cmd_compile(args) -> int:
         mig,
         rewrite=not args.no_rewrite,
         effort=args.effort,
-        engine=args.engine,
         objective=args.objective,
         compiler_options=options,
         cache=_make_cache(args),
@@ -342,7 +340,6 @@ def _cmd_table1(args) -> int:
         paper_accounting=not args.honest,
         progress=progress,
         workers=args.workers,
-        engine=args.engine,
         cache=_make_cache(args),
         policy=_make_policy(args),
     )
@@ -527,20 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
         "compile",
         help="compile a circuit file to a PLiM program",
         epilog="examples: plimc compile adder.blif --objective balanced;  "
-        "plimc compile c.mig --objective depth --engine rebuild (the oracle);  "
+        "plimc compile c.mig --objective depth;  "
         "use 'plimc pareto' to sweep the whole (#N, #D) trade-off",
     )
     p.add_argument("circuit", help="input circuit (.mig, .blif, .aag, .aig)")
     p.add_argument("-o", "--output", help="write the .plim program here")
     p.add_argument("--no-rewrite", action="store_true", help="skip Algorithm 1")
     p.add_argument("--effort", type=int, default=4, help="rewriting effort (default 4)")
-    p.add_argument(
-        "--engine",
-        choices=list(REWRITE_ENGINES),
-        default="worklist",
-        help="Algorithm 1 engine: in-place worklist (default) or the legacy "
-        "whole-graph rebuild pipeline",
-    )
     p.add_argument("--naive", action="store_true", help="use the naive baseline translator")
     p.add_argument("--listing", action="store_true", help="print the paper-style listing")
     p.add_argument("--verify", action="store_true", help="verify against the MIG on the machine model")
@@ -704,12 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", nargs="*", choices=BENCHMARK_NAMES, help="subset of benchmarks")
     p.add_argument("--scale", choices=SCALES, default="default")
     p.add_argument("--effort", type=int, default=4)
-    p.add_argument(
-        "--engine",
-        choices=list(REWRITE_ENGINES),
-        default="worklist",
-        help="Algorithm 1 engine (default: worklist)",
-    )
     p.add_argument("--shuffled", action="store_true", help="shuffle gate order first (file-like order)")
     p.add_argument("--honest", action="store_true", help="charge output polarity fix-ups")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of the ASCII table")

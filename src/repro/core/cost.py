@@ -229,7 +229,7 @@ class CostModel:
     orderable :meth:`objective_key` the guided drivers minimize.
     ``strategy`` routes dispatch in
     :func:`~repro.core.rewriting.rewrite_for_plim`: ``"size"``/``"depth"``
-    models run the dedicated (bit-identical) engines; ``"guided"`` models
+    models run the dedicated (bit-identical) objectives; ``"guided"`` models
     run the measure-and-select loop.  Implementations must be frozen
     dataclasses: a deterministic ``repr`` is the model's cache identity,
     and instances cross process-pool boundaries by pickle.

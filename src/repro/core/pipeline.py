@@ -78,7 +78,6 @@ def compile_mig(
     *,
     rewrite: bool = True,
     effort: int = 4,
-    engine: str = "worklist",
     objective: "str | CostModel" = "size",
     compiler_options: Optional[CompilerOptions] = None,
     rewrite_options: Optional[RewriteOptions] = None,
@@ -87,9 +86,7 @@ def compile_mig(
 ) -> CompileResult:
     """Rewrite (optional) and compile ``mig`` into a PLiM program.
 
-    ``effort`` is the rewriter's cycle count, ``engine`` its
-    implementation ("worklist" in-place or "rebuild" pass pipeline) and
-    ``objective`` its target ("size" — Algorithm 1, the default — "depth"
+    ``effort`` is the rewriter's cycle count and ``objective`` its target ("size" — Algorithm 1, the default — "depth"
     for critical-path rewriting, "balanced" for the interleaved
     multi-objective loop, or a :class:`~repro.core.cost.CostModel`
     instance/alias such as "plim" for guided measure-and-select rewriting
@@ -137,7 +134,6 @@ def compile_mig(
             ropts = RewriteOptions(
                 effort=effort,
                 po_negation_cost=po_cost,
-                engine=engine,
                 objective=objective,
             )
         start = perf_counter()

@@ -1,17 +1,12 @@
 """MIG rewriting for the PLiM architecture (paper §4.1, Algorithm 1).
 
-Two engines implement the algorithm:
-
-* ``engine="worklist"`` (the default) — an in-place sweep over one
-  mutable graph: each phase of an effort cycle visits every live gate
-  once in topological order and applies its Ω rules locally through
-  :meth:`~repro.mig.graph.Mig.replace_node`, matching and building on raw
-  child encodings.  The fixed-point signature is maintained
-  incrementally (O(1) per check), and dead-node compaction is deferred
-  to a single final cleanup;
-* ``engine="rebuild"`` — the original pass pipeline in which every Ω pass
-  is a full :meth:`~repro.mig.graph.Mig.rebuild` (one effort cycle copies
-  the whole MIG ~8 times).  Kept as the differential-testing oracle.
+The algorithm runs as an in-place worklist sweep over one mutable graph:
+each phase of an effort cycle visits every live gate once in topological
+order and applies its Ω rules locally through
+:meth:`~repro.mig.graph.Mig.replace_node`, matching and building on raw
+child encodings.  The fixed-point signature is maintained incrementally
+(O(1) per check), and dead-node compaction is deferred to a single final
+cleanup.
 
 Each effort cycle applies, in the paper's order:
 
@@ -60,15 +55,7 @@ from repro.mig.algebra import (
     _best_permutation,
     _gate_key,
     _leaf_keys,
-    complement_profile,
     flip_complement,
-    pass_associativity,
-    pass_associativity_depth,
-    pass_commutativity,
-    pass_complementary_associativity,
-    pass_distributivity_rl,
-    pass_majority,
-    pass_push_inverters,
     try_associativity,
     try_associativity_depth,
     try_complementary_associativity,
@@ -76,8 +63,11 @@ from repro.mig.algebra import (
     try_majority,
     try_push_inverters,
 )
-from repro.mig.analysis import depth
 from repro.mig.graph import Mig
+
+
+#: the Algorithm 1 engines ``RewriteOptions.engine`` accepts
+ENGINES = ("worklist",)
 
 
 @dataclass(frozen=True)
@@ -107,8 +97,9 @@ class RewriteOptions:
     #: reshaping step — not part of the paper's Algorithm 1, but part of
     #: the MIG algebra's derived rule set and strictly size-safe
     use_psi: bool = False
-    #: "worklist" (in-place, incremental — the default) or "rebuild" (the
-    #: original whole-graph pass pipeline, kept as the oracle)
+    #: the Algorithm 1 engine; "worklist" (in-place, incremental) is the
+    #: only one, and the field stays because its repr is part of every
+    #: rewrite cache key
     engine: str = "worklist"
     #: optimization target: "size" (the paper's Algorithm 1 — serial PLiM
     #: programs only care about node count), "depth" (critical-path Ω.A
@@ -118,17 +109,22 @@ class RewriteOptions:
     #: ("static-plim"/"plim") — which runs the guided measure-and-select
     #: driver against that model's objective
     objective: Union[str, CostModel] = "size"
-    #: hard depth ceiling for size rewriting (worklist engine only): size
-    #: rules reject any candidate that could push a primary-output level
-    #: past the budget, so ``objective="size"``/``"balanced"`` can shrink
-    #: the graph without deepening it beyond ``depth_budget`` levels.
+    #: hard depth ceiling for size rewriting: size rules reject any
+    #: candidate that could push a primary-output level past the budget,
+    #: so ``objective="size"``/``"balanced"`` can shrink the graph without
+    #: deepening it beyond ``depth_budget`` levels.
     #: ``None`` (the default) places no ceiling.  A budget below the input
     #: MIG's depth is infeasible and raises
     #: :class:`~repro.errors.MigError`.
     depth_budget: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ReproError(
+                f"unknown rewrite engine {self.engine!r}; expected one of {ENGINES}"
+            )
 
-ENGINES = ("worklist", "rebuild")
+
 #: the built-in rewriting strategies (legacy string objectives)
 OBJECTIVES = ("size", "depth", "balanced")
 #: cost-model aliases additionally accepted by ``objective`` (the
@@ -146,7 +142,7 @@ def _normalize_objective(
     unchanged, no model).  Cost-model aliases and instances resolve
     through :func:`~repro.core.cost.resolve_cost_model`; models whose
     ``strategy`` is ``"size"``/``"depth"`` collapse onto the dedicated
-    engines (``objective=NodeCount()`` is bit-identical to
+    objectives (``objective=NodeCount()`` is bit-identical to
     ``objective="size"`` — and shares its cache entries, because the
     canonicalized options are the cache key).  Guided models are stored
     back into the options as instances, so ``"plim"`` and
@@ -179,10 +175,9 @@ def rewrite_for_plim(
     ``options.objective`` picks the target: ``"size"`` is the paper's
     Algorithm 1, ``"depth"`` the critical-path rewriter, ``"balanced"``
     the interleaved multi-objective loop.  ``options.depth_budget`` puts a
-    hard depth ceiling under size rewriting (worklist engine only; a
-    budget below the input's depth raises
-    :class:`~repro.errors.MigError`).  ``mig`` itself is never modified,
-    whichever engine and objective run.
+    hard depth ceiling under size rewriting (a budget below the input's
+    depth raises :class:`~repro.errors.MigError`).  ``mig`` itself is
+    never modified, whichever objective runs.
 
     ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`:
     the result is memoized under ``(mig.fingerprint(), options)``, so a
@@ -213,20 +208,11 @@ def rewrite_for_plim(
         (3, 2)
     """
     opts = options if options is not None else RewriteOptions()
-    if opts.engine not in ENGINES:
-        raise ReproError(
-            f"unknown rewrite engine {opts.engine!r}; expected one of {ENGINES}"
-        )
     opts, model = _normalize_objective(opts)
     if opts.depth_budget is not None:
         if opts.depth_budget < 0:
             raise ReproError(
                 f"depth_budget must be non-negative, got {opts.depth_budget}"
-            )
-        if opts.engine != "worklist":
-            raise ReproError(
-                "depth_budget requires engine='worklist' (the rebuild "
-                "oracle has no incremental level maintenance to gate on)"
             )
         if opts.objective == "depth":
             raise ReproError(
@@ -242,47 +228,12 @@ def rewrite_for_plim(
     if model is not None:
         result = _rewrite_guided(mig, opts, model, cache=cache)
     elif opts.objective == "size":
-        if opts.engine == "worklist":
-            result = _rewrite_worklist(mig, opts)
-        else:
-            result = _rewrite_rebuild(mig, opts)
-    elif opts.engine == "worklist":
-        result = _rewrite_objective_worklist(mig, opts)
+        result = _rewrite_worklist(mig, opts)
     else:
-        result = _rewrite_objective_rebuild(mig, opts)
+        result = _rewrite_objective_worklist(mig, opts)
     if cache is not None:
         cache.put_rewrite(fingerprint, opts, result)
     return result
-
-
-def _size_cycle_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
-    """One Algorithm 1 effort cycle as whole-graph rebuild passes."""
-    if opts.size_rules:
-        mig = pass_majority(mig)  # Ω.M
-        mig = pass_distributivity_rl(mig)  # Ω.D(R→L)
-        mig = pass_associativity(mig)  # Ω.A
-        if opts.use_psi:
-            mig = pass_complementary_associativity(mig)  # Ψ.A
-        mig = pass_commutativity(mig)  # Ω.C
-        mig = pass_majority(mig)  # Ω.M
-        mig = pass_distributivity_rl(mig)  # Ω.D(R→L)
-    if opts.inverter_rules:
-        mig = pass_inverter_cost_aware(mig, opts.po_negation_cost)  # Ω.I(R→L)(1–3)
-        mig = pass_push_inverters(mig, threshold=3)  # Ω.I(R→L): worst case only
-    return mig
-
-
-def _rewrite_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
-    """The original pass pipeline: every Ω pass is a full graph rebuild."""
-    for _cycle in range(opts.effort):
-        before = _signature(mig)
-        mig = _size_cycle_rebuild(mig, opts)
-        if opts.early_exit and _signature(mig) == before:
-            break
-    # Inverter propagation may have changed which children are complemented;
-    # restore the translation-friendly child order for child-order consumers.
-    mig = pass_commutativity(mig)
-    return mig
 
 
 def _signature(mig: Mig) -> tuple:
@@ -321,8 +272,8 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
 
     Works on a private dead-free copy of ``mig`` with in-place maintenance
     enabled; one final cleanup compacts the tombstones and restores a
-    creation-order index, and the closing Ω.C pass restores the
-    translation-friendly child order exactly like the rebuild engine.
+    creation-order index, and the closing Ω.C sweep restores the
+    translation-friendly child order.
     """
     work, _ = mig.rebuild()  # private copy; also the initial Ω.M cleanup
     work.enable_inplace()
@@ -330,10 +281,10 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
         work.enable_levels()
         _check_budget_feasible(work, opts.depth_budget)
     for _cycle in range(opts.effort):
-        # Cycle 0 measures the fixed point against the *raw* input, exactly
-        # like the rebuild engine: a first cycle that only cleans up or
-        # reshapes (no count change against the cleaned graph) must not
-        # exit early, because reshaping feeds the next cycle's Ω.D.
+        # Cycle 0 measures the fixed point against the *raw* input: a first
+        # cycle that only cleans up or reshapes (no count change against
+        # the cleaned graph) must not exit early, because reshaping feeds
+        # the next cycle's Ω.D.
         before = _signature(mig) if _cycle == 0 else _inplace_signature(work)
         _size_cycle_worklist(work, opts)
         if opts.early_exit and _inplace_signature(work) == before:
@@ -392,10 +343,9 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     Each phase visits every live gate once in topological order and
     applies its rules locally (Ω.M and structural-hash merging
     additionally cascade inside ``replace_node``, so every phase is also
-    an Ω.M pass).  Keeping the rebuild pipeline's phase order — all Ω.D
-    applications before any Ω.A reshaping, with the Ω.C reorder in
-    between — keeps the two engines' search order, and therefore their
-    results, closely aligned.
+    an Ω.M pass).  All Ω.D applications run before any Ω.A reshaping,
+    with the Ω.C reorder in between — the paper's phase order, which
+    fixes the search order and therefore the result.
 
     With ``opts.depth_budget`` set (level-maintained graphs only), every
     phase gates its candidates so no primary-output level can exceed the
@@ -408,8 +358,8 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
         reshaping.append(try_complementary_associativity)
     _worklist_phase(work, tuple(reshaping), depth_budget=budget)
     # The reshaping rules keep rejected candidates as speculative
-    # zero-fanout gates (they seed sharing like a pass's abandoned nodes);
-    # sweep them at the phase boundary, like a pass's trailing rebuild.
+    # zero-fanout gates (they seed sharing within the phase); sweep them
+    # at the phase boundary.
     work.collect_unused()
     _sweep_commutativity(work)
     _worklist_phase(work, (try_majority, try_distributivity_rl), depth_budget=budget)
@@ -422,10 +372,10 @@ def _worklist_phase(
 ) -> None:
     """Run one rule family once over every live gate, in topological order.
 
-    Every seed is visited once, like one rebuild pass: merge/collapse
-    cascades still run inside ``replace_node``, and follow-up
-    opportunities are picked up by the next phase or cycle.  The first
-    rule that fires at a gate ends that gate's visit.
+    Every seed is visited once: merge/collapse cascades still run inside
+    ``replace_node``, and follow-up opportunities are picked up by the
+    next phase or cycle.  The first rule that fires at a gate ends that
+    gate's visit.
     """
     ca = work._ca
     fanouts = work.fanout_snapshot()
@@ -442,8 +392,14 @@ def _worklist_phase(
 
 
 def _sweep_commutativity(work: Mig) -> None:
-    """In-place Ω.C: per-gate slot permutation, same scoring and canonical
-    tie-breaking as :func:`~repro.mig.algebra.pass_commutativity`.
+    """In-place Ω.C: store every gate's children in translation-friendly order.
+
+    Functionally a no-op, but the stored order is what a child-order
+    translator consumes (the paper's §3 naïve scheme); each gate's children
+    are permuted to minimize its expected RM3 overhead, scored per slot by
+    :data:`~repro.mig.algebra.SLOT_CLASSES`.  This is the piece of
+    Algorithm 1 that lets plain *rewriting* (Table 1, third column)
+    already shrink programs without smart per-node selection.
 
     Purely a stored-order change (the strash key is order-insensitive), so
     no worklist is needed — one linear sweep suffices.  The sweep computes
@@ -485,7 +441,9 @@ def _sweep_commutativity(work: Mig) -> None:
 def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
     """In-place Ω.I(R→L)(1–3): benefit-checked flips, children before parents.
 
-    The same greedy decision as :func:`pass_inverter_cost_aware`: flips
+    For every gate with ≥2 complemented non-constant children, compare the
+    translation cost of the gate and its fanout targets with and without
+    replacing the gate by its complement.  The decision is greedy: flips
     already applied to earlier (topologically lower) nodes are exact, later
     siblings are estimated at their current polarity — which is simply the
     current in-place state.  The flip balance consults the static model's
@@ -559,14 +517,13 @@ def _visit_for_flip(
     position: dict[int, int],
     evicted: set[int],
 ) -> None:
-    """Apply (or skip) one flip with a rebuild pass's merge order.
+    """Apply (or skip) one flip, merging in sweep order.
 
-    A rebuild pass re-creates every gate in order, so when a flip's new
-    key matches a gate that the pass has *not reached yet*, the flipped
-    node is created fresh and the stale gate merges into it later, at its
-    own position.  In place that means: evict the stale owner from the
-    strash before flipping, and re-hash every evicted gate when its turn
-    comes (merging it into whichever node now owns its key).
+    When a flip's new key matches a gate that the sweep has *not reached
+    yet*, the flipped node takes the key and the stale gate merges into it
+    later, at its own position: evict the stale owner from the strash
+    before flipping, and re-hash every evicted gate when its turn comes
+    (merging it into whichever node now owns its key).
     """
     if flip:
         ca = work._ca
@@ -591,37 +548,6 @@ def _visit_for_flip(
 # ----------------------------------------------------------------------
 
 
-def _rewrite_objective_rebuild(mig: Mig, opts: RewriteOptions) -> Mig:
-    """Depth/balanced objectives on the rebuild pass pipeline (the oracle).
-
-    ``objective="depth"`` is the original one-shot depth-rewriting
-    semantics: iterate ``pass_associativity_depth`` + Ω.M, accept only
-    strictly depth-improving rounds.  ``objective="balanced"`` interleaves
-    one full Algorithm 1 size cycle with one depth cycle per round until
-    the joint (size signature, depth) fixed point — the depth cycle runs
-    *after* the size cycle so area reshaping cannot undo the depth gains.
-    """
-    if opts.objective == "depth":
-        best = mig
-        best_depth = depth(mig)
-        for _ in range(opts.effort):
-            candidate = pass_majority(pass_associativity_depth(best))
-            candidate_depth = depth(candidate)
-            if candidate_depth >= best_depth:
-                break
-            best, best_depth = candidate, candidate_depth
-        return best
-    current = mig
-    for _cycle in range(opts.effort):
-        before = (_signature(current), depth(current))
-        current = _size_cycle_rebuild(current, opts)
-        current = pass_majority(pass_associativity_depth(current))
-        if opts.early_exit and (_signature(current), depth(current)) == before:
-            break
-    # restore the translation-friendly child order, like the size engine
-    return pass_commutativity(current)
-
-
 def _rewrite_objective_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     """Depth/balanced objectives on the in-place worklist engine.
 
@@ -638,7 +564,7 @@ def _rewrite_objective_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     """
     work = _private_clean_copy(mig)
     work.enable_inplace()
-    # drop unreachable cones a clone carried over (rebuild() parity)
+    # drop unreachable cones a clone carried over
     work.collect_unused()
     work.enable_levels()
     if opts.depth_budget is not None:
@@ -660,13 +586,13 @@ def _rewrite_objective_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
             ) == (before_sig, before_depth):
                 break
         elif work.current_depth() >= before_depth:
-            # pure depth mirrors the oracle's strict-improvement rule:
-            # stop as soon as a cycle fails to lower the global depth
-            # (already-applied local moves are harmless — depth is
-            # monotonically non-increasing under the rule)
+            # pure depth keeps a strict-improvement rule: stop as soon as
+            # a cycle fails to lower the global depth (already-applied
+            # local moves are harmless — depth is monotonically
+            # non-increasing under the rule)
             break
     if balanced:
-        # restore the translation-friendly child order, like the size engine
+        # restore the translation-friendly child order, like the size objective
         _sweep_commutativity(work)
     if work.edit_count == edits_at_start:
         return work  # no structural edits: the private copy is already clean
@@ -768,7 +694,6 @@ def _guided_variants(opts: RewriteOptions) -> tuple:
         size_rules=opts.size_rules,
         inverter_rules=opts.inverter_rules,
         early_exit=opts.early_exit,
-        engine=opts.engine,
     )
     variants = [
         ("size", RewriteOptions(objective="size", depth_budget=opts.depth_budget, **base)),
@@ -923,66 +848,3 @@ def compile_cost_loop(
         final=dict(final.metrics),
         seconds=time.perf_counter() - start,
     )
-
-
-def pass_inverter_cost_aware(mig: Mig, po_negation_cost: int = 0) -> Mig:
-    """Ω.I(R→L)(1–3): benefit-checked complement pushes, PIs→POs order.
-
-    For every gate with ≥2 complemented non-constant children, compare the
-    translation cost of the gate and its fanout targets with and without
-    replacing the gate by its complement.  The decision is greedy in
-    topological order: flips already decided for earlier nodes are exact,
-    later siblings are estimated at their current polarity.
-    """
-    # Parent edges (parent, child_slot) and PO polarities from the input graph.
-    parent_edges: dict[int, list[tuple[int, int]]] = {v: [] for v in mig.nodes()}
-    for p in mig.gates():
-        for slot, child in enumerate(mig.children(p)):
-            if not child.is_const:
-                parent_edges[child.node].append((p, slot))
-    po_polarity: dict[int, list[bool]] = {}
-    for po in mig.pos():
-        if not po.is_const:
-            po_polarity.setdefault(po.node, []).append(po.inverted)
-
-    flipped: dict[int, bool] = {}
-    extra_cost = negation_cost
-
-    def parent_profile(p: int) -> tuple[int, bool]:
-        """Parent's complemented-child count under current flip decisions."""
-        complemented = 0
-        has_const = False
-        for child in mig.children(p):
-            if child.is_const:
-                has_const = True
-                continue
-            polarity = child.inverted ^ flipped.get(child.node, False)
-            complemented += polarity
-        return complemented, has_const
-
-    def gate_fn(new: Mig, old: int, mapped):
-        num_nonconst, complemented, has_const = complement_profile(mapped)
-        if complemented < 2:
-            return new.add_maj(*mapped)
-        # Cost at this node if we flip: complements become k - c.
-        delta = extra_cost(num_nonconst - complemented, has_const) - extra_cost(
-            complemented, has_const
-        )
-        # Cost at each fanout target: its edge to us toggles polarity.
-        for p, slot in parent_edges[old]:
-            c_p, const_p = parent_profile(p)
-            edge = mig.children(p)[slot]
-            currently_inverted = edge.inverted ^ flipped.get(old, False)
-            c_p_flipped = c_p + (-1 if currently_inverted else 1)
-            delta += extra_cost(c_p_flipped, const_p) - extra_cost(c_p, const_p)
-        # Complemented primary outputs (only charged in honest mode).
-        if po_negation_cost:
-            for inverted in po_polarity.get(old, ()):
-                delta += po_negation_cost * (-1 if inverted else 1)
-        if delta <= 0:
-            flipped[old] = True
-            return ~new.add_maj(*(~s for s in mapped))
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    return new

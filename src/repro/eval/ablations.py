@@ -102,9 +102,7 @@ class ObjectivePoint:
     rrams: int
 
 
-def objective_ablation(
-    mig: Mig, rewrite_effort: int = 4, engine: str = "worklist"
-) -> list[ObjectivePoint]:
+def objective_ablation(mig: Mig, rewrite_effort: int = 4) -> list[ObjectivePoint]:
     """Compile under each rewriting objective and record #N/#D/#I/#R.
 
     ``size`` is the paper's Algorithm 1 (serial PLiM programs only care
@@ -117,9 +115,7 @@ def objective_ablation(
     for objective in OBJECTIVES:
         rewritten = rewrite_for_plim(
             mig,
-            RewriteOptions(
-                effort=rewrite_effort, engine=engine, objective=objective
-            ),
+            RewriteOptions(effort=rewrite_effort, objective=objective),
         )
         program = compiler.compile(rewritten)
         points.append(

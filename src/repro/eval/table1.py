@@ -126,15 +126,12 @@ def measure_mig(
     effort: int = 4,
     paper_accounting: bool = True,
     compiler_options: Optional[CompilerOptions] = None,
-    engine: str = "worklist",
     objective="size",
     cache: Optional[SynthesisCache] = None,
 ) -> Table1Row:
     """Run the three Table 1 configurations on one MIG.
 
-    ``engine`` selects the Algorithm 1 implementation ("worklist" or
-    "rebuild", see :class:`~repro.core.rewriting.RewriteOptions`) and
-    ``objective`` its target — "size" is the paper's Algorithm 1; any
+    ``objective`` is the Algorithm 1 target — "size" is the paper's; any
     other :class:`~repro.core.rewriting.RewriteOptions.objective` (e.g.
     a "plim" cost model) yields a what-if table of the same layout.
     ``cache`` memoizes the rewriting step (the row's dominant cost) under
@@ -155,8 +152,7 @@ def measure_mig(
     rewritten = rewrite_for_plim(
         mig,
         RewriteOptions(
-            effort=effort, po_negation_cost=2 if fix else 0, engine=engine,
-            objective=objective,
+            effort=effort, po_negation_cost=2 if fix else 0, objective=objective,
         ),
         cache=cache,
     )
@@ -190,7 +186,6 @@ def run_benchmark(
     shuffled: bool = False,
     shuffle_seed: int = 42,
     paper_accounting: bool = True,
-    engine: str = "worklist",
     objective="size",
     cache: Optional[SynthesisCache] = None,
 ) -> Table1Row:
@@ -211,7 +206,6 @@ def run_benchmark(
         name,
         effort=effort,
         paper_accounting=paper_accounting,
-        engine=engine,
         objective=objective,
         cache=cache,
     )
@@ -223,8 +217,8 @@ def _benchmark_task(payload):
     Returns ``(row, fresh_cache_entries)`` — the read-only + merge cache
     protocol, like :func:`repro.core.batch._compile_task`.
     """
-    (name, scale, effort, shuffled, shuffle_seed, paper_accounting, engine,
-     objective, cache_ref) = payload
+    (name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective,
+     cache_ref) = payload
     cache = worker_cache(cache_ref)
     row = run_benchmark(
         name,
@@ -233,7 +227,6 @@ def _benchmark_task(payload):
         shuffled=shuffled,
         shuffle_seed=shuffle_seed,
         paper_accounting=paper_accounting,
-        engine=engine,
         objective=objective,
         cache=cache,
     )
@@ -250,7 +243,6 @@ def run_table1(
     paper_accounting: bool = True,
     progress=None,
     workers: Optional[int] = None,
-    engine: str = "worklist",
     objective="size",
     cache: Optional[SynthesisCache] = None,
     cache_dir=None,
@@ -265,10 +257,9 @@ def run_table1(
     :func:`~repro.core.batch.parallel_imap`).  ``workers`` fans the
     benchmarks out over a process pool (``None``, the default, means one
     per CPU — the package-wide convention); row order is deterministic
-    regardless.  ``engine`` selects the Algorithm 1 implementation and
-    ``objective`` its target ("size", the paper's; cost-model objectives
-    like "plim" produce a what-if table with the same layout — models are
-    picklable, so pooled runs work).
+    regardless.  ``objective`` is the Algorithm 1 target ("size", the
+    paper's; cost-model objectives like "plim" produce a what-if table
+    with the same layout — models are picklable, so pooled runs work).
     ``cache``/``cache_dir`` attach a
     :class:`~repro.core.cache.SynthesisCache` memoizing each row's
     rewriting step (pool workers read-only, merged here; ignored for
@@ -287,8 +278,8 @@ def run_table1(
     inline = resolve_workers(workers) <= 1 or len(selected) <= 1
     cache_ref = payload_cache_ref(cache, inline)
     payloads = [
-        (name, scale, effort, shuffled, shuffle_seed, paper_accounting, engine,
-         objective, cache_ref)
+        (name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective,
+         cache_ref)
         for name in selected
     ]
     rows = []

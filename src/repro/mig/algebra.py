@@ -8,20 +8,12 @@ The paper's axiomatic system Ω (§2.1):
 * Ω.D  distributivity      ``⟨x y ⟨u v z⟩⟩ = ⟨⟨x y u⟩ ⟨x y v⟩ z⟩``
 * Ω.I  inverter propagation ``¬⟨x y z⟩ = ⟨x̄ ȳ z̄⟩``
 
-Each axiom is provided in two executable forms:
-
-* a whole-graph *pass* built on :meth:`~repro.mig.graph.Mig.rebuild`:
-  passes return a fresh, dead-node-free MIG and never change the computed
-  functions (property-tested) — the original engine, kept as the
-  differential-testing oracle;
-* a *local rule* ``try_<axiom>(mig, v)`` that rewrites the single gate
-  ``v`` of an :meth:`~repro.mig.graph.Mig.enable_inplace` graph through
-  :meth:`~repro.mig.graph.Mig.replace_node` and returns the set of nodes
-  the rewrite touched (empty when the rule does not apply) — the building
-  blocks of the worklist engine.
-
-The PLiM-specific composition of either form — Algorithm 1 of the paper —
-lives in :mod:`repro.core.rewriting`.
+Each axiom is a *local rule* ``try_<axiom>(mig, v)`` that rewrites the
+single gate ``v`` of an :meth:`~repro.mig.graph.Mig.enable_inplace` graph
+through :meth:`~repro.mig.graph.Mig.replace_node` and returns the set of
+nodes the rewrite touched (empty when the rule does not apply) — the
+building blocks of the worklist engine.  Their PLiM-specific composition —
+Algorithm 1 of the paper — lives in :mod:`repro.core.rewriting`.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import MigError
-from repro.mig.analysis import fanout_counts
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
 
@@ -39,9 +30,8 @@ def complement_profile(signals) -> tuple[int, int, bool]:
 
     The polarity profile every inverter-cost decision is made on: RM3's
     operand-B slot absorbs one complemented (non-constant) child for free,
-    constants ride along as built-in operands.  Shared by the Ω.I passes
-    here, the cost-aware sweeps in :mod:`repro.core.rewriting`, and the
-    §4.2.2 estimators in :mod:`repro.core.cost`.
+    constants ride along as built-in operands.  Used by the §4.2.2
+    estimators in :mod:`repro.core.cost`.
     """
     nonconst = 0
     complemented = 0
@@ -56,41 +46,17 @@ def complement_profile(signals) -> tuple[int, int, bool]:
     return nonconst, complemented, has_const
 
 
-def effective_children(mig: Mig, edge: Signal) -> Optional[tuple[Signal, Signal, Signal]]:
-    """Children of the gate behind ``edge`` with Ω.I applied.
-
-    A complemented edge to ``⟨x y z⟩`` is the same as a plain edge to
-    ``⟨x̄ ȳ z̄⟩``; returning the polarity-adjusted triple lets pattern
-    matchers ignore edge polarity.  Returns ``None`` if ``edge`` does not
-    point at a gate.
-    """
-    if not mig.is_gate(edge.node):
-        return None
-    a, b, c = mig.children(edge.node)
-    if edge.inverted:
-        return (~a, ~b, ~c)
-    return (a, b, c)
-
-
-def pass_majority(mig: Mig) -> Mig:
-    """Ω.M pass: resimplify and re-hash every gate, drop dead nodes.
-
-    A plain rebuild already applies ``⟨x x z⟩ = x`` and ``⟨x x̄ z⟩ = z``
-    (they are built into ``add_maj``) and merges structurally identical
-    gates, which is exactly the node elimination the paper attributes to
-    Ω.M in Algorithm 1.
-    """
-    new, _ = mig.rebuild()
-    return new
-
-
 _CHILD_PERMUTATIONS = (
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
 )
 
-#: Ω.C (A, B, Z) slot-overhead estimates by child class — the single
-#: source both the pass and the worklist engine's in-place sweep score
-#: with (see :func:`pass_commutativity` for the rationale per slot).
+#: Ω.C (A, B, Z) slot-overhead estimates by child class, for the paper's
+#: §3 child-order translator (operand A ← child 1, B ← child 2, destination
+#: Z ← child 3): slot B wants a complemented child or a constant (the
+#: built-in inversion is free there), never a plain child (2
+#: instructions); slot Z wants a single-fanout plain gate child
+#: (overwritable in place), then a constant (1 instruction); slot A wants
+#: a constant or a plain child (free).
 SLOT_SCORES_CONST = (0, 0, 1)
 SLOT_SCORES_INVERTED = (2, 0, 2)
 SLOT_SCORES_PLAIN_SINGLE_GATE = (0, 2, 0)
@@ -103,9 +69,9 @@ def structural_keys(mig: Mig) -> list[int]:
     Two isomorphic graphs (same PIs, same gate structure) assign the same
     key to corresponding nodes regardless of node indices or stored child
     order: a gate's key hashes the *sorted* ``(child key, polarity)``
-    pairs.  :func:`pass_commutativity` uses the keys to break slot-score
-    ties canonically, so both rewriting engines settle on the same stored
-    child order even when their internal merge order differed.  Keys are
+    pairs.  The Ω.C sweep uses the keys to break slot-score ties
+    canonically, so the stored child order it settles on does not depend
+    on the order earlier merges happened to leave.  Keys are
     ordinary ``hash`` values of int tuples — deterministic across
     processes (no strings involved).
     """
@@ -197,97 +163,6 @@ def _best_permutation(index: int, pairs: tuple) -> tuple[int, int, int]:
     return best
 
 
-def pass_commutativity(mig: Mig) -> Mig:
-    """Ω.C pass: store every gate's children in translation-friendly order.
-
-    Functionally a no-op, but the stored order is what a child-order
-    translator consumes (operand A ← child 1, B ← child 2, destination Z ←
-    child 3, per the paper's §3 naïve scheme).  The pass permutes each
-    gate's children to minimize the expected RM3 overhead of that scheme:
-
-    * slot B wants a complemented child or a constant (the built-in
-      inversion is free there), never a plain child (2 instructions);
-    * slot Z wants a single-fanout plain gate child (overwritable in
-      place), then a constant (1 instruction);
-    * slot A wants a constant or a plain child (free).
-
-    This is the piece of Algorithm 1 that lets plain *rewriting* (Table 1,
-    third column) already shrink programs without smart per-node selection.
-
-    Score ties are broken by :func:`structural_keys`, so the stored order
-    chosen is a canonical function of the graph's structure — both
-    rewriting engines converge to the same order regardless of how their
-    intermediate merges happened to order the children.
-    """
-    fanouts = fanout_counts(mig)
-    keys = structural_keys(mig)
-
-    def slot_class(child: Signal, old_child: Signal) -> int:
-        """:data:`SLOT_CLASSES` index of ``child`` (``old_child`` in ``mig``)."""
-        if child.is_const:
-            return 0
-        if child.inverted:
-            return 1
-        single_gate = mig.is_gate(old_child.node) and fanouts[old_child.node] == 1
-        return 2 if single_gate else 3
-
-    def gate_fn(new: Mig, old: int, mapped):
-        old_children = mig.children(old)
-        index = 0
-        for child, old_child in zip(mapped, old_children):
-            index = 4 * index + slot_class(child, old_child)
-        pairs = tuple(
-            (keys[o.node], int(m) & 1) for m, o in zip(mapped, old_children)
-        )
-        a, b, z = _best_permutation(index, pairs)
-        return new.add_maj(mapped[a], mapped[b], mapped[z])
-
-    new, _ = mig.rebuild(gate_fn)
-    return new
-
-
-def pass_distributivity_rl(mig: Mig) -> Mig:
-    """Ω.D right-to-left pass: ``⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩``.
-
-    Applied only when both inner gates have a single fanout in the original
-    graph, so the rewrite removes one node (the paper: "Distributivity from
-    right to left also reduces the number of nodes by one").  Edge polarity
-    is handled through Ω.I (:func:`effective_children`).
-    """
-    fanouts = fanout_counts(mig)
-
-    def gate_fn(new: Mig, old: int, mapped):
-        old_children = mig.children(old)
-        # Try each unordered pair of children as the two inner gates.
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            gi, gj = mapped[i], mapped[j]
-            oi, oj = old_children[i], old_children[j]
-            if gi.node == gj.node:
-                continue
-            if not (mig.is_gate(oi.node) and mig.is_gate(oj.node)):
-                continue
-            if fanouts[oi.node] != 1 or fanouts[oj.node] != 1:
-                continue
-            inner_i = effective_children(new, gi)
-            inner_j = effective_children(new, gj)
-            if inner_i is None or inner_j is None:
-                continue
-            common = _common_pair(inner_i, inner_j)
-            if common is None:
-                continue
-            (x, y), p, q = common
-            k = 3 - i - j  # index of the third child
-            z = mapped[k]
-            inner = new.add_maj(p, q, z)
-            return new.add_maj(x, y, inner)
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    # Pattern replacements can orphan freshly built inner gates; sweep them.
-    new, _ = new.rebuild()
-    return new
-
-
 def _common_pair(
     a: tuple[Signal, Signal, Signal], b: tuple[Signal, Signal, Signal]
 ) -> Optional[tuple[tuple[Signal, Signal], Signal, Signal]]:
@@ -319,206 +194,6 @@ def _common_pair(
     return (shared[0], shared[1]), rest_a[0], rest_b[0]
 
 
-def pass_distributivity_lr(mig: Mig) -> Mig:
-    """Ω.D left-to-right pass: ``⟨x y ⟨u v z⟩⟩ → ⟨⟨x y u⟩ ⟨x y v⟩ z⟩``.
-
-    The expanding direction; only applied when at least one of the two new
-    inner gates already exists (strash hit), so the pass never grows the
-    graph.  Provided for completeness of Ω and for the test suite.
-    """
-    fanouts = fanout_counts(mig)
-
-    def gate_fn(new: Mig, old: int, mapped):
-        old_children = mig.children(old)
-        for k in range(3):
-            g = mapped[k]
-            og = old_children[k]
-            if not mig.is_gate(og.node) or fanouts[og.node] != 1:
-                continue
-            inner = effective_children(new, g)
-            if inner is None:
-                continue
-            u, v, z = inner
-            others = [mapped[i] for i in range(3) if i != k]
-            x, y = others
-            before = len(new)
-            left = new.add_maj(x, y, u)
-            right = new.add_maj(x, y, v)
-            if len(new) <= before + 1:  # at most one fresh gate: net size kept
-                return new.add_maj(left, right, z)
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    # Pattern replacements can orphan freshly built inner gates; sweep them.
-    new, _ = new.rebuild()
-    return new
-
-
-def pass_associativity(mig: Mig) -> Mig:
-    """Ω.A pass: ``⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩`` where it helps.
-
-    The swap is accepted only when the replacement inner gate simplifies or
-    structurally hashes to an existing node, i.e. when it opens a sharing or
-    Ω.M opportunity (the paper's "reshaping ... which may provide further
-    size reduction opportunities").
-    """
-    fanouts = fanout_counts(mig)
-
-    def gate_fn(new: Mig, old: int, mapped):
-        old_children = mig.children(old)
-        for k in range(3):  # position of the inner gate child
-            g = mapped[k]
-            og = old_children[k]
-            if not mig.is_gate(og.node) or fanouts[og.node] != 1:
-                continue
-            inner = effective_children(new, g)
-            if inner is None:
-                continue
-            others = [mapped[i] for i in range(3) if i != k]
-            for u_pos in range(2):  # which outer child is the shared u
-                u = others[u_pos]
-                x = others[1 - u_pos]
-                if u not in inner:
-                    continue
-                rest = list(inner)
-                rest.remove(u)
-                y, z = rest
-                # ⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩ — accept if ⟨y u x⟩ is free.
-                before = len(new)
-                swapped = new.add_maj(y, u, x)
-                if len(new) == before:
-                    return new.add_maj(z, u, swapped)
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    # Pattern replacements can orphan freshly built inner gates; sweep them.
-    new, _ = new.rebuild()
-    return new
-
-
-def pass_complementary_associativity(mig: Mig) -> Mig:
-    """Ψ.A (complementary associativity): ``⟨x u ⟨y ū z⟩⟩ = ⟨x u ⟨y x z⟩⟩``.
-
-    Part of the derived rule set Ψ that the MIG papers add on top of Ω: an
-    inner occurrence of ``ū`` is irrelevant when ``u`` is decided at the
-    outer gate, so it may be replaced by the *other* outer child — which
-    frequently lets Ω.M fire (e.g. the inner gate collapses when ``y`` or
-    ``z`` equals ``x``) or re-shares an existing gate.  Applied only when
-    the replacement gate is free (simplifies or strash-hits), so the pass
-    never grows the graph.
-    """
-    fanouts = fanout_counts(mig)
-
-    def gate_fn(new: Mig, old: int, mapped):
-        old_children = mig.children(old)
-        for k in range(3):  # position of the inner gate child
-            og = old_children[k]
-            if not mig.is_gate(og.node) or fanouts[og.node] != 1:
-                continue
-            inner = effective_children(new, mapped[k])
-            if inner is None:
-                continue
-            others = [mapped[i] for i in range(3) if i != k]
-            for u_pos in range(2):
-                u = others[u_pos]
-                x = others[1 - u_pos]
-                if ~u not in inner:
-                    continue
-                replaced = tuple(x if s == ~u else s for s in inner)
-                before = len(new)
-                new_inner = new.add_maj(*replaced)
-                if len(new) == before:  # free: simplified or shared
-                    return new.add_maj(x, u, new_inner)
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    # Pattern replacements can orphan freshly built inner gates; sweep them.
-    new, _ = new.rebuild()
-    return new
-
-
-def pass_associativity_depth(mig: Mig) -> Mig:
-    """Ω.A pass targeting *depth*: move late signals out of deep gates.
-
-    In ``⟨x u ⟨y u z⟩⟩`` the inner gate adds a level on top of ``z``; when
-    ``z`` arrives later than ``x`` (higher topological level), the swap
-    ``⟨z u ⟨y u x⟩⟩`` takes ``z`` off the inner critical path.  This is the
-    depth-rewriting move of the MIG papers (Amarù et al.) restricted to
-    strictly improving applications, used by the rebuild engine's
-    ``objective="depth"`` (:func:`repro.core.rewriting.rewrite_for_plim`).
-    """
-    fanouts = fanout_counts(mig)
-    new_levels: dict[int, int] = {}
-
-    def gate_fn(new: Mig, old: int, mapped):
-        def level_of(signal: Signal) -> int:
-            v = signal.node
-            if v not in new_levels:
-                if not new.is_gate(v):
-                    new_levels[v] = 0
-                else:
-                    new_levels[v] = 1 + max(
-                        level_of(c) for c in new.children(v)
-                    )
-            return new_levels[v]
-
-        old_children = mig.children(old)
-        for k in range(3):  # position of the inner gate child
-            og = old_children[k]
-            if not mig.is_gate(og.node) or fanouts[og.node] != 1:
-                continue
-            inner = effective_children(new, mapped[k])
-            if inner is None:
-                continue
-            others = [mapped[i] for i in range(3) if i != k]
-            for u_pos in range(2):
-                u = others[u_pos]
-                x = others[1 - u_pos]
-                if u not in inner:
-                    continue
-                rest = list(inner)
-                rest.remove(u)
-                # shallower inner child is y, deeper is z
-                y, z = sorted(rest, key=level_of)
-                before = 1 + max(level_of(x), level_of(u), 1 + max(
-                    level_of(y), level_of(u), level_of(z)))
-                after = 1 + max(level_of(z), level_of(u), 1 + max(
-                    level_of(y), level_of(u), level_of(x)))
-                if after >= before:
-                    continue  # no strict depth win
-                swapped = new.add_maj(y, u, x)
-                return new.add_maj(z, u, swapped)
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    new, _ = new.rebuild()  # sweep any orphaned inner gates
-    return new
-
-
-def pass_push_inverters(mig: Mig, threshold: int = 2) -> Mig:
-    """Unconditional Ω.I right-to-left pass.
-
-    Every gate with at least ``threshold`` complemented non-constant
-    children is replaced by its complement with all child polarities
-    flipped (``⟨x̄ ȳ z̄⟩ → ¬⟨x y z⟩`` and ``⟨x̄ ȳ z⟩ → ¬⟨x y z̄⟩``), pushing
-    the inversion onto the fanout edges.  This is the mechanical core of
-    the paper's Ω.I(R→L); the cost-aware variant that decides *whether* a
-    push pays off lives in :mod:`repro.core.rewriting`.  Algorithm 1's
-    final sweep uses ``threshold=3`` — it only removes the most costly
-    case, leaving cost-rejected two-complement gates alone.
-    """
-
-    def gate_fn(new: Mig, _old: int, mapped):
-        _, inverted_nonconst, _ = complement_profile(mapped)
-        if inverted_nonconst >= threshold:
-            flipped = tuple(~s for s in mapped)
-            return ~new.add_maj(*flipped)
-        return new.add_maj(*mapped)
-
-    new, _ = mig.rebuild(gate_fn)
-    return new
-
-
 # ----------------------------------------------------------------------
 # local rules (the worklist engine's building blocks)
 #
@@ -527,17 +202,16 @@ def pass_push_inverters(mig: Mig, threshold: int = 2) -> Mig:
 # rewrite touched — empty when the rule does not apply.  Single-fanout
 # heuristics read the optional ``fanouts`` snapshot
 # (:meth:`~repro.mig.graph.Mig.fanout_snapshot`, falling back to the live
-# counts for nodes created after it) so one phase's decisions match a
-# rebuild pass's snapshot semantics; pass ``None`` to use live counts.
+# counts for nodes created after it) so one phase decides against the
+# fanout counts at its start; pass ``None`` to use live counts.
 # The conditions are heuristics for node-count reduction, not correctness
 # requirements, so a stale snapshot is always safe.
 #
 # The rules match and build on raw child encodings (``node << 1 |
 # complement``, read straight from the ``_ca``/``_cb``/``_cc`` vectors and
 # built with ``add_maj_enc``): a complemented edge to ``⟨x y z⟩`` is matched
-# as the plain triple ``(x ^ 1, y ^ 1, z ^ 1)`` (Ω.I, the encoding form of
-# :func:`effective_children`).  Signals appear only at the
-# ``replace_node`` boundary.
+# as the plain triple ``(x ^ 1, y ^ 1, z ^ 1)`` (Ω.I).  Signals appear only
+# at the ``replace_node`` boundary.
 #
 # Rules that can raise a node's level (Ω.D restructuring, Ω.A/Ψ.A
 # reshaping) additionally accept ``depth_budget``: on a graph with level
@@ -726,8 +400,7 @@ def try_associativity(
     it simplifies or structurally hashes to an existing node — i.e. when
     the swap opens a sharing or Ω.M opportunity without growing the graph.
     A rejected candidate is *kept* as a speculative zero-fanout gate (it
-    seeds sharing for later checks, exactly like the abandoned gates of
-    the rebuild pass); callers sweep those with
+    seeds sharing for later checks); callers sweep those with
     :meth:`~repro.mig.graph.Mig.collect_unused` at phase boundaries.
 
     The swap can *deepen* the graph (``x`` moves under the inner gate);
@@ -779,9 +452,10 @@ def try_associativity_depth(
     fanouts: Optional[list[int]] = None,
     depth_budget: Optional[int] = None,
 ) -> set[int]:
-    """Ω.A at ``v`` targeting *depth* — the local form of
-    :func:`pass_associativity_depth`.  ``depth_budget`` is accepted for
-    worklist-phase uniformity and ignored: every committed move strictly
+    """Ω.A at ``v`` targeting *depth* — the depth-rewriting move of the
+    MIG papers (Amarù et al.) restricted to strictly improving
+    applications.  ``depth_budget`` is accepted for worklist-phase
+    uniformity and ignored: every committed move strictly
     lowers ``v``'s level and can raise no other node's.
 
     In ``⟨x u ⟨y u z⟩⟩`` the inner gate adds a level on top of ``z``; when
@@ -854,8 +528,11 @@ def try_complementary_associativity(
 ) -> set[int]:
     """Ψ.A at ``v``: ``⟨x u ⟨y ū z⟩⟩ = ⟨x u ⟨y x z⟩⟩`` where it is free.
 
-    The derived-rule counterpart of :func:`pass_complementary_associativity`;
-    applied only when the replacement inner gate is free.  Like
+    Part of the derived rule set Ψ that the MIG papers add on top of Ω: an
+    inner occurrence of ``ū`` is irrelevant when ``u`` is decided at the
+    outer gate, so it may be replaced by the *other* outer child — which
+    frequently lets Ω.M fire or re-shares an existing gate.  Applied only
+    when the replacement inner gate is free.  Like
     :func:`try_associativity`, a rejected candidate stays as a speculative
     zero-fanout gate until :meth:`~repro.mig.graph.Mig.collect_unused`, and
     like it the commit is gated under ``depth_budget`` (substituting ``x``
@@ -920,11 +597,12 @@ def flip_complement(mig: Mig, v: int) -> set[int]:
 
 
 def try_push_inverters(mig: Mig, v: int, threshold: int = 2) -> set[int]:
-    """Unconditional Ω.I(R→L) at ``v`` — the local form of
-    :func:`pass_push_inverters`.
+    """Unconditional Ω.I(R→L) at ``v``: ``⟨x̄ ȳ z̄⟩ → ¬⟨x y z⟩``.
 
     Flips the gate when at least ``threshold`` non-constant children are
-    complemented.  Algorithm 1's final sweep uses ``threshold=3``.
+    complemented, pushing the inversion onto the fanout edges.  Algorithm
+    1's final sweep uses ``threshold=3`` — it only removes the most costly
+    case, leaving cost-rejected two-complement gates alone.
     """
     inverted_nonconst = sum(e & 1 for e in _gate_children(mig, v) if e >= 2)
     if inverted_nonconst < threshold:

@@ -71,7 +71,7 @@ import hashlib
 import heapq
 from array import array
 from itertools import compress
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import MigError
 from repro.mig.signal import Signal
@@ -146,12 +146,11 @@ class Mig:
         # together they make the rewriter's fixed-point signature O(1)
         self._hist: Optional[list[int]] = None
         self._c0_noconst: int = 0
-        # order keys: where each node "sits" in the creation order a chain
-        # of rebuild passes would have produced — replacement nodes inherit
-        # the replaced node's key extended by their own index, so nested
-        # replacements sort lexicographically into the replaced node's slot
-        # and iteration order stays aligned with the rebuild engine
-        # (see topo_gates)
+        # order keys: where each node "sits" in the creation order a fresh
+        # rebuild would produce — replacement nodes inherit the replaced
+        # node's key extended by their own index, so nested replacements
+        # sort lexicographically into the replaced node's slot (see
+        # topo_gates)
         self._order: Optional[list[tuple[int, ...]]] = None
         self._edit_count: int = 0
         # per-node topological levels, maintained incrementally once
@@ -668,9 +667,8 @@ class Mig:
     def fanout_snapshot(self) -> list[int]:
         """Copy of all reference counts, indexed by node.
 
-        Worklist phases snapshot fanout once and pattern-match against it —
-        the in-place analogue of a rebuild pass computing ``fanout_counts``
-        on its input — so speculative helpers and earlier rewrites in the
+        Worklist phases snapshot fanout once and pattern-match against it,
+        so speculative helpers and earlier rewrites in the
         same phase do not perturb the single-fanout heuristics.
         """
         self._require_inplace()
@@ -718,11 +716,11 @@ class Mig:
     def evict_strash(self, node: int) -> None:
         """Withdraw ``node``'s strash ownership; it stays live.
 
-        The worklist inverter sweep uses this to reproduce a rebuild
-        pass's merge order: when a flip's new key collides with a
-        not-yet-visited gate, the pass would create the flipped node first
-        and merge the other gate into it later — so the stale owner is
-        evicted and re-hashed (:meth:`rehash_node`) at its own turn.
+        The worklist inverter sweep uses this to merge in sweep order: when
+        a flip's new key collides with a not-yet-visited gate, the flipped
+        node takes the key and the other gate merges into it later — so
+        the stale owner is evicted and re-hashed (:meth:`rehash_node`) at
+        its own turn.
         """
         self._require_inplace()
         ea = self._ca[node]
@@ -877,9 +875,8 @@ class Mig:
         """Tombstone every live gate that nothing reads; returns the count.
 
         Speculative gates a rule created but did not commit (they stay in
-        the strash so later pattern checks can share them, exactly like the
-        abandoned gates of a rebuild pass) are swept here at phase
-        boundaries — the in-place analogue of a pass's trailing rebuild.
+        the strash so later pattern checks can share them) are swept here
+        at phase boundaries.
         """
         self._require_inplace()
         before = self._num_dead
@@ -996,68 +993,39 @@ class Mig:
             self._c0_noconst -= 1
 
     # ------------------------------------------------------------------
-    # rebuilding (the engine under cleanup and all rewriting passes)
+    # rebuilding (the engine under cleanup and the rewriter's private copies)
     # ------------------------------------------------------------------
 
-    def rebuild(
-        self,
-        gate_fn: Optional[Callable[["Mig", int, tuple[Signal, Signal, Signal]], Signal]] = None,
-        keep_dead: bool = False,
-    ) -> tuple["Mig", dict[int, Signal]]:
-        """Copy this MIG into a fresh one, applying ``gate_fn`` per gate.
+    def rebuild(self) -> tuple["Mig", dict[int, Signal]]:
+        """Copy this MIG into a fresh one, re-creating each gate with
+        ``add_maj`` (which resimplifies and re-hashes, so a rebuild is a
+        cleanup pass).
 
-        ``gate_fn(new_mig, old_node, mapped_children)`` must return the
-        signal in ``new_mig`` that represents ``old_node``'s function — it
-        may create nodes, reuse existing ones, or return a complemented
-        signal (phase changes are how inverter propagation is expressed).
-        The default rebuilds each gate with ``add_maj`` (which resimplifies
-        and re-hashes, so a plain rebuild is already a cleanup pass).
-
-        Only gates in the transitive fan-in of the outputs are visited
-        unless ``keep_dead`` is true.  Returns the new MIG and a map from
-        old node index to new signal.  After in-place rewriting the gates
-        are visited in :meth:`topo_gates` order (``keep_dead`` is
-        unsupported then, since unreachable gates have no defined order).
+        Only gates in the transitive fan-in of the outputs are visited, in
+        :meth:`topo_gates` order.  Returns the new MIG and a map from old
+        node index to new signal.
         """
-        if keep_dead and self._topo_dirty:
-            raise MigError("keep_dead is unsupported after in-place rewriting")
         new = Mig(name=self.name)
-        mapping: dict[int, Signal] = {0: Signal.CONST0}
+        # carry the map as raw encodings and append through add_maj_enc —
+        # same simplify/strash decisions, no Signal churn per gate
+        enc_map: dict[int, int] = {0: 0}
         for node, name in zip(self._pi_ids, self._pi_names):
-            mapping[node] = new.add_pi(name)
-        live = self._live_mark() if not keep_dead else None
+            enc_map[node] = int(new.add_pi(name))
+        live = self._live_mark()
         ca, cb, cc = self._ca, self._cb, self._cc
-        if gate_fn is None:
-            # Hot path (cleanup): carry the map as raw encodings and append
-            # through add_maj_enc — same simplify/strash decisions, no
-            # Signal churn per gate.
-            enc_map: dict[int, int] = {n: int(s) for n, s in mapping.items()}
-            add_enc = new.add_maj_enc
-            for v in self.topo_gates():
-                if live is not None and not live[v]:
-                    continue
-                ea, eb, ec = ca[v], cb[v], cc[v]
-                enc_map[v] = add_enc(
-                    enc_map[ea >> 1] ^ (ea & 1),
-                    enc_map[eb >> 1] ^ (eb & 1),
-                    enc_map[ec >> 1] ^ (ec & 1),
-                )
-            for po, name in zip(self._pos, self._po_names):
-                new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
-            return new, {n: Signal(e) for n, e in enc_map.items()}
+        add_enc = new.add_maj_enc
         for v in self.topo_gates():
-            if live is not None and not live[v]:
+            if not live[v]:
                 continue
             ea, eb, ec = ca[v], cb[v], cc[v]
-            mapped = (
-                Signal(int(mapping[ea >> 1]) ^ (ea & 1)),
-                Signal(int(mapping[eb >> 1]) ^ (eb & 1)),
-                Signal(int(mapping[ec >> 1]) ^ (ec & 1)),
+            enc_map[v] = add_enc(
+                enc_map[ea >> 1] ^ (ea & 1),
+                enc_map[eb >> 1] ^ (eb & 1),
+                enc_map[ec >> 1] ^ (ec & 1),
             )
-            mapping[v] = gate_fn(new, v, mapped)
         for po, name in zip(self._pos, self._po_names):
-            new.add_po(mapping[po.node].xor_inversion(po.inverted), name)
-        return new, mapping
+            new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
+        return new, {n: Signal(e) for n, e in enc_map.items()}
 
     def _live_mark(self) -> bytearray:
         """One byte per node slot: 1 for gates reachable from the primary

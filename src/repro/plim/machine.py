@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 
 from repro.errors import MachineError
 from repro.plim.isa import Instruction, Operand, rm3
-from repro.plim.program import Program
+from repro.plim.program import MAX_CELLS, Program
 from repro.utils.bits import full_mask
 
 try:  # pragma: no cover - exercised via the numpy kernel tests
@@ -102,8 +102,10 @@ class PlimMachine:
     """RRAM array + controller with LiM and RAM operating modes."""
 
     def __init__(self, num_cells: int, width: int = 1, kernel: str = "auto"):
-        if num_cells < 0:
-            raise MachineError(f"num_cells must be non-negative, got {num_cells}")
+        if not 0 <= num_cells <= MAX_CELLS:
+            raise MachineError(
+                f"num_cells must be in [0, {MAX_CELLS}], got {num_cells}"
+            )
         if width < 1:
             raise MachineError(f"width must be positive, got {width}")
         if kernel not in KERNELS:

@@ -368,9 +368,12 @@ class Program:
         raise ParseError(f"malformed operand {token!r}", lineno)
 
 
-#: cell addresses must fit the operand encoding (``address << 1``) of the
-#: flat ``array('q')`` instruction columns
-_ADDRESS_LIMIT = 1 << 62
+#: cells a program may address and a machine may hold.  The machine sizes
+#: its arrays by the highest address, so this bounds what a tiny ``.plim``
+#: file can make it allocate.  Compiled programs sit far below it: the
+#: largest registry circuit at paper scale (mem_ctrl) addresses 2,439
+#: cells, and its controller image (data plus encoded program) 3.3M.
+MAX_CELLS = 1 << 23
 
 
 def _parse_address(token: str, lineno: int) -> int:
@@ -379,6 +382,10 @@ def _parse_address(token: str, lineno: int) -> int:
         address = int(token)
     except ValueError:
         address = -1
-    if not 0 <= address < _ADDRESS_LIMIT:
+    if address < 0:
         raise ParseError(f"malformed cell address {token!r}", lineno)
+    if address >= MAX_CELLS:
+        raise ParseError(
+            f"cell address {token} is past the {MAX_CELLS}-cell limit", lineno
+        )
     return address

@@ -46,7 +46,6 @@ def request_option_sets(options: dict):
     ropts = RewriteOptions(
         effort=options["effort"],
         po_negation_cost=2 if copts.fix_output_polarity else 0,
-        engine=options["engine"],
         objective=options["objective"],
     )
     return ropts, copts

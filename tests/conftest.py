@@ -52,6 +52,25 @@ def random_mig(
     return mig
 
 
+@pytest.fixture
+def measure_reference(monkeypatch):
+    """:func:`~repro.eval.table1.measure_mig` with its rewriting step run
+    by the whole-graph oracle in ``tests/rewrite_reference.py``."""
+    from repro.eval import table1
+    from rewrite_reference import rewrite_reference
+
+    def measure(mig, name, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                table1,
+                "rewrite_for_plim",
+                lambda mig, options, cache=None: rewrite_reference(mig, options),
+            )
+            return table1.measure_mig(mig, name, **kwargs)
+
+    return measure
+
+
 def word_assignment(prefix: str, value: int, width: int) -> dict[str, int]:
     """PI assignment dict for a little-endian input word."""
     return {f"{prefix}{i}": (value >> i) & 1 for i in range(width)}

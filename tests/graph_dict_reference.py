@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import MigError
 from repro.mig.graph import _CONST, _DEAD, _GATE, _PI
@@ -935,49 +935,32 @@ class DictMig:
             self._c0_noconst -= 1
 
     # ------------------------------------------------------------------
-    # rebuilding (the engine under cleanup and all rewriting passes)
+    # rebuilding (the engine under cleanup and the rewriter's private copies)
     # ------------------------------------------------------------------
 
-    def rebuild(
-        self,
-        gate_fn: Optional[Callable[["DictMig", int, tuple[Signal, Signal, Signal]], Signal]] = None,
-        keep_dead: bool = False,
-    ) -> tuple["DictMig", dict[int, Signal]]:
-        """Copy this MIG into a fresh one, applying ``gate_fn`` per gate.
+    def rebuild(self) -> tuple["DictMig", dict[int, Signal]]:
+        """Copy this MIG into a fresh one, re-creating each gate with
+        ``add_maj`` (which resimplifies and re-hashes, so a rebuild is a
+        cleanup pass).
 
-        ``gate_fn(new_mig, old_node, mapped_children)`` must return the
-        signal in ``new_mig`` that represents ``old_node``'s function — it
-        may create nodes, reuse existing ones, or return a complemented
-        signal (phase changes are how inverter propagation is expressed).
-        The default rebuilds each gate with ``add_maj`` (which resimplifies
-        and re-hashes, so a plain rebuild is already a cleanup pass).
-
-        Only gates in the transitive fan-in of the outputs are visited
-        unless ``keep_dead`` is true.  Returns the new MIG and a map from
-        old node index to new signal.  After in-place rewriting the gates
-        are visited in :meth:`topo_gates` order (``keep_dead`` is
-        unsupported then, since unreachable gates have no defined order).
+        Only gates in the transitive fan-in of the outputs are visited, in
+        :meth:`topo_gates` order.  Returns the new MIG and a map from old
+        node index to new signal.
         """
-        if keep_dead and self._topo_dirty:
-            raise MigError("keep_dead is unsupported after in-place rewriting")
         new = DictMig(name=self.name)
         mapping: dict[int, Signal] = {0: Signal.CONST0}
         for node, name in zip(self._pi_ids, self._pi_names):
             mapping[node] = new.add_pi(name)
-        live = self._live_set() if not keep_dead else None
+        live = self._live_set()
         for v in self.topo_gates():
-            if live is not None and v not in live:
+            if v not in live:
                 continue
             a, b, c = self._children[v]
-            mapped = (
+            mapping[v] = new.add_maj(
                 mapping[a.node].xor_inversion(a.inverted),
                 mapping[b.node].xor_inversion(b.inverted),
                 mapping[c.node].xor_inversion(c.inverted),
             )
-            if gate_fn is None:
-                mapping[v] = new.add_maj(*mapped)
-            else:
-                mapping[v] = gate_fn(new, v, mapped)
         for po, name in zip(self._pos, self._po_names):
             new.add_po(mapping[po.node].xor_inversion(po.inverted), name)
         return new, mapping

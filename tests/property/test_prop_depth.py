@@ -2,9 +2,9 @@
 
 Hypothesis generates arbitrary well-formed MIGs; on every one of them the
 worklist depth engine must compute the same functions as the
-``pass_associativity_depth`` rebuild oracle, reach a depth no worse than
-the oracle's, and never grow beyond the cleaned input (the depth move is
-size-neutral beyond Ω.A).  A second property checks the incremental level
+``pass_associativity_depth`` rebuild oracle (``tests/rewrite_reference.py``),
+reach a depth no worse than the oracle's, and never grow beyond the
+cleaned input (the depth move is size-neutral beyond Ω.A).  A second property checks the incremental level
 table against a from-scratch recomputation after arbitrary local moves,
 and a third drives the ``balanced`` multi-objective loop.
 """
@@ -15,6 +15,7 @@ from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.algebra import try_associativity_depth
 from repro.mig.analysis import depth, levels
 from repro.mig.simulate import output_tables
+from rewrite_reference import rewrite_reference
 
 from .strategies import migs
 
@@ -25,12 +26,9 @@ FAST = settings(max_examples=40, deadline=None)
 @given(mig=migs())
 def test_depth_worklist_matches_oracle(mig):
     clean = mig.cleanup()[0]
-    worklist = rewrite_for_plim(
-        mig, RewriteOptions(engine="worklist", objective="depth")
-    )
-    oracle = rewrite_for_plim(
-        mig, RewriteOptions(engine="rebuild", objective="depth")
-    )
+    options = RewriteOptions(objective="depth")
+    worklist = rewrite_for_plim(mig, options)
+    oracle = rewrite_reference(mig, options)
     assert output_tables(worklist) == output_tables(mig)
     assert output_tables(worklist) == output_tables(oracle)
     assert depth(worklist) <= depth(oracle)

@@ -2,7 +2,8 @@
 
 Hypothesis generates arbitrary well-formed MIGs (including reducible and
 complement-heavy ones); on every one of them the worklist engine must
-compute the same functions as the rebuild pipeline and never end up larger
+compute the same functions as the rebuild pipeline
+(``tests/rewrite_reference.py``) and never end up larger
 in gates or estimated instructions.  A second property drives the mutable
 core directly: replacing a gate by a freshly built equivalent must preserve
 all outputs and every maintained invariant.
@@ -14,6 +15,7 @@ from repro.core.cost import estimate_instructions
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig import analysis
 from repro.mig.simulate import truth_tables
+from rewrite_reference import rewrite_reference
 
 from .strategies import migs
 
@@ -23,8 +25,8 @@ FAST = settings(max_examples=40, deadline=None)
 @FAST
 @given(mig=migs())
 def test_worklist_matches_rebuild_functionally(mig):
-    worklist = rewrite_for_plim(mig, RewriteOptions(engine="worklist"))
-    rebuild = rewrite_for_plim(mig, RewriteOptions(engine="rebuild"))
+    worklist = rewrite_for_plim(mig, RewriteOptions())
+    rebuild = rewrite_reference(mig, RewriteOptions())
     assert truth_tables(worklist) == truth_tables(mig)
     assert truth_tables(worklist) == truth_tables(rebuild)
     assert worklist.num_gates <= rebuild.num_gates

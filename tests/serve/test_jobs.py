@@ -10,6 +10,7 @@ into the job's progress list via the drivers' ``progress=`` callbacks —
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -232,6 +233,16 @@ class TestFinishedJobRetention:
 class TestJobTimeout:
     def test_deadline_fails_the_job_with_structured_error(self, mig_text):
         app = make_app(job_timeout_s=0.001)
+        job_body = app._job_body
+
+        def slow_job_body(*args):
+            # ctrl's cost loop can finish inside one GIL switch interval,
+            # before the event loop gets to fire the 1 ms deadline; a
+            # GIL-releasing sleep makes the job outlast it every time
+            time.sleep(0.05)
+            return job_body(*args)
+
+        app._job_body = slow_job_body
 
         async def main():
             submitted = await apost(

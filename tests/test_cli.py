@@ -8,7 +8,7 @@ from repro.mig.io_aiger import write_aiger
 from repro.mig.io_blif import write_blif
 from repro.mig.io_mig import write_mig
 
-from test_program import MALFORMED_PLIM
+from test_program import CELL_BOMBS, MALFORMED_PLIM, fails_fast_and_small
 
 
 @pytest.fixture
@@ -91,6 +91,18 @@ class TestRunCommand:
         assert err.startswith(f"plimc: error: line {line}: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "controller"])
+    @pytest.mark.parametrize("case", CELL_BOMBS)
+    def test_cell_cap_exits_2_fast_and_small(self, command, case, tmp_path, capsys):
+        path = tmp_path / "bomb.plim"
+        path.write_bytes(MALFORMED_PLIM[case][0])
+
+        def run():
+            raise SystemExit(main([command, str(path), "--set", "a=1"]))
+
+        fails_fast_and_small(run, SystemExit)
+        assert "cell limit" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -262,18 +274,12 @@ class TestNewCompileFlags:
         assert "OK" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["worklist", "rebuild"])
-    def test_objective_honors_engine(self, circuit_file, engine, capsys):
-        """--engine applies to depth rewriting too (the removed
-        --depth-rewrite path ignored it)."""
-        assert main(
-            [
-                "compile", circuit_file,
-                "--objective", "depth",
-                "--engine", engine,
-                "--verify",
-            ]
-        ) == 0
-        assert "OK" in capsys.readouterr().err
+    def test_engine_flag_is_usage_error(self, circuit_file, engine, capsys):
+        """Algorithm 1 has one engine, so there is no --engine to pick it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", circuit_file, "--objective", "depth", "--engine", engine])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_depth_rewrite_with_no_rewrite_still_depth_rewrites(
         self, circuit_file, tmp_path, capsys

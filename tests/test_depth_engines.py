@@ -1,8 +1,9 @@
 """Differential tests: the worklist depth engine against the rebuild oracle.
 
-The in-place depth rewriter (``objective="depth"`` on the default
-worklist engine) must be functionally equivalent to the legacy
-``pass_associativity_depth`` pipeline on every registry circuit and on
+The in-place depth rewriter (``objective="depth"`` on the worklist
+engine) must be functionally equivalent to the legacy
+``pass_associativity_depth`` pipeline (``tests/rewrite_reference.py``)
+on every registry circuit and on
 random MIGs, reach a depth no worse than the oracle's, and never grow the
 graph beyond the Ω.A reshaping (i.e. never beyond the cleaned input's gate
 count).  The ``balanced`` multi-objective loop must preserve functions and
@@ -25,9 +26,9 @@ from repro.mig.equivalence import equivalent
 from repro.mig.graph import Mig
 
 from conftest import random_mig
+from rewrite_reference import rewrite_reference
 
-DEPTH_WORKLIST = RewriteOptions(engine="worklist", objective="depth")
-DEPTH_REBUILD = RewriteOptions(engine="rebuild", objective="depth")
+DEPTH_WORKLIST = RewriteOptions(objective="depth")
 BALANCED = RewriteOptions(objective="balanced")
 
 
@@ -49,7 +50,7 @@ def test_depth_engines_equivalent_and_worklist_never_deeper(name):
     mig = build(name, "ci")
     clean = mig.cleanup()[0]
     worklist = rewrite_for_plim(mig, DEPTH_WORKLIST)
-    rebuild = rewrite_for_plim(mig, DEPTH_REBUILD)
+    rebuild = rewrite_reference(mig, DEPTH_WORKLIST)
     assert equivalent(worklist, rebuild)
     assert depth(worklist) <= depth(rebuild)
     assert worklist.num_gates <= clean.num_gates
@@ -81,18 +82,20 @@ def test_depth_engines_equivalent_on_random_migs(seed):
     mig = random_mig(seed, num_pis=6, num_gates=40, num_pos=3, invert_probability=0.5)
     clean = mig.cleanup()[0]
     worklist = rewrite_for_plim(mig, DEPTH_WORKLIST)
-    rebuild = rewrite_for_plim(mig, DEPTH_REBUILD)
+    rebuild = rewrite_reference(mig, DEPTH_WORKLIST)
     assert equivalent(worklist, rebuild)
     assert depth(worklist) <= depth(rebuild)
     assert worklist.num_gates <= clean.num_gates
 
 
-@pytest.mark.parametrize("engine", ["worklist", "rebuild"])
-def test_rewrite_depth_wrapper_dispatches(engine):
+@pytest.mark.parametrize(
+    "rewrite", [rewrite_for_plim, rewrite_reference], ids=["worklist", "rebuild"]
+)
+def test_rewrite_depth_wrapper_dispatches(rewrite):
     """What the removed ``rewrite_depth(mig, engine=...)`` wrapper did:
-    ``objective="depth"`` runs on either engine."""
+    ``objective="depth"`` runs on the engine and on its oracle."""
     mig = build("int2float", "ci")
-    result = rewrite_for_plim(mig, RewriteOptions(engine=engine, objective="depth"))
+    result = rewrite(mig, DEPTH_WORKLIST)
     assert equivalent(result, mig.cleanup()[0])
     assert depth(result) <= depth(mig.cleanup()[0])
 
@@ -158,9 +161,9 @@ class TestIncrementalLevels:
 def test_depth_worklist_at_least_two_times_faster():
     """Acceptance: >= 2x faster than the oracle on voter/sin at default scale."""
 
-    def timed(mig, options):
+    def timed(rewrite, mig, options):
         start = time.perf_counter()
-        result = rewrite_for_plim(mig, options)
+        result = rewrite(mig, options)
         return time.perf_counter() - start, result
 
     for name in ("voter", "sin"):
@@ -169,10 +172,12 @@ def test_depth_worklist_at_least_two_times_faster():
         # take the best of a few runs so scheduler noise cannot fail CI.
         rewrite_for_plim(mig, DEPTH_WORKLIST)
         worklist_s, worklist = min(
-            (timed(mig, DEPTH_WORKLIST) for _ in range(3)), key=lambda pair: pair[0]
+            (timed(rewrite_for_plim, mig, DEPTH_WORKLIST) for _ in range(3)),
+            key=lambda pair: pair[0],
         )
         rebuild_s, rebuild = min(
-            (timed(mig, DEPTH_REBUILD) for _ in range(2)), key=lambda pair: pair[0]
+            (timed(rewrite_reference, mig, DEPTH_WORKLIST) for _ in range(2)),
+            key=lambda pair: pair[0],
         )
 
         assert depth(worklist) <= depth(rebuild)

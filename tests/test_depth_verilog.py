@@ -6,7 +6,6 @@ import re
 import pytest
 
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
-from repro.mig.algebra import pass_associativity_depth
 from repro.mig.analysis import depth
 from repro.mig.graph import Mig
 from repro.mig.io_verilog import write_verilog
@@ -14,6 +13,7 @@ from repro.mig.signal import Signal
 from repro.mig.simulate import truth_tables
 
 from conftest import random_mig
+from rewrite_reference import pass_associativity_depth
 
 DEPTH = RewriteOptions(objective="depth")
 

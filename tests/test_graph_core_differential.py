@@ -4,7 +4,8 @@
 The struct-of-arrays core must be a pure storage refactor: for the same
 graph, the same pipeline has to produce bit-identical Table 1 numbers on
 both cores — every node count, instruction count, RRAM count and depth,
-for every registry circuit, on both rewrite engines.  That identity is
+for every registry circuit, under the worklist engine and under the
+whole-graph oracle in ``tests/rewrite_reference.py``.  That identity is
 what lets ``ALGORITHM_REVISION`` stay untouched across the swap: cached
 rewriting results computed on the dict core remain valid verbatim.
 
@@ -24,6 +25,7 @@ from repro.eval.table1 import measure_mig
 from repro.mig.equivalence import equivalent
 
 from graph_dict_reference import DictMig, as_dict_mig
+from rewrite_reference import rewrite_reference
 
 
 def _comparable(row):
@@ -54,10 +56,10 @@ class TestTable1BitIdentical:
         assert _comparable(array_row) == _comparable(dict_row)
 
     @pytest.mark.parametrize("name", ["ctrl", "i2c", "router", "square"])
-    def test_rebuild_rows_match(self, name):
+    def test_rebuild_rows_match(self, name, measure_reference):
         mig = build(name, "ci")
-        array_row = measure_mig(mig, name, engine="rebuild")
-        dict_row = measure_mig(as_dict_mig(mig), name, engine="rebuild")
+        array_row = measure_reference(mig, name)
+        dict_row = measure_reference(as_dict_mig(mig), name)
         assert _comparable(array_row) == _comparable(dict_row)
 
 
@@ -70,12 +72,14 @@ class TestRewriteFingerprints:
     bumping ``ALGORITHM_REVISION``.
     """
 
-    @pytest.mark.parametrize("engine", ["worklist", "rebuild"])
+    @pytest.mark.parametrize(
+        "rewrite", [rewrite_for_plim, rewrite_reference], ids=["worklist", "rebuild"]
+    )
     @pytest.mark.parametrize("name", ["cavlc", "max", "priority", "sin"])
-    def test_rewritten_fingerprints_match(self, name, engine):
+    def test_rewritten_fingerprints_match(self, name, rewrite):
         mig = build(name, "ci")
-        options = RewriteOptions(engine=engine)
-        from_array = rewrite_for_plim(mig, options)
-        from_dict = rewrite_for_plim(as_dict_mig(mig), options)
+        options = RewriteOptions()
+        from_array = rewrite(mig, options)
+        from_dict = rewrite(as_dict_mig(mig), options)
         assert from_array.fingerprint() == from_dict.fingerprint()
         assert equivalent(from_array, mig)

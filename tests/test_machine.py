@@ -5,7 +5,7 @@ import pytest
 from repro.errors import MachineError
 from repro.plim.isa import Instruction, ONE, Operand, ZERO
 from repro.plim.machine import PlimMachine
-from repro.plim.program import Program
+from repro.plim.program import MAX_CELLS, Program
 
 
 @pytest.fixture
@@ -34,6 +34,13 @@ class TestRamMode:
             PlimMachine(-1)
         with pytest.raises(MachineError):
             PlimMachine(4, width=0)
+
+    def test_cell_cap(self):
+        """A program built through the API cannot size a huge array."""
+        program = Program(input_cells={"a": 0})
+        program.append(Instruction(Operand.cell(0), ZERO, MAX_CELLS))
+        with pytest.raises(MachineError, match="num_cells"):
+            PlimMachine.for_program(program)
 
 
 class TestLimMode:

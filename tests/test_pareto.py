@@ -46,7 +46,7 @@ class TestDepthBudgetValidation:
             rewrite_for_plim(build("ctrl", "ci"), RewriteOptions(depth_budget=-1))
 
     def test_rebuild_engine_rejected(self):
-        with pytest.raises(ReproError, match="worklist"):
+        with pytest.raises(ReproError, match="unknown rewrite engine"):
             rewrite_for_plim(
                 build("ctrl", "ci"),
                 RewriteOptions(depth_budget=10, engine="rebuild"),

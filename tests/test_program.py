@@ -1,10 +1,13 @@
 """Unit tests for repro.plim.program."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from repro.errors import ParseError
 from repro.plim.isa import Instruction, ONE, Operand, ZERO
-from repro.plim.program import OutputLocation, Program
+from repro.plim.program import MAX_CELLS, OutputLocation, Program
 
 
 @pytest.fixture
@@ -100,7 +103,34 @@ MALFORMED_PLIM = {
     "input-cell-missing": (b".plim t\n.input a\n.end\n", 2),
     "operand-not-a-number": (b".plim t\n.input a 0\n0 @x @7\n.end\n", 3),
     "not-utf8": (b".plim t\n.input \xff\xfe 0\n.end\n", 2),
+    # valid syntax, but the machine would size its cell arrays by the
+    # highest address: 100M cells is ~3 GB, 4e12 a MemoryError
+    "address-past-cell-cap": (
+        b".plim\n.input a 0\n.output y 100000000\n0 @0 @100000000\n.end\n", 3
+    ),
+    "huge-address": (
+        b".plim\n.input a 0\n.output y 4000000000000\n0 @0 @4000000000000\n.end\n",
+        3,
+    ),
 }
+
+#: the MALFORMED_PLIM cases that used to size a huge cell array
+CELL_BOMBS = ("address-past-cell-cap", "huge-address")
+
+
+def fails_fast_and_small(call, error):
+    """Assert ``call()`` raises ``error`` in under 0.1 s and 50 MB."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(error):
+            call()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1, f"took {elapsed:.3f}s"
+    assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestMalformedText:
@@ -129,6 +159,15 @@ class TestMalformedText:
         with pytest.raises(ParseError) as excinfo:
             Program.from_text(text)
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("case", CELL_BOMBS)
+    def test_cell_cap_fails_fast_and_small(self, case):
+        data, _ = MALFORMED_PLIM[case]
+        fails_fast_and_small(lambda: Program.from_text(data), ParseError)
+
+    def test_highest_address_below_cap_parses(self):
+        text = f".plim t\n0 1 @{MAX_CELLS - 1}\n.end\n"
+        assert Program.from_text(text).num_cells == MAX_CELLS
 
     def test_bytes_round_trip(self, small_program):
         back = Program.from_text(small_program.to_text().encode("utf-8"))

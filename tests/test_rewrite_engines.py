@@ -1,8 +1,8 @@
 """Differential tests: the worklist engine against the rebuild oracle.
 
-The in-place worklist engine (the default) must be functionally equivalent
-to the original rebuild pass pipeline on every registry circuit and on
-random MIGs, and never worse in #N, estimated instructions, or the actual
+The in-place worklist engine must be functionally equivalent to the
+original rebuild pass pipeline (``tests/rewrite_reference.py``) on every
+registry circuit and on random MIGs, and never worse in #N, estimated instructions, or the actual
 compiled #I/#R of the Table 1 configurations.  A gated timing test asserts
 the headline claim: the worklist engine is at least 3x faster on the
 representative ``voter``/``sin`` circuits at default scale.
@@ -21,9 +21,9 @@ from repro.eval.table1 import measure_mig
 from repro.mig.equivalence import equivalent
 
 from conftest import random_mig
+from rewrite_reference import rewrite_reference
 
-WORKLIST = RewriteOptions(engine="worklist")
-REBUILD = RewriteOptions(engine="rebuild")
+WORKLIST = RewriteOptions()
 
 
 def test_unknown_engine_rejected():
@@ -43,17 +43,17 @@ def test_engines_equivalent_and_worklist_never_larger(name):
     """Both engines compute the same functions; worklist is never larger."""
     mig = build(name, "ci")
     worklist = rewrite_for_plim(mig, WORKLIST)
-    rebuild = rewrite_for_plim(mig, REBUILD)
+    rebuild = rewrite_reference(mig, WORKLIST)
     assert equivalent(worklist, rebuild)
     assert worklist.num_gates <= rebuild.num_gates
     assert estimate_instructions(worklist) <= estimate_instructions(rebuild)
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_table1_metrics_identical_or_better(name):
+def test_table1_metrics_identical_or_better(name, measure_reference):
     """The acceptance bar: every Table 1 metric identical or better."""
-    worklist = measure_mig(build(name, "ci"), name, engine="worklist")
-    rebuild = measure_mig(build(name, "ci"), name, engine="rebuild")
+    worklist = measure_mig(build(name, "ci"), name)
+    rebuild = measure_reference(build(name, "ci"), name)
     for attr in ("rewr_n", "rewr_i", "rewr_r", "full_i", "full_r"):
         assert getattr(worklist, attr) <= getattr(rebuild, attr), (
             f"{name}: {attr} regressed — worklist {getattr(worklist, attr)} "
@@ -65,7 +65,7 @@ def test_table1_metrics_identical_or_better(name):
 def test_engines_equivalent_on_random_migs(seed):
     mig = random_mig(seed, num_pis=6, num_gates=40, num_pos=3, invert_probability=0.5)
     worklist = rewrite_for_plim(mig, WORKLIST)
-    rebuild = rewrite_for_plim(mig, REBUILD)
+    rebuild = rewrite_reference(mig, WORKLIST)
     assert equivalent(worklist, rebuild)
     assert worklist.num_gates <= rebuild.num_gates
     assert estimate_instructions(worklist) <= estimate_instructions(rebuild)
@@ -87,8 +87,9 @@ def test_engines_equivalent_on_random_migs(seed):
 def test_engines_equivalent_under_option_sets(seed, options_kwargs):
     """Every RewriteOptions knob behaves equivalently under both engines."""
     mig = random_mig(seed + 50, num_pis=5, num_gates=30, invert_probability=0.5)
-    worklist = rewrite_for_plim(mig, RewriteOptions(engine="worklist", **options_kwargs))
-    rebuild = rewrite_for_plim(mig, RewriteOptions(engine="rebuild", **options_kwargs))
+    options = RewriteOptions(**options_kwargs)
+    worklist = rewrite_for_plim(mig, options)
+    rebuild = rewrite_reference(mig, options)
     assert equivalent(worklist, rebuild)
     assert worklist.num_gates <= rebuild.num_gates
 
@@ -101,9 +102,9 @@ def test_engines_equivalent_under_option_sets(seed, options_kwargs):
 def test_worklist_at_least_three_times_faster():
     """Acceptance: >= 3x faster on voter/sin at default scale."""
 
-    def timed(mig, options):
+    def timed(rewrite, mig, options):
         start = time.perf_counter()
-        result = rewrite_for_plim(mig, options)
+        result = rewrite(mig, options)
         return time.perf_counter() - start, result
 
     for name in ("voter", "sin"):
@@ -112,10 +113,12 @@ def test_worklist_at_least_three_times_faster():
         # take the best of a few runs so scheduler noise cannot fail CI.
         rewrite_for_plim(mig, WORKLIST)
         worklist_s, worklist = min(
-            (timed(mig, WORKLIST) for _ in range(3)), key=lambda pair: pair[0]
+            (timed(rewrite_for_plim, mig, WORKLIST) for _ in range(3)),
+            key=lambda pair: pair[0],
         )
         rebuild_s, rebuild = min(
-            (timed(mig, REBUILD) for _ in range(2)), key=lambda pair: pair[0]
+            (timed(rewrite_reference, mig, WORKLIST) for _ in range(2)),
+            key=lambda pair: pair[0],
         )
 
         assert worklist.num_gates <= rebuild.num_gates

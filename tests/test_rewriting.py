@@ -4,16 +4,13 @@ import pytest
 
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import estimate_instructions
-from repro.core.rewriting import (
-    RewriteOptions,
-    pass_inverter_cost_aware,
-    rewrite_for_plim,
-)
+from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.analysis import complement_stats
 from repro.mig.graph import Mig
 from repro.mig.simulate import truth_tables
 
 from conftest import random_mig
+from rewrite_reference import pass_inverter_cost_aware
 
 
 @pytest.mark.parametrize("seed", range(8))
