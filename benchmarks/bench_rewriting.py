@@ -10,9 +10,19 @@ emit ``BENCH_rewriting.json`` next to this file: gates/second for each
 engine plus the per-circuit speedup, so successive PRs have a
 machine-readable rewriting-perf trajectory.  The ``"rebuild"`` engine key
 names the reference.
+
+The snapshot's ``counts`` section attributes the size phases' work, per
+registry circuit at ci scale and per circuit of the perfbench
+``pipeline`` workload: gates each Ω.D and Ω.A phase visits, visits that
+pass the inline early reject (the rule is called), firings, and the
+speculative Ω.A gates reserved and later materialized.  The counts come
+from wrapping the engine's functions here, for one run each; they repeat
+exactly from run to run.
 """
 
+import io
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 try:
@@ -20,11 +30,99 @@ try:
 except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
-from repro.circuits.registry import benchmark_info
+import repro.core.rewriting as rewriting
+from repro.circuits.registry import BENCHMARK_NAMES, benchmark_info, build
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.eval.ablations import effort_sweep
+from repro.mig.graph import Mig
+from repro.mig.io_aiger import read_aiger, write_aiger
 
 REPRESENTATIVE = ["adder", "cavlc", "sin", "voter"]
+#: the perfbench ``pipeline`` circuits (default scale, read back from
+#: binary AIGER as the benchmark does) and its rewrite options, which are
+#: ``compile_mig``'s: effort 4, complemented outputs charged 2
+PIPELINE = {"mem_ctrl": {"num_outputs": 80}, "voter": {}, "sin": {}}
+COUNT_OPTIONS = RewriteOptions(effort=4, po_negation_cost=2)
+
+
+@contextmanager
+def _wrapped(owner, name, make):
+    """Replace ``owner.name`` by ``make(original)`` for the block."""
+    original = getattr(owner, name)
+    setattr(owner, name, make(original))
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def rule_counts(mig, options=COUNT_OPTIONS) -> dict:
+    """One rewrite of ``mig`` with the size phases' work counted."""
+    counts = {
+        rule: {"visits": 0, "past_reject": 0, "fired": 0}
+        for rule in ("omega_d", "omega_a", "psi_a")
+    }
+    speculative = {"reserved": 0, "materialized": 0}
+
+    def phase(rule):
+        def make(original):
+            def run(work, *args):
+                counts[rule]["visits"] += work.num_gates  # the phase's visit list
+                return original(work, *args)
+            return run
+        return make
+
+    def tried(rule):
+        def make(original):
+            def run(work, v, *args):
+                counts[rule]["past_reject"] += 1
+                affected = original(work, v, *args)
+                if affected or work._ca[v] < 0:
+                    counts[rule]["fired"] += 1
+                return affected
+            return run
+        return make
+
+    def reserve(original):
+        def run(self, *args):
+            encoding = original(self, *args)
+            speculative["reserved"] += encoding < 0
+            return encoding
+        return run
+
+    def materialize(original):
+        def run(self):
+            speculative["materialized"] += len(self._reserved)
+            return original(self)
+        return run
+
+    with _wrapped(rewriting, "_distributivity_phase", phase("omega_d")), \
+            _wrapped(rewriting, "_reshaping_phase", phase("omega_a")), \
+            _wrapped(rewriting, "try_distributivity_rl", tried("omega_d")), \
+            _wrapped(rewriting, "try_associativity", tried("omega_a")), \
+            _wrapped(rewriting, "try_complementary_associativity", tried("psi_a")), \
+            _wrapped(Mig, "find_or_reserve_enc", reserve), \
+            _wrapped(Mig, "materialize_reserved", materialize):
+        rewritten = rewrite_for_plim(mig, options)
+    if not options.use_psi:
+        del counts["psi_a"]
+    return {
+        "gates_before": mig.num_gates,
+        "gates_after": rewritten.num_gates,
+        **counts,
+        "speculative": speculative,
+    }
+
+
+def count_rows(scale: str = "ci") -> dict:
+    """:func:`rule_counts` per registry circuit at ``scale`` and per
+    ``pipeline`` circuit."""
+    rows = {f"{name}@{scale}": rule_counts(build(name, scale)) for name in BENCHMARK_NAMES}
+    for name, overrides in PIPELINE.items():
+        buffer = io.BytesIO()
+        write_aiger(build(name, "default", **overrides), buffer, binary=True)
+        rows[f"{name}@pipeline"] = rule_counts(read_aiger(io.BytesIO(buffer.getvalue())))
+    return rows
 
 
 def rewrite_engines() -> dict:
@@ -131,6 +229,15 @@ def main(argv=None) -> int:
             f"{name}: worklist {worklist:.4f}s, rebuild {rebuild:.4f}s "
             f"({row['speedup']}x)"
         )
+    counts = count_rows(args.scale)
+    for label, row in counts.items():
+        d, a = row["omega_d"], row["omega_a"]
+        print(
+            f"{label}: Ω.D {d['past_reject']}/{d['visits']} tried, {d['fired']} fired; "
+            f"Ω.A {a['past_reject']}/{a['visits']} tried, {a['fired']} fired; "
+            f"{row['speculative']['reserved']} reserved, "
+            f"{row['speculative']['materialized']} materialized"
+        )
     wall = time.perf_counter() - wall_start
 
     _common.write_snapshot(
@@ -140,6 +247,7 @@ def main(argv=None) -> int:
         wall,
         scale=args.scale,
         repeats=args.repeats,
+        counts=counts,
     )
     return 0
 

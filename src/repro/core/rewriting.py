@@ -10,7 +10,8 @@ cleanup.
 
 Each effort cycle applies, in the paper's order:
 
-1. ``Ω.M`` — majority-rule node elimination,
+1. ``Ω.M`` — majority-rule node elimination (built into every edit: no
+   live gate is ever Ω.M-reducible, so no phase visits for it),
 2. ``Ω.D(R→L)`` — distributivity right-to-left (removes one node),
 3. ``Ω.A; Ω.C`` — associativity/commutativity reshaping,
 4. ``Ω.M; Ω.D(R→L)`` — elimination again on the reshaped graph,
@@ -60,7 +61,6 @@ from repro.mig.algebra import (
     try_associativity_depth,
     try_complementary_associativity,
     try_distributivity_rl,
-    try_majority,
     try_push_inverters,
 )
 from repro.mig.graph import Mig
@@ -271,7 +271,7 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     """Algorithm 1 as one incremental sweep per effort cycle.
 
     Works on a private dead-free copy of ``mig`` with in-place maintenance
-    enabled; one final cleanup compacts the tombstones and restores a
+    enabled; one final compaction drops the tombstones and restores a
     creation-order index, and the closing Ω.C sweep restores the
     translation-friendly child order.
     """
@@ -291,10 +291,10 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
             break
     # Inverter propagation may have changed which children are complemented;
     # restore the translation-friendly child order (Ω.C) in place, then
-    # compact the tombstones with the single final cleanup.
+    # drop the tombstones.  Every live gate is Ω.M-irreducible and owns its
+    # strash key here, so renumbering is all the final copy has to do.
     _sweep_commutativity(work)
-    final, _ = work.rebuild()
-    return final
+    return work.compact()
 
 
 def _check_budget_feasible(work: Mig, depth_budget: int) -> None:
@@ -341,28 +341,112 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     """One size-rule cycle: the paper's Ω.M; Ω.D; Ω.A[; Ψ.A]; Ω.C; Ω.M; Ω.D.
 
     Each phase visits every live gate once in topological order and
-    applies its rules locally (Ω.M and structural-hash merging
-    additionally cascade inside ``replace_node``, so every phase is also
-    an Ω.M pass).  All Ω.D applications run before any Ω.A reshaping,
-    with the Ω.C reorder in between — the paper's phase order, which
-    fixes the search order and therefore the result.
+    applies its rules locally.  Ω.M needs no visit of its own: rules build
+    through ``add_maj_enc``, which simplifies, and ``replace_node``
+    cascades every collapse and strash merge through the parents, so no
+    live gate is ever Ω.M-reducible and every phase is also an Ω.M pass.
+    All Ω.D applications run before any Ω.A reshaping, with the Ω.C
+    reorder in between — the paper's phase order, which fixes the search
+    order and therefore the result.
 
     With ``opts.depth_budget`` set (level-maintained graphs only), every
     phase gates its candidates so no primary-output level can exceed the
     budget — size rewriting under a hard depth ceiling.
     """
     budget = opts.depth_budget
-    _worklist_phase(work, (try_majority, try_distributivity_rl), depth_budget=budget)
-    reshaping = [try_associativity]
-    if opts.use_psi:
-        reshaping.append(try_complementary_associativity)
-    _worklist_phase(work, tuple(reshaping), depth_budget=budget)
-    # The reshaping rules keep rejected candidates as speculative
-    # zero-fanout gates (they seed sharing within the phase); sweep them
-    # at the phase boundary.
+    _distributivity_phase(work, budget)
+    _reshaping_phase(work, opts.use_psi, budget)
+    # Rejected reshaping candidates stay reserved as speculative gates
+    # (they seed sharing within the phase); drop them, and sweep the ones
+    # a hit or commit materialized, at the phase boundary.
     work.collect_unused()
     _sweep_commutativity(work)
-    _worklist_phase(work, (try_majority, try_distributivity_rl), depth_budget=budget)
+    _distributivity_phase(work, budget)
+
+
+def _single_fanout_table(work: Mig, fanouts: list[int]) -> bytearray:
+    """One byte per node of the phase's fanout snapshot: 1 for a gate
+    with a single reader.  (Children of a live gate are never dead, so
+    "gate" needs no live test.)"""
+    single = bytearray(map((1).__eq__, fanouts))
+    single[0] = 0
+    for pi in work._pi_ids:
+        single[pi] = 0
+    return single
+
+
+def _distributivity_phase(work: Mig, depth_budget: Optional[int]) -> None:
+    """Ω.D(R→L) over every live gate, in topological order.
+
+    The rule's own early reject runs inline, and the rule only on gates
+    that pass it: at least two children must be single-fanout gates
+    (read from :func:`_single_fanout_table`; a node created during the
+    phase counts as a candidate, and the rule reads its live fanout).
+    """
+    ca, cb, cc = work._ca, work._cb, work._cc
+    fanouts = work.fanout_snapshot()
+    single = _single_fanout_table(work, fanouts)
+    for v in list(work.topo_gates()):
+        ea = ca[v]
+        if ea < 0:  # retired by an earlier rewrite's cascade
+            continue
+        if single[ea >> 1] + single[cb[v] >> 1] + single[cc[v] >> 1] < 2:
+            continue
+        try_distributivity_rl(work, v, fanouts, depth_budget)
+        if len(ca) > len(single):
+            single.extend(b"\x01" * (len(ca) - len(single)))
+
+
+def _reshaping_phase(work: Mig, use_psi: bool, depth_budget: Optional[int]) -> None:
+    """Ω.A (and, with ``use_psi``, Ψ.A) over every live gate, in
+    topological order.
+
+    The rules' shared early reject runs inline: some single-fanout gate
+    child's inner triple, seen through the child's edge polarity, must
+    contain one of the other two children — as is for Ω.A, or
+    complemented for Ψ.A (so with Ψ.A on, the test compares nodes).  The
+    rules run, in order, only on gates that pass it, and the first that
+    fires ends the visit.
+    """
+    rules = (try_associativity,)
+    if use_psi:
+        rules += (try_complementary_associativity,)
+    # OR-ing the polarity bit in makes a child match either polarity
+    either = 1 if use_psi else 0
+    ca, cb, cc = work._ca, work._cb, work._cc
+    fanouts = work.fanout_snapshot()
+    single = _single_fanout_table(work, fanouts)
+    for v in list(work.topo_gates()):
+        ea = ca[v]
+        if ea < 0:  # retired by an earlier rewrite's cascade
+            continue
+        eb, ec = cb[v], cc[v]
+        # child n on an edge of polarity p: x is in n's polarity-adjusted
+        # triple iff x ^ p is in n's stored one (unrolled: the hot loop)
+        candidate = False
+        n = ea >> 1
+        if single[n]:
+            p = ea & 1
+            inner = (ca[n] | either, cb[n] | either, cc[n] | either)
+            candidate = ((eb ^ p) | either) in inner or ((ec ^ p) | either) in inner
+        n = eb >> 1
+        if not candidate and single[n]:
+            p = eb & 1
+            inner = (ca[n] | either, cb[n] | either, cc[n] | either)
+            candidate = ((ea ^ p) | either) in inner or ((ec ^ p) | either) in inner
+        n = ec >> 1
+        if not candidate and single[n]:
+            p = ec & 1
+            inner = (ca[n] | either, cb[n] | either, cc[n] | either)
+            candidate = ((ea ^ p) | either) in inner or ((eb ^ p) | either) in inner
+        if not candidate:
+            continue
+        for rule in rules:
+            # see _worklist_phase: a fired rule may return an empty set
+            if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
+                break
+        if len(ca) > len(single):
+            single.extend(b"\x01" * (len(ca) - len(single)))
 
 
 def _worklist_phase(
@@ -596,8 +680,7 @@ def _rewrite_objective_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
         _sweep_commutativity(work)
     if work.edit_count == edits_at_start:
         return work  # no structural edits: the private copy is already clean
-    final, _ = work.rebuild()
-    return final
+    return work.compact()
 
 
 def _private_clean_copy(mig: Mig) -> Mig:

@@ -317,7 +317,8 @@ def try_majority(
 
     ``replace_node`` already cascades Ω.M and strash merges through
     parents, so on a graph built with simplification enabled this fires
-    only for gates created with ``simplify=False``.  ``depth_budget`` is
+    only for gates created with ``simplify=False`` — which is why the
+    worklist engine's size phases do not visit it.  ``depth_budget`` is
     accepted for worklist-phase uniformity and ignored: a collapse replaces
     ``v`` by one of its own children (or a constant), which can only lower
     levels.
@@ -400,8 +401,11 @@ def try_associativity(
     it simplifies or structurally hashes to an existing node — i.e. when
     the swap opens a sharing or Ω.M opportunity without growing the graph.
     A rejected candidate is *kept* as a speculative zero-fanout gate (it
-    seeds sharing for later checks); callers sweep those with
-    :meth:`~repro.mig.graph.Mig.collect_unused` at phase boundaries.
+    seeds sharing for later checks), as a reservation
+    (:meth:`~repro.mig.graph.Mig.find_or_reserve_enc`) that becomes a full
+    gate only once the phase hits or commits something; callers sweep the
+    rest with :meth:`~repro.mig.graph.Mig.collect_unused` at phase
+    boundaries.
 
     The swap can *deepen* the graph (``x`` moves under the inner gate);
     under ``depth_budget`` a candidate whose predicted level increase
@@ -425,10 +429,8 @@ def try_associativity(
             if rest is None:
                 continue
             y, z = rest
-            before = len(mig)
-            swapped = mig.add_maj_enc(y, u, x)
-            if len(mig) > before:  # not free: keep the speculative gate
-                _inherit_order(mig, before, v)
+            swapped = mig.find_or_reserve_enc(y, u, x, v)
+            if swapped < 0:  # not free: the speculative gate is reserved
                 continue
             if depth_budget is not None:
                 replacement_level = _predicted_level(mig._levels, (z, u, swapped))
@@ -533,8 +535,8 @@ def try_complementary_associativity(
     outer gate, so it may be replaced by the *other* outer child — which
     frequently lets Ω.M fire or re-shares an existing gate.  Applied only
     when the replacement inner gate is free.  Like
-    :func:`try_associativity`, a rejected candidate stays as a speculative
-    zero-fanout gate until :meth:`~repro.mig.graph.Mig.collect_unused`, and
+    :func:`try_associativity`, a rejected candidate stays as a reserved
+    speculative gate until :meth:`~repro.mig.graph.Mig.collect_unused`, and
     like it the commit is gated under ``depth_budget`` (substituting ``x``
     for ``ū`` inside the inner gate can deepen the cone when ``x`` is the
     deeper signal).
@@ -554,12 +556,10 @@ def try_complementary_associativity(
             nu = u ^ 1
             if nu != i0 and nu != i1 and nu != i2:
                 continue
-            before = len(mig)
-            new_inner = mig.add_maj_enc(
-                x if i0 == nu else i0, x if i1 == nu else i1, x if i2 == nu else i2
+            new_inner = mig.find_or_reserve_enc(
+                x if i0 == nu else i0, x if i1 == nu else i1, x if i2 == nu else i2, v
             )
-            if len(mig) > before:  # not free: keep the speculative gate
-                _inherit_order(mig, before, v)
+            if new_inner < 0:  # not free: the speculative gate is reserved
                 continue
             if depth_budget is not None:
                 replacement_level = _predicted_level(mig._levels, (x, u, new_inner))

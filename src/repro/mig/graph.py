@@ -152,6 +152,10 @@ class Mig:
         # sort lexicographically into the replaced node's slot (see
         # topo_gates)
         self._order: Optional[list[tuple[int, ...]]] = None
+        # pending speculative reservations (find_or_reserve_enc): they are
+        # always the newest node slots, and this lists the node each one
+        # inherits its order key from
+        self._reserved: list[int] = []
         self._edit_count: int = 0
         # per-node topological levels, maintained incrementally once
         # enable_levels() is called (depth objective); None until then so
@@ -196,6 +200,8 @@ class Mig:
             name = f"i{len(self._pi_ids) + 1}"
         if name in self._name_to_pi:
             raise MigError(f"duplicate primary input name {name!r}")
+        if self._reserved:
+            self.materialize_reserved()
         index = self._new_slot(_PI, -1, -1, -1)
         self._pi_pos[index] = len(self._pi_ids)
         self._pi_ids.append(index)
@@ -240,6 +246,8 @@ class Mig:
 
     def _add_gate_enc(self, ea: int, eb: int, ec: int) -> int:
         """Strash-or-append of one gate; returns its plain encoding."""
+        if self._reserved:
+            self.materialize_reserved()
         key = self._pack_key(ea, eb, ec)
         existing = self._strash.get(key)
         if existing is not None:
@@ -448,6 +456,8 @@ class Mig:
         (ties by index), subject to children-before-parents — i.e. the
         order a chain of rebuild passes would have created them in.
         """
+        if self._reserved:
+            self.materialize_reserved()
         if not self._topo_dirty:
             return self.gates()
         if self._topo_cache_version != self._shape_version:
@@ -468,6 +478,8 @@ class Mig:
         node's index), so the order is fully determined, and a key-ordered
         graph never touches the heap.
         """
+        if self._reserved:
+            self.materialize_reserved()
         kind = self._kind
         gates = list(compress(range(len(kind)), kind.translate(_GATE_MASK)))
         keys = self._order if self._order is not None else range(len(kind))
@@ -677,6 +689,8 @@ class Mig:
     def parents_of_node(self, node: int) -> tuple[int, ...]:
         """Current live gate parents of ``node`` (each parent once)."""
         self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
         ca = self._ca
         return tuple(p for p in self._parents[node] if ca[p] >= 0)
 
@@ -695,6 +709,8 @@ class Mig:
         lexicographically within the original slot, in creation order.
         """
         self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
         self._order[node] = self._order[like] + (node,)
 
     def find_maj(self, a: Signal, b: Signal, c: Signal) -> Optional[Signal]:
@@ -758,6 +774,8 @@ class Mig:
         instruction estimate needs, maintained incrementally.
         """
         self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
         return (self.num_gates, tuple(self._hist), self._c0_noconst)
 
     def replace_node(self, old: int, new_signal: Signal) -> set[int]:
@@ -779,6 +797,8 @@ class Mig:
         self._require_inplace()
         if not self.is_gate(old):
             raise MigError(f"node {old} is not a live gate")
+        if self._reserved:
+            self.materialize_reserved()
         new_signal = self._check_signal(new_signal)
         if new_signal.node == old:
             if new_signal.inverted:
@@ -871,15 +891,104 @@ class Mig:
         if self._kind[node] == _GATE and self._refs[node] == 0:
             self._kill(node)
 
+    def find_or_reserve_enc(self, ea: int, eb: int, ec: int, like: int) -> int:
+        """Speculative :meth:`add_maj_enc` of the Ω.A/Ψ.A rules.
+
+        Returns the encoding of ``⟨ea eb ec⟩`` when the gate is free: it
+        simplifies trivially or hits the strash (a hit first materializes
+        every pending reservation, so the hit gate is a full gate).
+        Otherwise the gate is *reserved* and ``-1`` is returned.  A
+        reservation takes the next node index, the strash key and one
+        reference on each child — so ``len()``, later indices, fanout
+        reads and strash lookups are exactly those of a created gate — but
+        defers the parent sets, the histogram and the order key (which
+        ``like``'s key extended by the index will give).  Reservations are
+        always the newest slots: creating any other node, any rewiring or
+        tombstoning, and any read of parents, order keys or the
+        histogram first materializes them (:meth:`materialize_reserved`),
+        in index order, exactly as eager creation would have left them.
+        :meth:`collect_unused` drops the rest (:meth:`drop_reserved`).
+        """
+        simplified = self._simplify_enc(ea, eb, ec)
+        if simplified >= 0:
+            return simplified
+        key = self._pack_key(ea, eb, ec)
+        existing = self._strash.get(key)
+        if existing is not None:
+            if self._reserved:
+                self.materialize_reserved()
+            return existing << 1
+        index = self._new_slot(_GATE, ea, eb, ec)
+        self._strash[key] = index
+        refs = self._refs
+        refs.append(0)
+        refs[ea >> 1] += 1
+        refs[eb >> 1] += 1
+        refs[ec >> 1] += 1
+        if self._levels is not None:
+            levels = self._levels
+            levels.append(1 + max(levels[ea >> 1], levels[eb >> 1], levels[ec >> 1]))
+        self._reserved.append(like)
+        return -1
+
+    def materialize_reserved(self) -> None:
+        """Turn every pending reservation into a full gate, in index order:
+        parent-set entries, histogram and order key exactly as
+        :meth:`add_maj_enc` plus :meth:`inherit_order` would have set them."""
+        likes = self._reserved
+        self._reserved = []
+        ca, cb, cc = self._ca, self._cb, self._cc
+        parents, order = self._parents, self._order
+        for index, like in enumerate(likes, len(ca) - len(likes)):
+            parents.append(set())
+            order.append(order[like] + (index,))
+            ea, eb, ec = ca[index], cb[index], cc[index]
+            parents[ea >> 1].add(index)
+            parents[eb >> 1].add(index)
+            parents[ec >> 1].add(index)
+            self._hist_add_enc(ea, eb, ec)
+        self._shape_version += 1
+
+    def drop_reserved(self) -> None:
+        """Tombstone every pending reservation (the end of a speculation
+        phase): the same tombstones and released child references as
+        creating the gates and :meth:`_kill`-ing them.  No child loses its
+        last reader here: its real readers are those it had when it was
+        reserved, because any edit since would have materialized it."""
+        likes = self._reserved
+        if not likes:
+            return
+        self._reserved = []
+        ca, cb, cc = self._ca, self._cb, self._cc
+        kind, refs, strash = self._kind, self._refs, self._strash
+        first = len(ca) - len(likes)
+        for u in range(first, len(ca)):
+            ea, eb, ec = ca[u], cb[u], cc[u]
+            key = self._pack_key(ea, eb, ec)
+            if strash.get(key) == u:
+                del strash[key]
+            ca[u] = cb[u] = cc[u] = -1
+            kind[u] = _DEAD
+            refs[ea >> 1] -= 1
+            refs[eb >> 1] -= 1
+            refs[ec >> 1] -= 1
+        # tombstones read neither parent sets nor order keys
+        self._parents.extend([None] * len(likes))
+        self._order.extend([None] * len(likes))
+        self._num_dead += len(likes)
+        self._edit_count += len(likes)
+        self._shape_version += 1
+
     def collect_unused(self) -> int:
         """Tombstone every live gate that nothing reads; returns the count.
 
         Speculative gates a rule created but did not commit (they stay in
         the strash so later pattern checks can share them) are swept here
-        at phase boundaries.
+        at phase boundaries; pending reservations are dropped first.
         """
         self._require_inplace()
         before = self._num_dead
+        self.drop_reserved()
         kind = self._kind
         refs = self._refs
         for v in compress(range(len(kind)), kind.translate(_GATE_MASK)):
@@ -938,6 +1047,8 @@ class Mig:
 
     def _kill(self, node: int) -> None:
         """Tombstone ``node`` and, recursively, children left without readers."""
+        if self._reserved:
+            self.materialize_reserved()
         ca, cb, cc = self._ca, self._cb, self._cc
         kind = self._kind
         refs = self._refs
@@ -1027,6 +1138,45 @@ class Mig:
             new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
         return new, {n: Signal(e) for n, e in enc_map.items()}
 
+    def compact(self) -> "Mig":
+        """:meth:`rebuild` that only renumbers: the same node order and
+        stored child order, without the Ω.M simplification and the strash
+        lookups.
+
+        Equal to ``rebuild()[0]`` whenever no live gate is Ω.M-reducible
+        and no two live gates share a strash key — the state an in-place
+        rewrite leaves behind, where the worklist engine uses it for its
+        closing compaction.
+        """
+        new = Mig(name=self.name)
+        # old node -> new plain encoding (the constant stays 0)
+        enc_map = array("q", bytes(8 * len(self._kind)))
+        for node, name in zip(self._pi_ids, self._pi_names):
+            enc_map[node] = int(new.add_pi(name))
+        live = self._live_mark()
+        ca, cb, cc = self._ca, self._cb, self._cc
+        nca, ncb, ncc = new._ca, new._cb, new._cc
+        strash = new._strash
+        pack = Mig._pack_key
+        index = len(nca)
+        for v in self.topo_gates():
+            if not live[v]:
+                continue
+            ea, eb, ec = ca[v], cb[v], cc[v]
+            na = enc_map[ea >> 1] ^ (ea & 1)
+            nb = enc_map[eb >> 1] ^ (eb & 1)
+            nc = enc_map[ec >> 1] ^ (ec & 1)
+            nca.append(na)
+            ncb.append(nb)
+            ncc.append(nc)
+            strash[pack(na, nb, nc)] = index
+            enc_map[v] = index << 1
+            index += 1
+        new._kind.extend(bytes((_GATE,)) * (index - len(new._kind)))
+        for po, name in zip(self._pos, self._po_names):
+            new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
+        return new
+
     def _live_mark(self) -> bytearray:
         """One byte per node slot: 1 for gates reachable from the primary
         outputs, 0 for everything else."""
@@ -1058,6 +1208,8 @@ class Mig:
         :meth:`enable_inplace` on it again if needed); tombstones, the
         edit counter and the index-order flag carry over.
         """
+        if self._reserved:
+            self.materialize_reserved()
         new = Mig(name=self.name)
         new._ca = self._ca[:]
         new._cb = self._cb[:]

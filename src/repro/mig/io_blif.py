@@ -13,26 +13,29 @@ function's 6-row cover, which any BLIF consumer (ABC, SIS) accepts.
 
 from __future__ import annotations
 
-from typing import Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from repro.errors import ParseError
 from repro.mig.build import LogicBuilder
 from repro.mig.graph import Mig
+from repro.mig.io_mig import text_lines
 from repro.mig.signal import Signal
 
 
 def read_blif(path_or_file) -> Mig:
-    """Parse a combinational BLIF file into an MIG."""
-    if hasattr(path_or_file, "read"):
-        return _read(path_or_file)
-    with open(path_or_file, "r", encoding="utf-8") as handle:
-        return _read(handle)
+    """Parse a combinational BLIF file (path, or open text or binary
+    file) into an MIG.
+
+    Malformed input — including a line that is not UTF-8 — raises
+    :class:`~repro.errors.ParseError` with the line number.
+    """
+    return _read(text_lines(path_or_file))
 
 
-def _logical_lines(handle: TextIO):
+def _logical_lines(lines: Iterable[str]):
     """BLIF line continuation (trailing backslash) and comment stripping."""
     buffer = ""
-    for lineno, raw in enumerate(handle, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
         if line.endswith("\\"):
             buffer += line[:-1] + " "
@@ -44,14 +47,14 @@ def _logical_lines(handle: TextIO):
             yield lineno, line.strip()
 
 
-def _read(handle: TextIO) -> Mig:
+def _read(lines: Iterable[str]) -> Mig:
     builder: Optional[LogicBuilder] = None
     signals: dict[str, Signal] = {}
     outputs: list[str] = []
     pending: list[tuple[int, str, list[str], list[tuple[str, str]]]] = []
     current: Optional[tuple[int, str, list[str], list[tuple[str, str]]]] = None
 
-    for lineno, line in _logical_lines(handle):
+    for lineno, line in _logical_lines(lines):
         if line.startswith(".model"):
             builder = LogicBuilder(name=line[6:].strip() or None)
         elif line.startswith(".inputs"):

@@ -15,7 +15,8 @@ exactly (it matters to child-order translation).
 
 from __future__ import annotations
 
-from typing import Optional, TextIO
+import io
+from typing import Iterable, Iterator, Optional, TextIO
 
 from repro.errors import ParseError
 from repro.mig.graph import Mig
@@ -53,14 +54,44 @@ def _signal_text(mig: Mig, signal: Signal) -> str:
 
 
 def read_mig(path_or_file) -> Mig:
-    """Parse a ``.mig`` file (path or open text file)."""
+    """Parse a ``.mig`` file (path, or open text or binary file).
+
+    Malformed input — including a line that is not UTF-8 — raises
+    :class:`~repro.errors.ParseError` with the line number.
+    """
+    return _read(text_lines(path_or_file))
+
+
+def text_lines(path_or_file) -> Iterable[str]:
+    """The lines of a text circuit file: a path, or an open text or
+    binary file.
+
+    Bytes are split at universal newlines, as text mode does, and decoded
+    as UTF-8 line by line, so a line that does not decode raises
+    :class:`~repro.errors.ParseError` with its number — as
+    :meth:`~repro.plim.program.Program.from_text` does.
+    """
+    if isinstance(path_or_file, io.TextIOBase):
+        return path_or_file
     if hasattr(path_or_file, "read"):
-        return _read(path_or_file)
-    with open(path_or_file, "r", encoding="utf-8") as handle:
-        return _read(handle)
+        data = path_or_file.read()
+    else:
+        with open(path_or_file, "rb") as handle:
+            data = handle.read()
+    if isinstance(data, str):
+        return io.StringIO(data)
+    return _decoded_lines(data)
 
 
-def _read(handle: TextIO) -> Mig:
+def _decoded_lines(data: bytes) -> Iterator[str]:
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ParseError(f"not valid UTF-8: {error.reason}", lineno) from None
+
+
+def _read(lines: Iterable[str]) -> Mig:
     mig: Optional[Mig] = None
     by_name: dict[str, Signal] = {}
 
@@ -80,7 +111,7 @@ def _read(handle: TextIO) -> Mig:
                 raise ParseError(f"unknown signal {token!r}", lineno) from None
         return ~signal if inverted else signal
 
-    for lineno, raw in enumerate(handle, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

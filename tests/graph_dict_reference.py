@@ -181,6 +181,10 @@ class DictMig:
         # and iteration order stays aligned with the rebuild engine
         # (see topo_gates)
         self._order: Optional[list[tuple[int, ...]]] = None
+        # pending speculative reservations (find_or_reserve_enc): they are
+        # always the newest node slots, and this lists the node each one
+        # inherits its order key from
+        self._reserved: list[int] = []
         self._edit_count: int = 0
         # per-node topological levels, maintained incrementally once
         # enable_levels() is called (depth objective); None until then so
@@ -200,6 +204,8 @@ class DictMig:
 
     def add_pi(self, name: Optional[str] = None) -> Signal:
         """Append a primary input and return its (plain) signal."""
+        if self._reserved:
+            self.materialize_reserved()
         index = len(self._children)
         if name is None:
             name = f"i{len(self._pi_ids) + 1}"
@@ -231,6 +237,8 @@ class DictMig:
             simplified = self._simplify_triple(a, b, c)
             if simplified is not None:
                 return simplified
+        if self._reserved:
+            self.materialize_reserved()
         key = self._strash_key(a, b, c)
         existing = self._strash.get(key)
         if existing is not None:
@@ -432,6 +440,8 @@ class DictMig:
         (ties by index), subject to children-before-parents — i.e. the
         order a chain of rebuild passes would have created them in.
         """
+        if self._reserved:
+            self.materialize_reserved()
         if not self._topo_dirty:
             yield from self.gates()
             return
@@ -442,6 +452,8 @@ class DictMig:
 
     def _topo_order(self) -> list[int]:
         """Stable topological sort of the live gates by order key."""
+        if self._reserved:
+            self.materialize_reserved()
         children = self._children
         order = self._order
 
@@ -638,6 +650,8 @@ class DictMig:
     def parents_of_node(self, node: int) -> tuple[int, ...]:
         """Current live gate parents of ``node`` (each parent once)."""
         self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
         return tuple(p for p in self._parents[node] if self._children[p] is not None)
 
     def po_edges_of(self, node: int) -> list[Signal]:
@@ -655,6 +669,8 @@ class DictMig:
         lexicographically within the original slot, in creation order.
         """
         self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
         self._order[node] = self._order[like] + (node,)
 
     def find_maj(self, a: Signal, b: Signal, c: Signal) -> Optional[Signal]:
@@ -718,6 +734,8 @@ class DictMig:
         instruction estimate needs, maintained incrementally.
         """
         self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
         return (self.num_gates, tuple(self._hist), self._c0_noconst)
 
     def replace_node(self, old: int, new_signal: Signal) -> set[int]:
@@ -739,6 +757,8 @@ class DictMig:
         self._require_inplace()
         if not self.is_gate(old):
             raise MigError(f"node {old} is not a live gate")
+        if self._reserved:
+            self.materialize_reserved()
         new_signal = self._check_signal(new_signal)
         if new_signal.node == old:
             if new_signal.inverted:
@@ -819,16 +839,84 @@ class DictMig:
         if self.is_gate(node) and self._refs[node] == 0:
             self._kill(node)
 
+    def find_or_reserve_enc(self, ea: int, eb: int, ec: int, like: int) -> int:
+        """Speculative ``add_maj_enc`` of the Ω.A/Ψ.A rules: the encoding
+        of the gate when it is free (Ω.M or a strash hit, which first
+        materializes every pending reservation), else ``-1`` after
+        reserving it — index, strash key and child references now; parent
+        sets, histogram and order key (``like``'s, extended) deferred."""
+        a, b, c = Signal(ea), Signal(eb), Signal(ec)
+        simplified = self._simplify_triple(a, b, c)
+        if simplified is not None:
+            return int(simplified)
+        key = self._strash_key(a, b, c)
+        existing = self._strash.get(key)
+        if existing is not None:
+            if self._reserved:
+                self.materialize_reserved()
+            return existing << 1
+        index = len(self._children)
+        self._children.append((a, b, c))
+        self._strash[key] = index
+        self._refs.append(0)
+        for s in (a, b, c):
+            self._refs[s.node] += 1
+        if self._levels is not None:
+            self._levels.append(1 + max(self._levels[s.node] for s in (a, b, c)))
+        self._reserved.append(like)
+        return -1
+
+    def materialize_reserved(self) -> None:
+        """Turn every pending reservation into a full gate, in index order,
+        exactly as ``add_maj`` plus ``inherit_order`` would have left it."""
+        likes = self._reserved
+        self._reserved = []
+        first = len(self._children) - len(likes)
+        for index, like in enumerate(likes, first):
+            self._parents.append(set())
+            self._order.append(self._order[like] + (index,))
+            triple = self._children[index]
+            for s in triple:
+                self._parents[s.node].add(index)
+            self._hist_add(triple)
+        self._shape_version += 1
+
+    def drop_reserved(self) -> None:
+        """Tombstone every pending reservation, releasing its child
+        references (no child loses its last reader: any edit since the
+        reservation would have materialized it)."""
+        likes = self._reserved
+        if not likes:
+            return
+        self._reserved = []
+        first = len(self._children) - len(likes)
+        for u in range(first, len(self._children)):
+            triple = self._children[u]
+            key = self._strash_key(*triple)
+            if self._strash.get(key) == u:
+                del self._strash[key]
+            self._children[u] = None
+            self._dead.add(u)
+            for s in triple:
+                self._refs[s.node] -= 1
+        # tombstones read neither parent sets nor order keys
+        self._parents.extend([None] * len(likes))
+        self._order.extend([None] * len(likes))
+        self._edit_count += len(likes)
+        self._shape_version += 1
+
     def collect_unused(self) -> int:
         """Tombstone every live gate that nothing reads; returns the count.
 
         Speculative gates a rule created but did not commit (they stay in
         the strash so later pattern checks can share them, exactly like the
         abandoned gates of a rebuild pass) are swept here at phase
-        boundaries — the in-place analogue of a pass's trailing rebuild.
+        boundaries — the in-place analogue of a pass's trailing rebuild;
+        pending reservations are dropped first.
         """
         self._require_inplace()
         before = len(self._dead)
+        self.drop_reserved()
         for v in range(1, len(self._children)):
             if self._children[v] is not None and self._refs[v] == 0:
                 self._kill(v)
@@ -882,6 +970,8 @@ class DictMig:
 
     def _kill(self, node: int) -> None:
         """Tombstone ``node`` and, recursively, children left without readers."""
+        if self._reserved:
+            self.materialize_reserved()
         stack = [node]
         while stack:
             u = stack.pop()
@@ -965,6 +1055,30 @@ class DictMig:
             new.add_po(mapping[po.node].xor_inversion(po.inverted), name)
         return new, mapping
 
+    def compact(self) -> "DictMig":
+        """:meth:`rebuild` that only renumbers: each live gate is appended
+        as is, without Ω.M simplification or strash lookups (equal to
+        ``rebuild()[0]`` when no live gate is reducible and no two share a
+        strash key)."""
+        new = DictMig(name=self.name)
+        mapping: dict[int, Signal] = {0: Signal.CONST0}
+        for node, name in zip(self._pi_ids, self._pi_names):
+            mapping[node] = new.add_pi(name)
+        live = self._live_set()
+        for v in self.topo_gates():
+            if v not in live:
+                continue
+            triple = tuple(
+                mapping[s.node].xor_inversion(s.inverted) for s in self._children[v]
+            )
+            index = len(new._children)
+            new._children.append(triple)
+            new._strash[new._strash_key(*triple)] = index
+            mapping[v] = Signal.make(index)
+        for po, name in zip(self._pos, self._po_names):
+            new.add_po(mapping[po.node].xor_inversion(po.inverted), name)
+        return new
+
     def _live_set(self) -> set[int]:
         """Gates reachable from the primary outputs."""
         live: set[int] = set()
@@ -990,6 +1104,8 @@ class DictMig:
         :meth:`enable_inplace` on it again if needed); tombstones, the
         edit counter and the index-order flag carry over.
         """
+        if self._reserved:
+            self.materialize_reserved()
         new = DictMig(name=self.name)
         new._children = list(self._children)
         new._pi_ids = list(self._pi_ids)

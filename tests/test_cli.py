@@ -8,6 +8,7 @@ from repro.mig.io_aiger import write_aiger
 from repro.mig.io_blif import write_blif
 from repro.mig.io_mig import write_mig
 
+from test_io import NON_UTF8
 from test_program import CELL_BOMBS, MALFORMED_PLIM, fails_fast_and_small
 
 
@@ -31,6 +32,17 @@ class TestLoadCircuit:
         path = tmp_path / "c.xyz"
         path.write_text("")
         assert main(["stats", str(path)]) == 2  # ReproError → exit 2
+
+    @pytest.mark.parametrize("case", sorted(NON_UTF8))
+    def test_non_utf8_circuit_exits_2_without_traceback(self, case, tmp_path, capsys):
+        data, line = NON_UTF8[case]
+        path = tmp_path / f"bad.{case.split('-')[0]}"
+        path.write_bytes(data)
+        assert main(["compile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"plimc: error: line {line}: not valid UTF-8")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestCompileCommand:

@@ -141,6 +141,58 @@ class TestBlif:
         assert mig.num_pis == 2
 
 
+#: text circuits with one byte that is not UTF-8, and the line it is on
+NON_UTF8 = {
+    "mig": (b".mig t\n.pi a b\nn1 = <a, b, 0>\n.po f = n1 \xff\n.end\n", 4),
+    "mig-comment": (b".mig t\n# caf\xe9\n.pi a\n.po f = a\n.end\n", 2),
+    "blif": (b".model t\n.inputs a b\n.outputs f\n.names a b f\n11 1\xff\n.end\n", 5),
+    "blif-crlf": (b".model t\r\n.inputs \xfe\r\n.outputs f\r\n.end\r\n", 2),
+}
+READERS = {"mig": read_mig, "blif": read_blif}
+
+
+class TestNonUtf8Text:
+    """A byte that is not UTF-8 is a ParseError with its line, never a
+    ``UnicodeDecodeError``."""
+
+    @pytest.mark.parametrize("case", sorted(NON_UTF8))
+    def test_path_raises_parse_error_with_line(self, case, tmp_path):
+        data, line = NON_UTF8[case]
+        path = tmp_path / f"bad.{case.split('-')[0]}"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            READERS[case.split("-")[0]](str(path))
+        assert info.value.line == line
+        assert "not valid UTF-8" in str(info.value)
+
+    @pytest.mark.parametrize("case", sorted(NON_UTF8))
+    def test_binary_handle_raises_parse_error_with_line(self, case):
+        data, line = NON_UTF8[case]
+        with pytest.raises(ParseError) as info:
+            READERS[case.split("-")[0]](io.BytesIO(data))
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "writer, reader", [(write_mig, read_mig), (write_blif, read_blif)]
+    )
+    def test_crlf_and_binary_handles_parse_like_text(self, writer, reader, tmp_path):
+        mig = random_mig(3, num_pis=4, num_gates=12)
+        buffer = io.StringIO()
+        writer(mig, buffer)
+        text = buffer.getvalue()
+        path = tmp_path / "crlf"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        expected = truth_tables(reader(io.StringIO(text)))
+        assert truth_tables(reader(str(path))) == expected
+        assert truth_tables(reader(io.BytesIO(text.encode("utf-8")))) == expected
+
+    def test_later_errors_keep_their_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.mig"
+        path.write_bytes(b".mig t\r\n.pi a\r\n\r\nn1 = <a, b, 0>\r\n")
+        with pytest.raises(ParseError, match="line 4: unknown signal"):
+            read_mig(str(path))
+
+
 class TestAiger:
     @pytest.mark.parametrize("seed", range(4))
     def test_roundtrip_function(self, seed):
