@@ -7,13 +7,20 @@ is where candidate selection earns the paper's #R reductions.
 Run directly (``python benchmarks/bench_compiler.py [--scale ci] [--workers N]``)
 to emit ``BENCH_compiler.json`` next to this file: wall time plus #I/#R per
 registry circuit, so successive PRs have a machine-readable perf trajectory.
+Its ``cutoff`` section shows what ``reorder="best"`` compiles per rewritten
+circuit: the DFS image in full, then as many as-given gates as it takes
+to prove that order loses (all of them when it does not), and the order
+that won.
 """
+
+from unittest import mock
 
 try:
     import pytest
 except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
+import repro.core.compiler as compiler_module
 from repro.circuits.registry import benchmark_info
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.rewriting import rewrite_for_plim
@@ -73,6 +80,32 @@ if pytest is not None:
 # ----------------------------------------------------------------------
 
 
+def cutoff_row(mig) -> dict:
+    """One default compile of ``mig``: gates translated per order and the
+    order that won (translations counted by wrapping the translator)."""
+    runs = []
+
+    class Recorder(PlimCompiler):
+        def _compile_ordered(self, ctx, bound=None):
+            before = translate.call_count
+            program = super()._compile_ordered(ctx, bound)
+            runs.append((translate.call_count - before, program))
+            return program
+
+    with mock.patch.object(
+        compiler_module, "translate_node_fast", wraps=compiler_module.translate_node_fast
+    ) as translate:
+        program = Recorder().compile(mig)
+    (dfs_gates, dfs), (as_given_gates, as_given) = runs
+    return {
+        "num_gates": dfs_gates,
+        "dfs": {"num_rrams": dfs.num_rrams, "num_instructions": dfs.num_instructions},
+        "as_given_gates": as_given_gates,
+        "cut_off": as_given is None,
+        "winner": "dfs" if program is dfs else "as_given",
+    }
+
+
 def main(argv=None) -> int:
     """Compile the registry and write BENCH_compiler.json (time, #I, #R)."""
     import time
@@ -91,6 +124,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     results = compile_many(specs, option_sets, workers=args.workers, rewrite=True)
     wall = time.perf_counter() - start
+    cutoff = {
+        name: cutoff_row(rewrite_for_plim(benchmark_info(name).build(args.scale)))
+        for name in BENCHMARK_NAMES
+    }
 
     _common.write_snapshot(
         args.output,
@@ -99,6 +136,7 @@ def main(argv=None) -> int:
         wall,
         scale=args.scale,
         workers=args.workers,
+        cutoff=cutoff,
     )
     return 0
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
+from sys import maxsize
 from time import perf_counter
 from typing import Optional
 
@@ -64,9 +65,11 @@ class CompilerOptions:
     #: postorder before scheduling, making cell liveness independent of the
     #: input file's gate order; "none" keeps the given order (the naïve
     #: baseline translates in as-given index order, like the paper's);
-    #: "best" (default) compiles under both orders and keeps the program
-    #: with fewer work RRAMs — DFS wins on hostile orders, the as-given
-    #: order can win when the builder interleaved shared consumers.
+    #: "best" (default) keeps the program with fewer work RRAMs, then
+    #: fewer instructions, ties going to the as-given order — DFS wins on
+    #: hostile orders, the as-given order can win when the builder
+    #: interleaved shared consumers.  It compiles the DFS image first, then
+    #: the as-given order only until its partial program provably loses.
     reorder: str = "best"
     #: candidate-selection rule toggles (ablation X5).  The paper's
     #: comparator is releasing → levels → index; on creation-ordered MIGs
@@ -142,7 +145,9 @@ class PlimCompiler:
         ``schedule_seconds`` covers graph preparation (cleanup, reorder,
         cached analyses) plus candidate-scheduler construction;
         ``translate_seconds`` covers the translation loop and output
-        fix-up.  With ``reorder="best"`` both compilations are included.
+        fix-up.  With ``reorder="best"`` both compilations are included:
+        the DFS image in full, then the as-given order until it provably
+        loses.
         """
         return dict(self._timings)
 
@@ -165,13 +170,25 @@ class PlimCompiler:
         if self.options.reorder == "dfs":
             return self._compile_ordered(dfs_ctx)
         if self.options.reorder == "best":
-            as_given = self._compile_ordered(ctx)
             dfs = self._compile_ordered(dfs_ctx)
-            return dfs if _program_cost(dfs) < _program_cost(as_given) else as_given
+            as_given = self._compile_ordered(ctx, _program_cost(dfs))
+            if as_given is None or _program_cost(dfs) < _program_cost(as_given):
+                return dfs
+            return as_given
         return self._compile_ordered(ctx)
 
-    def _compile_ordered(self, ctx: AnalysisContext) -> Program:
-        """Run Algorithm 2 on an MIG whose node order is final."""
+    def _compile_ordered(
+        self, ctx: AnalysisContext, bound: Optional[tuple[int, int]] = None
+    ) -> Optional[Program]:
+        """Run Algorithm 2 on an MIG whose node order is final.
+
+        With a ``bound`` of ``(work RRAMs, instructions)`` — the program
+        to beat under :func:`_program_cost`, ties going to this order —
+        the loop returns ``None`` as soon as the partial program provably
+        loses: both counts only grow while the loop runs, so once it uses
+        more cells than the bound, or as many cells and more
+        instructions, the finished program would too.
+        """
         start = perf_counter()
         mig = ctx.mig
         program = Program(
@@ -218,9 +235,17 @@ class PlimCompiler:
         remaining = state.remaining
         pop = scheduler.pop
         refresh = scheduler.refresh
+        work_cells = program.work_cells
+        max_cells, max_instructions = bound if bound is not None else (maxsize, 0)
         while len(scheduler):
             v = pop()
             translate_node_fast(state, v, naive=naive)
+            if len(work_cells) >= max_cells and (
+                len(work_cells) > max_cells
+                or program.num_instructions > max_instructions
+            ):
+                self._timings["translate_seconds"] += perf_counter() - start
+                return None
             computed[v] = 1
             translated += 1
             for parent in parents[v]:

@@ -53,8 +53,8 @@ from repro.core.cost import (
 )
 from repro.errors import MigError, ReproError
 from repro.mig.algebra import (
+    UNIQUE_PERMUTATION,
     _best_permutation,
-    _gate_key,
     _leaf_keys,
     flip_complement,
     try_associativity,
@@ -488,38 +488,60 @@ def _sweep_commutativity(work: Mig) -> None:
     Purely a stored-order change (the strash key is order-insensitive), so
     no worklist is needed — one linear sweep suffices.  The sweep computes
     the :func:`~repro.mig.algebra.structural_keys` tie-break keys in the
-    same topological pass (a reorder never changes a key), classifies each
-    child into one of the four :data:`~repro.mig.algebra.SLOT_CLASSES`,
-    and picks the permutation with
-    :func:`~repro.mig.algebra._best_permutation` (a table lookup plus the
-    structural-key tie-break).
+    same topological pass (a reorder never changes a key), reads each
+    child's :data:`~repro.mig.algebra.SLOT_CLASSES` index from a per-sweep
+    table (a reorder never changes a fanout either), and takes the
+    permutation from :data:`~repro.mig.algebra.UNIQUE_PERMUTATION`; only
+    score ties go to :func:`~repro.mig.algebra._best_permutation` and its
+    structural-key tie-break.
     """
     keys = _leaf_keys(work)
     ca, cb, cc = work._ca, work._cb, work._cc
-    refs = work._refs
+    child_class = _child_class_table(work)
+    unique = UNIQUE_PERMUTATION
     for v in list(work.topo_gates()):
         ea = ca[v]
         if ea < 0:
             continue
         eb, ec = cb[v], cc[v]
+        ka, kb, kc = keys[ea >> 1], keys[eb >> 1], keys[ec >> 1]
+        pa, pb, pc = ea & 1, eb & 1, ec & 1
+        index = 16 * child_class[ea] + 4 * child_class[eb] + child_class[ec]
+        perm = unique[index]
+        if perm is None:
+            perm = _best_permutation(index, ((ka, pa), (kb, pb), (kc, pc)))
         enc = (ea, eb, ec)
-        pairs = ((keys[ea >> 1], ea & 1), (keys[eb >> 1], eb & 1), (keys[ec >> 1], ec & 1))
-        keys[v] = _gate_key(*pairs)
-        index = 0
-        for e in enc:
-            n = e >> 1
-            if n == 0:
-                cls = 0  # constant
-            elif e & 1:
-                cls = 1  # complemented
-            elif ca[n] >= 0 and refs[n] == 1:
-                cls = 2  # plain single-fanout gate
-            else:
-                cls = 3  # other plain child
-            index = 4 * index + cls
-        a, b, z = _best_permutation(index, pairs)
+        a, b, z = perm
         if (enc[a], enc[b], enc[z]) != enc:
             work.reorder_children_enc(v, enc[a], enc[b], enc[z])
+        # the structural key, as structural_keys computes it
+        if ka > kb or (ka == kb and pa > pb):
+            ka, kb, pa, pb = kb, ka, pb, pa
+        if kb > kc or (kb == kc and pb > pc):
+            kb, kc, pb, pc = kc, kb, pc, pb
+            if ka > kb or (ka == kb and pa > pb):
+                ka, kb, pa, pb = kb, ka, pb, pa
+        keys[v] = hash((3, ka, pa, kb, pb, kc, pc))
+
+
+#: plain-child Ω.C class by "has exactly one reader": 2 (single-fanout
+#: gate) for 1, else 3 — the constant and PIs are fixed up per table
+_PLAIN_CLASS = bytes([3, 2] + [3] * 254)
+
+
+def _child_class_table(work: Mig) -> bytearray:
+    """:data:`~repro.mig.algebra.SLOT_CLASSES` index of every child
+    encoding: 0 for the constant, 1 for a complemented edge, 2 for a
+    plain edge to a single-fanout gate, 3 for any other plain edge."""
+    plain = bytearray(map((1).__eq__, work._refs)).translate(_PLAIN_CLASS)
+    for pi in work._pi_ids:
+        plain[pi] = 3
+    plain[0] = 0
+    table = bytearray(2 * len(plain))
+    table[0::2] = plain
+    table[1::2] = b"\x01" * len(plain)
+    table[1] = 0
+    return table
 
 
 def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:

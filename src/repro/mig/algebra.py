@@ -102,18 +102,6 @@ def _leaf_keys(mig: Mig) -> list[int]:
     return keys
 
 
-def _gate_key(pa: tuple[int, int], pb: tuple[int, int], pc: tuple[int, int]) -> int:
-    """A gate's structural key from its children's ``(key, polarity)``
-    pairs, in any order: the hash of the sorted pairs."""
-    if pa > pb:
-        pa, pb = pb, pa
-    if pb > pc:
-        pb, pc = pc, pb
-        if pa > pb:
-            pa, pb = pb, pa
-    return hash((3, pa[0], pa[1], pb[0], pb[1], pc[0], pc[1]))
-
-
 #: the four Ω.C child classes, by index: constant, complemented, plain
 #: single-fanout gate, other plain child
 SLOT_CLASSES = (
@@ -139,6 +127,11 @@ def _min_cost_permutations(classes: tuple[int, int, int]) -> tuple:
 #: slot permutations for children of those :data:`SLOT_CLASSES` indices
 PERMUTATION_TABLE = tuple(
     _min_cost_permutations((i >> 4, (i >> 2) & 3, i & 3)) for i in range(64)
+)
+#: the :data:`PERMUTATION_TABLE` entry when it is a single permutation,
+#: else ``None`` (a score tie that :func:`_best_permutation` must break)
+UNIQUE_PERMUTATION = tuple(
+    perms[0] if len(perms) == 1 else None for perms in PERMUTATION_TABLE
 )
 
 
@@ -584,8 +577,12 @@ def flip_complement(mig: Mig, v: int) -> set[int]:
     fanout edge.  The flipped gate may hash to an existing node, in which
     case the flip also merges.  Unconditional — cost policies live in the
     callers (:func:`try_push_inverters`, the worklist engine's cost-aware
-    sweep).
+    sweep).  A flip to a fresh gate takes :meth:`~repro.mig.graph.Mig.flip_enc`;
+    only a strash hit goes through the generic replacement.
     """
+    affected = mig.flip_enc(v)
+    if affected is not None:
+        return affected
     ea, eb, ec = _gate_children(mig, v)
     first_new = len(mig)
     flipped = mig.add_maj_enc(ea ^ 1, eb ^ 1, ec ^ 1)

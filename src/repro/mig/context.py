@@ -29,7 +29,7 @@ is handed out as a fresh copy by :meth:`AnalysisContext.fresh_uses`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.errors import MigError
 from repro.mig import analysis
@@ -63,7 +63,9 @@ class AnalysisContext:
         self._fanout: Optional[dict[int, int]] = None
         self._uses: Optional[dict[int, int]] = None
         self._gate_order: Optional[tuple[int, ...]] = None
-        self._cleaned: Optional["AnalysisContext"] = None
+        # True once the graph proved clean (cleanup() would rebuild it
+        # as is, so the context is its own cleanup image)
+        self._cleaned: Union[None, bool, "AnalysisContext"] = None
         self._dfs: Optional["AnalysisContext"] = None
 
     @classmethod
@@ -153,11 +155,19 @@ class AnalysisContext:
     # ------------------------------------------------------------------
 
     def cleaned(self) -> "AnalysisContext":
-        """Context over the cleanup image (dead gates dropped, re-hashed)."""
+        """Context over the cleanup image (dead gates dropped, re-hashed).
+
+        When :meth:`~repro.mig.graph.Mig.is_clean` proves that
+        ``cleanup()`` would rebuild an identical graph — as it does for
+        every size-objective rewrite output — the image is this context
+        itself, with no copy made and every cached analysis shared.
+        """
         self._check_current()
         if self._cleaned is None:
-            self._cleaned = AnalysisContext(self._mig.cleanup()[0])
-        return self._cleaned
+            self._cleaned = self._mig.is_clean() or AnalysisContext(
+                self._mig.cleanup()[0]
+            )
+        return self if self._cleaned is True else self._cleaned
 
     def reordered_dfs(self) -> "AnalysisContext":
         """Context over the PO-driven DFS postorder re-indexing."""

@@ -804,16 +804,19 @@ class Mig:
             if new_signal.inverted:
                 raise MigError(f"cannot replace node {old} by its own complement")
             return set()
-        ca, cb, cc = self._ca, self._cb, self._cc
-        refs = self._refs
-        affected: set[int] = set()
-        # queue entries are (old node, replacement encoding)
-        queue: list[tuple[int, int]] = [(old, int(new_signal))]
         # Every queued replacement target is pinned with an artificial
         # reference: a sibling cascade branch may otherwise retire it
         # before its entry is processed, and readers would be redirected
         # to a tombstone.
-        refs[new_signal.node] += 1
+        self._refs[new_signal.node] += 1
+        return self._cascade([(old, int(new_signal))], set())
+
+    def _cascade(self, queue: list[tuple[int, int]], affected: set[int]) -> set[int]:
+        """The :meth:`replace_node` loop over ``queue``'s ``(old node,
+        replacement encoding)`` entries, each target pinned by one
+        reference; adds every rewired parent to ``affected``."""
+        ca, cb, cc = self._ca, self._cb, self._cc
+        refs = self._refs
         while queue:
             o, ns = queue.pop()
             ns_node = ns >> 1
@@ -848,6 +851,124 @@ class Mig:
             self._edit_count += 1
             if refs[o] == 0:
                 self._kill(o)
+        return affected
+
+    def flip_enc(self, v: int) -> Optional[set[int]]:
+        """Ω.I at live gate ``v`` when its complement is a fresh gate.
+
+        Creates ``n = ⟨ā b̄ c̄⟩`` in ``v``'s creation-order slot and
+        redirects every reader of ``v`` to ``¬n``: the same state changes,
+        in the same order, as :meth:`add_maj_enc`, :meth:`inherit_order`
+        and ``replace_node(v, ~n)``, so parent sets iterate alike.
+        Returns ``None``, changing nothing but pending reservations, when
+        the complemented triple simplifies or hits the strash; else the
+        rewired parents plus ``n`` if it is live.
+
+        No cascade can start from a fresh ``n``: a rewired parent's new
+        key holds ``n``, which no other gate reads yet, so it can equal
+        only another rewired parent's — two readers of ``v`` that already
+        shared a key.  Should one start anyway (a strash-evicted
+        duplicate, an Ω.M-reducible parent), it runs as in
+        :meth:`replace_node`.
+        """
+        self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
+        ca, cb, cc = self._ca, self._cb, self._cc
+        ea = ca[v]
+        if ea < 0:
+            raise MigError(f"node {v} is not a live gate")
+        ea, eb, ec = ea ^ 1, cb[v] ^ 1, cc[v] ^ 1
+        if self._simplify_enc(ea, eb, ec) >= 0:
+            return None
+        pack = self._pack_key
+        strash = self._strash
+        key = pack(ea, eb, ec)
+        if key in strash:
+            return None
+        # add_maj_enc + inherit_order
+        n = self._new_slot(_GATE, ea, eb, ec)
+        strash[key] = n
+        refs, parents, hist = self._refs, self._parents, self._hist
+        refs.append(0)
+        parents.append(set())
+        self._order.append(self._order[v] + (n,))
+        self._shape_version += 1
+        for e in (ea, eb, ec):
+            refs[e >> 1] += 1
+            parents[e >> 1].add(n)
+        self._hist_add_enc(ea, eb, ec)
+        levels = self._levels
+        if levels is not None:
+            levels.append(1 + max(levels[ea >> 1], levels[eb >> 1], levels[ec >> 1]))
+        # replace_node(v, ~n): POs first, then each parent (_rewire_enc
+        # inlined: v's slots become ~n, every other child keeps its edge)
+        ns = (n << 1) | 1
+        po_indices = self._po_of.pop(v, ())
+        if po_indices:
+            pos = self._pos
+            for po_index in po_indices:
+                pos[po_index] = Signal(ns ^ (pos[po_index] & 1))
+                refs[v] -= 1
+                refs[n] += 1
+            self._po_of[n] = list(po_indices)
+        affected: set[int] = set()
+        queue: list[tuple[int, int]] = []
+        for p in list(parents[v]):
+            pa = ca[p]
+            if pa < 0:
+                continue
+            pb, pc = cb[p], cc[p]
+            old_key = pack(pa, pb, pc)
+            if strash.get(old_key) == p:
+                del strash[old_key]
+            na, nb, nc = pa, pb, pc
+            if pa >> 1 == v:
+                na = ns ^ (pa & 1)
+                refs[v] -= 1
+                refs[n] += 1
+            if pb >> 1 == v:
+                nb = ns ^ (pb & 1)
+                refs[v] -= 1
+                refs[n] += 1
+            if pc >> 1 == v:
+                nc = ns ^ (pc & 1)
+                refs[v] -= 1
+                refs[n] += 1
+            parents[v].discard(p)
+            parents[n].add(p)
+            c_old = (pa > 1 and pa & 1) + (pb > 1 and pb & 1) + (pc > 1 and pc & 1)
+            c_new = (na > 1 and na & 1) + (nb > 1 and nb & 1) + (nc > 1 and nc & 1)
+            hist[c_old] -= 1
+            hist[c_new] += 1
+            if not (pa < 2 or pb < 2 or pc < 2):
+                self._c0_noconst += (c_new == 0) - (c_old == 0)
+            ca[p] = na
+            cb[p] = nb
+            cc[p] = nc
+            self._edit_count += 1
+            self._shape_version += 1
+            if levels is not None:
+                self._propagate_levels(p)
+            affected.add(p)
+            collapse = self._simplify_enc(na, nb, nc)
+            if collapse < 0:
+                new_key = pack(na, nb, nc)
+                owner = strash.get(new_key)
+                if owner is None or owner == p:
+                    strash[new_key] = p
+                    continue
+                collapse = owner << 1
+            queue.append((p, collapse))
+            refs[collapse >> 1] += 1  # pin until processed
+        self._topo_dirty = True
+        self._edit_count += 1
+        if refs[v] == 0:
+            self._kill(v)
+        if queue:
+            self._cascade(queue, affected)
+        if ca[n] >= 0:
+            affected.add(n)
         return affected
 
     def reorder_children(self, node: int, triple: tuple[Signal, Signal, Signal]) -> None:
@@ -1200,6 +1321,45 @@ class Mig:
     def cleanup(self) -> tuple["Mig", dict[int, Signal]]:
         """Remove dead gates and re-hash; returns (new MIG, node map)."""
         return self.rebuild()
+
+    def is_clean(self) -> bool:
+        """True when :meth:`cleanup` would rebuild this very graph.
+
+        Same node indices, stored child orders, strash, outputs and
+        names: the PIs are nodes ``1..k``; no tombstone, pending
+        reservation or in-place replacement breaks the index order; every
+        gate's children sit below it and every gate is reachable from an
+        output; no gate is Ω.M-reducible; and every gate owns its own
+        strash key.  One O(n) pass, from the top index down.
+        """
+        if self._topo_dirty or self._num_dead or self._reserved:
+            return False
+        k = len(self._pi_ids)
+        if self._pi_ids != list(range(1, k + 1)):
+            return False
+        ca, cb, cc = self._ca, self._cb, self._cc
+        strash = self._strash
+        if len(strash) != len(ca) - 1 - k:
+            return False
+        pack = self._pack_key
+        reached = bytearray(len(ca))
+        for po in self._pos:
+            reached[po >> 1] = 1
+        for v in range(len(ca) - 1, k, -1):
+            if not reached[v]:
+                return False
+            ea, eb, ec = ca[v], cb[v], cc[v]
+            top = v << 1
+            if ea >= top or eb >= top or ec >= top:
+                return False
+            if ea == eb or ea == ec or eb == ec:
+                return False
+            if ea ^ 1 == eb or ea ^ 1 == ec or eb ^ 1 == ec:
+                return False
+            if strash.get(pack(ea, eb, ec)) != v:
+                return False
+            reached[ea >> 1] = reached[eb >> 1] = reached[ec >> 1] = 1
+        return True
 
     def clone(self) -> "Mig":
         """Deep copy preserving node indices (including dead gates).

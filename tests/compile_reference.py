@@ -539,10 +539,12 @@ class ReferenceCompiler(PlimCompiler):
 
     Graph preparation (cleanup, DFS reorder, ``reorder="best"``) and the
     timings are inherited; only the per-order Algorithm 2 loop is the
-    Signal/dict one.
+    Signal/dict one.  It ignores the cut-off ``bound`` and always compiles
+    the order in full, so ``reorder="best"`` here compares two finished
+    programs — the oracle for the shipped loop's early cut-off.
     """
 
-    def _compile_ordered(self, ctx: AnalysisContext) -> Program:
+    def _compile_ordered(self, ctx: AnalysisContext, bound=None) -> Program:
         start = perf_counter()
         mig = ctx.mig
         program = Program(

@@ -18,7 +18,8 @@ core — but it stays behind as
 
 It exposes the same hot-path encoding protocol as the array core
 (read-only ``_ca``/``_cb``/``_cc``/``_kind`` views, ``add_maj_enc``,
-``_pack_key``, ``reorder_children_enc``, ``is_append_clean``) so the
+``_pack_key``, ``reorder_children_enc``, ``flip_enc``,
+``is_append_clean``, ``is_clean``) so the
 worklist rewriting engine, the DFS reorder and the compiler run on
 either class unchanged.  No third-party imports, so the standalone
 benchmark can load this module.  Everything below the
@@ -805,6 +806,31 @@ class DictMig:
                 self._kill(o)
         return affected
 
+    def flip_enc(self, v: int) -> Optional[set[int]]:
+        """Ω.I at live gate ``v`` onto a fresh gate: when ``⟨ā b̄ c̄⟩``
+        neither simplifies nor hits the strash, ``add_maj`` +
+        ``inherit_order`` + ``replace_node(v, ~n)``, returning the rewired
+        parents plus ``n`` if live; else ``None`` with nothing changed but
+        pending reservations (the caller takes the generic path)."""
+        self._require_inplace()
+        if self._reserved:
+            self.materialize_reserved()
+        triple = self._children[v]
+        if triple is None:
+            raise MigError(f"node {v} is not a live gate")
+        flipped = tuple(~s for s in triple)
+        if (
+            self._simplify_triple(*flipped) is not None
+            or self._strash_key(*flipped) in self._strash
+        ):
+            return None
+        n = self.add_maj(*flipped).node
+        self.inherit_order(n, v)
+        affected = self.replace_node(v, Signal.make(n, True))
+        if self._children[n] is not None:
+            affected.add(n)
+        return affected
+
     def reorder_children(self, node: int, triple: tuple[Signal, Signal, Signal]) -> None:
         """Store gate ``node``'s children in a new order, in place.
 
@@ -1096,6 +1122,31 @@ class DictMig:
     def cleanup(self) -> tuple["DictMig", dict[int, Signal]]:
         """Remove dead gates and re-hash; returns (new MIG, node map)."""
         return self.rebuild()
+
+    def is_clean(self) -> bool:
+        """True when :meth:`cleanup` would rebuild this very graph: PIs
+        at nodes ``1..k``, no tombstone, reservation or in-place
+        replacement, children below their gate, every gate reachable from
+        an output, no Ω.M-reducible gate, one strash key per gate."""
+        if self._topo_dirty or self._dead or self._reserved:
+            return False
+        k = len(self._pi_ids)
+        if self._pi_ids != list(range(1, k + 1)):
+            return False
+        gates = list(self.gates())
+        if gates != list(range(k + 1, len(self._children))):
+            return False
+        if len(self._strash) != len(gates) or self._live_set() != set(gates):
+            return False
+        for v in gates:
+            triple = self._children[v]
+            if any(s.node >= v for s in triple):
+                return False
+            if self._simplify_triple(*triple) is not None:
+                return False
+            if self._strash.get(self._strash_key(*triple)) != v:
+                return False
+        return True
 
     def clone(self) -> "DictMig":
         """Deep copy preserving node indices (including dead gates).

@@ -7,6 +7,8 @@ from repro.errors import BenchmarkError
 from repro.eval import ablations
 from repro.eval.reporting import format_percent, format_table, improvement, to_csv
 from repro.eval.table1 import (
+    PAPER_TOTAL_IMPROVEMENTS,
+    Table1Result,
     Table1Row,
     format_table1,
     measure_mig,
@@ -125,9 +127,38 @@ class TestTable1Harness:
     def test_format_contains_paper_totals(self):
         result = run_table1(names=["ctrl"], scale="ci")
         text = format_table1(result)
-        assert "-61.40%" in text  # the paper's headline number
+        assert "+61.40%" in text  # the paper's headline number
         assert "ctrl" in text
         assert "SUM" in text
+
+    def test_paper_and_run_totals_share_one_sign_convention(self):
+        """The footer's two lines read alike: fed the registry's copy of
+        the paper's rows, "This run" prints the paper's published totals
+        (to rounding), sign included — positive means fewer than naive."""
+        rows = []
+        for name in BENCHMARK_NAMES:
+            p = benchmark_info(name).paper
+            rows.append(Table1Row(
+                name=name, pi=p.pi, po=p.po,
+                naive_n=p.naive_n, naive_i=p.naive_i, naive_r=p.naive_r,
+                rewr_n=p.rewr_n, rewr_i=p.rewr_i, rewr_r=p.rewr_r,
+                full_i=p.full_i, full_r=p.full_r,
+            ))
+        result = Table1Result(
+            rows=rows, scale="paper", effort=4, shuffled=False, paper_accounting=True
+        )
+        lines = format_table1(result).splitlines()
+        paper = [line for line in lines if line.startswith("Paper Table 1 totals:")]
+        run = [line for line in lines if line.startswith("This run:")]
+        assert len(paper) == len(run) == 1
+
+        def numbers(line):
+            return [float(tok[:-1]) for tok in line.split() if tok.endswith("%")]
+
+        published, reproduced = numbers(paper[0]), numbers(run[0])
+        assert published == list(PAPER_TOTAL_IMPROVEMENTS)
+        assert all(value > 0 for value in published)
+        assert reproduced == pytest.approx(published, abs=0.015)
 
     def test_sum_row_depth_is_max_not_sum(self):
         """Depth is not additive across circuits: the Σ row reports the
