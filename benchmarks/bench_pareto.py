@@ -14,16 +14,13 @@ Table 1 registry circuit, asserting the acceptance bar per circuit:
 The sweep is written to ``BENCH_pareto.json`` next to this file, so
 successive PRs have a machine-readable frontier trajectory.
 
-The standalone mode additionally measures the *incremental* sweep: every
-circuit is swept four ways — cold (per-budget restarts, the pre-warm
-baseline, no cache), warm (warm-started budget chains, no cache — the
-pure chaining effect), warm+populate (the same warm sweep writing a disk
-cache, so its time includes fingerprinting/serialization overhead), and
-warm+cached (a repeat against the populated cache).  Per circuit it
-asserts the warm frontier equals-or-dominates the cold frontier
-point-for-point and that caching never changes the frontier; overall it
-asserts the warm+cached sweep is >= 3x faster than the cold sweep.  The
-timings land in ``BENCH_pareto_incremental.json``.
+The standalone mode additionally measures the synthesis cache: every
+circuit is swept three ways — cold (no cache), populate (the same sweep
+writing a disk cache, so its time includes fingerprinting/serialization
+overhead) and cached (a repeat against the populated cache).  Per circuit
+it asserts that caching never changes the frontier; overall it asserts
+the cached sweep is >= 3x faster than the cold sweep.  The timings land
+in ``BENCH_pareto_incremental.json``.
 """
 
 try:
@@ -81,20 +78,9 @@ if pytest is not None:
 # ----------------------------------------------------------------------
 
 
-def front_equals_or_dominates(warm: ParetoFront, cold: ParetoFront) -> list:
-    """Cold frontier points no warm point equals-or-dominates (ideally [])."""
-    return [
-        c.to_dict()
-        for c in cold.points
-        if not any(
-            w.num_gates <= c.num_gates and w.depth <= c.depth for w in warm.points
-        )
-    ]
-
-
 def main(argv=None) -> int:
     """Sweep every registry circuit and write BENCH_pareto.json plus the
-    cold/warm/cached comparison BENCH_pareto_incremental.json."""
+    cold/populate/cached comparison BENCH_pareto_incremental.json."""
     import tempfile
     import time
     from pathlib import Path
@@ -111,21 +97,21 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--incremental-output",
         default=str(Path(__file__).with_name("BENCH_pareto_incremental.json")),
-        help="cold/warm/cached comparison snapshot "
+        help="cold/populate/cached comparison snapshot "
         "(default: BENCH_pareto_incremental.json next to this file)",
     )
     parser.add_argument(
         "--min-cached-speedup",
         type=float,
         default=3.0,
-        help="acceptance floor for total cold / warm+cached wall time "
+        help="acceptance floor for total cold / cached wall time "
         "(default 3.0; 0 disables the assertion)",
     )
     args = parser.parse_args(argv)
 
     circuits = []
     incremental = []
-    totals = {"cold": 0.0, "warm": 0.0, "populate": 0.0, "cached": 0.0}
+    totals = {"cold": 0.0, "populate": 0.0, "cached": 0.0}
     wall_start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="plim-cache-") as cache_dir:
         for name in BENCHMARK_NAMES:
@@ -133,12 +119,8 @@ def main(argv=None) -> int:
                 workers=args.workers, max_points=args.max_points
             )
             start = time.perf_counter()
-            cold = pareto_sweep((name, args.scale), warm_start=False, **sweep)
+            cold = pareto_sweep((name, args.scale), **sweep)
             cold_s = time.perf_counter() - start
-            # the pure warm-chaining effect: no cache involved
-            start = time.perf_counter()
-            warm = pareto_sweep((name, args.scale), **sweep)
-            warm_s = time.perf_counter() - start
             # same sweep writing the disk cache (adds fingerprint +
             # serialization overhead), then the repeat that hits it
             start = time.perf_counter()
@@ -151,67 +133,47 @@ def main(argv=None) -> int:
             cached_s = time.perf_counter() - start
 
             check_front(cold)
-            check_front(warm)
-            missed = front_equals_or_dominates(warm, cold)
-            assert not missed, (
-                f"{name}: warm frontier fails to equal-or-dominate cold "
-                f"points {missed}"
-            )
             strip = lambda p: {**p.to_dict(), "seconds": None}
             assert [strip(p) for p in populated.points] == [
-                strip(p) for p in warm.points
+                strip(p) for p in cold.points
             ], f"{name}: caching changed the frontier"
             assert [p.to_dict() for p in cached.points] == [
                 p.to_dict() for p in populated.points
             ], f"{name}: cache hit changed the frontier"
 
             totals["cold"] += cold_s
-            totals["warm"] += warm_s
             totals["populate"] += populate_s
             totals["cached"] += cached_s
-            candidates = (*warm.points, *warm.dominated)
             incremental.append(
                 {
                     "circuit": name,
                     "cold_seconds": round(cold_s, 6),
-                    "warm_seconds": round(warm_s, 6),
                     "populate_seconds": round(populate_s, 6),
                     "cached_seconds": round(cached_s, 6),
-                    "warm_speedup": round(cold_s / warm_s, 2) if warm_s else None,
                     "cached_speedup": (
                         round(cold_s / cached_s, 2) if cached_s else None
                     ),
-                    "warm_points": sum(
-                        1 for p in candidates if p.source == "warm"
-                    ),
-                    "cold_fallbacks": sum(
-                        1 for p in candidates if p.source == "cold-fallback"
-                    ),
-                    "front_points": len(warm.points),
+                    "front_points": len(cold.points),
                 }
             )
-            row = warm.to_dict()
-            row["front_points"] = len(warm.points)
+            row = cold.to_dict()
+            row["front_points"] = len(cold.points)
             circuits.append(row)
             span = " -> ".join(
-                f"(N={p.num_gates}, D={p.depth})" for p in warm.points
+                f"(N={p.num_gates}, D={p.depth})" for p in cold.points
             )
             print(
-                f"{name}: {len(warm.points)} non-dominated point(s) {span} "
-                f"[cold {cold_s:.2f}s, warm {warm_s:.2f}s, "
-                f"cached {cached_s:.2f}s]"
+                f"{name}: {len(cold.points)} non-dominated point(s) {span} "
+                f"[cold {cold_s:.2f}s, cached {cached_s:.2f}s]"
             )
     wall = time.perf_counter() - wall_start
 
     cached_speedup = (
         round(totals["cold"] / totals["cached"], 2) if totals["cached"] else None
     )
-    warm_speedup = (
-        round(totals["cold"] / totals["warm"], 2) if totals["warm"] else None
-    )
     if args.min_cached_speedup and cached_speedup is not None:
         assert cached_speedup >= args.min_cached_speedup, (
-            f"warm+cached sweep is only {cached_speedup}x faster than cold "
+            f"cached sweep is only {cached_speedup}x faster than cold "
             f"(floor: {args.min_cached_speedup}x)"
         )
     _common.write_snapshot(
@@ -230,16 +192,11 @@ def main(argv=None) -> int:
         scale=args.scale,
         max_points=args.max_points,
         total_cold_seconds=round(totals["cold"], 4),
-        total_warm_seconds=round(totals["warm"], 4),
         total_populate_seconds=round(totals["populate"], 4),
         total_cached_seconds=round(totals["cached"], 4),
-        warm_speedup=warm_speedup,
         cached_speedup=cached_speedup,
     )
-    print(
-        f"incremental sweep: warm {warm_speedup}x, warm+cached "
-        f"{cached_speedup}x faster than cold"
-    )
+    print(f"cached sweep: {cached_speedup}x faster than cold")
     return 0
 
 

@@ -10,7 +10,7 @@ Subcommands::
     plimc bench <name> [--scale ci|default|paper]
     plimc batch <circuit|name>... [--configs full,naive] [--workers N] [--json]
     plimc pareto <circuit|name> [--scale ...] [--workers N] [--max-points K]
-                 [--axes A,B] [--cache-dir DIR] [--cold] [--json]
+                 [--axes A,B] [--cache-dir DIR] [--json]
     plimc table1 [--scale ...] [--shuffled] [--csv] [--workers N] [--cache-dir DIR]
     plimc fig3
     plimc ablate <name> [--scale ...] [--workers N]
@@ -383,14 +383,13 @@ def _cmd_pareto(args) -> int:
         max_points=args.max_points,
         verify=not args.no_verify,
         paper_accounting=not args.honest,
-        warm_start=not args.cold,
         cache=_make_cache(args),
         policy=_make_policy(args),
         **axes_kwargs,
     )
     if front.incomplete:
         _report_task_failures(
-            "pareto", [(f"task {f.index}", f) for f in front.failures]
+            "pareto", zip(front.failed_budgets, front.failures)
         )
         print(
             f"plimc: pareto: partial frontier — "
@@ -673,12 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the per-point equivalence check against the input",
     )
     p.add_argument("--honest", action="store_true", help="charge output polarity fix-ups")
-    p.add_argument(
-        "--cold",
-        action="store_true",
-        help="disable warm-started budget chains (restart every budget "
-        "from the raw input, the pre-incremental behavior)",
-    )
     p.add_argument(
         "--cache-dir",
         metavar="DIR",

@@ -106,11 +106,12 @@ _FORMAT_VERSION = 1
 
 #: REVISION OF THE SYNTHESIS ALGORITHMS THE CACHED RESULTS EMBODY.
 #: Bump this in any PR that changes what rewriting (or the Pareto sweep)
-#: produces — new/changed Ω rules, engine search-order changes, chain
-#: policy changes — so persistent cache dirs never serve a pre-change
-#: result as if the current algorithms had computed it (old entries then
-#: simply miss and are recomputed).  The package version is folded in as
-#: well, but it moves too rarely to be the only guard.
+#: produces — new/changed Ω rules, engine search-order changes, sweep
+#: changes the front key does not capture — so persistent cache dirs
+#: never serve a pre-change result as if the current algorithms had
+#: computed it (old entries then simply miss and are recomputed).  The
+#: package version is folded in as well, but it moves too rarely to be
+#: the only guard.
 ALGORITHM_REVISION = 6  # PR 8: pluggable cost models.  Rewrite keys now
 # embed the canonicalized cost-model identity (``RewriteOptions.objective``
 # may be a CostModel whose repr reaches the key) and Pareto front keys the

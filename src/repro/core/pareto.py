@@ -12,19 +12,9 @@ deliverable.  :func:`pareto_sweep` explores the whole trade-off instead:
 2. for every depth budget ``d`` in ``[d_min, d_max)``, run size rewriting
    under the hard depth ceiling (``RewriteOptions.depth_budget`` — the
    ``try_*`` rules reject any candidate that could push a PO level past
-   ``d``).  Budgets are swept in *warm-started chains*: contiguous runs of
-   budgets from tight to loose in which each point's rewrite is seeded
-   with the previous point's rewritten MIG instead of the raw input
-   (sound — relaxing the budget keeps the tighter point feasible, and the
-   budget-gated rules only ever shrink #N from there).  Each warm step
-   re-rewrites a small already-optimized graph instead of the raw input,
-   so the saving grows with the width of the budget range (at ci scale
-   the two anchor rewrites dominate and warm ≈ cold wall-clock —
-   ``BENCH_pareto_incremental.json`` records both); warm chaining is also
-   *iterated* rewriting and sometimes strictly improves the frontier.  An
-   anti-drift guard recomputes the cold start whenever a warm step
-   stalls, so a chain does not get stuck in a local optimum the cold
-   sweep would have escaped (a heuristic — see :func:`_chain_task`);
+   ``d``).  Each budget is one cold rewrite, seeded with the depth
+   anchor's rewritten graph when the raw input is deeper than ``d`` and
+   with the raw input otherwise;
 3. compile every candidate through Algorithm 2 so each point is also
    reported in PLiM terms (#I instructions, #R work RRAMs), and
    equivalence-check it against the input;
@@ -34,10 +24,10 @@ deliverable.  :func:`pareto_sweep` explores the whole trade-off instead:
    additionally run each candidate on the machine model for cycle and
    endurance-wear metrics.
 
-Chains are independent, so they fan out over the same process-pool seam
-as :func:`repro.core.batch.compile_many` (``workers``); chain boundaries
-are fixed (not derived from the worker count), so results are
-deterministic regardless of worker count.  With a
+Every sweep point is one independent task (rewrite, Algorithm 2 compile,
+equivalence check), so the points fan out over the same process-pool
+seam as :func:`repro.core.batch.compile_many` (``workers``) and results
+are identical for any worker count.  With a
 :class:`~repro.core.cache.SynthesisCache` (``cache=`` / ``cache_dir=``)
 the whole front is memoized under the input's
 :meth:`~repro.mig.graph.Mig.fingerprint`, so repeated sweeps of one
@@ -90,16 +80,6 @@ _DEFAULT_AXES = ("num_gates", "depth")
 #: axes that need a machine execution per candidate
 _EXECUTED_AXES = frozenset({"cycles", "wear"})
 
-#: budgets per warm-started chain.  Chain boundaries are part of the
-#: result definition — every chain head is a cold start, every later
-#: budget a warm start — so the length is a fixed constant rather than
-#: "budget count / worker count": results must be identical for any
-#: worker count, and a per-worker partition would move the cold-start
-#: positions whenever the pool size changed.  Four keeps plenty of
-#: independent chains for the pool while bounding how far a warm chain
-#: can drift from the cold baseline between anchoring cold starts.
-CHAIN_LENGTH = 4
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -125,11 +105,6 @@ class ParetoPoint:
     #: or ``None`` when the sweep ran with ``verify=False``
     equivalence: Optional[str]
     seconds: float
-    #: how the point's rewrite was seeded: "cold" (raw input / depth seed,
-    #: the pre-incremental behavior), "warm" (previous chain point), or
-    #: "cold-fallback" (the anti-drift guard recomputed and kept the cold
-    #: start)
-    source: str = "cold"
     #: machine cycles of one execution (3 per RM3), measured only when an
     #: executed axis ("cycles"/"wear") is swept; ``None`` otherwise
     cycles: Optional[int] = None
@@ -175,7 +150,6 @@ class ParetoPoint:
             "num_rrams": self.num_rrams,
             "equivalence": self.equivalence,
             "seconds": round(self.seconds, 6),
-            "source": self.source,
             "cycles": self.cycles,
             "max_writes": self.max_writes,
         }
@@ -192,7 +166,6 @@ class ParetoPoint:
             num_rrams=data["num_rrams"],
             equivalence=data["equivalence"],
             seconds=data["seconds"],
-            source=data.get("source", "cold"),
             cycles=data.get("cycles"),
             max_writes=data.get("max_writes"),
         )
@@ -223,9 +196,9 @@ class ParetoFront:
     #: staircase-valid) view of the trade-off
     incomplete: bool = False
     #: labels of the points lost to failed tasks ("size"/"depth" anchors,
-    #: "budget=<d>" chain points), in ascending-budget order
+    #: then "budget=<d>" points in ascending-budget order)
     failed_budgets: tuple = ()
-    #: the structured failure records behind ``failed_budgets``
+    #: the structured failure records behind ``failed_budgets``, 1:1
     failures: tuple = ()
     #: the metric pair (or tuple) the dominance filter ran on; the classic
     #: (#N, #D) sweep by default
@@ -299,7 +272,6 @@ def _compile_point(
     verify: bool,
     fix_polarity: bool,
     start: float,
-    source: str,
     execute: bool = False,
 ) -> ParetoPoint:
     """Algorithm 2 + equivalence check for one rewritten sweep point.
@@ -336,121 +308,33 @@ def _compile_point(
         num_rrams=program.num_rrams,
         equivalence=equivalence,
         seconds=time.perf_counter() - start,
-        source=source,
         cycles=cycles,
         max_writes=max_writes,
     )
 
 
-def _anchor_task(payload):
-    """One unconstrained extreme ("size"/"depth"), run inside a worker.
+def _point_task(payload):
+    """One sweep point, run inside a worker: a cold rewrite of ``seed``
+    under ``options``, then Algorithm 2 and the equivalence check.
 
-    The depth anchor ships its rewritten graph back (``ship_rewritten``):
-    it doubles as the cold-start seed of every budget below the raw
-    input's depth, so no chain worker has to re-derive it.  Verification
-    always runs against the raw input.  Returns
-    ``([point], shipped_rewritten_or_None, fresh_cache_entries)``.
+    ``seed`` is ``None`` for the raw input (rebuilt from ``spec``) or the
+    depth anchor's rewritten graph for budgets below the input's depth;
+    verification always runs against the raw input.  The depth anchor
+    ships its rewritten graph back, since it seeds those budgets.  Returns
+    ``(point, shipped_rewritten_or_None, fresh_cache_entries)``.
     """
-    spec, mode, effort, verify, fix_polarity, ship_rewritten, execute, cache_ref = payload
+    spec, label, options, seed, verify, fix_polarity, execute, cache_ref = payload
     cache = worker_cache(cache_ref)
     _, mig = _resolve_spec(spec)
     start = time.perf_counter()
-    options = RewriteOptions(effort=effort)
-    if mode == "depth":
-        options = RewriteOptions(effort=effort, objective="depth")
-    rewritten = rewrite_for_plim(mig, options, cache=cache)
+    rewritten = rewrite_for_plim(mig if seed is None else seed, options, cache=cache)
     point = _compile_point(
-        mig, rewritten, mode, None, verify, fix_polarity, start, "cold", execute
+        mig, rewritten, label, options.depth_budget, verify, fix_polarity,
+        start, execute,
     )
+    shipped = rewritten if options.objective == "depth" else None
     entries = cache.export_fresh() if cache is not None else []
-    return [point], rewritten if ship_rewritten else None, entries
-
-
-def _chain_task(payload):
-    """One warm-started budget chain, run inside a worker.
-
-    ``budgets`` is a contiguous ascending run.  The first budget is a
-    *cold start* — exactly the pre-incremental per-budget behavior: seeded
-    with the depth-rewritten graph when the raw input is over budget,
-    with the raw input otherwise.  Every later budget is *warm-started*
-    from the previous point's rewritten MIG, which is sound (its depth is
-    within the tighter previous budget, hence within this one, and the
-    budget-gated rules only ever shrink #N from there) and skips the
-    expensive re-rewriting of the raw input.
-
-    Anti-drift guard: a warm start inherits the previous point's local
-    optimum, so when the warm step *stalls* (no #N improvement although
-    the loosened budget should buy some — detected by comparing against
-    the previous point's gate count, the chain's running
-    signature-fixed-point) while still above the unconstrained size
-    floor, the cold start the old code would have produced is recomputed
-    and kept instead whenever it is at least as good.  The guard is a
-    heuristic, not a proof: a warm step that improves #N but less than a
-    cold start would have skips the recomputation, so
-    warm-equals-or-dominates-cold is an *empirical* property — asserted
-    on every registry circuit by ``tests/test_pareto.py`` and the
-    ``bench_pareto.py`` CI snapshot, and to be strengthened here if a
-    future circuit or rule change ever trips those gates.  Points whose
-    warm rewrite already reached the floor skip the recomputation
-    outright (in practice no cold start undercuts the unconstrained
-    minimum).
-
-    Returns ``(points, None, fresh_cache_entries)``.
-    """
-    (
-        spec,
-        budgets,
-        effort,
-        verify,
-        fix_polarity,
-        depth_seed,
-        input_depth,
-        size_floor,
-        warm_start,
-        execute,
-        cache_ref,
-    ) = payload
-    cache = worker_cache(cache_ref)
-    _, mig = _resolve_spec(spec)
-
-    def cold_seed(budget: int) -> Mig:
-        return depth_seed if input_depth > budget else mig
-
-    points: list[ParetoPoint] = []
-    previous: Optional[Mig] = None
-    for budget in budgets:
-        start = time.perf_counter()
-        options = RewriteOptions(effort=effort, depth_budget=budget)
-        if previous is None or not warm_start:
-            rewritten = rewrite_for_plim(cold_seed(budget), options, cache=cache)
-            source = "cold"
-        else:
-            rewritten = rewrite_for_plim(previous, options, cache=cache)
-            source = "warm"
-            stalled = rewritten.num_gates >= previous.num_gates
-            if stalled and rewritten.num_gates > size_floor:
-                cold = rewrite_for_plim(cold_seed(budget), options, cache=cache)
-                if (cold.num_gates, mig_depth(cold)) < (
-                    rewritten.num_gates,
-                    mig_depth(rewritten),
-                ):
-                    rewritten, source = cold, "cold-fallback"
-        previous = rewritten
-        points.append(
-            _compile_point(
-                mig,
-                rewritten,
-                f"budget={budget}",
-                budget,
-                verify,
-                fix_polarity,
-                start,
-                source,
-                execute,
-            )
-        )
-    entries = cache.export_fresh() if cache is not None else []
-    return points, None, entries
+    return point, shipped, entries
 
 
 def _subsample(budgets: list[int], max_points: Optional[int]) -> list[int]:
@@ -469,11 +353,6 @@ def _subsample(budgets: list[int], max_points: Optional[int]) -> list[int]:
     span = len(budgets) - 1
     picked = {round(i * span / (max_points - 1)) for i in range(max_points)}
     return [budgets[i] for i in sorted(picked)]
-
-
-def _chunked(budgets: list[int], length: int = CHAIN_LENGTH) -> list[list[int]]:
-    """Split the ascending budget list into fixed-length chain runs."""
-    return [budgets[i : i + length] for i in range(0, len(budgets), length)]
 
 
 def _non_dominated(
@@ -521,7 +400,6 @@ def pareto_sweep(
     max_points: Optional[int] = None,
     verify: bool = True,
     paper_accounting: bool = True,
-    warm_start: bool = True,
     cache: Optional[SynthesisCache] = None,
     cache_dir=None,
     policy: Optional[TaskPolicy] = None,
@@ -548,10 +426,10 @@ def pareto_sweep(
     ``circuit`` is anything :func:`repro.core.batch.compile_many` accepts:
     an :class:`~repro.mig.graph.Mig`, a registry name, or a
     ``(name, scale)`` pair (name specs are resolved inside the workers, so
-    only a tiny payload crosses the process boundary — except chains of
-    budgets below the raw input's depth, whose payload carries the shared
+    only a tiny payload crosses the process boundary — except budgets
+    below the raw input's depth, whose payload carries the shared
     depth-rewritten seed graph; ``max_points`` bounds how many).
-    ``workers`` fans the budget chains out over a process pool (``None``,
+    ``workers`` fans the sweep points out over a process pool (``None``,
     the default, means one worker per CPU — the same convention as
     :func:`~repro.core.batch.compile_many`); results are deterministic
     for any worker count.  ``max_points`` caps the number of intermediate
@@ -561,10 +439,7 @@ def pareto_sweep(
     any mismatch.  ``paper_accounting=False`` charges output-polarity
     fix-ups in the Algorithm 2 compile (#I/#R), like ``plimc --honest``.
 
-    ``warm_start=True`` (the default) sweeps budgets in warm-started
-    chains (see :func:`_chain_task`); ``False`` restores the cold
-    per-budget restarts of the pre-incremental sweep (the benchmark
-    baseline).  ``cache``/``cache_dir`` attach a
+    ``cache``/``cache_dir`` attach a
     :class:`~repro.core.cache.SynthesisCache`: the finished front is
     memoized under the input's fingerprint and the sweep parameters, and
     every per-point rewrite under its own content address, so repeated
@@ -585,14 +460,15 @@ def pareto_sweep(
     exception after all retries — no longer aborts the sweep: the
     surviving points are staircase-filtered as usual and the front comes
     back flagged ``incomplete=True`` with the lost point labels in
-    ``failed_budgets`` (an anchor failure loses that extreme; a chain
-    failure loses that chain's budgets).  Partial fronts are *never*
-    cached, so a later healthy sweep recomputes the full frontier.
-    ``fault_plan`` injects deterministic faults; the sweep consumes the
-    ``"anchor"`` and ``"chain"`` phases of the plan (task indices within
-    each phase).  ``progress`` is an optional callback invoked with each
-    :class:`ParetoPoint` as it completes (anchors first, then budget
-    chains, in input order; a cached front replays its points) — the
+    ``failed_budgets``, one label per failure (an anchor failure loses
+    that extreme and every intermediate budget).  Partial fronts are
+    *never* cached, so a later healthy sweep recomputes the full
+    frontier.  ``fault_plan`` injects deterministic faults; the sweep
+    consumes the ``"anchor"`` and ``"budget"`` phases of the plan (task
+    indices within each phase).  ``progress`` is an optional callback
+    invoked with each :class:`ParetoPoint` as it completes (anchors
+    first, then budgets, in input order; a cached front replays its
+    points) — the
     serve layer streams these through ``GET /jobs/<id>``.
 
     Example::
@@ -635,7 +511,6 @@ def pareto_sweep(
             "max_points": max_points,
             "verify": verify,
             "paper_accounting": paper_accounting,
-            "warm_start": warm_start,
             "axes": list(axes),
         }
         hit = cache.get_front(fingerprint, front_params)
@@ -650,87 +525,71 @@ def pareto_sweep(
     inline = resolve_workers(workers) <= 1
     cache_ref = payload_cache_ref(cache, inline)
 
-    # The two unconstrained extremes anchor the budget range.  The depth
-    # anchor ships its rewritten graph back: it doubles as the cold-start
-    # seed of every budget below the raw input's depth (the rewrite is
-    # deterministic), so no worker has to re-derive it.
     plan = fault_plan or FaultPlan()
-    input_depth = mig_depth(mig.cleanup()[0])
-    anchor_results = parallel_imap(
-        _anchor_task,
-        [
-            (spec, "size", effort, verify, fix_polarity, False, execute, cache_ref),
-            (spec, "depth", effort, verify, fix_polarity, True, execute, cache_ref),
-        ],
-        workers=workers,
-        policy=policy,
-        fault_plan=plan.scoped("anchor"),
-    )
     failures: list[TaskFailure] = []
     failed_labels: list[str] = []
-    size_pt = depth_pt = depth_seed = None
-    for label, outcome in zip(("size", "depth"), anchor_results):
-        if isinstance(outcome, TaskFailure):
-            failures.append(outcome)
-            failed_labels.append(label)
-            continue
-        [point], shipped, entries = outcome
-        if cache is not None and not inline:
-            # read-only + merge protocol: pool workers never write; the
-            # fresh entries they computed are merged (persisted) here.
-            cache.absorb(entries)
-        if progress is not None:
-            progress(point)
-        if label == "size":
-            size_pt = point
-        else:
-            depth_pt, depth_seed = point, shipped
 
-    # Intermediate budgets need both anchors: the depth extreme is the
-    # range's floor, the size extreme its ceiling and the chains' stall
-    # floor.  Losing either degrades to the surviving extreme(s) only.
-    budget_pts: list[ParetoPoint] = []
-    if size_pt is not None and depth_pt is not None:
-        budgets = _subsample(
-            list(range(depth_pt.depth, size_pt.depth)), max_points
-        )
-        chains = _chunked(budgets, 1 if not warm_start else CHAIN_LENGTH)
-        chain_results = parallel_imap(
-            _chain_task,
+    def run_phase(phase: str, points: list) -> dict:
+        """Run one phase's ``(label, options, seed)`` points as pool tasks;
+        returns ``{label: (point, shipped)}`` for the ones that finished."""
+        outcomes = parallel_imap(
+            _point_task,
             [
-                (
-                    spec,
-                    chain,
-                    effort,
-                    verify,
-                    fix_polarity,
-                    depth_seed if input_depth > chain[0] else None,
-                    input_depth,
-                    size_pt.num_gates,
-                    warm_start,
-                    execute,
-                    cache_ref,
-                )
-                for chain in chains
+                (spec, label, options, seed, verify, fix_polarity, execute, cache_ref)
+                for label, options, seed in points
             ],
             workers=workers,
             policy=policy,
-            fault_plan=plan.scoped("chain"),
+            fault_plan=plan.scoped(phase),
         )
-        for chain, outcome in zip(chains, chain_results):
+        done = {}
+        for (label, _, _), outcome in zip(points, outcomes):
             if isinstance(outcome, TaskFailure):
                 failures.append(outcome)
-                failed_labels.extend(f"budget={b}" for b in chain)
+                failed_labels.append(label)
                 continue
-            points, _, entries = outcome
+            point, shipped, entries = outcome
             if cache is not None and not inline:
+                # read-only + merge protocol: pool workers never write; the
+                # fresh entries they computed are merged (persisted) here.
                 cache.absorb(entries)
             if progress is not None:
-                for point in points:
-                    progress(point)
-            budget_pts.extend(points)
-    anchors = [p for p in (size_pt, depth_pt) if p is not None]
-    front, dominated = _non_dominated([*anchors, *budget_pts], axes)
+                progress(point)
+            done[label] = (point, shipped)
+        return done
+
+    # The two unconstrained extremes anchor the budget range.  The depth
+    # anchor's rewritten graph seeds every budget below the raw input's
+    # depth (the rewrite is deterministic), so no worker re-derives it.
+    anchors = run_phase(
+        "anchor",
+        [
+            ("size", RewriteOptions(effort=effort), None),
+            ("depth", RewriteOptions(effort=effort, objective="depth"), None),
+        ],
+    )
+    candidates = [point for point, _ in anchors.values()]
+    # Intermediate budgets need both anchors: the depth extreme is the
+    # range's floor, the size extreme its ceiling.  Losing either
+    # degrades to the surviving extreme(s) only.
+    if len(anchors) == 2:
+        (size_pt, _), (depth_pt, depth_seed) = anchors["size"], anchors["depth"]
+        input_depth = mig_depth(mig.cleanup()[0])
+        budgets = run_phase(
+            "budget",
+            [
+                (
+                    f"budget={b}",
+                    RewriteOptions(effort=effort, depth_budget=b),
+                    depth_seed if input_depth > b else None,
+                )
+                for b in _subsample(
+                    list(range(depth_pt.depth, size_pt.depth)), max_points
+                )
+            ],
+        )
+        candidates += [point for point, _ in budgets.values()]
+    front, dominated = _non_dominated(candidates, axes)
     result = ParetoFront(
         circuit=name,
         effort=effort,

@@ -258,8 +258,8 @@ class FaultPlan:
     Plans are plain picklable data shipped inside worker payloads, so the
     injected behavior happens in the *real* execution context — a genuine
     ``os._exit`` in a genuine pool worker.  Multi-phase drivers
-    (``pareto_sweep`` runs an anchor map then a chain map) key their
-    faults by phase: ``FaultPlan(phases={"chain": {0: Fault("exit")}})``
+    (``pareto_sweep`` runs an anchor map then a budget map) key their
+    faults by phase: ``FaultPlan(phases={"budget": {0: Fault("exit")}})``
     and each phase consumes its :meth:`scoped` view.
     """
 

@@ -3,7 +3,7 @@
 * :func:`effort_sweep` — rewriting effort (Algorithm 1 cycles) vs. cost.
 * :func:`objective_ablation` — size vs. depth vs. balanced rewriting
   objectives (#N/#D/#I/#R trade-off of the multi-objective loop).
-* :func:`pareto_ablation` — the full (#N, #D) frontier from the
+* :func:`format_pareto_front` — X7, the full (#N, #D) frontier of the
   depth-budgeted sweep (:func:`repro.core.pareto.pareto_sweep`), in both
   MIG and PLiM terms.
 * :func:`selection_ablation` — scheduling/translation rule combinations on
@@ -144,21 +144,6 @@ def format_objective_ablation(name: str, points: Sequence[ObjectivePoint]) -> st
 # ----------------------------------------------------------------------
 
 
-def pareto_ablation(
-    mig: Mig, rewrite_effort: int = 4, max_points: Optional[int] = 8
-) -> ParetoFront:
-    """The (#N, #D) frontier of depth-budgeted rewriting on one MIG.
-
-    A thin wrapper over :func:`repro.core.pareto.pareto_sweep` with an
-    ablation-friendly cap on intermediate budget points; runs inline
-    (``workers=1``) because the ablation harness already fans sections out
-    over a process pool.
-    """
-    return pareto_sweep(
-        mig, effort=rewrite_effort, workers=1, max_points=max_points
-    )
-
-
 #: axis name → table-header shorthand for :func:`format_pareto_front`
 _AXIS_LABELS = {
     "num_gates": "#N",
@@ -178,8 +163,7 @@ def format_pareto_front(name: str, front: ParetoFront) -> str:
     the sweep's axes; when an executed axis (``cycles``/``wear``) is
     swept, its measured column is appended after #R.
     """
-    axes = getattr(front, "axes", ("num_gates", "depth"))
-    executed = [a for a in ("cycles", "wear") if a in axes]
+    executed = [a for a in ("cycles", "wear") if a in front.axes]
     rows = [
         [
             p.label,
@@ -190,15 +174,15 @@ def format_pareto_front(name: str, front: ParetoFront) -> str:
             p.num_rrams,
         ]
         + [p.metric(a) for a in executed]
-        + [p.source, p.equivalence or "-"]
+        + [p.equivalence or "-"]
         for on_front, points in ((True, front.points), (False, front.dominated))
         for p in points
     ]
-    axis_names = ", ".join(_AXIS_LABELS.get(a, a) for a in axes)
+    axis_names = ", ".join(_AXIS_LABELS.get(a, a) for a in front.axes)
     return f"Pareto ({axis_names}) frontier — {name}\n" + format_table(
         ["point", "front", "#N", "#D", "#I", "#R"]
         + [_AXIS_LABELS[a] for a in executed]
-        + ["start", "equivalence"],
+        + ["equivalence"],
         rows,
     )
 
@@ -427,7 +411,9 @@ def _ablation_section(payload) -> str:
     if section == "objective":
         return format_objective_ablation(name, objective_ablation(mig))
     if section == "pareto":
-        return format_pareto_front(name, pareto_ablation(mig))
+        # inline (workers=1): the sections already fan out over a pool
+        front = pareto_sweep(mig, effort=4, workers=1, max_points=8)
+        return format_pareto_front(name, front)
     if section == "selection":
         return format_selection_ablation(name, selection_ablation(mig))
     if section == "allocator":

@@ -212,10 +212,10 @@ class TestFrontRoundTrip:
         assert clone.to_dict() == front.to_dict()
         assert isinstance(clone.points[0], ParetoPoint)
 
-    def test_point_from_dict_defaults_source(self):
-        data = pareto_sweep(("ctrl", "ci"), workers=1).points[0].to_dict()
-        del data["source"]  # pre-incremental cache entries lack the field
-        assert ParetoPoint.from_dict(data).source == "cold"
+    def test_point_from_dict_ignores_legacy_source(self):
+        row = pareto_sweep(("ctrl", "ci"), workers=1).points[0].to_dict()
+        legacy = {**row, "source": "warm"}  # rows once carried a seed field
+        assert ParetoPoint.from_dict(legacy).to_dict() == row
 
 
 class TestPipelineIntegration:

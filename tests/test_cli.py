@@ -193,18 +193,39 @@ class TestParetoCommand:
     def test_pareto_unknown_circuit(self):
         assert main(["pareto", "not-a-benchmark"]) == 2
 
-    def test_pareto_cold_flag(self, capsys):
-        assert main(
-            ["pareto", "int2float", "--scale", "ci", "--workers", "1",
-             "--cold", "--json"]
-        ) == 0
-        import json as json_module
+    def test_pareto_cold_flag_is_usage_error(self, capsys):
+        """Every sweep point is already a cold rewrite, so there is no
+        --cold to ask for one."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pareto", "int2float", "--scale", "ci", "--cold"])
+        assert excinfo.value.code == 2
+        assert "--cold" in capsys.readouterr().err
 
-        payload = json_module.loads(capsys.readouterr().out)
-        assert all(
-            p["source"] == "cold"
-            for p in payload["points"] + payload["dominated"]
-        )
+    @pytest.mark.parametrize(
+        "phase, label", [("anchor", "size"), ("budget", "budget=")]
+    )
+    def test_pareto_failure_names_its_point(self, monkeypatch, capsys, phase, label):
+        """A skip-mode sweep prints one stderr line per lost point, named
+        by its label rather than its task index."""
+        from repro.core import pareto
+        from repro.core.resilience import Fault, FaultPlan
+
+        real = pareto.pareto_sweep
+
+        def faulty(*args_, **kwargs):
+            kwargs["fault_plan"] = FaultPlan(phases={phase: {0: Fault("raise")}})
+            return real(*args_, **kwargs)
+
+        monkeypatch.setattr(pareto, "pareto_sweep", faulty)
+        code = main(["pareto", "router", "--scale", "ci", "--workers", "1",
+                     "--on-error", "skip"])
+        assert code == 0
+        failed = [
+            line for line in capsys.readouterr().err.splitlines()
+            if " failed after " in line
+        ]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"plimc: pareto: {label}")
 
 
 class TestCacheCommands:

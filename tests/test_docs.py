@@ -97,3 +97,22 @@ def test_link_checker_catches_breakage(tmp_path):
     )
     errors = checker.check_links(tmp_path)
     assert len(errors) == 1 and "docs/missing.md" in errors[0]
+
+
+def test_link_checker_catches_dangling_anchors(tmp_path):
+    """A fragment must name a heading of its target: GitHub slugs, ``-1``
+    on a repeated heading, and no headings from inside fenced code."""
+    checker = _load_check_links()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "# Top\n\n## Top\n\n[a](docs/page.md#some-section-2) "
+        "[b](docs/page.md#gone) [c](#top-1) [d](#nowhere)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "docs" / "page.md").write_text(
+        "## Some *Section* (#2)\n\n```sh\n# gone\n```\n", encoding="utf-8"
+    )
+    errors = checker.check_links(tmp_path)
+    assert sorted(e.split(" -> ")[1] for e in errors) == [
+        "#nowhere", "docs/page.md#gone",
+    ]

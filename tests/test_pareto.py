@@ -14,8 +14,9 @@ The tentpole contracts:
   equivalence-checked and every budgeted point within its budget;
 * sweep results are deterministic for any worker count, with and without
   a populated synthesis cache (a cache hit changes time, never output);
-* the warm-started incremental sweep equals-or-dominates the cold
-  per-budget sweep point-for-point, on every registry circuit.
+* every budget point is one independent cold rewrite: its (#N, #D) is
+  exactly ``rewrite_for_plim`` of its seed under that budget, on every
+  registry circuit.
 """
 
 import pytest
@@ -23,10 +24,8 @@ import pytest
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.core.cache import SynthesisCache
 from repro.core.pareto import (
-    CHAIN_LENGTH,
     ParetoFront,
     ParetoPoint,
-    _chunked,
     _non_dominated,
     _subsample,
     pareto_sweep,
@@ -173,23 +172,30 @@ def _strip(point):
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_warm_sweep_equals_or_dominates_cold(name):
-    """The incremental-sweep acceptance bar, on every registry circuit at
-    ci scale: for every point on the cold (per-budget restart) frontier,
-    the warm-started frontier holds a point at least as good in both
-    coordinates — warm chaining may improve the frontier, never lose
-    ground — with every warm point still equivalence-checked in-worker."""
-    cold = pareto_sweep((name, "ci"), workers=1, warm_start=False)
-    warm = pareto_sweep((name, "ci"), workers=1, warm_start=True)
-    for c in cold.points:
-        assert any(
-            w.num_gates <= c.num_gates and w.depth <= c.depth for w in warm.points
-        ), (name, c)
-    for p in (*warm.points, *warm.dominated):
-        assert p.equivalence in ("exhaustive", "random")
-        assert p.source in ("cold", "warm", "cold-fallback")
-    # the cold sweep never warm-starts
-    assert all(p.source == "cold" for p in (*cold.points, *cold.dominated))
+def test_budget_points_are_independent_cold_rewrites(name):
+    """Every ``budget=b`` point has the (#N, #D) of one cold rewrite of its
+    seed under ``b``: the depth anchor's graph when the input is deeper
+    than ``b``, the raw input otherwise — nothing carries over between
+    points, on every registry circuit at ci scale."""
+    mig = build(name, "ci")
+    front = pareto_sweep((name, "ci"), workers=1)
+    depth_seed = rewrite_for_plim(mig, RewriteOptions(effort=4, objective="depth"))
+    input_depth = depth(mig.cleanup()[0])
+    for p in (*front.points, *front.dominated):
+        if p.budget is None:
+            continue
+        seed = depth_seed if input_depth > p.budget else mig
+        ref = rewrite_for_plim(seed, RewriteOptions(effort=4, depth_budget=p.budget))
+        assert (p.num_gates, p.depth) == (ref.num_gates, depth(ref)), (name, p)
+
+
+def test_int2float_front_is_pinned():
+    """int2float@ci's frontier is the single point budget=16, a cold
+    rewrite of the depth anchor's graph."""
+    front = pareto_sweep(("int2float", "ci"), workers=1)
+    assert [
+        (p.num_gates, p.depth, p.num_instructions, p.num_rrams) for p in front
+    ] == [(59, 16, 97, 12)]
 
 
 class TestParetoSweepMechanics:
@@ -228,18 +234,6 @@ class TestParetoSweepMechanics:
         assert [_strip(p) for p in hit.points] == [_strip(p) for p in pooled.points]
         assert [_strip(p) for p in hit.points] == [_strip(p) for p in serial.points]
 
-    def test_warm_start_false_restores_per_budget_chains(self):
-        front = pareto_sweep(("int2float", "ci"), workers=1, warm_start=False)
-        assert all(p.source == "cold" for p in (*front.points, *front.dominated))
-
-    def test_chunked_chain_boundaries_fixed(self):
-        assert _chunked(list(range(10)), 4) == [
-            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9],
-        ]
-        assert _chunked([], 4) == []
-        assert _chunked([3], 1) == [[3]]
-        assert CHAIN_LENGTH >= 2  # warm starts exist at all
-
     def test_accepts_mig_instances(self, small_random_mig):
         front = pareto_sweep(small_random_mig, workers=1)
         assert front.points
@@ -255,9 +249,9 @@ class TestParetoSweepMechanics:
         assert len(capped.points) + len(capped.dominated) <= 3
         # Both sweeps contain the two unconstrained anchors, so the capped
         # frontier's extremes are never *better* than the full sweep's —
-        # but they need not be equal: a warm-started budget chain is
-        # iterated rewriting and can escape local optima the one-shot
-        # anchors (and a capped sweep's shorter chains) get stuck in.
+        # but they need not be equal: an intermediate budget can beat an
+        # anchor (int2float's budget=16 reaches the depth anchor's depth
+        # with fewer gates), and the capped sweep may not sample it.
         assert capped.size_point.num_gates >= full.size_point.num_gates
         assert capped.depth_point.depth >= full.depth_point.depth
 
@@ -313,18 +307,21 @@ class TestPartialFrontiers:
         )
 
     def test_chain_crash_yields_partial_staircase(self):
-        # router/ci has a 2-point front, so the budget chain has real work
+        # router/ci has a 2-point front, so the budget phase has real work
         clean = pareto_sweep(("router", "ci"), workers=1)
         assert not clean.incomplete and clean.failed_budgets == ()
-        plan = FaultPlan(phases={"chain": {0: Fault("exit")}})
+        first_budget = min(
+            p.budget for p in (*clean.points, *clean.dominated)
+            if p.budget is not None
+        )
+        plan = FaultPlan(phases={"budget": {0: Fault("exit")}})
         partial = pareto_sweep(
             ("router", "ci"), workers=2,
             policy=TaskPolicy(on_error="skip"), fault_plan=plan,
         )
         assert partial.incomplete
-        assert partial.failed_budgets and all(
-            label.startswith("budget=") for label in partial.failed_budgets
-        )
+        # one lost task is exactly one lost point
+        assert partial.failed_budgets == (f"budget={first_budget}",)
         assert len(partial.failures) == 1
         assert partial.failures[0].kind == "crash"
         assert partial.points  # the surviving anchors still form a front
@@ -493,7 +490,7 @@ class TestAxes:
         point = ParetoPoint(
             label="budget=3", budget=3, num_gates=7, depth=3,
             num_instructions=19, num_rrams=4, equivalence="exhaustive",
-            seconds=0.5, source="warm", cycles=57, max_writes=6,
+            seconds=0.5, cycles=57, max_writes=6,
         )
         again = ParetoPoint.from_dict(point.to_dict())
         assert again == point

@@ -104,14 +104,14 @@ class TestFaultPlan:
 
     def test_scoped_phases(self):
         plan = FaultPlan(
-            {0: Fault("raise")}, phases={"chain": {2: Fault("exit")}}
+            {0: Fault("raise")}, phases={"budget": {2: Fault("exit")}}
         )
         assert plan.fault_for(0, 1) is not None
         assert plan.fault_for(2, 1) is None  # phase faults need scoping
-        chain = plan.scoped("chain")
-        assert chain.fault_for(2, 1).kind == "exit"
+        budget = plan.scoped("budget")
+        assert budget.fault_for(2, 1).kind == "exit"
         assert not plan.scoped("nonexistent")
-        assert bool(plan) and bool(chain)
+        assert bool(plan) and bool(budget)
         assert not FaultPlan()
 
 

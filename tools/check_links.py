@@ -6,8 +6,10 @@ reference definitions (``[label]: target``), and fails when a relative
 target does not resolve to a file or directory in the repository.
 External links (``http://``, ``https://``, ``mailto:``) are skipped —
 this is a docs-rot gate for *intra-repo* references, not a crawler.
-Anchors are stripped (``docs/cli.md#pareto`` checks ``docs/cli.md``);
-pure in-page anchors (``#section``) are accepted.
+A ``#fragment`` on a Markdown target (``docs/cli.md#plimc-pareto``, or an
+in-page ``#section``) must match one of that file's heading anchors,
+slugged the way GitHub does (see :func:`heading_slugs`); fragments on
+other targets are not checked.
 
 Used three ways, all sharing :func:`check_links`:
 
@@ -45,18 +47,46 @@ def iter_links(text: str):
             yield match.group(1)
 
 
+def heading_slugs(text: str) -> set[str]:
+    """The anchors GitHub gives the ATX headings of ``text``: lowercased,
+    punctuation dropped (link and code markup keep their text), spaces as
+    ``-``, and ``-1``, ``-2``, ... on repeats; fenced code is skipped."""
+    slugs: set[str] = set()
+    seen: dict[str, int] = {}
+    fence = None
+    for line in text.splitlines():
+        stripped = line.lstrip()
+        if stripped.startswith(("```", "~~~")):
+            marker = stripped[:3]
+            fence = None if fence == marker else fence or marker
+            continue
+        heading = re.match(r" {0,3}#{1,6}\s+(.*?)(?:\s+#+)?\s*$", line)
+        if fence or not heading:
+            continue
+        title = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading.group(1))
+        slug = re.sub(r"[^\w\- ]", "", title.lower()).replace(" ", "-")
+        count = seen.get(slug, 0)
+        seen[slug] = count + 1
+        slugs.add(f"{slug}-{count}" if count else slug)
+    return slugs
+
+
 def check_file(path: Path, root: Path) -> list[str]:
     """Broken-link messages for one Markdown file (empty = healthy)."""
     errors = []
     for target in iter_links(path.read_text(encoding="utf-8")):
         if target.startswith(_EXTERNAL):
             continue
-        base = target.split("#", 1)[0]
-        if not base:  # pure in-page anchor
-            continue
-        resolved = (root if base.startswith("/") else path.parent) / base.lstrip("/")
+        base, _, fragment = target.partition("#")
+        if not base:  # in-page anchor
+            resolved = path
+        else:
+            resolved = (root if base.startswith("/") else path.parent) / base.lstrip("/")
         if not resolved.exists():
             errors.append(f"{path.relative_to(root)}: broken link -> {target}")
+        elif fragment and resolved.suffix == ".md":
+            if fragment not in heading_slugs(resolved.read_text(encoding="utf-8")):
+                errors.append(f"{path.relative_to(root)}: dangling anchor -> {target}")
     return errors
 
 
