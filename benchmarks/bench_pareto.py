@@ -29,6 +29,7 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
 from repro.circuits.registry import BENCHMARK_NAMES, benchmark_info
+from repro.core.cache import SynthesisCache
 from repro.core.pareto import ParetoFront, pareto_sweep
 
 REPRESENTATIVE = ["i2c", "router", "int2float"]
@@ -125,11 +126,13 @@ def main(argv=None) -> int:
             # serialization overhead), then the repeat that hits it
             start = time.perf_counter()
             populated = pareto_sweep(
-                (name, args.scale), cache_dir=cache_dir, **sweep
+                (name, args.scale), cache=SynthesisCache(cache_dir), **sweep
             )
             populate_s = time.perf_counter() - start
             start = time.perf_counter()
-            cached = pareto_sweep((name, args.scale), cache_dir=cache_dir, **sweep)
+            cached = pareto_sweep(
+                (name, args.scale), cache=SynthesisCache(cache_dir), **sweep
+            )
             cached_s = time.perf_counter() - start
 
             check_front(cold)

@@ -63,8 +63,8 @@ def main():
     # A mini Pareto sweep: every non-dominated (#N, #D) operating point,
     # each compiled through Algorithm 2 and equivalence-checked.  The
     # SynthesisCache memoizes the sweep under the MIG's structural
-    # fingerprint — the second call is a lookup (pass cache_dir= a path
-    # instead of a SynthesisCache to persist across runs).
+    # fingerprint — the second call is a lookup (give it a directory,
+    # SynthesisCache("path"), to persist across runs).
     from repro import SynthesisCache
 
     cache = SynthesisCache()

@@ -10,8 +10,11 @@ option sets.  This module is the one place that workload goes through:
   paid once per distinct node order; tasks fan out over a process pool
   when ``workers > 1``.  Results come back in deterministic
   (circuit-major, option-minor) order regardless of worker count.
-* :func:`parallel_map` — the underlying ordered pool map, reused by the
-  evaluation harness (Table 1, ablations) for coarser-grained tasks.
+* :func:`parallel_map` / :func:`parallel_imap` — the underlying ordered
+  pool map, reused by the evaluation harness (Table 1, ablations), the
+  Pareto sweep and ``plimc serve``.  Given ``cache=``, it also owns the
+  :class:`~repro.core.cache.SynthesisCache` hand-off: pooled tasks read
+  a view and only this process writes.
 
 Circuits may be given as :class:`~repro.mig.graph.Mig` objects, registry
 names (``"adder"``), or ``(name, scale)`` pairs.  Name specs are resolved
@@ -33,6 +36,7 @@ backends — plugs into.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -48,14 +52,14 @@ from typing import (
 )
 
 from repro.circuits.registry import build as build_benchmark
-from repro.core.cache import SynthesisCache, payload_cache_ref, worker_cache
+from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.resilience import (
     FaultPlan,
     TaskFailure,
     TaskPolicy,
-    iter_tasks,
-    run_tasks,
+    _iter_inline,
+    _Supervisor,
 )
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import ReproError
@@ -90,12 +94,14 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def parallel_imap(
-    fn: Callable[[_T], _R],
+    fn: Callable[..., _R],
     items: Iterable[_T],
     workers: Optional[int] = None,
     *,
+    cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
+    force_pool: bool = False,
 ) -> "Iterator[_R]":
     """Yield ``fn(x)`` per item, in input order, pooled like
     :func:`parallel_map`.
@@ -105,67 +111,60 @@ def parallel_imap(
     report progress row by row even when a pool is running — the
     evaluation harness's live table output depends on this.
 
+    ``cache`` hands tasks a :class:`~repro.core.cache.SynthesisCache`,
+    called as ``fn(x, cache)``: inline runs (and ``degrade`` re-runs)
+    get the instance itself, pooled tasks a fresh read-only
+    :meth:`~repro.core.cache.SynthesisCache.view` whose new entries this
+    process absorbs as it yields the task's outcome.  Without ``cache``
+    tasks are called as ``fn(x)``.
+
     ``policy`` configures per-task deadlines/retries/failure disposition
     (see :class:`~repro.core.resilience.TaskPolicy`); under
     ``on_error="skip"``/``"degrade"`` an unrecovered task's slot yields
     its :class:`~repro.core.resilience.TaskFailure` record instead of a
     result.  ``fault_plan`` injects deterministic faults for testing.
+    ``force_pool=True`` supervises even a single item on a worker
+    process — how ``plimc serve`` gets an enforceable deadline and crash
+    isolation for one request.
     """
     items = list(items)
-    yield from iter_tasks(
-        fn,
-        items,
-        workers=min(resolve_workers(workers), max(1, len(items))),
-        policy=policy,
-        fault_plan=fault_plan,
-    )
+    size = min(resolve_workers(workers), max(1, len(items)))
+    if not items:
+        return
+    policy = policy or TaskPolicy()
+    inline = fn if cache is None else functools.partial(_on_live, fn, cache)
+    if size <= 1 and not force_pool:
+        outcomes = _iter_inline(inline, items, policy, fault_plan)
+    else:
+        task = fn if cache is None else functools.partial(_on_view, fn, cache.view())
+        outcomes = _Supervisor(task, inline, items, size, policy, fault_plan).run()
+    for outcome in outcomes:
+        if cache is not None and not isinstance(outcome, TaskFailure):
+            outcome, fresh = outcome
+            cache.absorb(fresh)
+        yield outcome
 
 
-async def parallel_map_async(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: Optional[int] = None,
-    *,
-    policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    force_pool: bool = False,
-) -> "list[_R]":
-    """:func:`parallel_map` awaitable from asyncio code — the async bridge.
+def _on_view(fn, template: SynthesisCache, item):
+    """A pooled task: ``fn`` on a fresh view, plus the view's new entries."""
+    view = template.view()
+    return fn(item, view), view.export_fresh()
 
-    The supervised map is blocking (it multiplexes worker pipes with
-    ``multiprocessing.connection.wait``), so an asyncio caller — the
-    ``plimc serve`` front door — must not run it on the event loop.  This
-    wrapper runs the whole map on a thread-pool thread via
-    :func:`asyncio.to_thread` and awaits the result; everything else
-    (ordering, policies, fault plans) is exactly :func:`parallel_map`.
 
-    ``force_pool=True`` forwards to :func:`repro.core.resilience.iter_tasks`:
-    even a single item then runs on a supervised worker process, which is
-    what gives one HTTP request an enforceable deadline and crash
-    isolation.
-    """
-    import asyncio
-
-    items = list(items)
-    resolved = min(resolve_workers(workers), max(1, len(items)))
-    return await asyncio.to_thread(
-        run_tasks,
-        fn,
-        items,
-        workers=resolved,
-        policy=policy,
-        fault_plan=fault_plan,
-        force_pool=force_pool,
-    )
+def _on_live(fn, cache: SynthesisCache, item):
+    """An in-process task: ``fn`` stores straight into ``cache``."""
+    return fn(item, cache), []
 
 
 def parallel_map(
-    fn: Callable[[_T], _R],
+    fn: Callable[..., _R],
     items: Iterable[_T],
     workers: Optional[int] = None,
     *,
+    cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
+    force_pool: bool = False,
 ) -> "list[_R]":
     """``[fn(x) for x in items]`` with deterministic ordering, fanned out
     over a supervised process pool when more than one worker resolves.
@@ -176,11 +175,15 @@ def parallel_map(
     runs inline in this process — no pool, no pickling — which is also
     the fallback the tests rely on for exact reproducibility checks.
 
-    ``policy``/``fault_plan`` are forwarded to the resilience engine —
-    see :func:`parallel_imap` and :mod:`repro.core.resilience`.
+    ``cache``/``policy``/``fault_plan``/``force_pool`` are those of
+    :func:`parallel_imap`; asyncio callers run the whole map through
+    :func:`asyncio.to_thread`.
     """
     return list(
-        parallel_imap(fn, items, workers=workers, policy=policy, fault_plan=fault_plan)
+        parallel_imap(
+            fn, items, workers, cache=cache, policy=policy,
+            fault_plan=fault_plan, force_pool=force_pool,
+        )
     )
 
 
@@ -237,17 +240,9 @@ def _resolve_spec(spec: CircuitSpec) -> tuple[str, Mig]:
     )
 
 
-def _compile_task(payload):
-    """One worker task: every option set on one circuit, context shared.
-
-    Returns ``(results, fresh_cache_entries)``; the entries implement the
-    read-only + merge cache protocol (workers never write to disk, the
-    parent absorbs what they computed).
-    """
-    (circuit_index, spec, option_sets, rewrite, effort, keep_programs, cache_ref) = (
-        payload
-    )
-    cache = worker_cache(cache_ref)
+def _compile_task(payload, cache=None):
+    """One worker task: every option set on one circuit, context shared."""
+    circuit_index, spec, option_sets, rewrite, effort, keep_programs = payload
     name, mig = _resolve_spec(spec)
     if rewrite:
         mig = rewrite_for_plim(mig, RewriteOptions(effort=effort), cache=cache)
@@ -279,7 +274,7 @@ def _compile_task(payload):
                 program=program if keep_programs else None,
             )
         )
-    return results, cache.export_fresh() if cache is not None else []
+    return results
 
 
 def _label_option_sets(
@@ -301,7 +296,6 @@ def compile_many(
     effort: int = 4,
     keep_programs: bool = False,
     cache: Optional[SynthesisCache] = None,
-    cache_dir=None,
     policy: Optional[TaskPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> "list[Union[BatchResult, TaskFailure]]":
@@ -319,11 +313,9 @@ def compile_many(
     are dropped from the results unless ``keep_programs=True`` (they are
     the bulky part of the pickle when results cross process boundaries).
 
-    ``cache``/``cache_dir`` attach a
-    :class:`~repro.core.cache.SynthesisCache` memoizing the ``rewrite=True``
-    rewriting step per circuit fingerprint.  Pool workers use the cache
-    read-only (a disk-backed view when it has a ``cache_dir``) and ship
-    the entries they computed back; only this process merges and writes.
+    ``cache`` attaches a :class:`~repro.core.cache.SynthesisCache`
+    memoizing the ``rewrite=True`` rewriting step per circuit
+    fingerprint, shared with pool workers by :func:`parallel_imap`.
     A *memory-only* cache therefore only helps inline runs (one worker)
     and same-process repeats — pooled workers start empty unless the
     cache has a ``cache_dir`` they can read.
@@ -346,26 +338,19 @@ def compile_many(
         >>> all(c.num_instructions > 0 for c in cells)
         True
     """
-    if cache is None and cache_dir is not None:
-        cache = SynthesisCache(cache_dir)
-    inline = resolve_workers(workers) <= 1 or len(migs_or_specs) <= 1
-    cache_ref = payload_cache_ref(cache, inline)
     labelled = _label_option_sets(option_sets)
     payloads = [
-        (index, spec, labelled, rewrite, effort, keep_programs, cache_ref)
+        (index, spec, labelled, rewrite, effort, keep_programs)
         for index, spec in enumerate(migs_or_specs)
     ]
     grouped = parallel_map(
-        _compile_task, payloads, workers=workers, policy=policy,
+        _compile_task, payloads, workers=workers, cache=cache, policy=policy,
         fault_plan=fault_plan,
     )
     flattened: "list[Union[BatchResult, TaskFailure]]" = []
     for outcome in grouped:
         if isinstance(outcome, TaskFailure):
             flattened.append(outcome)
-            continue
-        group, entries = outcome
-        if cache is not None and not inline:
-            cache.absorb(entries)
-        flattened.extend(group)
+        else:
+            flattened.extend(outcome)
     return flattened

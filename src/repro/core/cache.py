@@ -41,16 +41,16 @@ is the designed trade-off of content addressing; studies whose subject
 is order sensitivity itself must bypass the cache, as
 :func:`repro.eval.table1.run_benchmark` does for shuffled rows.
 
-Process pools cooperate through the read-only + merge protocol:
-:func:`payload_cache_ref` turns a cache into a picklable payload field,
-workers rebuild a read-only view with :func:`worker_cache` (disk reads
-allowed, no writes), ship the entries they computed back via
-:meth:`SynthesisCache.export_fresh`, and the parent merges them with
-:meth:`SynthesisCache.absorb` — so only the main process ever writes.
-Note the implication for *memory-only* caches: a pool worker starts
-empty (there is no disk store to read), so an in-memory cache only
-accelerates inline runs (one worker) and same-process repeats — give the
-cache a ``cache_dir`` whenever pooled workers should see prior results.
+Process pools share a cache through :meth:`SynthesisCache.view`, a
+fresh instance that reads the same ``cache_dir`` but never writes to
+disk and collects what it computes for :meth:`SynthesisCache.export_fresh`;
+the parent merges those entries with :meth:`SynthesisCache.absorb`, so
+only one process ever writes.  :func:`repro.core.batch.parallel_imap`
+(``cache=``) runs that hand-off for every pooled driver.  A view of a
+*memory-only* cache starts empty (there is no disk store to read), so an
+in-memory cache only accelerates inline runs and same-process repeats —
+give the cache a ``cache_dir`` whenever pooled workers should see prior
+results.
 
 Example — the second rewrite of a circuit is a hit:
 
@@ -192,13 +192,8 @@ class SynthesisCache:
 
     ``cache_dir=None`` (the default) keeps everything in memory;
     otherwise entries are also written under ``cache_dir`` and found
-    again by later processes.  ``read_only=True`` never writes to disk
-    (the worker side of the read-only + merge protocol) and implies
-    ``collect_fresh``: serialized fresh entries are retained for
-    :meth:`export_fresh`.  Ordinary long-lived caches do *not* collect
-    fresh entries (the texts would accumulate unboundedly alongside the
-    deserialized values); only worker-side views built by
-    :func:`worker_cache` do, and they are drained once per task.
+    again by later processes.  :meth:`view` makes the read-only
+    instance a pool task or executor thread works on.
 
     ``max_bytes`` caps the cache at a byte budget with least-recently-
     used eviction, so a long-lived ``cache_dir`` cannot grow without
@@ -226,8 +221,6 @@ class SynthesisCache:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         *,
-        read_only: bool = False,
-        collect_fresh: bool = False,
         max_bytes: Optional[int] = None,
     ):
         if max_bytes is not None and (
@@ -240,8 +233,7 @@ class SynthesisCache:
                 f"got {max_bytes!r}"
             )
         self._dir = Path(cache_dir) if cache_dir is not None else None
-        self._read_only = read_only
-        self._collect_fresh = collect_fresh or read_only
+        self._read_only = False
         self._max_bytes = max_bytes
         self._mem: OrderedDict[tuple[str, str], object] = OrderedDict()
         self._sizes: dict[tuple[str, str], int] = {}
@@ -256,7 +248,7 @@ class SynthesisCache:
 
     @property
     def read_only(self) -> bool:
-        """True when this instance never writes to disk."""
+        """True for a :meth:`view`, which never writes to disk."""
         return self._read_only
 
     @property
@@ -410,23 +402,34 @@ class SynthesisCache:
         )
 
     # ------------------------------------------------------------------
-    # the read-only + merge protocol (process pools)
+    # the view hand-off (process pools, executor threads)
     # ------------------------------------------------------------------
+
+    def view(self) -> "SynthesisCache":
+        """A fresh, empty instance over the same ``cache_dir`` that never
+        writes to disk and collects its new entries for
+        :meth:`export_fresh`.
+
+        Long-lived caches do *not* collect fresh entries (the texts would
+        accumulate alongside the deserialized values); views do, and are
+        drained once per task.
+        """
+        view = SynthesisCache(self._dir)
+        view._read_only = True
+        return view
 
     def export_fresh(self) -> list[tuple[str, str, str]]:
         """Drain the serialized entries added since the last export.
 
-        Worker processes call this after their task and ship the result
-        back to the parent, which merges with :meth:`absorb`.  Only
-        collecting caches (``read_only=True`` or ``collect_fresh=True``,
-        i.e. :func:`worker_cache` views) retain fresh entries; for an
-        ordinary cache this returns ``[]``.
+        A :meth:`view`'s owner calls this after the task and hands the
+        result to the parent cache's :meth:`absorb`.  Only views retain
+        fresh entries; for an ordinary cache this returns ``[]``.
         """
         fresh, self._fresh = self._fresh, []
         return fresh
 
     def absorb(self, entries: list[tuple[str, str, str]]) -> int:
-        """Merge serialized ``(kind, key, text)`` entries from a worker.
+        """Merge serialized ``(kind, key, text)`` entries from a view.
 
         Returns the number of entries that were new to this cache.
         Malformed entries are counted as errors and skipped.
@@ -637,7 +640,7 @@ class SynthesisCache:
     def _put(self, kind: str, key: str, value, text: str) -> None:
         self._mem_insert(kind, key, value, len(text.encode("utf-8")))
         self._enforce_mem_cap(self._max_bytes)
-        if self._collect_fresh:
+        if self._read_only:
             self._fresh.append((kind, key, text))
         self.stats.bump("stores")
         if self._dir is None or self._read_only:
@@ -722,39 +725,3 @@ def _deserialize(kind: str, text: str):
 
         return CostReport.from_dict(json.loads(text))
     raise ValueError(f"unknown cache entry kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# payload plumbing for process pools
-# ----------------------------------------------------------------------
-
-
-def payload_cache_ref(cache: Optional[SynthesisCache], inline: bool):
-    """The picklable stand-in for ``cache`` in a worker payload.
-
-    ``inline=True`` (the task runs in this process) passes the instance
-    through unchanged, so memory hits are shared.  Pool workers instead
-    get the cache directory (or ``True`` for a memory-only cache) and
-    rebuild a read-only view with :func:`worker_cache`.
-    """
-    if cache is None:
-        return None
-    if inline:
-        return cache
-    return str(cache.cache_dir) if cache.cache_dir is not None else True
-
-
-def worker_cache(cache_ref) -> Optional[SynthesisCache]:
-    """Materialize a payload's cache reference inside the task.
-
-    Returns the shared instance (inline execution), a read-only
-    disk-backed view (pool worker of a persistent cache), a fresh
-    collect-only cache (pool worker of a memory cache), or ``None``.
-    """
-    if cache_ref is None:
-        return None
-    if isinstance(cache_ref, SynthesisCache):
-        return cache_ref
-    if cache_ref is True:
-        return SynthesisCache(collect_fresh=True)
-    return SynthesisCache(cache_ref, read_only=True)

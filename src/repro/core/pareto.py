@@ -28,11 +28,10 @@ Every sweep point is one independent task (rewrite, Algorithm 2 compile,
 equivalence check), so the points fan out over the same process-pool
 seam as :func:`repro.core.batch.compile_many` (``workers``) and results
 are identical for any worker count.  With a
-:class:`~repro.core.cache.SynthesisCache` (``cache=`` / ``cache_dir=``)
-the whole front is memoized under the input's
-:meth:`~repro.mig.graph.Mig.fingerprint`, so repeated sweeps of one
-circuit family are lookups — a hit changes the sweep's wall time, never
-its output.
+:class:`~repro.core.cache.SynthesisCache` (``cache=``) the whole front
+is memoized under the input's :meth:`~repro.mig.graph.Mig.fingerprint`,
+so repeated sweeps of one circuit family are lookups — a hit changes the
+sweep's wall time, never its output.
 
 Example::
 
@@ -52,13 +51,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from repro.core.batch import (
-    CircuitSpec,
-    _resolve_spec,
-    parallel_imap,
-    resolve_workers,
-)
-from repro.core.cache import SynthesisCache, payload_cache_ref, worker_cache
+from repro.core.batch import CircuitSpec, _resolve_spec, parallel_imap
+from repro.core.cache import SynthesisCache
 from repro.core.cost import measure_program
 from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
@@ -313,7 +307,7 @@ def _compile_point(
     )
 
 
-def _point_task(payload):
+def _point_task(payload, cache=None):
     """One sweep point, run inside a worker: a cold rewrite of ``seed``
     under ``options``, then Algorithm 2 and the equivalence check.
 
@@ -321,10 +315,9 @@ def _point_task(payload):
     depth anchor's rewritten graph for budgets below the input's depth;
     verification always runs against the raw input.  The depth anchor
     ships its rewritten graph back, since it seeds those budgets.  Returns
-    ``(point, shipped_rewritten_or_None, fresh_cache_entries)``.
+    ``(point, shipped_rewritten_or_None)``.
     """
-    spec, label, options, seed, verify, fix_polarity, execute, cache_ref = payload
-    cache = worker_cache(cache_ref)
+    spec, label, options, seed, verify, fix_polarity, execute = payload
     _, mig = _resolve_spec(spec)
     start = time.perf_counter()
     rewritten = rewrite_for_plim(mig if seed is None else seed, options, cache=cache)
@@ -333,8 +326,7 @@ def _point_task(payload):
         start, execute,
     )
     shipped = rewritten if options.objective == "depth" else None
-    entries = cache.export_fresh() if cache is not None else []
-    return point, shipped, entries
+    return point, shipped
 
 
 def _subsample(budgets: list[int], max_points: Optional[int]) -> list[int]:
@@ -401,7 +393,6 @@ def pareto_sweep(
     verify: bool = True,
     paper_accounting: bool = True,
     cache: Optional[SynthesisCache] = None,
-    cache_dir=None,
     policy: Optional[TaskPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     axes: tuple = _DEFAULT_AXES,
@@ -439,13 +430,13 @@ def pareto_sweep(
     any mismatch.  ``paper_accounting=False`` charges output-polarity
     fix-ups in the Algorithm 2 compile (#I/#R), like ``plimc --honest``.
 
-    ``cache``/``cache_dir`` attach a
-    :class:`~repro.core.cache.SynthesisCache`: the finished front is
-    memoized under the input's fingerprint and the sweep parameters, and
-    every per-point rewrite under its own content address, so repeated
-    sweeps of one circuit family — even across processes, with
-    ``cache_dir`` — reuse points.  For a given build of a circuit a
-    cache hit never changes the sweep's output, only its wall time.
+    ``cache`` attaches a :class:`~repro.core.cache.SynthesisCache`: the
+    finished front is memoized under the input's fingerprint and the
+    sweep parameters, and every per-point rewrite under its own content
+    address, so repeated sweeps of one circuit family — even across
+    processes, with a ``cache_dir`` — reuse points.  For a given build of
+    a circuit a cache hit never changes the sweep's output, only its wall
+    time.
     Note the address is the *content* fingerprint, which canonicalizes
     gate-creation order: sweeping a reordered build of an already-cached
     circuit returns the cached representative's front (functionally
@@ -499,8 +490,6 @@ def pareto_sweep(
     wall_start = time.perf_counter()
     fix_polarity = not paper_accounting
 
-    if cache is None and cache_dir is not None:
-        cache = SynthesisCache(cache_dir)
     fingerprint = None
     front_params = None
     if cache is not None:
@@ -522,8 +511,6 @@ def pareto_sweep(
                 for point in hit.points:
                     progress(point)
             return hit
-    inline = resolve_workers(workers) <= 1
-    cache_ref = payload_cache_ref(cache, inline)
 
     plan = fault_plan or FaultPlan()
     failures: list[TaskFailure] = []
@@ -535,10 +522,11 @@ def pareto_sweep(
         outcomes = parallel_imap(
             _point_task,
             [
-                (spec, label, options, seed, verify, fix_polarity, execute, cache_ref)
+                (spec, label, options, seed, verify, fix_polarity, execute)
                 for label, options, seed in points
             ],
             workers=workers,
+            cache=cache,
             policy=policy,
             fault_plan=plan.scoped(phase),
         )
@@ -548,11 +536,7 @@ def pareto_sweep(
                 failures.append(outcome)
                 failed_labels.append(label)
                 continue
-            point, shipped, entries = outcome
-            if cache is not None and not inline:
-                # read-only + merge protocol: pool workers never write; the
-                # fresh entries they computed are merged (persisted) here.
-                cache.absorb(entries)
+            point, shipped = outcome
             if progress is not None:
                 progress(point)
             done[label] = (point, shipped)

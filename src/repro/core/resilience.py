@@ -1,11 +1,12 @@
 """Fault-tolerant task execution: policies, crash recovery, fault injection.
 
 Every parallel surface of the package — :func:`~repro.core.batch.compile_many`,
-:func:`~repro.core.pareto.pareto_sweep`, ``run_table1``, the benchmark
-drivers — funnels through :func:`~repro.core.batch.parallel_map`, which in
-turn runs on this module's :func:`run_tasks` engine.  The engine replaces
-the old bare ``pool.map`` with *per-task supervision*, so one bad task no
-longer aborts a whole sweep with a raw ``BrokenProcessPool`` traceback:
+:func:`~repro.core.pareto.pareto_sweep`, ``run_table1``, ``plimc serve``,
+the benchmark drivers — funnels through
+:func:`~repro.core.batch.parallel_imap`, which runs this module's inline
+loop or its :class:`_Supervisor` pool.  The engine replaces the old bare
+``pool.map`` with *per-task supervision*, so one bad task no longer
+aborts a whole sweep with a raw ``BrokenProcessPool`` traceback:
 
 * **policies** — a :class:`TaskPolicy` declares per-task deadlines
   (``timeout_s``), retry counts with exponential ``backoff``, and what a
@@ -50,7 +51,7 @@ import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import ReproError
 
@@ -60,9 +61,6 @@ __all__ = [
     "TaskError",
     "TaskFailure",
     "TaskPolicy",
-    "iter_tasks",
-    "run_tasks",
-    "split_failures",
 ]
 
 #: permanent-failure dispositions a :class:`TaskPolicy` may declare
@@ -414,10 +412,12 @@ def _describe_exit(process) -> str:
 
 
 class _Supervisor:
-    """Runs ``fn`` over ``items`` on supervised workers under ``policy``."""
+    """Runs ``fn`` over ``items`` on supervised workers under ``policy``;
+    a ``degrade`` re-run calls ``inline`` in this process instead."""
 
-    def __init__(self, fn, items, workers, policy, fault_plan):
+    def __init__(self, fn, inline, items, workers, policy, fault_plan):
         self.fn = fn
+        self.inline = inline
         self.items = items
         self.policy = policy
         self.plan = fault_plan
@@ -523,7 +523,7 @@ class _Supervisor:
             try:
                 return _Success(
                     _run_one_inline(
-                        self.fn,
+                        self.inline,
                         self.items[failure.index],
                         failure.index,
                         failure.attempts + 1,
@@ -588,7 +588,7 @@ class _Success:
 
 
 # ----------------------------------------------------------------------
-# inline execution (one worker / one item) and the public API
+# inline execution (one worker / one item)
 # ----------------------------------------------------------------------
 
 
@@ -638,69 +638,3 @@ def _iter_inline(fn, items, policy, plan) -> Iterator[Any]:
                     pass
             yield failure
             break
-
-
-def iter_tasks(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    workers: int,
-    policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    force_pool: bool = False,
-) -> Iterator[Any]:
-    """Stream ``fn(item)`` outcomes in input order under ``policy``.
-
-    The streaming core of :func:`run_tasks` (and of
-    :func:`repro.core.batch.parallel_imap`): each yielded outcome is
-    either the task's result or — under ``on_error="skip"``/``"degrade"``
-    after an unrecovered failure — its :class:`TaskFailure` record.
-    ``workers`` is the *resolved* pool size; ``workers <= 1`` (or a
-    single item) runs inline with the same retry/disposition semantics
-    but no deadlines or crash isolation.
-
-    ``force_pool=True`` supervises even a single item on a real worker
-    process — the seam request-at-a-time callers (``plimc serve``) use to
-    get enforceable deadlines and crash isolation for one task, which the
-    inline fast path cannot provide.
-    """
-    items = list(items)
-    policy = policy or TaskPolicy()
-    if not items:
-        return iter(())
-    if not force_pool and (workers <= 1 or len(items) <= 1):
-        return _iter_inline(fn, items, policy, fault_plan)
-    return _Supervisor(fn, items, max(1, workers), policy, fault_plan).run()
-
-
-def run_tasks(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    workers: int,
-    policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    force_pool: bool = False,
-) -> list:
-    """``[fn(x) for x in items]`` under ``policy``; failed slots become
-    :class:`TaskFailure` records (``on_error="skip"``/``"degrade"``) or
-    raise (``on_error="raise"``, the default).  See :func:`iter_tasks`.
-    """
-    return list(
-        iter_tasks(
-            fn,
-            items,
-            workers=workers,
-            policy=policy,
-            fault_plan=fault_plan,
-            force_pool=force_pool,
-        )
-    )
-
-
-def split_failures(outcomes: Sequence[Any]) -> tuple[list, list[TaskFailure]]:
-    """Partition a :func:`run_tasks` result into (results, failures)."""
-    results, failures = [], []
-    for outcome in outcomes:
-        (failures if isinstance(outcome, TaskFailure) else results).append(outcome)
-    return results, failures

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.circuits.registry import BENCHMARK_NAMES, benchmark_info
-from repro.core.batch import parallel_imap, resolve_workers
-from repro.core.cache import SynthesisCache, payload_cache_ref, worker_cache
+from repro.core.batch import parallel_imap
+from repro.core.cache import SynthesisCache
 from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
@@ -211,16 +211,12 @@ def run_benchmark(
     )
 
 
-def _benchmark_task(payload):
-    """Module-level task so the table can fan out over a process pool.
-
-    Returns ``(row, fresh_cache_entries)`` — the read-only + merge cache
-    protocol, like :func:`repro.core.batch._compile_task`.
-    """
-    (name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective,
-     cache_ref) = payload
-    cache = worker_cache(cache_ref)
-    row = run_benchmark(
+def _benchmark_task(payload, cache=None):
+    """Module-level task so the table can fan out over a process pool."""
+    name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective = (
+        payload
+    )
+    return run_benchmark(
         name,
         scale,
         effort=effort,
@@ -230,7 +226,6 @@ def _benchmark_task(payload):
         objective=objective,
         cache=cache,
     )
-    return row, cache.export_fresh() if cache is not None else []
 
 
 def run_table1(
@@ -245,7 +240,6 @@ def run_table1(
     workers: Optional[int] = None,
     objective="size",
     cache: Optional[SynthesisCache] = None,
-    cache_dir=None,
     policy: Optional[TaskPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Table1Result:
@@ -260,9 +254,9 @@ def run_table1(
     regardless.  ``objective`` is the Algorithm 1 target ("size", the
     paper's; cost-model objectives like "plim" produce a what-if table
     with the same layout — models are picklable, so pooled runs work).
-    ``cache``/``cache_dir`` attach a
-    :class:`~repro.core.cache.SynthesisCache` memoizing each row's
-    rewriting step (pool workers read-only, merged here; ignored for
+    ``cache`` attaches a :class:`~repro.core.cache.SynthesisCache`
+    memoizing each row's rewriting step (shared with pool workers by
+    :func:`~repro.core.batch.parallel_imap`; ignored for
     ``shuffled=True`` runs, whose whole point is order sensitivity that
     the order-invariant fingerprint would cache away).
 
@@ -272,34 +266,24 @@ def run_table1(
     :attr:`Table1Result.failures` while the remaining rows complete.
     ``fault_plan`` injects deterministic faults for testing.
     """
-    if cache is None and cache_dir is not None:
-        cache = SynthesisCache(cache_dir)
     selected = list(names) if names is not None else list(BENCHMARK_NAMES)
-    inline = resolve_workers(workers) <= 1 or len(selected) <= 1
-    cache_ref = payload_cache_ref(cache, inline)
     payloads = [
-        (name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective,
-         cache_ref)
+        (name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective)
         for name in selected
     ]
     rows = []
     failures = []
     results = parallel_imap(
-        _benchmark_task, payloads, workers=workers,
+        _benchmark_task, payloads, workers=workers, cache=cache,
         policy=policy, fault_plan=fault_plan,
     )
     for name, outcome in zip(selected, results):
         if isinstance(outcome, TaskFailure):
             failures.append((name, outcome))
             continue
-        row, entries = outcome
-        rows.append(row)
-        if cache is not None:
-            # a no-op for inline runs (the entries are already this
-            # cache's); merges read-only pool workers' results otherwise
-            cache.absorb(entries)
+        rows.append(outcome)
         if progress is not None:
-            progress(name, row)
+            progress(name, outcome)
     return Table1Result(
         rows=rows,
         scale=scale,

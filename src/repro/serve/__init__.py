@@ -5,9 +5,10 @@ process: circuits go in as ``.mig``/BLIF/AIGER text over HTTP+JSON,
 PLiM programs come out, and everything in between — the shared
 :class:`~repro.core.cache.SynthesisCache`, the supervised worker pool,
 in-flight request dedup, bounded admission, graceful drain — is the
-machinery the rest of this codebase already grew, composed behind two
-small seams (:func:`repro.core.batch.parallel_map_async` and the
-read-only-cache + absorb protocol).
+machinery the rest of this codebase already grew, composed behind one
+small seam: :func:`repro.core.batch.parallel_map` run through
+:func:`asyncio.to_thread`, with a per-request cache view the event loop
+absorbs afterwards.
 
 Layering::
 

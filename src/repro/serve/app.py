@@ -12,10 +12,10 @@ The event loop owns all shared state: the :class:`~repro.core.cache
 .SynthesisCache`, the dedup table, the admission counter.  Compiles run
 off-loop — on an executor thread (default) or a supervised worker
 process (``pooled=True``, which buys per-request deadlines and crash
-isolation) — and *never* see the live cache: they get a pool-style cache
-ref, compute against a read-only view, and ship fresh entries back for
-the event loop to absorb.  One request = one task on the
-:mod:`repro.core.resilience` engine with a per-class
+isolation) — and *never* see the live cache: each request or job works
+on its own :meth:`~repro.core.cache.SynthesisCache.view`, whose fresh
+entries the event loop absorbs afterwards.  One request = one task on
+the :mod:`repro.core.resilience` engine with a per-class
 :class:`~repro.core.resilience.TaskPolicy` (``interactive``: no retries,
 fail fast; ``batch``: one retry), so a crashed or hung worker becomes a
 structured 502/504 — never a wedged connection.
@@ -34,8 +34,8 @@ import asyncio
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.batch import parallel_map_async
-from repro.core.cache import SynthesisCache, payload_cache_ref, worker_cache
+from repro.core.batch import parallel_map
+from repro.core.cache import SynthesisCache
 from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
 from repro.errors import ReproError
 from repro.mig.graph import Mig
@@ -286,19 +286,21 @@ class PlimServer:
             if hit is not None:
                 self.counters["cache_answers"] += 1
                 return self._success_triple(hit, cached=True)
+            view = self.cache.view()
             async with self._compile_slot():
                 task_payload = {
                     "mig": mig,
                     "name": mig.name,
                     "fingerprint": fingerprint,
                     "options": options,
-                    "cache_ref": payload_cache_ref(self.cache, inline=False),
                 }
                 outcome = (
-                    await parallel_map_async(
+                    await asyncio.to_thread(
+                        parallel_map,
                         serve_compile_task,
                         [task_payload],
                         workers=1,
+                        cache=view,
                         policy=self._policy(klass),
                         fault_plan=(self.config.fault_plan or FaultPlan()).scoped(
                             "compile"
@@ -309,8 +311,8 @@ class PlimServer:
             if isinstance(outcome, TaskFailure):
                 self.counters["failures"] += 1
                 return self._failure_triple(outcome)
-            record, cached, fresh = outcome
-            self.cache.absorb(fresh)
+            record, cached = outcome
+            self.cache.absorb(view.export_fresh())
             self.counters["compiles" if not cached else "cache_answers"] += 1
             return self._success_triple(record, cached=cached)
         finally:
@@ -458,12 +460,13 @@ class PlimServer:
 
     async def _run_job(self, job_id: str, kind: str, mig: Mig, params: dict):
         self.jobs.start(job_id)
+        view = self.cache.view()
         try:
-            result, fresh = await asyncio.wait_for(
-                asyncio.to_thread(self._job_body, job_id, kind, mig, params),
+            result = await asyncio.wait_for(
+                asyncio.to_thread(self._job_body, job_id, kind, mig, params, view),
                 timeout=self.config.job_timeout_s,
             )
-            self.cache.absorb(fresh)
+            self.cache.absorb(view.export_fresh())
             self.jobs.finish(job_id, result)
         except asyncio.TimeoutError:
             self.jobs.fail(
@@ -491,13 +494,11 @@ class PlimServer:
                 },
             )
 
-    def _job_body(self, job_id: str, kind: str, mig: Mig, params: dict):
-        """The blocking job work (runs on an executor thread).
-
-        Shares the cache through the same read-only view + absorb
-        protocol as compiles — the thread never touches the live cache.
-        """
-        view = worker_cache(payload_cache_ref(self.cache, inline=False))
+    def _job_body(
+        self, job_id: str, kind: str, mig: Mig, params: dict, cache: SynthesisCache
+    ):
+        """The blocking job work (runs on an executor thread, on the job's
+        cache view — never the live cache)."""
         if kind == "pareto":
             from repro.core.pareto import pareto_sweep
 
@@ -507,7 +508,7 @@ class PlimServer:
                 effort=params.get("effort", 4),
                 max_points=params.get("max_points", 2),
                 verify=params.get("verify", False),
-                cache=view,
+                cache=cache,
                 progress=lambda point: self.jobs.add_progress(
                     job_id, point.to_dict()
                 ),
@@ -521,7 +522,7 @@ class PlimServer:
                 objective=params.get("objective", "plim"),
                 effort=params.get("effort", 2),
                 max_iterations=params.get("max_iterations", 2),
-                cache=view,
+                cache=cache,
                 progress=lambda step: self.jobs.add_progress(
                     job_id,
                     {
@@ -542,5 +543,4 @@ class PlimServer:
                 "num_instructions": loop_result.num_instructions,
                 "num_rrams": loop_result.num_rrams,
             }
-        fresh = view.export_fresh() if view is not None else []
-        return result, fresh
+        return result

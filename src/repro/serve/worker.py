@@ -7,14 +7,13 @@ deadlines and crash isolation) and runs unchanged inline (the default —
 no process round-trip at interactive latencies).
 
 The payload carries the parsed :class:`~repro.mig.graph.Mig`, its
-content fingerprint, the normalized options dict and a *cache ref*
-(:func:`~repro.core.cache.payload_cache_ref` pool-style, never the live
-instance: the task may run on a worker process or an executor thread,
-and the server's cache is only ever touched from the event loop).  The
-task checks the shared cache's compilation kind first, compiles on a
-miss, stores the full answer, and ships the fresh entries back for the
-event loop to :meth:`~repro.core.cache.SynthesisCache.absorb` — the same
-read-only + merge protocol every pooled driver in this codebase uses.
+content fingerprint and the normalized options dict; the cache comes
+from :func:`~repro.core.batch.parallel_map` (``cache=``) — the request's
+own :meth:`~repro.core.cache.SynthesisCache.view`, never the live
+instance, because the task runs on an executor thread or a worker
+process and the server's cache is only ever touched from the event
+loop.  The task checks the compilation kind first, compiles on a miss
+and stores the full answer.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import io
 from typing import Optional
 
-from repro.core.cache import worker_cache
+from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions
 from repro.core.pipeline import compile_mig
 from repro.core.rewriting import RewriteOptions
@@ -77,23 +76,19 @@ def build_record(name: Optional[str], result) -> dict:
     }
 
 
-def serve_compile_task(payload: dict):
-    """Answer one compile request; returns ``(record, cached, fresh)``.
+def serve_compile_task(payload: dict, cache: SynthesisCache):
+    """Answer one compile request; returns ``(record, cached)``.
 
-    ``cached`` reports whether the answer came out of the shared cache
-    (the response's ``"cached"`` field); ``fresh`` is the worker cache's
-    :meth:`~repro.core.cache.SynthesisCache.export_fresh` batch for the
-    event loop to merge.
+    ``cached`` reports whether the answer came out of ``cache`` (the
+    response's ``"cached"`` field).
     """
     mig: Mig = payload["mig"]
     fingerprint: str = payload["fingerprint"]
     options: dict = payload["options"]
-    cache = worker_cache(payload.get("cache_ref"))
     ropts, copts = request_option_sets(options)
-    if cache is not None:
-        hit = cache.get_compilation(fingerprint, ropts, copts)
-        if hit is not None:
-            return hit, True, cache.export_fresh()
+    hit = cache.get_compilation(fingerprint, ropts, copts)
+    if hit is not None:
+        return hit, True
     result = compile_mig(
         mig,
         rewrite=options["rewrite"],
@@ -102,8 +97,5 @@ def serve_compile_task(payload: dict):
         cache=cache,
     )
     record = build_record(payload.get("name"), result)
-    fresh: list = []
-    if cache is not None:
-        cache.put_compilation(fingerprint, ropts, copts, record)
-        fresh = cache.export_fresh()
-    return record, False, fresh
+    cache.put_compilation(fingerprint, ropts, copts, record)
+    return record, False

@@ -7,7 +7,8 @@ Contracts under test:
   ``cache_dir``;
 * corrupt disk entries recover as misses (and are replaced), never as
   errors surfaced to callers;
-* the read-only + merge worker protocol (``export_fresh``/``absorb``);
+* read-only views and the merge protocol (``view``/``export_fresh``/
+  ``absorb``);
 * a cache hit never changes what ``rewrite_for_plim``/``compile_mig``/
   ``compile_many`` return, only how fast;
 * the ``workers`` default convention is uniform across the public entry
@@ -21,13 +22,7 @@ import pytest
 
 from repro.circuits.registry import build
 from repro.core.batch import compile_many, resolve_workers
-from repro.core.cache import (
-    FRONT_KIND,
-    REWRITE_KIND,
-    SynthesisCache,
-    payload_cache_ref,
-    worker_cache,
-)
+from repro.core.cache import FRONT_KIND, REWRITE_KIND, SynthesisCache
 from repro.core.pareto import ParetoFront, ParetoPoint, pareto_sweep
 from repro.core.pipeline import compile_mig
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
@@ -150,7 +145,7 @@ class TestDiskStore:
 
     def test_read_only_never_writes(self, tmp_path):
         mig = build("ctrl", "ci")
-        cache = SynthesisCache(tmp_path, read_only=True)
+        cache = SynthesisCache(tmp_path).view()
         rewrite_for_plim(mig, OPTS, cache=cache)
         assert not (tmp_path / REWRITE_KIND).exists()
         assert len(cache.export_fresh()) == 1
@@ -171,7 +166,7 @@ class TestDiskStore:
 
     def test_export_and_absorb_round_trip(self, tmp_path):
         mig = build("ctrl", "ci")
-        worker = SynthesisCache(tmp_path, read_only=True)
+        worker = SynthesisCache(tmp_path).view()
         reference = rewrite_for_plim(mig, OPTS, cache=worker)
         entries = worker.export_fresh()
         parent = SynthesisCache(tmp_path)
@@ -185,8 +180,8 @@ class TestDiskStore:
         assert cache.stats.errors == 1
 
     def test_ordinary_caches_do_not_accumulate_fresh_entries(self, tmp_path):
-        """Only worker-side collecting views retain serialized fresh
-        entries; a long-lived cache must not grow them unboundedly."""
+        """Only views retain serialized fresh entries; a long-lived cache
+        must not grow them unboundedly."""
         cache = SynthesisCache(tmp_path)
         for seed in range(3):
             rewrite_for_plim(
@@ -241,18 +236,22 @@ class TestPipelineIntegration:
         assert [strip(r) for r in plain] == [strip(r) for r in cached]
         # the rewrites were persisted (merged from workers when pooled)
         assert cache.disk_usage()[REWRITE_KIND]["entries"] == 2
-        warm = compile_many(specs, workers=1, rewrite=True, cache_dir=tmp_path)
+        warm = compile_many(
+            specs, workers=1, rewrite=True, cache=SynthesisCache(tmp_path)
+        )
         assert [r.counts for r in warm] == [r.counts for r in plain]
 
     def test_shuffled_table1_ignores_the_cache(self, tmp_path):
         """--shuffled measures order sensitivity; the order-invariant
         fingerprint would alias shuffled and as-built builds, so shuffled
         rows must bypass the cache entirely."""
-        run_table1(names=["bar"], scale="ci", workers=1, cache_dir=tmp_path)
+        run_table1(
+            names=["bar"], scale="ci", workers=1, cache=SynthesisCache(tmp_path)
+        )
         plain = run_table1(names=["bar"], scale="ci", workers=1, shuffled=True)
         cached = run_table1(
             names=["bar"], scale="ci", workers=1, shuffled=True,
-            cache_dir=tmp_path,
+            cache=SynthesisCache(tmp_path),
         )
         row_plain, row_cached = plain.rows[0], cached.rows[0]
         assert (row_plain.rewr_n, row_plain.rewr_i, row_plain.rewr_r) == (
@@ -262,10 +261,10 @@ class TestPipelineIntegration:
     def test_run_table1_cache_preserves_rows(self, tmp_path):
         cold = run_table1(names=["ctrl"], scale="ci", workers=1)
         cached = run_table1(
-            names=["ctrl"], scale="ci", workers=1, cache_dir=tmp_path
+            names=["ctrl"], scale="ci", workers=1, cache=SynthesisCache(tmp_path)
         )
         hit = run_table1(
-            names=["ctrl"], scale="ci", workers=1, cache_dir=tmp_path
+            names=["ctrl"], scale="ci", workers=1, cache=SynthesisCache(tmp_path)
         )
         def strip(row):
             return {
@@ -284,22 +283,26 @@ class TestPipelineIntegration:
             assert equivalent(cold, mig) and _listing(cold) == _listing(hit)
 
 
-class TestWorkerProtocolHelpers:
-    def test_payload_ref_inline_passes_instance(self):
-        cache = SynthesisCache()
-        assert payload_cache_ref(cache, inline=True) is cache
-        assert worker_cache(cache) is cache
+class TestView:
+    def test_disk_view_keeps_dir_and_is_read_only(self, tmp_path):
+        disk = SynthesisCache(tmp_path, max_bytes=10_000)
+        view = disk.view()
+        assert view is not disk and not disk.read_only
+        assert view.read_only and view.cache_dir == tmp_path
+        assert view.stats_snapshot()["read_only"] is True
 
-    def test_payload_ref_pool_variants(self, tmp_path):
-        assert payload_cache_ref(None, inline=False) is None
-        disk = SynthesisCache(tmp_path)
-        ref = payload_cache_ref(disk, inline=False)
-        assert ref == str(tmp_path)
-        rebuilt = worker_cache(ref)
-        assert rebuilt.read_only and rebuilt.cache_dir == tmp_path
-        mem_ref = payload_cache_ref(SynthesisCache(), inline=False)
-        assert mem_ref is True
-        assert worker_cache(mem_ref).cache_dir is None
+    def test_memory_view_starts_empty_and_collects(self):
+        mig = build("ctrl", "ci")
+        cache = SynthesisCache()
+        rewrite_for_plim(mig, OPTS, cache=cache)
+        view = cache.view()
+        assert view.cache_dir is None
+        assert view.stats_snapshot()["memory"]["entries"] == 0
+        rewrite_for_plim(mig, OPTS, cache=view)
+        assert view.stats.misses == 1
+        (entry,) = view.export_fresh()
+        assert entry[0] == REWRITE_KIND
+        assert view.export_fresh() == []  # drained
 
 
 class TestWorkersConvention:

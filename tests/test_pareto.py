@@ -212,9 +212,12 @@ class TestParetoSweepMechanics:
         uncached, cold-cache (populating) and warm-cache (front hit) runs
         all return identical points, for any worker count."""
         plain = pareto_sweep(("router", "ci"), workers=1)
-        populating = pareto_sweep(("router", "ci"), workers=1, cache_dir=tmp_path)
-        hit_serial = pareto_sweep(("router", "ci"), workers=1, cache_dir=tmp_path)
-        hit_pooled = pareto_sweep(("router", "ci"), workers=2, cache_dir=tmp_path)
+        def sweep(workers):
+            return pareto_sweep(
+                ("router", "ci"), workers=workers, cache=SynthesisCache(tmp_path)
+            )
+
+        populating, hit_serial, hit_pooled = sweep(1), sweep(1), sweep(2)
         reference = [_strip(p) for p in plain.points]
         for front in (populating, hit_serial, hit_pooled):
             assert [_strip(p) for p in front.points] == reference
@@ -228,11 +231,30 @@ class TestParetoSweepMechanics:
         merged disk store must serve the same front a serial run stores."""
         pooled_dir = tmp_path / "pooled"
         serial_dir = tmp_path / "serial"
-        pooled = pareto_sweep(("router", "ci"), workers=2, cache_dir=pooled_dir)
-        serial = pareto_sweep(("router", "ci"), workers=1, cache_dir=serial_dir)
-        hit = pareto_sweep(("router", "ci"), workers=1, cache_dir=pooled_dir)
+
+        def sweep(workers, cache_dir):
+            return pareto_sweep(
+                ("router", "ci"), workers=workers, cache=SynthesisCache(cache_dir)
+            )
+
+        pooled = sweep(2, pooled_dir)
+        serial = sweep(1, serial_dir)
+        hit = sweep(1, pooled_dir)
         assert [_strip(p) for p in hit.points] == [_strip(p) for p in pooled.points]
         assert [_strip(p) for p in hit.points] == [_strip(p) for p in serial.points]
+
+    def test_one_point_phase_runs_inline_on_the_live_cache(self):
+        """A phase with a single task runs inline even with ``workers=2``
+        and must be handed the live cache, not an empty view: the second
+        sweep (``verify=False`` — a different front key) reuses the
+        one-point budget phase's rewrite."""
+        cache = SynthesisCache()
+        pareto_sweep(("router", "ci"), workers=2, max_points=1, cache=cache)
+        hits = cache.stats.hits
+        pareto_sweep(
+            ("router", "ci"), workers=2, max_points=1, verify=False, cache=cache
+        )
+        assert cache.stats.hits - hits >= 1
 
     def test_accepts_mig_instances(self, small_random_mig):
         front = pareto_sweep(small_random_mig, workers=1)
@@ -443,9 +465,11 @@ class TestAxes:
         axes = ("num_instructions", "num_rrams")
         plain = pareto_sweep(("ctrl", "ci"), workers=1, axes=axes)
         populating = pareto_sweep(
-            ("ctrl", "ci"), workers=1, axes=axes, cache_dir=tmp_path
+            ("ctrl", "ci"), workers=1, axes=axes, cache=SynthesisCache(tmp_path)
         )
-        hit = pareto_sweep(("ctrl", "ci"), workers=1, axes=axes, cache_dir=tmp_path)
+        hit = pareto_sweep(
+            ("ctrl", "ci"), workers=1, axes=axes, cache=SynthesisCache(tmp_path)
+        )
         reference = [_strip(p) for p in plain.points]
         assert [_strip(p) for p in populating.points] == reference
         assert [_strip(p) for p in hit.points] == reference
@@ -457,7 +481,9 @@ class TestAxes:
     def test_axes_are_part_of_the_cache_key(self, tmp_path):
         """Differently-axed fronts of the same circuit never collide in
         the cache: the second sweep is a miss-and-store, not a hit."""
-        default = pareto_sweep(("ctrl", "ci"), workers=1, cache_dir=tmp_path)
+        default = pareto_sweep(
+            ("ctrl", "ci"), workers=1, cache=SynthesisCache(tmp_path)
+        )
         probe = SynthesisCache(tmp_path)
         axed = pareto_sweep(
             ("ctrl", "ci"), workers=1, cache=probe,

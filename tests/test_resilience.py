@@ -11,11 +11,14 @@ arrive in input order for any worker count and fault pattern.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 
 import pytest
 
+from repro.core.batch import parallel_imap, parallel_map
+from repro.core.cache import COMPILATION_KIND, SynthesisCache
 from repro.core.resilience import (
     Fault,
     FaultPlan,
@@ -23,8 +26,6 @@ from repro.core.resilience import (
     TaskError,
     TaskFailure,
     TaskPolicy,
-    run_tasks,
-    split_failures,
 )
 from repro.errors import ReproError
 
@@ -56,6 +57,19 @@ def _raise_unpicklable(x):
 
 def _return_unpicklable(x):
     return lambda: x  # lambdas don't pickle
+
+
+def _store_record(x, cache):
+    """Store one compilation record keyed by ``x``; report which cache
+    instance the task was handed, and where it ran."""
+    cache.put_compilation(f"fp{x}", None, None, {"x": x})
+    return {
+        "square": x * x,
+        "cache_id": id(cache),
+        "read_only": cache.read_only,
+        "cache_dir": cache.cache_dir,
+        "pid": os.getpid(),
+    }
 
 
 class TestTaskPolicy:
@@ -119,15 +133,15 @@ class TestInlinePath:
     """workers=1 — same policy semantics, no real processes."""
 
     def test_plain_map(self):
-        assert run_tasks(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-        assert run_tasks(_square, [], workers=1) == []
+        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
+        assert parallel_map(_square, [], workers=1) == []
 
     def test_raise_mode_reraises_the_original_exception(self):
         with pytest.raises(ValueError, match="negative input -2"):
-            run_tasks(_fail_on_negative, [1, -2, 3], workers=1)
+            parallel_map(_fail_on_negative, [1, -2, 3], workers=1)
 
     def test_skip_mode_records_the_failure_in_place(self):
-        out = run_tasks(
+        out = parallel_map(
             _fail_on_negative, [1, -2, 3], workers=1,
             policy=TaskPolicy(on_error="skip"),
         )
@@ -138,7 +152,7 @@ class TestInlinePath:
 
     def test_retry_recovers_a_transient_fault(self):
         plan = FaultPlan({1: Fault("raise", attempts=(1,))})
-        out = run_tasks(
+        out = parallel_map(
             _square, [1, 2, 3], workers=1,
             policy=TaskPolicy(retries=1, backoff=0), fault_plan=plan,
         )
@@ -146,7 +160,7 @@ class TestInlinePath:
 
     def test_injected_exit_becomes_a_crash_record_not_driver_death(self):
         plan = FaultPlan({0: Fault("exit")})
-        out = run_tasks(
+        out = parallel_map(
             _square, [5], workers=1,
             policy=TaskPolicy(on_error="skip"), fault_plan=plan,
         )
@@ -156,14 +170,14 @@ class TestInlinePath:
         # worker_only=False → the fault also fires inline; the degrade
         # attempt fires it again (attempts=()) so the failure stands
         always = FaultPlan({0: Fault("raise", attempts=())})
-        out = run_tasks(
+        out = parallel_map(
             _square, [3], workers=1,
             policy=TaskPolicy(on_error="degrade"), fault_plan=always,
         )
         assert isinstance(out[0], TaskFailure)
         # fault limited to attempt 1 → the degrade attempt (attempt 2) runs clean
         once = FaultPlan({0: Fault("raise", attempts=(1,))})
-        out = run_tasks(
+        out = parallel_map(
             _square, [3], workers=1,
             policy=TaskPolicy(on_error="degrade"), fault_plan=once,
         )
@@ -175,15 +189,15 @@ class TestPooledPath:
 
     def test_plain_map_matches_inline(self):
         items = list(range(10))
-        assert run_tasks(_square, items, workers=POOL) == [x * x for x in items]
+        assert parallel_map(_square, items, workers=POOL) == [x * x for x in items]
 
     def test_worker_crash_loses_only_that_task(self):
         """ISSUE 7 acceptance: os._exit mid-run costs exactly one slot and
         every surviving result is byte-identical to a clean run."""
         items = list(range(8))
-        clean = run_tasks(_square, items, workers=POOL)
+        clean = parallel_map(_square, items, workers=POOL)
         plan = FaultPlan({3: Fault("exit")})
-        out = run_tasks(
+        out = parallel_map(
             _square, items, workers=POOL,
             policy=TaskPolicy(on_error="skip"), fault_plan=plan,
         )
@@ -195,7 +209,7 @@ class TestPooledPath:
 
     def test_crash_then_retry_recovers(self):
         plan = FaultPlan({2: Fault("exit", attempts=(1,))})
-        out = run_tasks(
+        out = parallel_map(
             _square, list(range(6)), workers=POOL,
             policy=TaskPolicy(retries=1, backoff=0), fault_plan=plan,
         )
@@ -204,7 +218,7 @@ class TestPooledPath:
     def test_crash_under_raise_mode_raises_task_error(self):
         plan = FaultPlan({1: Fault("exit")})
         with pytest.raises(TaskError) as excinfo:
-            run_tasks(_square, list(range(4)), workers=POOL, fault_plan=plan)
+            parallel_map(_square, list(range(4)), workers=POOL, fault_plan=plan)
         assert excinfo.value.failure.kind == "crash"
         assert excinfo.value.failure.index == 1
 
@@ -213,7 +227,7 @@ class TestPooledPath:
         killed at the deadline, not awaited."""
         plan = FaultPlan({1: Fault("sleep", seconds=60)})
         start = time.monotonic()
-        out = run_tasks(
+        out = parallel_map(
             _square, list(range(4)), workers=POOL,
             policy=TaskPolicy(timeout_s=1.0, on_error="skip"),
             fault_plan=plan,
@@ -225,10 +239,10 @@ class TestPooledPath:
 
     def test_task_exception_reraises_original_type(self):
         with pytest.raises(ValueError, match="negative input -7"):
-            run_tasks(_fail_on_negative, [1, -7, 2, 3], workers=POOL)
+            parallel_map(_fail_on_negative, [1, -7, 2, 3], workers=POOL)
 
     def test_unpicklable_exception_still_reports_cleanly(self):
-        out = run_tasks(
+        out = parallel_map(
             _raise_unpicklable, [1, 2], workers=POOL,
             policy=TaskPolicy(on_error="skip"),
         )
@@ -236,12 +250,12 @@ class TestPooledPath:
         assert out[0].error_type == "Unpicklable"
 
     def test_unpicklable_result_is_an_error_not_a_crash(self):
-        out = run_tasks(
+        out = parallel_map(
             _return_unpicklable, [1], workers=POOL,
             policy=TaskPolicy(on_error="skip"),
         )
         # single item runs inline; force the pooled path with two
-        out = run_tasks(
+        out = parallel_map(
             _return_unpicklable, [1, 2], workers=POOL,
             policy=TaskPolicy(on_error="skip"),
         )
@@ -254,7 +268,7 @@ class TestPooledPath:
         plan = FaultPlan({5: Fault("exit")})
         expected = None
         for workers in (2, 3, 4):
-            out = run_tasks(
+            out = parallel_map(
                 _square, items, workers=workers,
                 policy=TaskPolicy(on_error="skip"), fault_plan=plan,
             )
@@ -270,22 +284,57 @@ class TestPooledPath:
         # the fault fires on every pooled attempt but never inline, so
         # only the degrade disposition's in-driver attempt can succeed
         plan = FaultPlan({1: Fault("raise", attempts=(), worker_only=True)})
-        out = run_tasks(
+        out = parallel_map(
             _square, [1, 2, 3], workers=POOL,
             policy=TaskPolicy(on_error="degrade"), fault_plan=plan,
         )
         assert out == [1, 4, 9]
 
 
-class TestSplitFailures:
-    def test_partitions_in_order(self):
-        out = run_tasks(
-            _fail_on_negative, [1, -2, 3, -4], workers=1,
-            policy=TaskPolicy(on_error="skip"),
+class TestCacheHandOff:
+    """``parallel_map(..., cache=)``: inline tasks share the live cache,
+    pooled tasks work on read-only views whose entries the parent
+    absorbs."""
+
+    def test_inline_tasks_receive_the_live_cache(self):
+        cache = SynthesisCache()
+        out = parallel_map(_store_record, [1, 2, 3], workers=1, cache=cache)
+        assert [o["square"] for o in out] == [1, 4, 9]
+        assert {o["cache_id"] for o in out} == {id(cache)}
+        assert cache.stats_snapshot()["memory"]["entries"] == 3
+
+    def test_pooled_tasks_receive_read_only_views(self, tmp_path):
+        cache = SynthesisCache(tmp_path)
+        out = parallel_map(_store_record, [1, 2, 3], workers=POOL, cache=cache)
+        assert [o["square"] for o in out] == [1, 4, 9]
+        for o in out:
+            assert o["read_only"] and o["cache_dir"] == tmp_path
+            assert o["pid"] != os.getpid()
+        # the parent persisted exactly the entries the tasks computed
+        usage = cache.disk_usage()
+        assert sum(kind["entries"] for kind in usage.values()) == 3
+        reader = SynthesisCache(tmp_path)
+        for x in (1, 2, 3):
+            assert reader.get_compilation(f"fp{x}", None, None) == {"x": x}
+
+    def test_entries_are_absorbed_as_outcomes_are_emitted(self):
+        cache = SynthesisCache()
+        outcomes = parallel_imap(_store_record, [1, 2, 3], workers=POOL, cache=cache)
+        for emitted, _ in enumerate(outcomes, start=1):
+            assert cache.stats_snapshot()["memory"]["entries"] == emitted
+
+    def test_degrade_rerun_stores_into_the_live_cache(self, tmp_path):
+        plan = FaultPlan({1: Fault("raise", attempts=(), worker_only=True)})
+        cache = SynthesisCache(tmp_path)
+        out = parallel_map(
+            _store_record, [1, 2, 3], workers=POOL, cache=cache,
+            policy=TaskPolicy(on_error="degrade"), fault_plan=plan,
         )
-        results, failures = split_failures(out)
-        assert results == [1, 9]
-        assert [f.index for f in failures] == [1, 3]
+        assert [o["square"] for o in out] == [1, 4, 9]
+        assert out[1]["cache_id"] == id(cache) and not out[1]["read_only"]
+        assert out[1]["pid"] == os.getpid()
+        assert cache.get_compilation("fp2", None, None) == {"x": 2}
+        assert cache.disk_usage()[COMPILATION_KIND]["entries"] == 3
 
 
 class TestInjectedFaultTypes:
