@@ -119,7 +119,7 @@ def _machine_kernels(program, pi_names) -> dict:
     plans = (
         ("object", 1),
         ("plan", 1),
-        ("numpy", machine_mod._NUMPY_MIN_WIDTH),
+        ("numpy", 1024),
     )
     for kernel, width in plans:
         if kernel == "numpy" and machine_mod._np is None:

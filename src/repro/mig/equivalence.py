@@ -4,22 +4,22 @@ Two modes, chosen automatically by input count:
 
 * **exhaustive** — compare full truth tables (sound and complete) for up to
   a configurable number of inputs;
-* **randomized** — compare under many random bit-packed input vectors; a
-  mismatch is a definite counterexample, agreement is a high-confidence
-  probabilistic pass.  This is how the rewriting tests validate large
-  benchmark circuits where 2^n simulation is impossible.
+* **randomized** — compare under random bit-packed input vectors, all
+  rounds in one wide simulation per graph; a mismatch is a definite
+  counterexample, agreement is a high-confidence probabilistic pass.  This
+  is how the rewriting tests validate large benchmark circuits where 2^n
+  simulation is impossible.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import MigError
 from repro.mig.graph import Mig
 from repro.mig.simulate import output_tables, simulate_outputs
-from repro.utils.bits import full_mask
+from repro.utils.bits import check_sample_budget, first_mismatch, random_rounds
 from repro.utils.limits import EXHAUSTIVE_EQUIVALENCE_LIMIT
 
 
@@ -62,51 +62,48 @@ def equivalent(
     to ``exhaustive_limit`` inputs (default
     :data:`~repro.utils.limits.EXHAUSTIVE_EQUIVALENCE_LIMIT`; see that
     module for why it is larger than the machine-model verifier's window),
-    randomized beyond.
+    randomized beyond: ``num_random_rounds`` rounds of
+    ``patterns_per_round`` patterns, packed side by side into one
+    simulation per graph and reported as the rounds would be one at a time
+    (first failing round, first differing output, lowest pattern).  Raises
+    :class:`~repro.errors.VerificationError` when either of those two is
+    not positive.
     """
+    check_sample_budget(num_random_rounds, patterns_per_round)
     _check_interfaces(a, b)
     names = a.po_names()
+    pis = a.pi_names()
     if a.num_pis <= exhaustive_limit:
         tables_a = output_tables(a)
         tables_b = output_tables(b)
-        for index, (table_a, table_b) in enumerate(zip(tables_a, tables_b)):
-            if table_a != table_b:
-                pattern = _first_diff_bit(table_a, table_b)
-                assignment = {
-                    pi: (pattern >> i) & 1 for i, pi in enumerate(a.pi_names())
-                }
-                return EquivalenceResult(
-                    equivalent=False,
-                    mode="exhaustive",
-                    counterexample=assignment,
-                    failing_output=names[index],
-                    failing_output_index=index,
-                )
-        return EquivalenceResult(equivalent=True, mode="exhaustive")
+        mismatch = first_mismatch(
+            [x ^ y for x, y in zip(tables_a, tables_b)], 1 << a.num_pis
+        )
+        if mismatch is None:
+            return EquivalenceResult(equivalent=True, mode="exhaustive")
+        _, index, pattern = mismatch
+        return EquivalenceResult(
+            equivalent=False,
+            mode="exhaustive",
+            counterexample={pi: (pattern >> i) & 1 for i, pi in enumerate(pis)},
+            failing_output=names[index],
+            failing_output_index=index,
+        )
 
-    rng = random.Random(seed)
-    mask = full_mask(patterns_per_round)
-    for _ in range(num_random_rounds):
-        assignment = {
-            pi: rng.getrandbits(patterns_per_round) & mask for pi in a.pi_names()
-        }
-        out_a = simulate_outputs(a, assignment, patterns_per_round)
-        out_b = simulate_outputs(b, assignment, patterns_per_round)
-        for index, (value_a, value_b) in enumerate(zip(out_a, out_b)):
-            if value_a != value_b:
-                pattern = _first_diff_bit(value_a, value_b)
-                cex = {pi: (assignment[pi] >> pattern) & 1 for pi in a.pi_names()}
-                return EquivalenceResult(
-                    equivalent=False,
-                    mode="random",
-                    counterexample=cex,
-                    failing_output=names[index],
-                    failing_output_index=index,
-                )
-    return EquivalenceResult(equivalent=True, mode="random")
-
-
-def _first_diff_bit(x: int, y: int) -> int:
-    """Index of the lowest differing bit of two integers."""
-    diff = x ^ y
-    return (diff & -diff).bit_length() - 1
+    width = num_random_rounds * patterns_per_round
+    assignment = random_rounds(pis, num_random_rounds, patterns_per_round, seed)
+    out_a = simulate_outputs(a, assignment, width)
+    out_b = simulate_outputs(b, assignment, width)
+    mismatch = first_mismatch(
+        [x ^ y for x, y in zip(out_a, out_b)], patterns_per_round
+    )
+    if mismatch is None:
+        return EquivalenceResult(equivalent=True, mode="random")
+    _, index, pattern = mismatch
+    return EquivalenceResult(
+        equivalent=False,
+        mode="random",
+        counterexample={pi: (assignment[pi] >> pattern) & 1 for pi in pis},
+        failing_output=names[index],
+        failing_output_index=index,
+    )

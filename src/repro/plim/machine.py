@@ -23,11 +23,13 @@ write/flip counts, instruction and cycle counters):
   ``simulate._SimPlan`` pattern): operand resolution precomputed into flat
   index triples, cached on program identity, driving a tight list-based
   big-int loop.
-* ``"numpy"`` — a chunked uint64 matrix kernel for the wide widths
-  exhaustive verification uses; each cell is a row of 64-bit words.
+* ``"numpy"`` — a chunked uint64 matrix kernel; each cell is a row of
+  64-bit words.  It is only ever an explicit choice (an independent
+  second engine for cross-checks): five ufunc dispatches per instruction
+  make it slower than ``"plan"`` at every width measured, from 2^10 to
+  2^20 patterns.
 
-``kernel="auto"`` (the default) picks ``"numpy"`` for wide runs when numpy
-is available and ``"plan"`` otherwise.
+``kernel="auto"`` (the default) is ``"plan"``.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
     _np = None
 
 KERNELS = ("auto", "object", "plan", "numpy")
-
-#: ``auto`` switches to the numpy kernel at and above this width ...
-_NUMPY_MIN_WIDTH = 1024
-#: ... provided the program is long enough to amortize the matrix setup.
-_NUMPY_MIN_INSTRUCTIONS = 64
 
 
 class _ExecPlan:
@@ -189,13 +186,6 @@ class PlimMachine:
             raise MachineError(
                 f"unknown kernel {chosen!r}; expected one of {KERNELS}"
             )
-        if chosen == "auto":
-            wide = (
-                _np is not None
-                and self.width >= _NUMPY_MIN_WIDTH
-                and len(program) >= _NUMPY_MIN_INSTRUCTIONS
-            )
-            chosen = "numpy" if wide else "plan"
         if chosen == "numpy" and _np is None:
             raise MachineError("numpy kernel requested but numpy is not available")
         if chosen == "object":
@@ -203,7 +193,7 @@ class PlimMachine:
                 self.execute(instruction)
         elif chosen == "numpy":
             self._run_numpy(program)
-        else:
+        else:  # "plan", which "auto" always means
             self._run_plan(program)
         self.set_lim(was_lim)
 

@@ -3,13 +3,22 @@
 The gold standard for every compiler configuration in this package: run the
 program on the PLiM machine model and compare every output with the MIG's
 simulation, either exhaustively (small input counts) or under packed random
-patterns.  A single bit-parallel machine pass checks ``patterns_per_round``
-input assignments at once.
+patterns.
+
+Every check is one bit-parallel machine pass plus one simulation.  The
+exhaustive check packs the whole truth table into one word per input; the
+random check packs its ``num_random_rounds`` rounds side by side, round
+``r`` in bits ``[r * patterns_per_round, (r + 1) * patterns_per_round)``,
+and reports a failure as checking the rounds one at a time would: the
+first failing round, its first differing output, its lowest failing
+pattern, and the patterns of the rounds up to and including it.  A wide
+word costs the big-int machine kernel little more than a narrow one, so
+the rounds share the cost of building the machine, binding the program
+and walking the graph.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +27,12 @@ from repro.mig.graph import Mig
 from repro.mig.simulate import simulate
 from repro.plim.machine import PlimMachine
 from repro.plim.program import Program
-from repro.utils.bits import full_mask, pattern_mask
+from repro.utils.bits import (
+    check_sample_budget,
+    first_mismatch,
+    pattern_mask,
+    random_rounds,
+)
 from repro.utils.limits import EXHAUSTIVE_VERIFY_LIMIT
 
 
@@ -52,8 +66,12 @@ def verify_program(
     assignment packed into one machine pass; default
     :data:`~repro.utils.limits.EXHAUSTIVE_VERIFY_LIMIT` — smaller than the
     MIG-vs-MIG checker's window because each pattern also pays for the
-    machine model, see that module), randomized otherwise.
+    machine model, see that module), randomized otherwise: the same
+    ``num_random_rounds`` x ``patterns_per_round`` patterns checked in one
+    pass.  Raises :class:`~repro.errors.VerificationError` when either of
+    those two is not positive, since such a check would pass unchecked.
     """
+    check_sample_budget(num_random_rounds, patterns_per_round)
     names = mig.pi_names()
     missing = [n for n in names if n not in program.input_cells]
     if missing:
@@ -64,38 +82,33 @@ def verify_program(
 
     n = mig.num_pis
     if n <= exhaustive_limit:
-        patterns = 1 << n
+        mode = "exhaustive"
+        width = round_width = 1 << n
         assignment = {name: pattern_mask(i, n) for i, name in enumerate(names)}
-        result = _run_round(mig, program, assignment, patterns)
-        result = VerifyResult(
-            ok=result.ok,
-            mode="exhaustive",
-            patterns_checked=patterns,
-            failing_output=result.failing_output,
-            counterexample=result.counterexample,
-        )
     else:
-        rng = random.Random(seed)
-        mask = full_mask(patterns_per_round)
-        checked = 0
-        result = None
-        for _ in range(num_random_rounds):
-            assignment = {
-                name: rng.getrandbits(patterns_per_round) & mask for name in names
-            }
-            round_result = _run_round(mig, program, assignment, patterns_per_round)
-            checked += patterns_per_round
-            if not round_result.ok:
-                result = VerifyResult(
-                    ok=False,
-                    mode="random",
-                    patterns_checked=checked,
-                    failing_output=round_result.failing_output,
-                    counterexample=round_result.counterexample,
-                )
-                break
-        if result is None:
-            result = VerifyResult(ok=True, mode="random", patterns_checked=checked)
+        mode = "random"
+        round_width = patterns_per_round
+        width = num_random_rounds * round_width
+        assignment = random_rounds(names, num_random_rounds, round_width, seed)
+
+    machine = PlimMachine.for_program(program, width=width)
+    actual = machine.run_program(program, assignment)
+    expected = simulate(mig, assignment, width)
+    po_names = mig.po_names()
+    mismatch = first_mismatch(
+        [actual[name] ^ expected[name] for name in po_names], round_width
+    )
+    if mismatch is None:
+        result = VerifyResult(ok=True, mode=mode, patterns_checked=width)
+    else:
+        round_, index, pattern = mismatch
+        result = VerifyResult(
+            ok=False,
+            mode=mode,
+            patterns_checked=(round_ + 1) * round_width,
+            failing_output=po_names[index],
+            counterexample={pi: (assignment[pi] >> pattern) & 1 for pi in names},
+        )
 
     if raise_on_mismatch and not result.ok:
         raise VerificationError(
@@ -104,27 +117,3 @@ def verify_program(
         )
     return result
 
-
-def _run_round(
-    mig: Mig,
-    program: Program,
-    assignment: dict[str, int],
-    patterns: int,
-) -> VerifyResult:
-    """One packed machine pass compared against MIG simulation."""
-    machine = PlimMachine.for_program(program, width=patterns)
-    actual = machine.run_program(program, assignment)
-    expected = simulate(mig, assignment, patterns)
-    for name in mig.po_names():
-        if actual[name] != expected[name]:
-            bad = actual[name] ^ expected[name]
-            pattern = (bad & -bad).bit_length() - 1
-            cex = {pi: (assignment[pi] >> pattern) & 1 for pi in mig.pi_names()}
-            return VerifyResult(
-                ok=False,
-                mode="",
-                patterns_checked=patterns,
-                failing_output=name,
-                counterexample=cex,
-            )
-    return VerifyResult(ok=True, mode="", patterns_checked=patterns)

@@ -8,8 +8,8 @@ Two families of invariants:
 * **execution identity** — for one program, the object interpreter, the
   compiled plan kernel, and (when numpy is available) the chunked uint64
   kernel produce the same cells, outputs, and endurance counters
-  (``write_counts``, ``flip_counts``, instruction/cycle counts) at the
-  widths where the numpy kernel actually engages.
+  (``write_counts``, ``flip_counts``, instruction/cycle counts) at a
+  1,024-pattern width, the default random verification pass.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def test_kernels_agree_exactly(mig, seed):
     import random
 
     program = PlimCompiler().compile(mig)
-    # wide enough to clear _NUMPY_MIN_WIDTH; instruction floor is forced
-    # off by running the numpy kernel explicitly
-    width = machine_mod._NUMPY_MIN_WIDTH
+    # the width of the default 4 x 256 random verification pass; the numpy
+    # kernel is forced explicitly
+    width = 1024
     rng = random.Random(seed)
     mask = (1 << width) - 1
     inputs = {name: rng.randrange(0, 1 << width) & mask for name in program.input_cells}
@@ -87,8 +87,10 @@ def test_kernels_agree_exactly(mig, seed):
 @SLOWER
 @given(mig=migs(max_gates=12, max_pis=4))
 def test_exhaustive_verify_at_numpy_widths(mig):
-    """verify_program's exhaustive mode (wide packed patterns → the numpy
-    kernel where available) agrees with the MIG on every input pattern."""
+    """verify_program's exhaustive mode agrees with the MIG on every input
+    pattern.  At ``max_pis=4`` the packed width is at most 16 patterns, on
+    the default kernel; ``test_kernels_agree_exactly`` covers the numpy
+    kernel at 1,024 patterns."""
     program = PlimCompiler().compile(mig)
     check = verify_program(mig, program, raise_on_mismatch=True)
     assert check.ok
@@ -103,7 +105,7 @@ def test_auto_kernel_dispatch_matches_forced_kernels(mig, seed):
 
     program = PlimCompiler().compile(mig)
     rng = random.Random(seed)
-    for width in (1, machine_mod._NUMPY_MIN_WIDTH):
+    for width in (1, 1024):
         mask = (1 << width) - 1
         inputs = {
             name: rng.randrange(0, 1 << width) & mask
@@ -115,3 +117,26 @@ def test_auto_kernel_dispatch_matches_forced_kernels(mig, seed):
         assert auto.cells == plan.cells
         assert auto.write_counts == plan.write_counts
         assert auto.flip_counts == plan.flip_counts
+
+
+@SLOWER
+@given(mig=migs(max_gates=15), seed=st.integers(0, 2**16))
+def test_auto_kernel_is_plan(mig, seed):
+    """kernel="auto" runs the plan kernel at every width, the numpy kernel
+    never: wide words cost the big-int loop less than five ufuncs per RM3."""
+    import random
+    from unittest import mock
+
+    program = PlimCompiler().compile(mig)
+    rng = random.Random(seed)
+    for width in (1, 1024, 4096):
+        inputs = {name: rng.getrandbits(width) for name in program.input_cells}
+        machine = PlimMachine.for_program(program, width=width)
+        assert machine.kernel == "auto"
+        with mock.patch.object(
+            PlimMachine, "_run_numpy", side_effect=AssertionError("numpy ran")
+        ), mock.patch.object(
+            PlimMachine, "_run_plan", autospec=True, side_effect=PlimMachine._run_plan
+        ) as run_plan:
+            machine.run_program(program, inputs)
+        assert run_plan.call_count == 1

@@ -1,9 +1,10 @@
 """The package ships one engine per stage.
 
-The object Algorithm 2 translator, the dict-of-objects graph core and the
-whole-graph Algorithm 1 pass pipeline are differential oracles; they live
-in ``tests/compile_reference.py``, ``tests/graph_dict_reference.py`` and
-``tests/rewrite_reference.py``.  None may come back into ``src/``, and no
+The object Algorithm 2 translator, the dict-of-objects graph core, the
+whole-graph Algorithm 1 pass pipeline and the round-by-round verifier are
+differential oracles; they live in ``tests/compile_reference.py``,
+``tests/graph_dict_reference.py``, ``tests/rewrite_reference.py`` and
+``tests/verify_reference.py``.  None may come back into ``src/``, and no
 public option or wrapper may select them.
 """
 
@@ -18,6 +19,7 @@ import pytest
 import repro
 import repro.core.rewriting
 import repro.mig.algebra
+import repro.plim.verify
 from repro.cli import build_parser
 from repro.core.compiler import CompilerOptions
 from repro.core.cost import CompiledPlim
@@ -60,6 +62,11 @@ def test_mig_rebuild_takes_no_gate_fn():
     parameters = inspect.signature(Mig.rebuild).parameters
     assert "gate_fn" not in parameters
     assert "keep_dead" not in parameters
+
+
+def test_verify_has_no_round_loop():
+    """The round-by-round check lives in ``tests/verify_reference.py``."""
+    assert not hasattr(repro.plim.verify, "_run_round")
 
 
 def test_rebuild_engine_option_rejected():
