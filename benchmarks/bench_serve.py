@@ -10,8 +10,10 @@ sockets, so the numbers are compile economics, not TCP noise):
   circuit, cycled) — every distinct circuit compiles once, concurrent
   duplicates collapse; zero requests may shed or fail.
 * **warm**: the same 100 requests again on the now-hot cache — answered
-  from the compilation cache without touching the compiler.  The gate
-  ``warm_speedup >= 3`` is what makes the cache worth serving over.
+  from the compilation cache without touching the compiler, and through
+  the fingerprint memo without parsing the circuit.  The gates
+  ``warm_speedup >= 3`` and ``warm.parses == 0`` (a count, not a time)
+  are what make the cache worth serving over.
 * **dedup**: 20 identical concurrent submissions — exactly one compile,
   19 collapsed, byte-identical bodies.
 * **workers**: the cold workload at 1..4 compile slots (thread-level
@@ -20,7 +22,8 @@ sockets, so the numbers are compile economics, not TCP noise):
 
 Run directly (``python benchmarks/bench_serve.py [--scale ci]``) to
 emit ``BENCH_serve.json``; exits nonzero when a request drops, the warm
-speedup misses 3x, or dedup fails to collapse — the CI gates.
+speedup misses 3x, a warm request parses, or dedup fails to collapse —
+the CI gates.
 """
 
 try:
@@ -33,6 +36,7 @@ import io
 
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.mig.io_mig import write_mig
+from repro.serve import protocol
 from repro.serve.app import PlimServer, ServerConfig
 from repro.serve.protocol import Request, canonical_json
 
@@ -62,6 +66,23 @@ async def _fire(app: PlimServer, requests: list) -> list:
         ThreadPoolExecutor(max_workers=32)
     )
     return await asyncio.gather(*[app.handle(r) for r in requests])
+
+
+async def _fire_counting_parses(app: PlimServer, requests: list) -> tuple:
+    """:func:`_fire`, also counting ``protocol.parse_circuit`` calls."""
+    calls = []
+    real = protocol.parse_circuit
+
+    def counting(payload):
+        calls.append(1)
+        return real(payload)
+
+    protocol.parse_circuit = counting
+    try:
+        responses = await _fire(app, requests)
+    finally:
+        protocol.parse_circuit = real
+    return responses, len(calls)
 
 
 def _mixed_workload(texts: list, total: int) -> list:
@@ -142,7 +163,9 @@ def main(argv=None) -> int:
     cold = asyncio.run(_fire(app, workload))
     cold_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    warm = asyncio.run(_fire(app, _mixed_workload(texts, args.requests)))
+    warm, warm_parses = asyncio.run(
+        _fire_counting_parses(app, _mixed_workload(texts, args.requests))
+    )
     warm_s = time.perf_counter() - t0
     cold_ok = [r.status for r in cold] == [200] * args.requests
     warm_ok = [r.status for r in warm] == [200] * args.requests
@@ -196,6 +219,7 @@ def main(argv=None) -> int:
             "seconds": round(warm_s, 4),
             "req_per_s": round(args.requests / warm_s, 1),
             "dropped": sum(1 for r in warm if r.status != 200),
+            "parses": warm_parses,
         },
         warm_speedup=round(warm_speedup, 2),
         dedup={
@@ -213,6 +237,7 @@ def main(argv=None) -> int:
         and warm_ok
         and burst_ok
         and warm_speedup >= args.min_warm_speedup
+        and warm_parses == 0
         and dedup_compiles == 1
         and collapsed == _DEDUP_BURST - 1
         and burst_bodies == 1
@@ -222,7 +247,8 @@ def main(argv=None) -> int:
         print(
             f"FAIL: cold_ok={cold_ok} warm_ok={warm_ok} burst_ok={burst_ok} "
             f"warm_speedup={warm_speedup:.2f}x "
-            f"(min {args.min_warm_speedup}x), dedup compiles={dedup_compiles} "
+            f"(min {args.min_warm_speedup}x), warm parses={warm_parses}, "
+            f"dedup compiles={dedup_compiles} "
             f"collapsed={collapsed} bodies={burst_bodies}"
         )
     return 0 if ok else 1

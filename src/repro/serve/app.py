@@ -31,6 +31,7 @@ await-point the http layer holds the process open on.
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +66,10 @@ _CLIENT_ERROR_TYPES = frozenset(
         "BenchmarkError",
     }
 )
+
+#: most circuit keys the fingerprint memo keeps — about 1 MiB of 64-character
+#: keys and fingerprints; a constant because only one value is ever in use
+FINGERPRINT_MEMO_CAPACITY = 4096
 
 #: job kinds → allowed params (validated before a job is created)
 _JOB_PARAMS = {
@@ -120,6 +125,54 @@ class ServerConfig:
             )
 
 
+class FingerprintMemo:
+    """:func:`~repro.serve.protocol.circuit_key` → fingerprint, LRU-bounded.
+
+    Parsing is deterministic, so the exact circuit bytes determine the
+    fingerprint; remembering it lets a repeat request go straight to the
+    compilation cache.  Filled only after a successful parse (errors are
+    never stored) and touched only from the event loop.
+    """
+
+    def __init__(self, capacity: int = FINGERPRINT_MEMO_CAPACITY):
+        self.capacity = capacity
+        self._entries: OrderedDict[str, str] = OrderedDict()
+        self.hits = 0
+        self.evictions = 0
+
+    def get(self, circuit: str) -> Optional[str]:
+        fingerprint = self._entries.get(circuit)
+        if fingerprint is not None:
+            self._entries.move_to_end(circuit)
+            self.hits += 1
+        return fingerprint
+
+    def put(self, circuit: str, fingerprint: str) -> None:
+        self._entries[circuit] = fingerprint
+        self._entries.move_to_end(circuit)
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def stats(self) -> dict:
+        return {
+            "size": len(self._entries),
+            "capacity": self.capacity,
+            "hits": self.hits,
+            "evictions": self.evictions,
+        }
+
+
+def _read_circuit(payload: dict) -> tuple:
+    """Parse and fingerprint a request's circuit (one executor hop).
+
+    Both calls are looked up when called, so a tracer that patches
+    ``protocol.parse_circuit`` or ``Mig.fingerprint`` sees every call.
+    """
+    mig = protocol.parse_circuit(payload)
+    return mig, mig.fingerprint()
+
+
 class PlimServer:
     """The application object behind ``plimc serve`` (and the tests)."""
 
@@ -138,6 +191,7 @@ class PlimServer:
             )
         self.jobs = JobRegistry(max_finished=self.config.max_finished_jobs)
         self.dedup = DedupTable()
+        self.fingerprints = FingerprintMemo()
         self.counters = {
             "requests": 0,
             "compiles": 0,
@@ -226,6 +280,7 @@ class PlimServer:
                 "leaders": self.dedup.leaders,
                 "collapsed": self.dedup.collapsed,
             },
+            "fingerprint_memo": self.fingerprints.stats(),
             "jobs_active": self.jobs.active_count(),
         }
 
@@ -237,12 +292,20 @@ class PlimServer:
         payload = request.json()
         klass = protocol.request_class(payload)
         options = protocol.compile_options(payload)
-        # the join MUST happen synchronously (no await between reading
-        # the payload and joining): an executor hop here lets a fast
-        # leader resolve and vacate the key before later identical
+        # everything up to the join runs synchronously (no await between
+        # reading the payload and joining): an executor hop here lets a
+        # fast leader resolve and vacate the key before later identical
         # requests join, splitting one burst into several compiles —
-        # hence the raw-payload key; only the leader parses/fingerprints
+        # hence the raw-payload key.  Order: memo + cache → dedup →
+        # compile; only a leader parses and fingerprints.  A key already
+        # in flight skips the memo and follows its leader, so followers
+        # still join before admission.
         key = protocol.dedup_key(payload, options)
+        circuit = key.partition("|")[0]  # its protocol.circuit_key part
+        if key not in self.dedup:
+            answer = self._memo_answer(circuit, options)
+            if answer is not None:
+                return answer
         leader, future = self.dedup.join(key)
         if not leader:
             self.counters["collapsed"] += 1
@@ -254,8 +317,8 @@ class PlimServer:
         # to followers exactly like compile errors)
         triple = None
         try:
-            mig = await asyncio.to_thread(protocol.parse_circuit, payload)
-            fingerprint = await asyncio.to_thread(mig.fingerprint)
+            mig, fingerprint = await asyncio.to_thread(_read_circuit, payload)
+            self.fingerprints.put(circuit, fingerprint)
             triple = await self._compile_leader(mig, fingerprint, options, klass)
         except ProtocolError as error:
             response = error.response()
@@ -273,6 +336,30 @@ class PlimServer:
                 triple = (response.status, response.headers, response.body)
             self.dedup.resolve(key, triple)
         status, headers, body = triple
+        return Response(status, body, headers)
+
+    def _memo_answer(self, circuit: str, options: dict) -> Optional[Response]:
+        """Answer a cache hit from the memoized fingerprint of the exact
+        circuit bytes — no parse, no fingerprint, no executor hop.
+
+        Admission applies as on the full path (503 while draining, 429 on
+        a full queue).  ``None`` sends the request down the full path:
+        the bytes are new, or the cache no longer holds (or never held)
+        this circuit under these options.
+        """
+        fingerprint = self.fingerprints.get(circuit)
+        if fingerprint is None:
+            return None
+        self._admit()
+        try:
+            ropts, copts = request_option_sets(options)
+            hit = self.cache.get_compilation(fingerprint, ropts, copts)
+        finally:
+            self._release()
+        if hit is None:
+            return None
+        self.counters["cache_answers"] += 1
+        status, headers, body = self._success_triple(hit, cached=True)
         return Response(status, body, headers)
 
     async def _compile_leader(
@@ -412,7 +499,7 @@ class PlimServer:
     async def _submit_job(self, request: Request) -> Response:
         payload = request.json()
         kind = payload.get("kind")
-        if kind not in _JOB_PARAMS:
+        if not isinstance(kind, str) or kind not in _JOB_PARAMS:
             raise ProtocolError(
                 400,
                 "bad-request",
@@ -433,8 +520,7 @@ class PlimServer:
             raise ProtocolError(
                 503, "draining", "server is draining; no new work accepted"
             )
-        mig = await asyncio.to_thread(protocol.parse_circuit, payload)
-        fingerprint = await asyncio.to_thread(mig.fingerprint)
+        mig, fingerprint = await asyncio.to_thread(_read_circuit, payload)
         key = f"{kind}|{fingerprint}|{protocol.options_token(params)}"
         job, created = self.jobs.submit(kind, key)
         if created:

@@ -31,7 +31,10 @@ from typing import Optional
 
 
 class DedupTable:
-    """fingerprint+options → the in-flight leader's response future."""
+    """raw-payload hash + options token → the in-flight leader's future.
+
+    Keys are :func:`~repro.serve.protocol.dedup_key` strings.
+    """
 
     def __init__(self):
         self._inflight: dict[str, asyncio.Future] = {}
@@ -65,6 +68,9 @@ class DedupTable:
         future = self._inflight.pop(key, None)
         if future is not None and not future.done():
             future.set_result(triple)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._inflight
 
     def inflight(self) -> int:
         return len(self._inflight)

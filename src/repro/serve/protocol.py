@@ -193,7 +193,7 @@ def parse_circuit(payload: dict) -> Mig:
     from repro.cli import READERS  # the single source of format truth
 
     fmt = payload.get("format", "mig")
-    if fmt not in FORMATS:
+    if not isinstance(fmt, str) or fmt not in FORMATS:
         raise ProtocolError(
             400,
             "unsupported-format",
@@ -327,6 +327,19 @@ def dedup_key(payload: dict, options: dict) -> str:
     *cache* still unifies those across requests, so only truly
     concurrent mixed-encoding bursts pay a duplicate compile.
     """
+    return f"{circuit_key(payload)}|{options_token(options)}"
+
+
+def circuit_key(payload: dict) -> str:
+    """The identity of the request's exact circuit bytes (no parsing).
+
+    The sha256 of the canonical ``{format, circuit, circuit_b64}``
+    triple, with the same ``format`` default :func:`parse_circuit`
+    uses.  Parsing is deterministic, so this key determines the parsed
+    graph's fingerprint — the server's fingerprint memo is keyed on it.
+    Textually-different encodings of one circuit (``aag`` vs ``aig``,
+    whitespace variants) get different keys.
+    """
     material = canonical_json(
         {
             "format": payload.get("format", "mig"),
@@ -334,4 +347,4 @@ def dedup_key(payload: dict, options: dict) -> str:
             "circuit_b64": payload.get("circuit_b64"),
         }
     )
-    return f"{hashlib.sha256(material).hexdigest()}|{options_token(options)}"
+    return hashlib.sha256(material).hexdigest()

@@ -77,8 +77,9 @@ class TestSynchronousJoin:
 
     def test_collapse_is_deterministic_across_bursts(self, circuit_payloads):
         # the regression this suite exists for: burst collapse must not
-        # depend on executor scheduling.  Every burst — cold or warm —
-        # yields exactly one leader; the compile count never exceeds one.
+        # depend on executor scheduling.  The cold burst yields exactly
+        # one leader and seven followers; warm bursts are answered from
+        # the cache (the fingerprint memo) and never form a dedup group.
         app = make_app(workers=2, queue_limit=32)
         payload = circuit_payloads["mig"]
 
@@ -92,8 +93,9 @@ class TestSynchronousJoin:
             assert all(r.status == 200 for r in responses)
             assert len({r.body for r in responses}) == 1
             assert app.counters["compiles"] == 1
-            assert app.dedup.leaders == burst
-            assert app.dedup.collapsed == burst * 7
+            assert app.dedup.leaders == 1
+            assert app.dedup.collapsed == 7
+            assert app.counters["cache_answers"] == 8 * (burst - 1)
 
     def test_textual_variants_get_separate_groups(self, circuit_payloads):
         # dedup identity is the exact payload: the same circuit with a

@@ -136,6 +136,15 @@ class TestJobValidationAndListing:
         assert response.status == 400
         assert response.json()["error"]["code"] == "bad-request"
 
+    @pytest.mark.parametrize("kind", [["pareto"], {"kind": 1}, 3])
+    def test_non_string_kind(self, mig_text, kind):
+        # an unhashable kind used to escape as a 500 TypeError
+        response = asyncio.run(
+            apost(make_app(), "/jobs", job_payload(mig_text, kind))
+        )
+        assert response.status == 400
+        assert response.json()["error"]["code"] == "bad-request"
+
     def test_unknown_params(self, mig_text):
         response = asyncio.run(
             apost(

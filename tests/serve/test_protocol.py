@@ -11,6 +11,7 @@ from repro.serve.protocol import (
     ProtocolError,
     Request,
     canonical_json,
+    circuit_key,
     compile_options,
     dedup_key,
     error_response,
@@ -97,6 +98,14 @@ class TestParseCircuit:
     def test_unknown_format(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_circuit({"circuit": "x", "format": "verilog"})
+        assert excinfo.value.code == "unsupported-format"
+
+    @pytest.mark.parametrize("fmt", [["aig"], {"mig": 1}, 1, None])
+    def test_non_string_format_is_unsupported(self, fmt):
+        # an unhashable format used to escape as a 500 TypeError
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_circuit({"circuit": "x", "format": fmt})
+        assert excinfo.value.status == 400
         assert excinfo.value.code == "unsupported-format"
 
     def test_circuit_and_b64_are_exclusive(self, mig_text):
@@ -211,3 +220,13 @@ class TestDedupKey:
         options = compile_options({})
         key = dedup_key({"circuit": "garbage\n", "format": "mig"}, options)
         assert key == dedup_key({"circuit": "garbage\n", "format": "mig"}, options)
+
+    def test_key_is_circuit_key_plus_options_token(self, mig_text):
+        options = compile_options({})
+        payload = {"circuit": mig_text}
+        assert dedup_key(payload, options) == (
+            f"{circuit_key(payload)}|{options_token(options)}"
+        )
+        # the format default is parse_circuit's
+        assert circuit_key(payload) == circuit_key(dict(payload, format="mig"))
+        assert circuit_key(payload) != circuit_key(dict(payload, format="blif"))
