@@ -20,10 +20,10 @@ try:
 except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
-import repro.core.compiler as compiler_module
 from repro.circuits.registry import benchmark_info
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.rewriting import rewrite_for_plim
+from repro.core.translate_fast import FastTranslationState
 from repro.eval.ablations import SELECTION_CONFIGS
 from repro.mig.reorder import shuffle_topological
 
@@ -82,19 +82,26 @@ if pytest is not None:
 
 def cutoff_row(mig) -> dict:
     """One default compile of ``mig``: gates translated per order and the
-    order that won (translations counted by wrapping the translator)."""
+    order that won (translations counted by wrapping the per-gate step)."""
     runs = []
+    real_gate_step = FastTranslationState.gate_step
+
+    def gate_step(self, naive=False):
+        step = real_gate_step(self, naive)
+
+        def counted(node):
+            runs[-1][0] += 1
+            step(node)
+
+        return counted
 
     class Recorder(PlimCompiler):
         def _compile_ordered(self, ctx, bound=None):
-            before = translate.call_count
-            program = super()._compile_ordered(ctx, bound)
-            runs.append((translate.call_count - before, program))
-            return program
+            runs.append([0, None])
+            runs[-1][1] = super()._compile_ordered(ctx, bound)
+            return runs[-1][1]
 
-    with mock.patch.object(
-        compiler_module, "translate_node_fast", wraps=compiler_module.translate_node_fast
-    ) as translate:
+    with mock.patch.object(FastTranslationState, "gate_step", gate_step):
         program = Recorder().compile(mig)
     (dfs_gates, dfs), (as_given_gates, as_given) = runs
     return {

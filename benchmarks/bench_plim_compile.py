@@ -8,10 +8,11 @@ child encodings (flat program columns, lazy comments).
 the acceptance gate of the shipped path:
 
 * every registry circuit is compiled by both under both allocator
-  policies *and* the naïve baseline, and the ``.plim`` texts must be
-  **byte-identical** (the recorded justification for not bumping
-  ``ALGORITHM_REVISION``: a bit-identical engine swap keeps cached
-  entries valid, exactly like the PR 6 array-core swap);
+  policies, the naïve baseline, a 64-cell budget and the paper's level
+  rule, and the ``.plim`` texts (or, for an infeasible budget, the error
+  messages) must be **byte-identical** (the recorded justification for
+  not bumping ``ALGORITHM_REVISION``: a bit-identical engine swap keeps
+  cached entries valid, exactly like the PR 6 array-core swap);
 * the end-to-end ``compile`` speedup over the reference (aggregate over
   the registry, best-of-``--repeats`` per compiler) must meet
   ``--min-speedup`` (default 3x) or the script **exits nonzero**;
@@ -20,6 +21,12 @@ the acceptance gate of the shipped path:
   ``CompiledPlim.measure`` latency and the ``compile_cost_loop``
   wall-clock — the downstream loops the shipped path exists to
   accelerate.
+
+``--paper`` adds a ``paper`` section: schedule and translate seconds
+(``PlimCompiler.last_timings``, best of ``--repeats``) of the default
+compile of the 18 registry circuits at paper scale, rewritten by
+Algorithm 1 first.  It takes about a minute, so it is run by hand, not
+in CI.
 
 Results land in ``BENCH_plim_compile.json`` next to this file.
 """
@@ -43,6 +50,8 @@ IDENTITY_CONFIGS = {
     "fifo": CompilerOptions(allocator_policy="fifo"),
     "lifo": CompilerOptions(allocator_policy="lifo"),
     "naive": CompilerOptions.naive(),
+    "budget": CompilerOptions(max_work_cells=64),
+    "paper_selection": CompilerOptions.paper_selection(),
 }
 
 
@@ -58,6 +67,16 @@ def _reference_compiler():
 
 def _compile_text(mig, options: CompilerOptions, compiler=PlimCompiler) -> str:
     return compiler(options).compile(mig).to_text()
+
+
+def _outcome(mig, options: CompilerOptions, compiler=PlimCompiler) -> str:
+    """The ``.plim`` text, or the message of the compile error."""
+    from repro.errors import CompilationError
+
+    try:
+        return _compile_text(mig, options, compiler)
+    except CompilationError as error:
+        return f"CompilationError: {error}"
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -144,6 +163,39 @@ def _machine_kernels(program, pi_names) -> dict:
     return rates
 
 
+def _paper_stages(repeats: int) -> dict:
+    """Best-of-``repeats`` schedule and translate seconds of the default
+    compile of every rewritten paper-scale registry circuit."""
+    from repro.core.rewriting import rewrite_for_plim
+
+    rows = []
+    for name in BENCHMARK_NAMES:
+        mig = rewrite_for_plim(benchmark_info(name).build("paper"))
+        best = None
+        for _ in range(repeats):
+            compiler = PlimCompiler()
+            compiler.compile(mig)
+            timings = compiler.last_timings
+            run = (timings["schedule_seconds"], timings["translate_seconds"])
+            if best is None or sum(run) < sum(best):
+                best = run
+        rows.append(
+            {
+                "name": name,
+                "gates": mig.num_gates,
+                "schedule_seconds": round(best[0], 4),
+                "translate_seconds": round(best[1], 4),
+            }
+        )
+        print(f"paper {name:12s} schedule {best[0]:7.3f}s  translate {best[1]:7.3f}s")
+    return {
+        "repeats": repeats,
+        "schedule_seconds": round(sum(r["schedule_seconds"] for r in rows), 3),
+        "translate_seconds": round(sum(r["translate_seconds"] for r in rows), 3),
+        "circuits": rows,
+    }
+
+
 def main(argv=None) -> int:
     """Gate the shipped compiler: 18/18 byte-identical programs and the
     aggregate speedup over the reference, in BENCH_plim_compile.json."""
@@ -162,6 +214,10 @@ def main(argv=None) -> int:
         "--min-speedup", type=float, default=3.0,
         help="required aggregate compile speedup over the reference (default 3.0)",
     )
+    parser.add_argument(
+        "--paper", action="store_true",
+        help="also time schedule+translate of the 18 rewritten paper-scale circuits",
+    )
     args = parser.parse_args(argv)
     reference = _reference_compiler()
 
@@ -172,8 +228,8 @@ def main(argv=None) -> int:
     for name in BENCHMARK_NAMES:
         mig = benchmark_info(name).build(args.scale)
         for config, options in IDENTITY_CONFIGS.items():
-            fast_text = _compile_text(mig, options)
-            oracle_text = _compile_text(mig, options, reference)
+            fast_text = _outcome(mig, options)
+            oracle_text = _outcome(mig, options, reference)
             assert fast_text == oracle_text, (
                 f"{name}/{config}: shipped and reference programs differ — "
                 f"they must stay byte-identical"
@@ -230,6 +286,8 @@ def main(argv=None) -> int:
         "compiled_plim_measure_seconds": measure_latency,
         "cost_loop_seconds": cost_loop_seconds,
     }
+    if args.paper:
+        report_meta["paper"] = _paper_stages(args.repeats)
     _common.write_snapshot(
         args.output,
         "plim_compile",

@@ -10,6 +10,11 @@ endurance ablation (DESIGN.md experiment X3).
 
 The number of *distinct* addresses ever handed out is the paper's ``#R``
 metric.
+
+The compiler's per-gate step (:mod:`repro.core.translate_fast`) runs the
+same policies inline on its own free list; the reference compiler in
+``tests/compile_reference.py`` allocates through :class:`RramAllocator`,
+so the byte-identity tests hold the two to the same cell sequence.
 """
 
 from __future__ import annotations

@@ -251,11 +251,13 @@ def _compile_task(payload, cache=None):
     # doesn't absorb the one-time cost (order-dependent reorders like the
     # "best" DFS image stay inside the timers — they are real per-set work
     # the first time an option set asks for them).
-    if any(options.clean for _, options in option_sets):
-        shared = context.cleaned()
-        _ = shared.parents, shared.levels, shared.use_counts
-    if any(not options.clean for _, options in option_sets):
-        _ = context.parents, context.levels, context.use_counts
+    for clean in (True, False):
+        readers = [options for _, options in option_sets if options.clean == clean]
+        if readers:
+            shared = context.cleaned() if clean else context
+            _ = shared.use_counts  # and the parents it is derived from
+            if any(o.level_rule and o.scheduling == "priority" for o in readers):
+                _ = shared.levels
     results = []
     for option_index, (label, options) in enumerate(option_sets):
         start = time.perf_counter()

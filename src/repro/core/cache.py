@@ -112,11 +112,12 @@ _FORMAT_VERSION = 1
 #: computed it (old entries then simply miss and are recomputed).  The
 #: package version is folded in as well, but it moves too rarely to be
 #: the only guard.
-ALGORITHM_REVISION = 6  # PR 8: pluggable cost models.  Rewrite keys now
-# embed the canonicalized cost-model identity (``RewriteOptions.objective``
-# may be a CostModel whose repr reaches the key) and Pareto front keys the
-# sweep's axes; pre-model entries must miss rather than answer for an
-# objective they never saw.
+ALGORITHM_REVISION = 7  # Ω.A collapses a match whose second inner child
+# is the outer ``x`` or ``x̄`` (``⟨x u ⟨y u x̄⟩⟩ = u``), which changes the
+# rewritten i2c at ci scale.
+# (Previously 6 — PR 8: pluggable cost models.  Rewrite keys embed the
+# canonicalized cost-model identity and Pareto front keys the sweep's
+# axes.)
 # (Previously 5 — PR 5: warm chains + cache introduced.  Deliberately NOT
 # bumped for the array-backed graph core: the storage swap was
 # differentially verified bit-identical, so dict-core-era entries stayed

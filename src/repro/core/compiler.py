@@ -16,22 +16,25 @@ configuration and the baselines used in the evaluation:
   disabled (the literal reading of the Table 1 baseline): index order but
   smart per-node translation.
 
-Candidate selection (§4.2.1) lives in :mod:`repro.core.schedule` and node
-translation (§4.2.2) in :mod:`repro.core.translate_fast`; both work on
-the graph core's raw child encodings.
+One loop per node order (:meth:`PlimCompiler._compile_ordered`) owns the
+candidate heap and calls one per-gate step per translated gate.  The
+candidate keys (§4.2.1) come from :mod:`repro.core.schedule`; the step —
+operand and destination selection (§4.2.2), cell allocation and release
+(§4.2.3) — from :mod:`repro.core.translate_fast`.  Both work on the graph
+core's raw child encodings and on flat per-node lists.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 from sys import maxsize
 from time import perf_counter
 from typing import Optional
 
-from repro.core.allocator import POLICIES, RramAllocator
-from repro.core.schedule import make_scheduler
-from repro.core.translate_fast import FastTranslationState, translate_node_fast
+from repro.core.allocator import POLICIES
+from repro.core.schedule import candidate_key_fn
+from repro.core.translate_fast import FastTranslationState
 from repro.errors import CompilationError
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import _GATE, Mig
@@ -42,6 +45,20 @@ def _program_cost(program: Program) -> tuple[int, int]:
     """Ranking for ``reorder="best"``: fewest work RRAMs, then fewest
     instructions."""
     return (program.num_rrams, program.num_instructions)
+
+
+def _check_output_names(mig: Mig) -> None:
+    """A program's output contract is keyed by name: two outputs sharing
+    one would silently leave only the last."""
+    seen: set[str] = set()
+    for name in mig.po_names():
+        if name in seen:
+            raise CompilationError(
+                f"duplicate output name {name!r}: each primary output needs "
+                "a distinct name"
+            )
+        seen.add(name)
+
 
 SCHEDULING_MODES = ("priority", "index")
 OPERAND_MODES = ("cases", "child_order")
@@ -112,6 +129,13 @@ class CompilerOptions:
                 f"unknown reorder mode {self.reorder!r}; "
                 "expected 'none', 'dfs', or 'best'"
             )
+        budget = self.max_work_cells
+        if budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool) or budget < 1
+        ):
+            raise CompilationError(
+                f"max_work_cells must be None or an integer >= 1, got {budget!r}"
+            )
 
     @classmethod
     def naive(cls, **overrides) -> "CompilerOptions":
@@ -143,7 +167,7 @@ class PlimCompiler:
         """Per-stage wall-clock of the most recent :meth:`compile` call.
 
         ``schedule_seconds`` covers graph preparation (cleanup, reorder,
-        cached analyses) plus candidate-scheduler construction;
+        cached analyses) plus the initial candidate queue;
         ``translate_seconds`` covers the translation loop and output
         fix-up.  With ``reorder="best"`` both compilations are included:
         the DFS image in full, then the as-given order until it provably
@@ -161,6 +185,7 @@ class PlimCompiler:
         """
         self._timings = {"schedule_seconds": 0.0, "translate_seconds": 0.0}
         start = perf_counter()
+        _check_output_names(mig)
         ctx = AnalysisContext.of(mig, context)
         if self.options.clean:
             ctx = ctx.cleaned()
@@ -182,6 +207,17 @@ class PlimCompiler:
     ) -> Optional[Program]:
         """Run Algorithm 2 on an MIG whose node order is final.
 
+        One loop pops the best candidate, translates it with the order's
+        per-gate step (:meth:`FastTranslationState.gate_step`), queues the
+        parents it completed and re-keys the queued candidates whose
+        context it changed.  Heap entries are ``int`` keys (node in the
+        low bits, see :func:`candidate_key_fn`) and ``queued[node]`` holds
+        the live key, so an entry that no longer matches is stale; a
+        re-key that leaves the key unchanged is skipped.  Under the level
+        rule entries are ``(CandidateKey, node, version)`` and every
+        re-key is pushed, because that comparator is not transitive and
+        the pop order depends on the exact heap contents.
+
         With a ``bound`` of ``(work RRAMs, instructions)`` — the program
         to beat under :func:`_program_cost`, ties going to this order —
         the loop returns ``None`` as soon as the partial program provably
@@ -190,23 +226,21 @@ class PlimCompiler:
         instructions, the finished program would too.
         """
         start = perf_counter()
+        options = self.options
         mig = ctx.mig
         program = Program(
             input_cells={name: i for i, name in enumerate(mig.pi_names())},
             name=mig.name,
         )
-        allocator = RramAllocator(
-            first_address=mig.num_pis, policy=self.options.allocator_policy
-        )
         state = FastTranslationState(
             ctx,
             program,
-            allocator,
-            complement_caching=self.options.complement_caching,
-            max_work_cells=self.options.max_work_cells,
+            complement_caching=options.complement_caching,
+            allocator_policy=options.allocator_policy,
+            max_work_cells=options.max_work_cells,
         )
-        naive = self.options.operand_selection == "child_order"
-
+        step = state.gate_step(options.operand_selection == "child_order")
+        remaining = state.remaining
         parents = ctx.parents
         n = len(mig)
         ca, cb, cc = mig._ca, mig._cb, mig._cc
@@ -215,7 +249,7 @@ class PlimCompiler:
         computed[0] = 1
         for pi in mig.pis():
             computed[pi.node] = 1
-        pending = array("q", [0]) * n
+        pending = [0] * n
         gate_order = ctx.gate_order
         for v in gate_order:
             pending[v] = (
@@ -223,8 +257,44 @@ class PlimCompiler:
                 + (not computed[cb[v] >> 1])
                 + (not computed[cc[v] >> 1])
             )
-        scheduler = make_scheduler(self.options, ctx, state, pending)
-        push = scheduler.push
+
+        # --- the candidate queue (§4.2.1) ---------------------------------
+        key = candidate_key_fn(options, ctx, remaining, pending)
+        priority = options.scheduling == "priority"
+        level_rule = priority and options.level_rule
+        # Re-key events: a child's uses dropping to 1 changes its queued
+        # consumers' releasing count; a parent's pending count dropping to
+        # 1 changes its last missing child's unblocks count (and, under
+        # the level rule, re-pushes it even when nothing changed).
+        refresh_consumers = priority
+        refresh_siblings = level_rule or (priority and options.unblocking_rule)
+        queued = [-1] * n  # live key (level rule: version); -1 = not queued
+        heap: list = []
+        mask = (1 << n.bit_length()) - 1
+
+        if level_rule:
+
+            def push(node: int) -> None:
+                queued[node] = 0
+                heappush(heap, (key(node), node, 0))
+
+            def refresh(node: int) -> None:
+                version = queued[node] + 1
+                queued[node] = version
+                heappush(heap, (key(node), node, version))
+
+        else:
+
+            def push(node: int) -> None:
+                k = queued[node] = key(node)
+                heappush(heap, k)
+
+            def refresh(node: int) -> None:
+                k = key(node)
+                if k != queued[node]:
+                    queued[node] = k
+                    heappush(heap, k)
+
         for v in gate_order:
             if not pending[v]:
                 push(v)
@@ -232,17 +302,23 @@ class PlimCompiler:
 
         start = perf_counter()
         translated = 0
-        remaining = state.remaining
-        pop = scheduler.pop
-        refresh = scheduler.refresh
         work_cells = program.work_cells
+        instructions = program._dst
         max_cells, max_instructions = bound if bound is not None else (maxsize, 0)
-        while len(scheduler):
-            v = pop()
-            translate_node_fast(state, v, naive=naive)
+        while heap:
+            entry = heappop(heap)
+            if level_rule:
+                v = entry[1]
+                if queued[v] != entry[2]:
+                    continue  # superseded by a refresh
+            else:
+                v = entry & mask
+                if queued[v] != entry:
+                    continue
+            queued[v] = -1
+            step(v)
             if len(work_cells) >= max_cells and (
-                len(work_cells) > max_cells
-                or program.num_instructions > max_instructions
+                len(work_cells) > max_cells or len(instructions) > max_instructions
             ):
                 self._timings["translate_seconds"] += perf_counter() - start
                 return None
@@ -253,49 +329,23 @@ class PlimCompiler:
                 pending[parent] = p
                 if p == 0:
                     push(parent)
-                elif p == 1:
-                    # The last missing child of `parent` just became more
-                    # attractive (unblocking rule) — re-rank it if queued.
+                elif p == 1 and refresh_siblings:
                     for e in (ca[parent], cb[parent], cc[parent]):
                         sibling = e >> 1
-                        if not computed[sibling] and sibling in scheduler:
+                        if not computed[sibling] and queued[sibling] >= 0:
                             refresh(sibling)
-            # A child whose remaining uses just dropped to 1 raises the
-            # releasing count of its still-queued consumers.
-            for e in (ca[v], cb[v], cc[v]):
-                child = e >> 1
-                if kind[child] == _GATE and remaining[child] == 1:
-                    for consumer in parents[child]:
-                        if consumer in scheduler:
-                            refresh(consumer)
+            if refresh_consumers:
+                for e in (ca[v], cb[v], cc[v]):
+                    child = e >> 1
+                    if remaining[child] == 1 and kind[child] == _GATE:
+                        for consumer in parents[child]:
+                            if queued[consumer] >= 0:
+                                refresh(consumer)
         if translated != mig.num_gates:
             raise CompilationError(
                 f"translated {translated} of {mig.num_gates} gates — cyclic or broken MIG"
             )
 
-        self._finalize_outputs(mig, state, program)
+        state.finalize_outputs(options.fix_output_polarity)
         self._timings["translate_seconds"] += perf_counter() - start
         return program
-
-    # ------------------------------------------------------------------
-
-    def _finalize_outputs(
-        self, mig: Mig, state: FastTranslationState, program: Program
-    ) -> None:
-        """Record (and, in honest mode, fix up) every output's location."""
-        for po, name in zip(mig.pos(), mig.po_names()):
-            if po.is_const:
-                address = state.alloc()
-                state.emit_set_const(address, po.const_value, target=name)
-                program.set_output(name, address)
-                continue
-            if po.inverted and self.options.fix_output_polarity:
-                address = state.materialize_complement(po.node)
-                program.set_output(name, address, inverted=False)
-                continue
-            address = state.value_cell[po.node]
-            if address < 0:  # never computed, or consumed by a parent
-                raise CompilationError(
-                    f"output {name!r} refers to node {po.node} whose cell was lost"
-                )
-            program.set_output(name, address, inverted=po.inverted)

@@ -12,16 +12,27 @@ are all computed.  The ordering implements the paper's two principles:
    blocking it for a long time (Fig. 4(b)).
 
 Ties fall back to the node index, which also makes the schedule fully
-deterministic.  An index-ordered scheduler (plain topological order) is
-provided for the naïve baseline and the "candidate selection disabled"
-ablation.
+deterministic.  This module defines the keys; the heap that orders them
+lives in the compilation loop (:meth:`repro.core.compiler.PlimCompiler.
+_compile_ordered`), which pushes a candidate when its last child is
+computed and re-keys it when a translation changes its context.
+
+:func:`candidate_key_fn` builds the key of one compilation run.  Without
+the level rule the comparator is a total order on
+``(-releasing, -unblocks, index)``, so the key is packed into one ``int``
+and the heap holds plain ints; index scheduling is the degenerate key
+``index``.  With the level rule the key is a :class:`CandidateKey`, whose
+comparison is not transitive — the heap's output then depends on the
+exact sequence of pushes, which the loop keeps as it always was.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Union
+
+from repro.mig.context import AnalysisContext
+from repro.mig.graph import _GATE
 
 #: level sentinel for candidates without gate parents (pure PO feeders):
 #: nothing downstream waits for them, so they never win the level rule.
@@ -63,157 +74,6 @@ class CandidateKey:
         return self.index < other.index
 
 
-class Scheduler(Protocol):
-    """Common protocol of the candidate schedulers."""
-
-    def push(self, node: int) -> None: ...
-
-    def pop(self) -> int: ...
-
-    def __len__(self) -> int: ...
-
-
-class PriorityScheduler:
-    """The paper's priority queue with event-driven key refresh.
-
-    Keys depend on dynamic state (remaining uses of children, pending
-    children of parents), so a waiting entry's key can both decay *and
-    improve* while it sits in the heap.  The compiler calls
-    :meth:`refresh` whenever a translation changes a candidate's context;
-    the scheduler re-inserts the node under its current key and invalidates
-    the old entry through a per-node version counter.
-    """
-
-    def __init__(self, key_fn):
-        """``key_fn(node) -> CandidateKey`` captures the dynamic context."""
-        self._key_fn = key_fn
-        self._heap: list[tuple[CandidateKey, int, int]] = []
-        self._version: dict[int, int] = {}
-
-    def push(self, node: int) -> None:
-        self._version[node] = 0
-        heapq.heappush(self._heap, (self._key_fn(node), node, 0))
-
-    def refresh(self, node: int) -> None:
-        """Re-rank ``node`` under its current key (no-op if not queued)."""
-        version = self._version.get(node)
-        if version is None:
-            return
-        self._version[node] = version + 1
-        heapq.heappush(self._heap, (self._key_fn(node), node, version + 1))
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._version
-
-    def pop(self) -> int:
-        while True:
-            _, node, version = heapq.heappop(self._heap)
-            if self._version.get(node) == version:
-                del self._version[node]
-                return node
-            # stale entry superseded by a refresh — skip it
-
-    def __len__(self) -> int:
-        return len(self._version)
-
-
-class IndexScheduler:
-    """Pops candidates in node-index (topological creation) order."""
-
-    def __init__(self):
-        self._heap: list[int] = []
-        self._members: set[int] = set()
-
-    def push(self, node: int) -> None:
-        self._members.add(node)
-        heapq.heappush(self._heap, node)
-
-    def refresh(self, node: int) -> None:
-        """Index order is static — nothing to refresh."""
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._members
-
-    def pop(self) -> int:
-        node = heapq.heappop(self._heap)
-        self._members.remove(node)
-        return node
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-def make_scheduler(options, context, state, pending_children) -> "Scheduler":
-    """Build the candidate scheduler for one compilation run.
-
-    ``options`` is duck-typed (``scheduling``, ``unblocking_rule``,
-    ``level_rule``) so this module stays import-independent of the
-    compiler; ``context`` is the :class:`~repro.mig.context.AnalysisContext`
-    of the graph being compiled — its cached parents and levels feed the
-    priority key, so repeated compilations of the same node order share
-    them.  ``state`` is a
-    :class:`~repro.core.translate_fast.FastTranslationState` (remaining
-    uses in a flat ``array('q')``) and ``pending_children`` an array
-    indexed by node id: the dynamic tables the key reads at refresh time,
-    straight from the raw child encodings.
-
-    With the level rule off (the default) every :class:`CandidateKey` has
-    ``min_parent_level == max_parent_level == 0``, so its comparator
-    degenerates to ``(-releasing, -unblocks, index)`` — the key function
-    returns exactly that tuple, which sorts identically at a fraction of
-    the cost (keys of the two kinds never meet in one heap).  With the
-    level rule on, the full :class:`CandidateKey` is used.
-    """
-    if options.scheduling == "index":
-        return IndexScheduler()
-
-    from repro.mig.graph import _GATE  # local: keep module import-light
-
-    mig = context.mig
-    parents = context.parents
-    remaining = state.remaining
-    ca, cb, cc = mig._ca, mig._cb, mig._cc
-    kind = mig._kind
-    use_unblocks = options.unblocking_rule
-
-    if options.level_rule:
-        node_levels = context.levels
-        po_fed: set[int] = {po.node for po in mig.pos() if not po.is_const}
-
-        def level_key_fn(node: int) -> CandidateKey:
-            releasing = 0
-            for e in (ca[node], cb[node], cc[node]):
-                child = e >> 1
-                if kind[child] == _GATE and remaining[child] == 1:
-                    releasing += 1
-            unblocks = 0
-            if use_unblocks:
-                for p in parents[node]:
-                    if pending_children[p] == 1:
-                        unblocks += 1
-            parent_levels = [node_levels[p] for p in parents[node]]
-            if node in po_fed:
-                parent_levels.append(node_levels[node] + 1)
-            return make_key(node, releasing, parent_levels, unblocks)
-
-        return PriorityScheduler(level_key_fn)
-
-    def key_fn(node: int) -> tuple[int, int, int]:
-        releasing = 0
-        for e in (ca[node], cb[node], cc[node]):
-            child = e >> 1
-            if kind[child] == _GATE and remaining[child] == 1:
-                releasing += 1
-        unblocks = 0
-        if use_unblocks:
-            for p in parents[node]:
-                if pending_children[p] == 1:
-                    unblocks += 1
-        return (-releasing, -unblocks, node)
-
-    return PriorityScheduler(key_fn)
-
-
 def make_key(
     node: int,
     releasing_children: int,
@@ -237,3 +97,83 @@ def make_key(
         max_parent_level=hi,
         index=node,
     )
+
+
+def candidate_key_fn(
+    options,
+    context: AnalysisContext,
+    remaining: list[int],
+    pending_children: list[int],
+) -> Callable[[int], Union[int, CandidateKey]]:
+    """The key of one compilation run: ``key(node)``, smaller pops first.
+
+    ``options`` is duck-typed (``scheduling``, ``unblocking_rule``,
+    ``level_rule``) so this module stays import-independent of the
+    compiler.  ``remaining`` (uses left per node) and ``pending_children``
+    (uncomputed child edges per gate) are the loop's live tables, read
+    when a key is computed.
+
+    Without the level rule the key is an ``int`` whose low
+    ``len(mig).bit_length()`` bits are the node, so ``key & mask``
+    recovers it; above them sit, most significant first, ``3 - releasing``
+    and, under the unblocking rule, ``span - 1 - unblocks`` (``span`` is
+    one more than the largest parent count, so the field never
+    overflows).
+    """
+    mig = context.mig
+    if options.scheduling == "index":
+        return int  # the node itself
+    parents = context.parents
+    ca, cb, cc = mig._ca, mig._cb, mig._cc
+    kind = mig._kind
+    use_unblocks = options.unblocking_rule
+
+    if options.level_rule:
+        node_levels = context.levels
+        # A primary output consumes its node "right above" it: model it as
+        # a parent one level up, otherwise PO feeders would be deferred to
+        # the end of the schedule while their children sit in live cells.
+        po_fed: set[int] = {po.node for po in mig.pos() if not po.is_const}
+
+        def level_key(node: int) -> CandidateKey:
+            releasing = 0
+            for e in (ca[node], cb[node], cc[node]):
+                child = e >> 1
+                if kind[child] == _GATE and remaining[child] == 1:
+                    releasing += 1
+            unblocks = 0
+            if use_unblocks:
+                for p in parents[node]:
+                    if pending_children[p] == 1:
+                        unblocks += 1
+            parent_levels = [node_levels[p] for p in parents[node]]
+            if node in po_fed:
+                parent_levels.append(node_levels[node] + 1)
+            return make_key(node, releasing, parent_levels, unblocks)
+
+        return level_key
+
+    shift = len(mig).bit_length()
+    span = max(map(len, parents), default=0) + 1 if use_unblocks else 1
+    releasing_unit = span << shift  # unblocks ∈ [0, span) packs below it
+
+    def releasing_key(node: int) -> int:
+        c = ca[node] >> 1
+        releasing = kind[c] == _GATE and remaining[c] == 1
+        c = cb[node] >> 1
+        releasing += kind[c] == _GATE and remaining[c] == 1
+        c = cc[node] >> 1
+        releasing += kind[c] == _GATE and remaining[c] == 1
+        return (3 - releasing) * releasing_unit + node
+
+    if not use_unblocks:
+        return releasing_key
+
+    def unblocking_key(node: int) -> int:
+        unblocks = 0
+        for p in parents[node]:
+            if pending_children[p] == 1:
+                unblocks += 1
+        return releasing_key(node) + ((span - 1 - unblocks) << shift)
+
+    return unblocking_key

@@ -1,4 +1,4 @@
-"""Node translation (paper §4.2.2): one MIG gate → RM3 instructions.
+"""Node translation (paper §4.2.2) and cell management (§4.2.3).
 
 ``RM3(A, B, Z)`` computes ``Z ← ⟨A, ¬B, Z⟩``, so translating a gate
 ``⟨x y z⟩`` means deciding which child becomes the *inverted* operand B,
@@ -16,15 +16,17 @@ plus the *naïve* child-order selection of §3's motivating example (operands
 A, B and destination Z taken from children 1, 2, 3 respectively), which is
 the paper's baseline translator.
 
-The :class:`FastTranslationState` tracks, per MIG node, the cell holding
-its value, an optional cell holding its *complement* ("it is remembered
-for future use", Fig. 5(f)), and the number of remaining readers — when
-that count reaches zero the node's cells go back to the allocator
-(§4.2.3).  Everything works directly on the graph core's flat child
-encodings (``(node << 1) | complement``): per-node state lives in
-``array('q')`` slabs indexed by node id, and comments are recorded as
-lazy descriptors on the program spine instead of f-strings.  Operand
-encodings reuse the ISA convention (:func:`repro.plim.isa.encode_operand`):
+:class:`FastTranslationState` tracks, per MIG node, the cell holding its
+value, an optional cell holding its *complement* ("it is remembered for
+future use", Fig. 5(f)), and the number of remaining readers — when that
+count reaches zero the node's cells go back to the free list (§4.2.3),
+which hands them out again under the FIFO, LIFO or FRESH policy of
+:mod:`repro.core.allocator`.  :meth:`FastTranslationState.gate_step`
+returns the whole per-gate translation — case analysis, allocation,
+emission and release — as one closure over flat per-node lists, and the
+compilation loop calls it once per gate.  Instructions go straight into
+the program's flat columns with lazy comment descriptors.  Operand
+encodings follow the ISA convention (:func:`repro.plim.isa.encode_operand`):
 constants 0/1 are ``1``/``3``, cell ``k`` is ``2k``.
 
 The Signal/dict translator this one replaced is kept in
@@ -36,11 +38,10 @@ whole registry.
 
 from __future__ import annotations
 
-from array import array
-from typing import Optional
+from collections import deque
+from typing import Callable, Optional
 
-from repro.core.allocator import RramAllocator
-from repro.errors import CompilationError
+from repro.errors import AllocationError, CompilationError
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import _GATE
 from repro.plim.isa import ONE_ENC, ZERO_ENC
@@ -60,412 +61,398 @@ NOT_COMPUTED = -2
 NO_CELL = -1
 
 
-class FastTranslationState:
-    """Mutable state shared by all node translations of one compilation.
+def _lost(node: int, address: int):
+    """Raise for a read of ``node``'s value whose cell ``address`` is gone."""
+    if address == CONSUMED:
+        raise CompilationError(f"node {node}'s value cell was already overwritten")
+    raise CompilationError(f"node {node} has not been computed yet")
 
-    Per-node state lives in ``array('q')`` columns indexed by node id; the
-    insertion-ordered complement-cache mirror ``_compl_order`` is maintained
-    only under a work-cell budget, where eviction order (oldest cached
-    complement first) is observable.
+
+class FastTranslationState:
+    """One node order's translation: per-node cells, free list, program.
+
+    ``value_cell``, ``compl_cell`` and ``remaining`` are lists indexed by
+    node id.  Work cells are numbered from ``mig.num_pis`` on; ``in_use``
+    holds the ones currently owned by a node, a temporary or an output.
+    Under a ``max_work_cells`` budget the state also keeps the cells the
+    current gate reads (safe from eviction) and the cached complements in
+    caching order (evicted oldest first); without one it keeps neither.
     """
 
     __slots__ = (
-        "context",
-        "mig",
         "program",
-        "allocator",
-        "complement_caching",
-        "max_work_cells",
         "value_cell",
         "compl_cell",
         "remaining",
-        "_protected",
-        "_pending_temps",
-        "_compl_order",
-        "_ca",
-        "_cb",
-        "_cc",
-        "_kind",
+        "in_use",
+        "alloc",
+        "_steps",
+        "_finalize",
     )
 
     def __init__(
         self,
         context: AnalysisContext,
         program: Program,
-        allocator: RramAllocator,
+        *,
         complement_caching: bool = True,
+        allocator_policy: str = "fifo",
         max_work_cells: Optional[int] = None,
     ):
         mig = context.mig
-        self.context = context
-        self.mig = mig
-        self.program = program
-        self.allocator = allocator
-        self.complement_caching = complement_caching
-        self.max_work_cells = max_work_cells
         n = len(mig)
-        self.value_cell = array("q", [NOT_COMPUTED]) * n
-        self.compl_cell = array("q", [NO_CELL]) * n
-        remaining = array("q", [0]) * n
-        for node, uses in context.use_counts.items():
-            remaining[node] = uses
-        self.remaining = remaining
-        self._protected: set[int] = set()
-        self._pending_temps: list[int] = []
-        self._compl_order: Optional[dict[int, int]] = (
-            {} if max_work_cells is not None else None
-        )
-        self._ca = mig._ca
-        self._cb = mig._cb
-        self._cc = mig._cc
-        self._kind = mig._kind
+        self.program = program
+        self.value_cell = [NOT_COMPUTED] * n
+        self.compl_cell = [NO_CELL] * n
+        self.remaining = context.fresh_uses()
+        self.in_use: set[int] = set()
         pi_node_names: dict[int, str] = {}
         input_cells = program.input_cells
         for pi, name in zip(mig.pis(), mig.pi_names()):
             self.value_cell[pi.node] = input_cells[name]
             pi_node_names[pi.node] = name
         program.pi_node_names = pi_node_names
+        _bind(self, mig, complement_caching, allocator_policy, max_work_cells)
 
-    # ------------------------------------------------------------------
-    # allocation / eviction
-    # ------------------------------------------------------------------
+    def gate_step(self, naive: bool = False) -> Callable[[int], None]:
+        """``step(node)``: translate one gate whose children are computed
+        — the §4.2.2 case analysis, or §3's child order when ``naive`` —
+        emit its RM3 instructions and release what it consumed."""
+        return self._steps[naive]
 
-    def alloc(self) -> int:
-        """Request a work cell and record it in the program's inventory.
+    def finalize_outputs(self, fix_output_polarity: bool) -> None:
+        """Record (and, with ``fix_output_polarity``, fix up) every
+        output's location, then close the program's bookkeeping."""
+        self._finalize(fix_output_polarity)
 
-        Under a ``max_work_cells`` budget, a fresh address past the budget
-        first evicts the oldest unprotected cached complement; if nothing
-        is evictable, compilation fails.
-        """
-        allocator = self.allocator
-        if (
-            self.max_work_cells is not None
-            and allocator.num_free == 0
-            and allocator.num_allocated >= self.max_work_cells
-        ):
-            self._evict_complement_cache()
-        address = allocator.request()
-        self.program.register_work_cell(address)
-        self._protected.add(address)
-        return address
 
-    def _evict_complement_cache(self) -> None:
-        """Free the oldest unprotected cached complement (or fail)."""
-        protected = self._protected
-        for node, address in self._compl_order.items():
-            if address not in protected:
-                del self._compl_order[node]
-                self.compl_cell[node] = NO_CELL
-                self.allocator.release(address)
-                return
-        raise CompilationError(
-            f"work-cell budget of {self.max_work_cells} exceeded and no "
-            "cached complement is evictable; the function needs more RRAMs"
-        )
+def _bind(state, mig, caching, policy, budget) -> None:
+    """Build ``state``'s closures over local views of its tables."""
+    program = state.program
+    value_cell, compl_cell, remaining = state.value_cell, state.compl_cell, state.remaining
+    in_use = state.in_use
+    hold, drop = in_use.add, in_use.remove
+    ca, cb, cc, kind = mig._ca, mig._cb, mig._cc, mig._kind
+    # the program's instruction columns (see Program.append_encoded)
+    put_a, put_b = program._enc_a.append, program._enc_b.append
+    put_z, put_kind = program._dst.append, program._ck.append
+    put_x, put_y = program._cx.append, program._cy.append
+    work_cells = program.work_cells
+    free: deque[int] = deque()
+    reuse = policy != "fresh"
+    take = free.popleft if policy == "fifo" else free.pop
+    first_cell = mig.num_pis
+    next_cell = first_cell
+    temps: list[int] = []
+    budgeted = budget is not None
+    protected: set[int] = set()  # cells the current gate reads
+    protect = protected.add
+    compl_order: dict[int, int] = {}  # node → cached complement, oldest first
 
-    def alloc_temp(self) -> int:
-        address = self.alloc()
-        self._pending_temps.append(address)
-        return address
+    def release(address: int) -> None:
+        try:
+            drop(address)
+        except KeyError:
+            raise AllocationError(
+                f"cell {address} is not currently allocated (double free or foreign address)"
+            ) from None
+        free.append(address)
 
-    def release_temps(self) -> None:
-        for address in self._pending_temps:
-            self.allocator.release(address)
-        self._pending_temps.clear()
-
-    # ------------------------------------------------------------------
-    # emission helpers (lazy comments)
-    # ------------------------------------------------------------------
-
-    def emit_set_const(self, address: int, bit: int, target: Optional[str] = None) -> None:
-        program = self.program
-        if target:
-            if bit:
-                program.append_encoded(
-                    ONE_ENC, ZERO_ENC, address, COMMENT_TARGET_CONST, 0, 1, target
-                )
+    def alloc() -> int:
+        """A work cell; past the budget, evict the oldest unprotected
+        cached complement first (or fail)."""
+        nonlocal next_cell
+        if budgeted and not free and next_cell - first_cell >= budget:
+            for node, address in compl_order.items():
+                if address not in protected:
+                    del compl_order[node]
+                    compl_cell[node] = NO_CELL
+                    release(address)
+                    break
             else:
-                program.append_encoded(
-                    ZERO_ENC, ONE_ENC, address, COMMENT_TARGET_CONST, 0, 0, target
+                raise CompilationError(
+                    f"work-cell budget of {budget} exceeded and no "
+                    "cached complement is evictable; the function needs more RRAMs"
                 )
-        elif bit:
-            program.append_encoded(
-                ONE_ENC, ZERO_ENC, address, COMMENT_CELL_CONST, address, 1
-            )
+        if free and reuse:
+            address = take()
         else:
-            program.append_encoded(
-                ZERO_ENC, ONE_ENC, address, COMMENT_CELL_CONST, address, 0
-            )
-
-    def emit_load(self, address: int, source_enc: int, signal_enc: int) -> None:
-        """``X ← source`` (clear, then load); comment ``label <- signal``."""
-        self.emit_set_const(address, 0)
-        self.program.append_encoded(
-            source_enc, ZERO_ENC, address, COMMENT_CELL_SIG, address, signal_enc
-        )
-
-    def emit_load_compl(self, address: int, source_enc: int, signal_enc: int) -> None:
-        """``X ← ¬source`` (clear, then inverted load)."""
-        self.emit_set_const(address, 0)
-        self.program.append_encoded(
-            ONE_ENC, source_enc, address, COMMENT_CELL_SIG, address, signal_enc
-        )
-
-    # ------------------------------------------------------------------
-    # value access
-    # ------------------------------------------------------------------
-
-    def value_operand_enc(self, node: int) -> int:
-        """Encoded operand reading ``node``'s plain value from its cell."""
-        address = self.value_cell[node]
-        if address == CONSUMED:
-            raise CompilationError(f"node {node}'s value cell was already overwritten")
-        if address == NOT_COMPUTED:
-            raise CompilationError(f"node {node} has not been computed yet")
-        return address << 1
-
-    def materialize_complement(self, node: int, as_temp: bool = False) -> int:
-        """Ensure a cell holds ``¬node``; returns its address."""
-        if self.complement_caching:
-            cached = self.compl_cell[node]
-            if cached != NO_CELL:
-                self._protected.add(cached)
-                return cached
-        address = self.alloc_temp() if as_temp else self.alloc()
-        self.emit_load_compl(address, self.value_operand_enc(node), (node << 1) | 1)
-        if self.complement_caching and not as_temp:
-            self.compl_cell[node] = address
-            if self._compl_order is not None:
-                self._compl_order[node] = address
+            address = next_cell
+            next_cell += 1
+            work_cells.append(address)
+        hold(address)
+        if budgeted:
+            protect(address)
         return address
 
-    # ------------------------------------------------------------------
-    # reference counting / release (paper §4.2.3)
-    # ------------------------------------------------------------------
+    def emit(a: int, b: int, z: int, comment_kind: int, x: int, y: int) -> None:
+        put_a(a)
+        put_b(b)
+        put_z(z)
+        put_kind(comment_kind)
+        put_x(x)
+        put_y(y)
 
-    def consume_children(self, node: int) -> None:
-        remaining = self.remaining
-        for enc in (self._ca[node], self._cb[node], self._cc[node]):
-            if enc < 2:  # constant child
-                continue
-            child = enc >> 1
-            uses = remaining[child] - 1
-            if uses < 0:
-                raise CompilationError(f"use count of node {child} went negative")
-            remaining[child] = uses
-            if uses == 0:
-                self._release_node(child)
-
-    def _release_node(self, node: int) -> None:
-        if self._kind[node] == _GATE:
-            address = self.value_cell[node]
-            if address >= 0:
-                self.allocator.release(address)
-                self.value_cell[node] = CONSUMED
-        compl = self.compl_cell[node]
-        if compl != NO_CELL:
-            self.compl_cell[node] = NO_CELL
-            if self._compl_order is not None:
-                self._compl_order.pop(node, None)
-            self.allocator.release(compl)
-
-
-def translate_node_fast(state: FastTranslationState, node: int, naive: bool = False) -> None:
-    """Translate one gate into RM3 instructions (§4.2.2 or naïve §3)."""
-    state._protected.clear()
-    ea, eb, ec = state._ca[node], state._cb[node], state._cc[node]
-    if naive:
-        a_enc, b_enc, z = _plan_child_order(state, ea, eb, ec)
-    else:
-        a_enc, b_enc, z = _plan_cases(state, ea, eb, ec)
-    state.program.append_encoded(a_enc, b_enc, z, COMMENT_CELL_NODE, z, node)
-    state.value_cell[node] = z
-    state.release_temps()
-    state.consume_children(node)
-
-
-# ----------------------------------------------------------------------
-# the paper's case analysis (Figs. 5 and 6), on raw encodings
-# ----------------------------------------------------------------------
-
-
-def _plan_cases(state: FastTranslationState, ea: int, eb: int, ec: int):
-    children = (ea, eb, ec)
-    b_index, b_enc = _select_operand_b(state, children)
-    if b_index == 0:
-        r0, r1 = 1, 2
-    elif b_index == 1:
-        r0, r1 = 0, 2
-    else:
-        r0, r1 = 0, 1
-    z_index, z = _select_destination(state, children, r0, r1)
-    a_enc = _operand_a(state, children[r1 if z_index == r0 else r0])
-    return a_enc, b_enc, z
-
-
-def _select_operand_b(state: FastTranslationState, children) -> tuple[int, int]:
-    """Fig. 5: choose the child that enters the majority complemented."""
-    remaining = state.remaining
-    complemented: list[int] = []  # child indices, encoding order preserved
-    plain: list[int] = []
-    const_index = -1
-    for i in range(3):
-        e = children[i]
-        if e < 2:
-            if const_index < 0:
-                const_index = i
-        elif e & 1:
-            complemented.append(i)
+    def load(node: int, e: int) -> int:
+        """A fresh cell loaded with edge ``e`` of ``node``: its value,
+        or its complement when ``e`` is odd."""
+        address = alloc()
+        source = value_cell[node]
+        if source < 0:
+            _lost(node, source)
+        emit(ZERO_ENC, ONE_ENC, address, COMMENT_CELL_CONST, address, 0)
+        if e & 1:
+            emit(ONE_ENC, source << 1, address, COMMENT_CELL_SIG, address, e)
         else:
-            plain.append(i)
+            emit(source << 1, ZERO_ENC, address, COMMENT_CELL_SIG, address, e)
+        return address
 
-    if len(complemented) == 1:
-        # (a) ideal case: the single complemented child.
-        i = complemented[0]
-        return i, state.value_operand_enc(children[i] >> 1)
-    if len(complemented) >= 2:
-        # (b)/(d) prefer a complemented child with further readers (it
-        # cannot be a destination anyway) ...
-        for i in complemented:
-            if remaining[children[i] >> 1] > 1:
-                return i, state.value_operand_enc(children[i] >> 1)
-        # (e) ... otherwise the first complemented child.
-        i = complemented[0]
-        return i, state.value_operand_enc(children[i] >> 1)
-    # No complemented child from here on.
-    if const_index >= 0:
-        # (c) B becomes the inverse of the constant (¬B is the constant).
-        return const_index, ONE_ENC if children[const_index] == 0 else ZERO_ENC
-    if state.complement_caching:
-        # (f) a child whose complement is already stored in some cell.
-        compl_cell = state.compl_cell
-        for i in plain:
-            address = compl_cell[children[i] >> 1]
-            if address != NO_CELL:
-                state._protected.add(address)
-                return i, address << 1
-    # (g) complement a multi-fanout child (excluded as destination) ...
-    as_temp = not state.complement_caching
-    for i in plain:
-        if remaining[children[i] >> 1] > 1:
-            return i, state.materialize_complement(children[i] >> 1, as_temp=as_temp) << 1
-    # (h) ... or, failing everything, the first child.
-    i = plain[0]
-    return i, state.materialize_complement(children[i] >> 1, as_temp=as_temp) << 1
+    def set_const(bit: int) -> int:
+        """A fresh cell holding the constant ``bit``."""
+        address = alloc()
+        if bit:
+            emit(ONE_ENC, ZERO_ENC, address, COMMENT_CELL_CONST, address, 1)
+        else:
+            emit(ZERO_ENC, ONE_ENC, address, COMMENT_CELL_CONST, address, 0)
+        return address
 
-
-def _select_destination(
-    state: FastTranslationState, children, r0: int, r1: int
-) -> tuple[int, int]:
-    """Fig. 6: choose the destination cell Z among the two non-B children."""
-    remaining = state.remaining
-    compl_cell = state.compl_cell
-    # (a) complemented child, last use, complement already in a cell:
-    # overwrite that cell.
-    for i in (r0, r1):
-        e = children[i]
-        if e < 2 or not e & 1:
-            continue
-        node = e >> 1
-        if remaining[node] == 1:
+    def complement(node: int, as_temp: bool) -> int:
+        """A cell holding ``¬node``: the cached one, else a fresh load
+        (cached for later readers, or released after this gate)."""
+        if caching:
             address = compl_cell[node]
             if address != NO_CELL:
-                compl_cell[node] = NO_CELL
-                if state._compl_order is not None:
-                    state._compl_order.pop(node, None)
-                state._protected.add(address)
-                return i, address
-    # (b) plain gate child on its last use: overwrite its value cell.
-    kind = state._kind
-    for i in (r0, r1):
-        e = children[i]
-        if e < 2 or e & 1:
-            continue
-        node = e >> 1
-        if kind[node] == _GATE and remaining[node] == 1:
-            address = state.value_cell[node]
-            if address == CONSUMED:
-                raise CompilationError(f"node {node} consumed twice")
-            state.value_cell[node] = CONSUMED  # ownership moves to the parent
-            state._protected.add(address)
-            return i, address
-    # (c) constant child: fresh cell initialized to the constant.
-    for i in (r0, r1):
-        e = children[i]
+                if budgeted:
+                    protect(address)
+                return address
+        address = load(node, (node << 1) | 1)
+        if as_temp:
+            temps.append(address)
+        elif caching:
+            compl_cell[node] = address
+            if budgeted:
+                compl_order[node] = address
+        return address
+
+    def operand_a(e: int) -> int:
+        """Operand A rules (end of §4.2.2) for the remaining child."""
         if e < 2:
-            address = state.alloc()
-            state.emit_set_const(address, e)
-            return i, address
-    # (d) complemented child: fresh cell loaded with its complement.
-    for i in (r0, r1):
-        e = children[i]
-        if e & 1:
-            address = state.alloc()
-            state.emit_load_compl(address, state.value_operand_enc(e >> 1), e)
-            return i, address
-    # (e) plain child (multi-fanout or a primary input): copy its value.
-    e = children[r0]
-    address = state.alloc()
-    state.emit_load(address, state.value_operand_enc(e >> 1), e)
-    return r0, address
+            # (a) constant child, complement edge folded into the value.
+            return (e << 1) | 1
+        node = e >> 1
+        if not e & 1:
+            # (b) plain child: read its value cell.
+            address = value_cell[node]
+            if address < 0:
+                _lost(node, address)
+            return address << 1
+        address = compl_cell[node]
+        if address != NO_CELL:
+            # (c) complement already available.
+            if budgeted:
+                protect(address)
+            return address << 1
+        # (d) fabricate (and cache) the complement.
+        return complement(node, not caching) << 1
 
+    def finish(node: int, a_enc: int, b_enc: int, z: int, ea: int, eb: int, ec: int) -> None:
+        """Emit the gate's RM3, then release temporaries and every child
+        whose last reader this was (§4.2.3)."""
+        put_a(a_enc)
+        put_b(b_enc)
+        put_z(z)
+        put_kind(COMMENT_CELL_NODE)
+        put_x(z)
+        put_y(node)
+        value_cell[node] = z
+        if temps:
+            for address in temps:
+                release(address)
+            temps.clear()
+        for e in (ea, eb, ec):
+            if e < 2:  # constant child
+                continue
+            child = e >> 1
+            uses = remaining[child] - 1
+            if uses > 0:
+                remaining[child] = uses
+                continue
+            if uses < 0:
+                raise CompilationError(f"use count of node {child} went negative")
+            remaining[child] = 0
+            if kind[child] == _GATE:
+                address = value_cell[child]
+                if address >= 0:
+                    release(address)
+                    value_cell[child] = CONSUMED
+            address = compl_cell[child]
+            if address != NO_CELL:
+                compl_cell[child] = NO_CELL
+                if budgeted:
+                    compl_order.pop(child, None)
+                release(address)
 
-def _operand_a(state: FastTranslationState, e: int) -> int:
-    """Operand A rules (end of §4.2.2) for the remaining child."""
-    if e < 2:
-        # (a) constant child, complement edge folded into the value.
-        return (e << 1) | 1
-    node = e >> 1
-    if not e & 1:
-        # (b) plain child: read its value cell.
-        return state.value_operand_enc(node)
-    address = state.compl_cell[node]
-    if address != NO_CELL:
-        # (c) complement already available.
-        state._protected.add(address)
-        return address << 1
-    # (d) fabricate (and cache) the complement.
-    return state.materialize_complement(node, as_temp=not state.complement_caching) << 1
+    def cases_step(node: int) -> None:
+        """The paper's case analysis (Figs. 5 and 6)."""
+        if budgeted:
+            protected.clear()
+        ea, eb, ec = children = (ca[node], cb[node], cc[node])
+        # --- operand B (Fig. 5) ---------------------------------------
+        complemented = (ea > 1 and ea & 1) + (eb > 1 and eb & 1) + (ec > 1 and ec & 1)
+        if complemented:
+            bi = -1
+            if complemented > 1:
+                # (b)/(d) prefer a complemented child with further readers
+                # (it cannot be a destination anyway) ...
+                for i in 0, 1, 2:
+                    e = children[i]
+                    if e > 1 and e & 1 and remaining[e >> 1] > 1:
+                        bi = i
+                        break
+            if bi < 0:
+                # (a) the single complemented child, or (e) the first one.
+                bi = 0 if ea > 1 and ea & 1 else 1 if eb > 1 and eb & 1 else 2
+            b_node = children[bi] >> 1
+            address = value_cell[b_node]
+            if address < 0:
+                _lost(b_node, address)
+            b_enc = address << 1
+        elif ea < 2 or eb < 2 or ec < 2:
+            # (c) B becomes the inverse of the constant (¬B is the constant).
+            bi = 0 if ea < 2 else 1 if eb < 2 else 2
+            b_enc = ONE_ENC if children[bi] == 0 else ZERO_ENC
+        else:
+            bi = -1
+            if caching:
+                # (f) a child whose complement is already stored in some cell.
+                for i in 0, 1, 2:
+                    address = compl_cell[children[i] >> 1]
+                    if address != NO_CELL:
+                        if budgeted:
+                            protect(address)
+                        bi = i
+                        b_enc = address << 1
+                        break
+            if bi < 0:
+                # (g) complement a multi-fanout child (excluded as
+                # destination) ... (h) or, failing everything, the first.
+                bi = 0
+                for i in 0, 1, 2:
+                    if remaining[children[i] >> 1] > 1:
+                        bi = i
+                        break
+                b_enc = complement(children[bi] >> 1, not caching) << 1
+        if bi == 0:
+            r0, r1 = 1, 2
+        elif bi == 1:
+            r0, r1 = 0, 2
+        else:
+            r0, r1 = 0, 1
+        e0, e1 = children[r0], children[r1]
+        # --- destination Z (Fig. 6) among the two non-B children --------
+        z = -1
+        # (a) complemented child, last use, complement already in a cell:
+        # overwrite that cell.
+        for e, other in (e0, e1), (e1, e0):
+            if e > 1 and e & 1:
+                child = e >> 1
+                if remaining[child] == 1:
+                    address = compl_cell[child]
+                    if address != NO_CELL:
+                        compl_cell[child] = NO_CELL
+                        if budgeted:
+                            compl_order.pop(child, None)
+                            protect(address)
+                        z, a_edge = address, other
+                        break
+        if z < 0:
+            # (b) plain gate child on its last use: overwrite its value cell.
+            for e, other in (e0, e1), (e1, e0):
+                if e > 1 and not e & 1:
+                    child = e >> 1
+                    if kind[child] == _GATE and remaining[child] == 1:
+                        address = value_cell[child]
+                        if address == CONSUMED:
+                            raise CompilationError(f"node {child} consumed twice")
+                        value_cell[child] = CONSUMED  # ownership moves to the parent
+                        if budgeted:
+                            protect(address)
+                        z, a_edge = address, other
+                        break
+        if z < 0:
+            if e0 < 2 or e1 < 2:
+                # (c) constant child: fresh cell initialized to the constant.
+                e, a_edge = (e0, e1) if e0 < 2 else (e1, e0)
+                z = set_const(e)
+            elif e0 & 1 or e1 & 1:
+                # (d) complemented child: fresh cell loaded with its complement.
+                e, a_edge = (e0, e1) if e0 & 1 else (e1, e0)
+                z = load(e >> 1, e)
+            else:
+                # (e) plain child (multi-fanout or a primary input): copy it.
+                a_edge = e1
+                z = load(e0 >> 1, e0)
+        finish(node, operand_a(a_edge), b_enc, z, ea, eb, ec)
 
+    def child_order_step(node: int) -> None:
+        """Naïve selection (§3): A ← child 1, B ← child 2, Z ← child 3."""
+        if budgeted:
+            protected.clear()
+        ea, eb, ec = ca[node], cb[node], cc[node]
+        # Operand B must deliver the child's value through the built-in
+        # inversion: a complemented edge reads the child's plain cell, a
+        # plain edge needs the complement fabricated (never cached here).
+        if eb < 2:
+            b_enc = ONE_ENC if eb == 0 else ZERO_ENC
+        elif eb & 1:
+            address = value_cell[eb >> 1]
+            if address < 0:
+                _lost(eb >> 1, address)
+            b_enc = address << 1
+        else:
+            b_enc = complement(eb >> 1, True) << 1
+        # Destination: child 3's value in a cell.
+        child = ec >> 1
+        if ec < 2:
+            z = set_const(ec)
+        elif ec & 1:
+            z = load(child, ec)
+        elif kind[child] == _GATE and remaining[child] == 1:
+            z = value_cell[child]
+            if z == CONSUMED:
+                raise CompilationError(f"node {child} consumed twice")
+            value_cell[child] = CONSUMED
+        else:
+            z = load(child, ec)
+        finish(node, operand_a(ea), b_enc, z, ea, eb, ec)
 
-# ----------------------------------------------------------------------
-# naïve child-order selection (paper §3)
-# ----------------------------------------------------------------------
+    def finalize(fix_output_polarity: bool) -> None:
+        for po, name in zip(mig.pos(), mig.po_names()):
+            node = po.node
+            if po.is_const:
+                if name:
+                    address = alloc()
+                    bit = po.const_value
+                    program._ctext[len(program._dst)] = name
+                    if bit:
+                        emit(ONE_ENC, ZERO_ENC, address, COMMENT_TARGET_CONST, 0, 1)
+                    else:
+                        emit(ZERO_ENC, ONE_ENC, address, COMMENT_TARGET_CONST, 0, 0)
+                else:
+                    address = set_const(po.const_value)
+                program.set_output(name, address)
+            elif po.inverted and fix_output_polarity:
+                program.set_output(name, complement(node, False), inverted=False)
+            else:
+                address = value_cell[node]
+                if address < 0:  # never computed, or consumed by a parent
+                    raise CompilationError(
+                        f"output {name!r} refers to node {node} whose cell was lost"
+                    )
+                program.set_output(name, address, inverted=po.inverted)
+        program._work_cell_set.update(work_cells)
+        program.version = len(program._dst)
 
-
-def _plan_child_order(state: FastTranslationState, ea: int, eb: int, ec: int):
-    """Operands in child order: A ← child 1, B ← child 2, Z ← child 3."""
-    # Operand B must deliver the child's value through the built-in
-    # inversion: a complemented edge reads the child's plain cell, a plain
-    # edge needs the complement fabricated (never cached in naïve mode).
-    if eb < 2:
-        b_enc = ONE_ENC if eb == 0 else ZERO_ENC
-    elif eb & 1:
-        b_enc = state.value_operand_enc(eb >> 1)
-    else:
-        b_enc = state.materialize_complement(eb >> 1, as_temp=True) << 1
-    z = _naive_destination(state, ec)
-    a_enc = _operand_a(state, ea)
-    return a_enc, b_enc, z
-
-
-def _naive_destination(state: FastTranslationState, e: int) -> int:
-    """Destination for the naïve translator: child 3's value in a cell."""
-    if e < 2:
-        address = state.alloc()
-        state.emit_set_const(address, e)
-        return address
-    node = e >> 1
-    if e & 1:
-        address = state.alloc()
-        state.emit_load_compl(address, state.value_operand_enc(node), e)
-        return address
-    if state._kind[node] == _GATE and state.remaining[node] == 1:
-        address = state.value_cell[node]
-        if address == CONSUMED:
-            raise CompilationError(f"node {node} consumed twice")
-        state.value_cell[node] = CONSUMED
-        return address
-    address = state.alloc()
-    state.emit_load(address, state.value_operand_enc(node), e)
-    return address
+    state.alloc = alloc
+    state._steps = (cases_step, child_order_step)
+    state._finalize = finalize

@@ -405,10 +405,19 @@ def try_associativity(
     could push a PO past the budget is rejected after the freeness check
     (the speculative sharing semantics are unchanged — only the commit is
     gated).
+
+    The swap keeps the inner child stored first as ``y``, so a match
+    whose *other* inner child is ``x`` or ``x̄`` never frees anything,
+    although ``v`` is redundant: ``⟨x u ⟨y u x⟩⟩ = ⟨y u x⟩`` and
+    ``⟨x u ⟨y u x̄⟩⟩ = u`` (``⟨a b̄ ⟨a 0 b⟩⟩ = a``).  When no swap
+    commits, the first such match collapses ``v`` onto the inner gate or
+    onto ``u``.  Both are children of ``v``, so the collapse removes ``v``
+    and can only lower levels.
     """
     _require_levels_for_budget(mig, depth_budget)
     ca, cb, cc = mig._ca, mig._cb, mig._cc
     enc = _gate_children(mig, v)
+    collapse = -1  # encoding v reduces to, if a match proves it redundant
     for k in range(3):
         g = enc[k]
         n = g >> 1
@@ -422,6 +431,8 @@ def try_associativity(
             if rest is None:
                 continue
             y, z = rest
+            if collapse < 0 and z ^ x <= 1:
+                collapse = g if z == x else u
             swapped = mig.find_or_reserve_enc(y, u, x, v)
             if swapped < 0:  # not free: the speculative gate is reserved
                 continue
@@ -438,7 +449,12 @@ def try_associativity(
             if ca[replacement >> 1] >= 0:
                 affected.add(replacement >> 1)
             return affected
-    return set()
+    if collapse < 0:
+        return set()
+    affected = mig.replace_node(v, Signal(collapse))
+    if ca[collapse >> 1] >= 0:
+        affected.add(collapse >> 1)
+    return affected
 
 
 def try_associativity_depth(

@@ -8,6 +8,7 @@ the rewriting cost model counts complemented edges per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.mig.graph import Mig
 
@@ -60,9 +61,10 @@ def fanout_counts(mig: Mig) -> dict[int, int]:
     return counts
 
 
-def parents_of(mig: Mig) -> dict[int, list[int]]:
-    """Gate parents of every node (a parent appears once per child edge)."""
-    parents: dict[int, list[int]] = {v: [] for v in mig.nodes()}
+def parents_of(mig: Mig) -> list[list[int]]:
+    """Gate parents of every node, indexed by node id (a parent appears
+    once per child edge; dead slots and PO-only nodes get ``[]``)."""
+    parents: list[list[int]] = [[] for _ in range(len(mig))]
     ca, cb, cc = mig._ca, mig._cb, mig._cc
     for v in mig.gates():
         parents[ca[v] >> 1].append(v)
@@ -71,20 +73,22 @@ def parents_of(mig: Mig) -> dict[int, list[int]]:
     return parents
 
 
-def use_counts(mig: Mig) -> dict[int, int]:
-    """Non-constant readers per node (gate child edges plus PO edges).
+def use_counts(mig: Mig, parents: Optional[list[list[int]]] = None) -> list[int]:
+    """Non-constant readers per node, indexed by node id (gate child edges
+    plus PO edges).
 
     This is the compiler's initial reference count: when it reaches zero
     the node's cells are returned to the allocator (§4.2.3).  Unlike
     :func:`fanout_counts`, edges to the constant node are not charged —
-    constants never occupy a work cell.
+    constants never occupy a work cell.  Pass the :func:`parents_of`
+    lists of ``mig`` when they are at hand: every gate child edge is one
+    parent entry, so the counts follow without another pass over the
+    child arrays.
     """
-    uses = {v: 0 for v in mig.nodes()}
-    ca, cb, cc = mig._ca, mig._cb, mig._cc
-    for v in mig.gates():
-        for e in (ca[v], cb[v], cc[v]):
-            if e >= 2:
-                uses[e >> 1] += 1
+    if parents is None:
+        parents = parents_of(mig)
+    uses = [len(readers) for readers in parents]
+    uses[0] = 0
     for po in mig.pos():
         if not po.is_const:
             uses[po.node] += 1

@@ -22,9 +22,11 @@ edits that merge nodes without changing the node count are still caught.
 Treat a context-held MIG as frozen — build and rewrite first, analyse
 after.
 
-Cached dict/tuple results are shared, not copied; callers must not mutate
-them.  The one per-compilation *mutable* table, the remaining-use counts,
-is handed out as a fresh copy by :meth:`AnalysisContext.fresh_uses`.
+Per-node analyses the compiler reads in its inner loop — parents and use
+counts — are flat lists indexed by node id; levels and fanout are dicts.
+Cached results are shared, not copied; callers must not mutate them.  The
+one per-compilation *mutable* table, the remaining-use counts, is handed
+out as a fresh copy by :meth:`AnalysisContext.fresh_uses`.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ class AnalysisContext:
         self._num_nodes = len(mig)
         self._num_pos = mig.num_pos
         self._edit_count = mig.edit_count
-        self._parents: Optional[dict[int, list[int]]] = None
+        self._parents: Optional[list[list[int]]] = None
         self._levels: Optional[dict[int, int]] = None
         self._fanout: Optional[dict[int, int]] = None
-        self._uses: Optional[dict[int, int]] = None
+        self._uses: Optional[list[int]] = None
         self._gate_order: Optional[tuple[int, ...]] = None
         # True once the graph proved clean (cleanup() would rebuild it
         # as is, so the context is its own cleanup image)
@@ -97,8 +99,8 @@ class AnalysisContext:
     # ------------------------------------------------------------------
 
     @property
-    def parents(self) -> dict[int, list[int]]:
-        """Gate parents of every node (``analysis.parents_of``)."""
+    def parents(self) -> list[list[int]]:
+        """Gate parents of every node, by node id (``analysis.parents_of``)."""
         self._check_current()
         if self._parents is None:
             self._parents = analysis.parents_of(self._mig)
@@ -121,16 +123,17 @@ class AnalysisContext:
         return self._fanout
 
     @property
-    def use_counts(self) -> dict[int, int]:
-        """Initial reference counts (``analysis.use_counts``); shared, read-only."""
+    def use_counts(self) -> list[int]:
+        """Initial reference counts by node id (``analysis.use_counts``,
+        derived from the cached parents); shared, read-only."""
         self._check_current()
         if self._uses is None:
-            self._uses = analysis.use_counts(self._mig)
+            self._uses = analysis.use_counts(self._mig, self.parents)
         return self._uses
 
-    def fresh_uses(self) -> dict[int, int]:
+    def fresh_uses(self) -> list[int]:
         """A mutable copy of :attr:`use_counts` for one compilation run."""
-        return dict(self.use_counts)
+        return list(self.use_counts)
 
     @property
     def gate_order(self) -> tuple[int, ...]:

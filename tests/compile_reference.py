@@ -39,13 +39,14 @@ count reaches zero the node's cells go back to the allocator (§4.2.3).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
 from repro.core.allocator import RramAllocator
 from repro.core.compiler import PlimCompiler
-from repro.core.schedule import CandidateKey, IndexScheduler, PriorityScheduler, make_key
+from repro.core.schedule import CandidateKey, make_key
 from repro.errors import CompilationError
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
@@ -486,6 +487,76 @@ def _naive_destination(state: TranslationState, s: Signal) -> int:
 # ----------------------------------------------------------------------
 # candidate scheduling (paper §4.2.1) on Signal children
 # ----------------------------------------------------------------------
+
+
+class PriorityScheduler:
+    """The paper's priority queue with event-driven key refresh.
+
+    Keys depend on dynamic state (remaining uses of children, pending
+    children of parents), so a waiting entry's key can both decay *and
+    improve* while it sits in the heap.  The compiler calls
+    :meth:`refresh` whenever a translation changes a candidate's context;
+    the scheduler re-inserts the node under its current key and invalidates
+    the old entry through a per-node version counter.
+    """
+
+    def __init__(self, key_fn):
+        """``key_fn(node) -> CandidateKey`` captures the dynamic context."""
+        self._key_fn = key_fn
+        self._heap: list[tuple[CandidateKey, int, int]] = []
+        self._version: dict[int, int] = {}
+
+    def push(self, node: int) -> None:
+        self._version[node] = 0
+        heapq.heappush(self._heap, (self._key_fn(node), node, 0))
+
+    def refresh(self, node: int) -> None:
+        """Re-rank ``node`` under its current key (no-op if not queued)."""
+        version = self._version.get(node)
+        if version is None:
+            return
+        self._version[node] = version + 1
+        heapq.heappush(self._heap, (self._key_fn(node), node, version + 1))
+
+    def __contains__(self, node: int) -> bool:
+        return node in self._version
+
+    def pop(self) -> int:
+        while True:
+            _, node, version = heapq.heappop(self._heap)
+            if self._version.get(node) == version:
+                del self._version[node]
+                return node
+            # stale entry superseded by a refresh — skip it
+
+    def __len__(self) -> int:
+        return len(self._version)
+
+
+class IndexScheduler:
+    """Pops candidates in node-index (topological creation) order."""
+
+    def __init__(self):
+        self._heap: list[int] = []
+        self._members: set[int] = set()
+
+    def push(self, node: int) -> None:
+        self._members.add(node)
+        heapq.heappush(self._heap, node)
+
+    def refresh(self, node: int) -> None:
+        """Index order is static — nothing to refresh."""
+
+    def __contains__(self, node: int) -> bool:
+        return node in self._members
+
+    def pop(self) -> int:
+        node = heapq.heappop(self._heap)
+        self._members.remove(node)
+        return node
+
+    def __len__(self) -> int:
+        return len(self._heap)
 
 
 def make_reference_scheduler(options, context, state, pending_children):

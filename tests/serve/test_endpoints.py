@@ -191,6 +191,16 @@ class TestErrorPaths:
         assert error["code"] == "parse-error"
         assert "line 5" in error["message"]
 
+    def test_duplicate_output_names_are_422(self):
+        # two outputs named f (a∧b and its complement) once answered 200
+        # with a one-output program
+        circuit = "aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\ni0 a\ni1 b\no0 f\no1 f\n"
+        response = post(make_app(), "/compile", {"circuit": circuit, "format": "aag"})
+        assert response.status == 422
+        error = response.json()["error"]
+        assert error["code"] == "task-error"
+        assert "duplicate output name 'f'" in error["message"]
+
     def test_payload_too_large(self, circuit_payloads):
         app = make_app(max_body_bytes=64)
         response = post(app, "/compile", circuit_payloads["mig"])

@@ -280,6 +280,23 @@ class TestNewCompileFlags:
         err = capsys.readouterr().err
         assert "work RRAMs" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_max_rrams_below_one_exits_2(self, circuit_file, budget, capsys):
+        assert main(["compile", circuit_file, "--max-rrams", budget]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plimc: error: max_work_cells must be")
+        assert "Traceback" not in err
+
+    def test_duplicate_output_names_exit_2(self, tmp_path, capsys):
+        """Two outputs named f (a∧b and its complement) once compiled to
+        a program with a single ``.output f``."""
+        path = tmp_path / "dup.aag"
+        path.write_text("aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\ni0 a\ni1 b\no0 f\no1 f\n")
+        assert main(["compile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate output name 'f'" in captured.err
+
     def test_emit_verilog(self, circuit_file, tmp_path, capsys):
         out = tmp_path / "out.v"
         assert main(["compile", circuit_file, "--emit-verilog", str(out), "--listing"]) == 0

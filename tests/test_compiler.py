@@ -52,6 +52,40 @@ class TestOptions:
         with pytest.raises(CompilationError):
             CompilerOptions(**kwargs)
 
+    @pytest.mark.parametrize("budget", [True, False, 2.5, 0, -3, "4", 1.0])
+    def test_max_work_cells_must_be_a_positive_int(self, budget):
+        with pytest.raises(CompilationError, match="max_work_cells"):
+            CompilerOptions(max_work_cells=budget)
+
+    @pytest.mark.parametrize("budget", [None, 1, 64])
+    def test_max_work_cells_accepts_none_and_positive_ints(self, budget):
+        assert CompilerOptions(max_work_cells=budget).max_work_cells == budget
+
+
+def duplicate_output_mig() -> Mig:
+    """Two outputs named ``f``: ``a ∧ b`` and its complement."""
+    mig = Mig()
+    a, b = mig.add_pi("a"), mig.add_pi("b")
+    g = mig.add_maj(a, b, Signal.CONST0)
+    mig.add_po(g, "f")
+    mig.add_po(~g, "f")
+    return mig
+
+
+class TestOutputNames:
+    def test_duplicate_output_name_raises_before_translating(self, monkeypatch):
+        def no_translation(self, ctx, bound=None):
+            raise AssertionError("translated despite a duplicate output name")
+
+        monkeypatch.setattr(PlimCompiler, "_compile_ordered", no_translation)
+        with pytest.raises(CompilationError, match="duplicate output name 'f'"):
+            PlimCompiler().compile(duplicate_output_mig())
+
+    @pytest.mark.parametrize("options", [CompilerOptions(), CompilerOptions.naive()])
+    def test_every_option_set_refuses_duplicates(self, options):
+        with pytest.raises(CompilationError, match="duplicate output name"):
+            PlimCompiler(options).compile(duplicate_output_mig())
+
 
 ALL_CONFIGS = [
     CompilerOptions(),

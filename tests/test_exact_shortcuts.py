@@ -26,11 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.compiler as compiler_module
 import repro.core.rewriting as rewriting
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.core.translate_fast import FastTranslationState
 from repro.errors import CompilationError
 from repro.mig.analysis import depth
 from repro.mig.context import AnalysisContext
@@ -61,6 +61,23 @@ def compile_both_in_full(mig: Mig, **options):
     return dfs if cost(dfs) < cost(as_given) else as_given
 
 
+def counting_gate_steps(counts: list[int]):
+    """Patch the per-gate step so each translated gate adds 1 to
+    ``counts[-1]``."""
+    real_gate_step = FastTranslationState.gate_step
+
+    def gate_step(self, naive=False):
+        step = real_gate_step(self, naive)
+
+        def counted(node):
+            counts[-1] += 1
+            step(node)
+
+        return counted
+
+    return mock.patch.object(FastTranslationState, "gate_step", gate_step)
+
+
 def translated_per_order(mig: Mig, **options) -> tuple[int, int, int]:
     """``(gates, DFS gates translated, as-given gates translated)`` of one
     ``reorder="best"`` compile."""
@@ -68,14 +85,10 @@ def translated_per_order(mig: Mig, **options) -> tuple[int, int, int]:
 
     class Recorder(PlimCompiler):
         def _compile_ordered(self, ctx, bound=None):
-            before = translate.call_count
-            program = super()._compile_ordered(ctx, bound)
-            counts.append(translate.call_count - before)
-            return program
+            counts.append(0)
+            return super()._compile_ordered(ctx, bound)
 
-    with mock.patch.object(
-        compiler_module, "translate_node_fast", wraps=compiler_module.translate_node_fast
-    ) as translate:
+    with counting_gate_steps(counts):
         Recorder(CompilerOptions(**options)).compile(mig)
     dfs_gates, as_given_gates = counts
     return AnalysisContext(mig).cleaned().mig.num_gates, dfs_gates, as_given_gates

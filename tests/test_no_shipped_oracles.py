@@ -1,8 +1,9 @@
 """The package ships one engine per stage.
 
-The object Algorithm 2 translator, the dict-of-objects graph core, the
-whole-graph Algorithm 1 pass pipeline and the round-by-round verifier are
-differential oracles; they live in ``tests/compile_reference.py``,
+The object Algorithm 2 translator and its heap-backed candidate
+schedulers, the dict-of-objects graph core, the whole-graph Algorithm 1
+pass pipeline and the round-by-round verifier are differential oracles;
+they live in ``tests/compile_reference.py``,
 ``tests/graph_dict_reference.py``, ``tests/rewrite_reference.py`` and
 ``tests/verify_reference.py``.  None may come back into ``src/``, and no
 public option or wrapper may select them.
@@ -18,6 +19,7 @@ import pytest
 
 import repro
 import repro.core.rewriting
+import repro.core.schedule
 import repro.mig.algebra
 import repro.plim.verify
 from repro.cli import build_parser
@@ -35,6 +37,15 @@ from repro.serve.protocol import Request, canonical_json
 @pytest.mark.parametrize("module", ["repro.core.translate", "repro.mig.graph_dict"])
 def test_oracle_modules_are_not_shipped(module):
     assert importlib.util.find_spec(module) is None
+
+
+@pytest.mark.parametrize(
+    "name", ["PriorityScheduler", "IndexScheduler", "make_scheduler", "Scheduler"]
+)
+def test_scheduler_objects_live_in_the_reference(name):
+    """The compilation loop owns its candidate heap; the object schedulers
+    are the reference compiler's (``tests/compile_reference.py``)."""
+    assert not hasattr(repro.core.schedule, name)
 
 
 @pytest.mark.parametrize("options", [CompilerOptions, CompiledPlim])

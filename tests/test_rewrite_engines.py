@@ -18,7 +18,10 @@ from repro.core.cost import estimate_instructions
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import ReproError
 from repro.eval.table1 import measure_mig
+from repro.mig.algebra import try_associativity
 from repro.mig.equivalence import equivalent
+from repro.mig.graph import Mig
+from repro.mig.signal import Signal
 
 from conftest import random_mig
 from rewrite_reference import rewrite_reference
@@ -59,6 +62,39 @@ def test_table1_metrics_identical_or_better(name, measure_reference):
             f"{name}: {attr} regressed — worklist {getattr(worklist, attr)} "
             f"vs rebuild {getattr(rebuild, attr)}"
         )
+
+
+def _redundant_match() -> Mig:
+    """``⟨a b̄ ⟨a b ⟨a 0 b⟩⟩⟩ = a``: once Ω.A folds the middle gate into
+    ``⟨a 0 b⟩``, the top gate is an Ω.A match whose second inner child
+    is the complement of the outer ``b̄``."""
+    mig = Mig(name="redundant")
+    a, b = mig.add_pi("a"), mig.add_pi("b")
+    inner = mig.add_maj(a, Signal.CONST0, b)
+    middle = mig.add_maj(a, b, inner)
+    mig.add_po(mig.add_maj(a, ~b, middle), "f")
+    return mig
+
+
+def test_associativity_collapses_redundant_match():
+    mig = Mig()
+    a, b = mig.add_pi("a"), mig.add_pi("b")
+    inner = mig.add_maj(a, Signal.CONST0, b)
+    top = mig.add_maj(a, ~b, inner)
+    mig.add_po(top, "f")
+    mig.enable_inplace()
+    try_associativity(mig, top.node)
+    assert not mig.is_gate(top.node)
+    assert list(mig.pos()) == [a]
+    assert mig.compact().num_gates == 0
+
+
+def test_worklist_never_larger_on_redundant_match():
+    mig = _redundant_match()
+    worklist = rewrite_for_plim(mig, WORKLIST)
+    rebuild = rewrite_reference(mig, WORKLIST)
+    assert equivalent(worklist, mig)
+    assert worklist.num_gates == rebuild.num_gates == 0
 
 
 @pytest.mark.parametrize("seed", range(12))

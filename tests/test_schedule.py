@@ -2,21 +2,27 @@
 
 Includes the two Fig. 4 scenarios: (a) prefer the candidate with more
 releasing children; (b) parent-level dominance defers results that are
-consumed late.
+consumed late.  The heap-backed schedulers the reference compiler uses
+live in ``tests/compile_reference.py`` and are tested here too.
 """
+
+import random
 
 import pytest
 
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.schedule import (
     CandidateKey,
-    IndexScheduler,
     NO_PARENT_LEVEL,
-    PriorityScheduler,
+    candidate_key_fn,
     make_key,
 )
+from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
+
+from compile_reference import IndexScheduler, PriorityScheduler
+from conftest import random_mig
 
 
 def key(releasing=0, unblocks=0, lo=0, hi=0, index=0):
@@ -49,6 +55,64 @@ class TestCandidateKey:
     def test_make_key_with_parents(self):
         k = make_key(7, 0, [3, 1, 2])
         assert (k.min_parent_level, k.max_parent_level) == (1, 3)
+
+    def test_level_comparator_is_not_transitive(self):
+        """Why the level-rule queue keeps its exact push sequence: the
+        heap's output depends on more than the keys it holds."""
+        k1 = key(lo=1, hi=2, index=3)
+        k2 = key(lo=3, hi=4, index=1)
+        k3 = key(lo=2, hi=3, index=2)
+        assert k1 < k2 and k2 < k3 and k3 < k1
+
+
+class TestIntegerKeys:
+    """Without the level rule one ``int`` carries the whole key."""
+
+    @staticmethod
+    def tables(mig, seed):
+        rng = random.Random(seed)
+        remaining = [rng.choice((0, 1, 1, 2, 3)) for _ in range(len(mig))]
+        pending = [rng.choice((0, 1, 1, 2, 3)) for _ in range(len(mig))]
+        return remaining, pending
+
+    @pytest.mark.parametrize("unblocking", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sorts_like_the_tuple_comparator(self, unblocking, seed):
+        mig = random_mig(seed, num_gates=60)
+        ctx = AnalysisContext(mig)
+        remaining, pending = self.tables(mig, seed)
+        options = CompilerOptions(unblocking_rule=unblocking)
+        packed = candidate_key_fn(options, ctx, remaining, pending)
+
+        def reference(node):
+            releasing = sum(
+                1
+                for child in mig.children(node)
+                if mig.is_gate(child.node) and remaining[child.node] == 1
+            )
+            unblocks = sum(1 for p in ctx.parents[node] if pending[p] == 1)
+            return (-releasing, -unblocks if unblocking else 0, node)
+
+        gates = list(mig.gates())
+        assert sorted(gates, key=packed) == sorted(gates, key=reference)
+        mask = (1 << len(mig).bit_length()) - 1
+        assert all(packed(v) & mask == v for v in gates)
+
+    def test_index_scheduling_keys_by_node(self):
+        mig = random_mig(1)
+        remaining, pending = self.tables(mig, 1)
+        key_fn = candidate_key_fn(
+            CompilerOptions.no_selection(), AnalysisContext(mig), remaining, pending
+        )
+        assert [key_fn(v) for v in mig.gates()] == list(mig.gates())
+
+    def test_level_rule_keys_are_candidate_keys(self):
+        mig = random_mig(2)
+        remaining, pending = self.tables(mig, 2)
+        key_fn = candidate_key_fn(
+            CompilerOptions.paper_selection(), AnalysisContext(mig), remaining, pending
+        )
+        assert all(isinstance(key_fn(v), CandidateKey) for v in mig.gates())
 
 
 class TestIndexScheduler:

@@ -6,8 +6,9 @@ instructions and allocations.  Together they cover operand-B cases (a)–(h),
 destination-Z cases (a)–(e), and operand-A cases (a)–(d).
 
 The harness drives both translators side by side on the same graph: the
-shipped :func:`~repro.core.translate_fast.translate_node_fast` over a
-:class:`~repro.core.translate_fast.FastTranslationState`, and the object
+shipped per-gate step
+(:meth:`~repro.core.translate_fast.FastTranslationState.gate_step`, the
+closure the compilation loop calls once per gate), and the object
 reference :func:`compile_reference.translate_node` over its
 ``TranslationState``.  After every translated gate both must have
 emitted identical instructions, and every value a test asserts on is read
@@ -17,12 +18,7 @@ from both engines and must agree — so each case is asserted on both.
 import pytest
 
 from repro.core.allocator import RramAllocator
-from repro.core.translate_fast import (
-    NO_CELL,
-    NOT_COMPUTED,
-    FastTranslationState,
-    translate_node_fast,
-)
+from repro.core.translate_fast import NO_CELL, NOT_COMPUTED, FastTranslationState
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
@@ -32,12 +28,11 @@ from compile_reference import CONSUMED, TranslationState, translate_node
 
 
 class _Engine:
-    """One translator on its own program and allocator."""
+    """One translator on its own program and cell pool."""
 
     def __init__(self, context, caching):
         mig = context.mig
         self.program = Program(input_cells={n: i for i, n in enumerate(mig.pi_names())})
-        self.allocator = RramAllocator(first_address=mig.num_pis)
         self.state = self.make_state(context, caching)
 
     def seed_complement(self, node):
@@ -48,15 +43,13 @@ class _Engine:
 
 
 class FastEngine(_Engine):
-    """The shipped translator: flat per-node arrays."""
+    """The shipped translator: flat per-node lists, one closure per gate."""
 
     def make_state(self, context, caching):
-        return FastTranslationState(
-            context, self.program, self.allocator, complement_caching=caching
-        )
+        return FastTranslationState(context, self.program, complement_caching=caching)
 
     def translate(self, node, naive):
-        translate_node_fast(self.state, node, naive=naive)
+        self.state.gate_step(naive)(node)
 
     def value_cell(self, node):
         address = self.state.value_cell[node]
@@ -72,11 +65,15 @@ class FastEngine(_Engine):
     def add_uses(self, node, delta):
         self.state.remaining[node] += delta
 
+    def is_allocated(self, address):
+        return address in self.state.in_use
+
 
 class ReferenceEngine(_Engine):
-    """The object reference: dicts keyed by node."""
+    """The object reference: dicts keyed by node, a :class:`RramAllocator`."""
 
     def make_state(self, context, caching):
+        self.allocator = RramAllocator(first_address=context.mig.num_pis)
         return TranslationState(
             context, self.program, self.allocator, complement_caching=caching
         )
@@ -92,6 +89,9 @@ class ReferenceEngine(_Engine):
 
     def add_uses(self, node, delta):
         self.state.remaining_uses[node] += delta
+
+    def is_allocated(self, address):
+        return self.allocator.is_allocated(address)
 
 
 ENGINES = (FastEngine, ReferenceEngine)
@@ -152,7 +152,7 @@ class Harness:
         return self._agreed(lambda e: e.complements())
 
     def is_allocated(self, address):
-        return self._agreed(lambda e: e.allocator.is_allocated(address))
+        return self._agreed(lambda e: e.is_allocated(address))
 
     @property
     def program(self):
