@@ -16,6 +16,9 @@ the crash-recovery leg.  Exits nonzero when the overhead exceeds
 ``--max-overhead-pct`` (default 5%), which is what the CI step gates on.
 """
 
+import multiprocessing
+import os
+
 try:
     import pytest
 except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
@@ -24,7 +27,7 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.core.batch import parallel_map
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.resilience import Fault, FaultPlan, TaskFailure, TaskPolicy
+from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.core.rewriting import rewrite_for_plim
 
 
@@ -34,6 +37,26 @@ def _compile_spec(spec):
     mig = rewrite_for_plim(build(name, scale))
     program = PlimCompiler(CompilerOptions()).compile(mig)
     return (name, mig.num_gates, program.num_instructions, program.num_rrams)
+
+
+def _compile_or_crash(payload):
+    """``_compile_spec``, except that a payload flagged ``crash`` kills its
+    worker process mid-task (never the driver)."""
+    spec, crash = payload
+    if crash and multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return _compile_spec(spec)
+
+
+def _crash_run(specs, crash_index, workers):
+    """The registry workload under ``on_error="skip"`` with one worker
+    killed mid-run at ``crash_index``."""
+    return parallel_map(
+        _compile_or_crash,
+        [(spec, i == crash_index) for i, spec in enumerate(specs)],
+        workers=workers,
+        policy=TaskPolicy(on_error="skip"),
+    )
 
 
 def _pool_map(fn, items, workers):
@@ -60,13 +83,7 @@ if pytest is not None:
         """A worker os._exit mid-run loses exactly its own task."""
         specs = [(name, scale) for name in BENCHMARK_NAMES[:4]]
         clean = parallel_map(_compile_spec, specs, workers=_BENCH_WORKERS)
-        out = parallel_map(
-            _compile_spec,
-            specs,
-            workers=_BENCH_WORKERS,
-            policy=TaskPolicy(on_error="skip"),
-            fault_plan=FaultPlan({1: Fault("exit")}),
-        )
+        out = _crash_run(specs, 1, _BENCH_WORKERS)
         failures = [r for r in out if isinstance(r, TaskFailure)]
         assert [f.index for f in failures] == [1]
         assert failures[0].kind == "crash"
@@ -121,13 +138,7 @@ def main(argv=None) -> int:
     # Recovery leg: kill one worker mid-run, expect exactly one lost task.
     crash_index = len(specs) // 2
     t0 = time.perf_counter()
-    recovered = parallel_map(
-        _compile_spec,
-        specs,
-        workers=args.workers,
-        policy=TaskPolicy(on_error="skip"),
-        fault_plan=FaultPlan({crash_index: Fault("exit")}),
-    )
+    recovered = _crash_run(specs, crash_index, args.workers)
     recovery_s = time.perf_counter() - t0
     failures = [r for r in recovered if isinstance(r, TaskFailure)]
     survivors_match = [

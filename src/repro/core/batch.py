@@ -54,13 +54,7 @@ from typing import (
 from repro.circuits.registry import build as build_benchmark
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.resilience import (
-    FaultPlan,
-    TaskFailure,
-    TaskPolicy,
-    _iter_inline,
-    _Supervisor,
-)
+from repro.core.resilience import TaskFailure, TaskPolicy, _iter_inline, _Supervisor
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import ReproError
 from repro.mig.context import AnalysisContext
@@ -100,7 +94,6 @@ def parallel_imap(
     *,
     cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
     force_pool: bool = False,
 ) -> "Iterator[_R]":
     """Yield ``fn(x)`` per item, in input order, pooled like
@@ -122,8 +115,7 @@ def parallel_imap(
     (see :class:`~repro.core.resilience.TaskPolicy`); under
     ``on_error="skip"``/``"degrade"`` an unrecovered task's slot yields
     its :class:`~repro.core.resilience.TaskFailure` record instead of a
-    result.  ``fault_plan`` injects deterministic faults for testing.
-    ``force_pool=True`` supervises even a single item on a worker
+    result.  ``force_pool=True`` supervises even a single item on a worker
     process — how ``plimc serve`` gets an enforceable deadline and crash
     isolation for one request.
     """
@@ -134,10 +126,10 @@ def parallel_imap(
     policy = policy or TaskPolicy()
     inline = fn if cache is None else functools.partial(_on_live, fn, cache)
     if size <= 1 and not force_pool:
-        outcomes = _iter_inline(inline, items, policy, fault_plan)
+        outcomes = _iter_inline(inline, items, policy)
     else:
         task = fn if cache is None else functools.partial(_on_view, fn, cache.view())
-        outcomes = _Supervisor(task, inline, items, size, policy, fault_plan).run()
+        outcomes = _Supervisor(task, inline, items, size, policy).run()
     for outcome in outcomes:
         if cache is not None and not isinstance(outcome, TaskFailure):
             outcome, fresh = outcome
@@ -163,7 +155,6 @@ def parallel_map(
     *,
     cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
     force_pool: bool = False,
 ) -> "list[_R]":
     """``[fn(x) for x in items]`` with deterministic ordering, fanned out
@@ -175,14 +166,13 @@ def parallel_map(
     runs inline in this process — no pool, no pickling — which is also
     the fallback the tests rely on for exact reproducibility checks.
 
-    ``cache``/``policy``/``fault_plan``/``force_pool`` are those of
+    ``cache``/``policy``/``force_pool`` are those of
     :func:`parallel_imap`; asyncio callers run the whole map through
     :func:`asyncio.to_thread`.
     """
     return list(
         parallel_imap(
-            fn, items, workers, cache=cache, policy=policy,
-            fault_plan=fault_plan, force_pool=force_pool,
+            fn, items, workers, cache=cache, policy=policy, force_pool=force_pool
         )
     )
 
@@ -299,7 +289,6 @@ def compile_many(
     keep_programs: bool = False,
     cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
 ) -> "list[Union[BatchResult, TaskFailure]]":
     """Compile every circuit under every option set; return all cells.
 
@@ -329,7 +318,6 @@ def compile_many(
     single :class:`~repro.core.resilience.TaskFailure` slot in the result
     list (at its circuit-major position) while every other circuit's
     cells survive.  Without a policy the first failure raises, as before.
-    ``fault_plan`` injects deterministic faults by task index (testing).
 
     Example — two registry circuits under the default option set:
 
@@ -346,8 +334,7 @@ def compile_many(
         for index, spec in enumerate(migs_or_specs)
     ]
     grouped = parallel_map(
-        _compile_task, payloads, workers=workers, cache=cache, policy=policy,
-        fault_plan=fault_plan,
+        _compile_task, payloads, workers=workers, cache=cache, policy=policy
     )
     flattened: "list[Union[BatchResult, TaskFailure]]" = []
     for outcome in grouped:

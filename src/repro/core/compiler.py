@@ -32,7 +32,6 @@ from sys import maxsize
 from time import perf_counter
 from typing import Optional
 
-from repro.core.allocator import POLICIES
 from repro.core.schedule import candidate_key_fn
 from repro.core.translate_fast import FastTranslationState
 from repro.errors import CompilationError
@@ -62,6 +61,9 @@ def _check_output_names(mig: Mig) -> None:
 
 SCHEDULING_MODES = ("priority", "index")
 OPERAND_MODES = ("cases", "child_order")
+#: §4.2.3 work-cell reuse: oldest released first (the paper's), most
+#: recently released first, or never reuse (the endurance ablation)
+POLICIES = ("fifo", "lifo", "fresh")
 
 
 @dataclass(frozen=True)

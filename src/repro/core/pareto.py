@@ -54,7 +54,7 @@ from typing import Callable, Optional, Union
 from repro.core.batch import CircuitSpec, _resolve_spec, parallel_imap
 from repro.core.cache import SynthesisCache
 from repro.core.cost import measure_program
-from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
+from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import MigError
@@ -394,7 +394,6 @@ def pareto_sweep(
     paper_accounting: bool = True,
     cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
     axes: tuple = _DEFAULT_AXES,
     progress: Optional[Callable[[ParetoPoint], None]] = None,
 ) -> ParetoFront:
@@ -454,13 +453,10 @@ def pareto_sweep(
     ``failed_budgets``, one label per failure (an anchor failure loses
     that extreme and every intermediate budget).  Partial fronts are
     *never* cached, so a later healthy sweep recomputes the full
-    frontier.  ``fault_plan`` injects deterministic faults; the sweep
-    consumes the ``"anchor"`` and ``"budget"`` phases of the plan (task
-    indices within each phase).  ``progress`` is an optional callback
-    invoked with each :class:`ParetoPoint` as it completes (anchors
-    first, then budgets, in input order; a cached front replays its
-    points) — the
-    serve layer streams these through ``GET /jobs/<id>``.
+    frontier.  ``progress`` is an optional callback invoked with each
+    :class:`ParetoPoint` as it completes (anchors first, then budgets, in
+    input order; a cached front replays its points) — the serve layer
+    streams these through ``GET /jobs/<id>``.
 
     Example::
 
@@ -512,11 +508,10 @@ def pareto_sweep(
                     progress(point)
             return hit
 
-    plan = fault_plan or FaultPlan()
     failures: list[TaskFailure] = []
     failed_labels: list[str] = []
 
-    def run_phase(phase: str, points: list) -> dict:
+    def run_phase(points: list) -> dict:
         """Run one phase's ``(label, options, seed)`` points as pool tasks;
         returns ``{label: (point, shipped)}`` for the ones that finished."""
         outcomes = parallel_imap(
@@ -528,7 +523,6 @@ def pareto_sweep(
             workers=workers,
             cache=cache,
             policy=policy,
-            fault_plan=plan.scoped(phase),
         )
         done = {}
         for (label, _, _), outcome in zip(points, outcomes):
@@ -546,7 +540,6 @@ def pareto_sweep(
     # anchor's rewritten graph seeds every budget below the raw input's
     # depth (the rewrite is deterministic), so no worker re-derives it.
     anchors = run_phase(
-        "anchor",
         [
             ("size", RewriteOptions(effort=effort), None),
             ("depth", RewriteOptions(effort=effort, objective="depth"), None),
@@ -560,7 +553,6 @@ def pareto_sweep(
         (size_pt, _), (depth_pt, depth_seed) = anchors["size"], anchors["depth"]
         input_depth = mig_depth(mig.cleanup()[0])
         budgets = run_phase(
-            "budget",
             [
                 (
                     f"budget={b}",

@@ -1,4 +1,4 @@
-"""Fault-tolerant task execution: policies, crash recovery, fault injection.
+"""Fault-tolerant task execution: policies, crash recovery, deadlines.
 
 Every parallel surface of the package — :func:`~repro.core.batch.compile_many`,
 :func:`~repro.core.pareto.pareto_sweep`, ``run_table1``, ``plimc serve``,
@@ -27,10 +27,11 @@ aborts a whole sweep with a raw ``BrokenProcessPool`` traceback:
 * **determinism** — results are keyed by input index and reported in
   input order, so for a fixed fault pattern the output is identical for
   any worker count, exactly like the rest of the package.
-* **fault injection** — a :class:`FaultPlan` pickled into the worker
-  payloads can raise, sleep past a deadline, or ``os._exit`` the worker
-  at chosen task indices and attempts, so all of the above is tested
-  against *real* worker death, not mocks (see ``tests/test_resilience.py``).
+
+The running task's ``(index, attempt)`` is readable from a private
+context variable while ``fn`` runs, in a worker and inline alike; the
+tests' fault injector (``tests/faults.py``) wraps a task function and
+reads it to fire its faults in the real execution context.
 
 Example — a crashing task under ``on_error="skip"`` costs exactly one slot:
 
@@ -46,18 +47,18 @@ Example — a crashing task under ``on_error="skip"`` costs exactly one slot:
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
-import os
+import numbers
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import ReproError
 
 __all__ = [
-    "Fault",
-    "FaultPlan",
     "TaskError",
     "TaskFailure",
     "TaskPolicy",
@@ -69,13 +70,18 @@ ON_ERROR_MODES = ("raise", "skip", "degrade")
 #: failure kinds a :class:`TaskFailure` reports
 FAILURE_KINDS = ("error", "timeout", "crash")
 
-#: exit code of an injected ``os._exit`` crash (recognizable in messages)
-_INJECTED_EXIT_CODE = 13
+#: ``(index, attempt)`` of the task running in this context
+_TASK: ContextVar[tuple[int, int]] = ContextVar("repro_task")
 
 
 # ----------------------------------------------------------------------
 # policies and failure records
 # ----------------------------------------------------------------------
+
+
+def _is_real(value) -> bool:
+    """A real number, not a bool (``True`` is an ``int`` to Python)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -103,18 +109,25 @@ class TaskPolicy:
     on_error: str = "raise"
 
     def __post_init__(self):
-        if self.timeout_s is not None and not self.timeout_s > 0:
+        if self.timeout_s is not None and not (
+            _is_real(self.timeout_s) and 0 < self.timeout_s < math.inf
+        ):
             raise ReproError(
-                f"TaskPolicy.timeout_s must be positive (or None), got "
-                f"{self.timeout_s!r}"
+                f"TaskPolicy.timeout_s must be a finite number > 0 (or None), "
+                f"got {self.timeout_s!r}"
             )
-        if not isinstance(self.retries, int) or self.retries < 0:
+        if (
+            not isinstance(self.retries, int)
+            or isinstance(self.retries, bool)
+            or self.retries < 0
+        ):
             raise ReproError(
                 f"TaskPolicy.retries must be >= 0, got {self.retries!r}"
             )
-        if self.backoff < 0:
+        if not (_is_real(self.backoff) and 0 <= self.backoff < math.inf):
             raise ReproError(
-                f"TaskPolicy.backoff must be >= 0, got {self.backoff!r}"
+                f"TaskPolicy.backoff must be a finite number >= 0, got "
+                f"{self.backoff!r}"
             )
         if self.on_error not in ON_ERROR_MODES:
             raise ReproError(
@@ -192,118 +205,17 @@ class TaskError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# deterministic fault injection
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fault:
-    """One injected fault, applied before the task function runs.
-
-    ``kind`` is ``"raise"`` (raise :class:`InjectedFault`), ``"sleep"``
-    (sleep ``seconds`` — long enough and the task blows its deadline), or
-    ``"exit"`` (``os._exit`` the worker process mid-task — a hard crash
-    the supervisor must recover from).  ``attempts`` lists the attempt
-    numbers the fault fires on (default: first attempt only, so retries
-    observe recovery); ``worker_only=True`` restricts it to pooled worker
-    processes, which is how the ``degrade`` disposition's inline
-    last-resort attempt is exercised.
-    """
-
-    kind: str
-    seconds: float = 0.0
-    message: str = "injected fault"
-    attempts: tuple = (1,)
-    worker_only: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("raise", "sleep", "exit"):
-            raise ReproError(
-                f"Fault.kind must be raise/sleep/exit, got {self.kind!r}"
-            )
-
-    def fires(self, attempt: int) -> bool:
-        return not self.attempts or attempt in self.attempts
-
-    def apply(self, in_worker: bool) -> None:
-        """Execute the fault (in the worker, or inline when allowed)."""
-        if self.worker_only and not in_worker:
-            return
-        if self.kind == "raise":
-            raise InjectedFault(self.message)
-        if self.kind == "sleep":
-            time.sleep(self.seconds)
-            return
-        if in_worker:  # "exit": kill the hosting process, hard
-            os._exit(_INJECTED_EXIT_CODE)
-        # Inline there is no worker to kill; simulate the crash as a
-        # SimulatedCrash the engine records as kind="crash" (never take
-        # the driver process down).
-        raise SimulatedCrash(self.message)
-
-
-class InjectedFault(RuntimeError):
-    """The exception a ``Fault(kind="raise")`` raises inside a task."""
-
-
-class SimulatedCrash(BaseException):
-    """Stand-in for worker death on the inline path (see :meth:`Fault.apply`)."""
-
-
-class FaultPlan:
-    """A deterministic schedule of :class:`Fault`\\ s, keyed by task index.
-
-    Plans are plain picklable data shipped inside worker payloads, so the
-    injected behavior happens in the *real* execution context — a genuine
-    ``os._exit`` in a genuine pool worker.  Multi-phase drivers
-    (``pareto_sweep`` runs an anchor map then a budget map) key their
-    faults by phase: ``FaultPlan(phases={"budget": {0: Fault("exit")}})``
-    and each phase consumes its :meth:`scoped` view.
-    """
-
-    def __init__(
-        self,
-        faults: Optional[Mapping[int, Fault]] = None,
-        *,
-        phases: Optional[Mapping[str, Mapping[int, Fault]]] = None,
-    ):
-        self._phases: dict[str, dict[int, Fault]] = {
-            name: dict(table) for name, table in (phases or {}).items()
-        }
-        if faults:
-            self._phases.setdefault("", {}).update(faults)
-
-    def scoped(self, phase: str) -> "FaultPlan":
-        """The sub-plan for one named phase (empty when none declared)."""
-        return FaultPlan(self._phases.get(phase, {}))
-
-    def fault_for(self, index: int, attempt: int) -> Optional[Fault]:
-        """The fault to apply to attempt ``attempt`` of task ``index``."""
-        fault = self._phases.get("", {}).get(index)
-        if fault is not None and fault.fires(attempt):
-            return fault
-        return None
-
-    def __bool__(self) -> bool:
-        return any(self._phases.values())
-
-    def __repr__(self) -> str:
-        n = sum(len(t) for t in self._phases.values())
-        return f"<FaultPlan {n} fault(s)>"
-
-
-# ----------------------------------------------------------------------
 # the worker side
 # ----------------------------------------------------------------------
 
 
 def _worker_main(conn, fn) -> None:
-    """Worker process loop: receive ``(index, attempt, item, fault)``,
-    run ``fn(item)``, send ``(index, ok, payload, error_type, message)``.
+    """Worker process loop: receive ``(index, attempt, item)``, run
+    ``fn(item)``, send ``(index, ok, payload, error_type, message)``.
 
     Exceptions are shipped back as data (the exception object itself when
     it pickles, a description otherwise) — the worker survives ordinary
-    task errors and only dies on injected exits, signals, or a broken
+    task errors and only dies on ``os._exit``, signals, or a broken
     pipe to the supervisor.
     """
     while True:
@@ -315,10 +227,9 @@ def _worker_main(conn, fn) -> None:
             return
         if message is None:
             return
-        index, attempt, item, fault = message
+        index, attempt, item = message
+        _TASK.set((index, attempt))
         try:
-            if fault is not None:
-                fault.apply(in_worker=True)
             result = fn(item)
         except KeyboardInterrupt:
             return
@@ -366,8 +277,8 @@ class _Worker:
     def busy(self) -> bool:
         return self.index is not None
 
-    def assign(self, index: int, attempt: int, item, fault, timeout_s) -> None:
-        self.conn.send((index, attempt, item, fault))
+    def assign(self, index: int, attempt: int, item, timeout_s) -> None:
+        self.conn.send((index, attempt, item))
         self.index = index
         self.attempt = attempt
         self.deadline = (
@@ -415,12 +326,11 @@ class _Supervisor:
     """Runs ``fn`` over ``items`` on supervised workers under ``policy``;
     a ``degrade`` re-run calls ``inline`` in this process instead."""
 
-    def __init__(self, fn, inline, items, workers, policy, fault_plan):
+    def __init__(self, fn, inline, items, workers, policy):
         self.fn = fn
         self.inline = inline
         self.items = items
         self.policy = policy
-        self.plan = fault_plan
         self.size = min(workers, len(items))
         self.ctx = multiprocessing.get_context()
         self.workers: list[_Worker] = []
@@ -440,10 +350,7 @@ class _Supervisor:
             attempt = self.attempts[index] + 1
             self.attempts[index] = attempt
             worker = idle.pop()
-            fault = self.plan.fault_for(index, attempt) if self.plan else None
-            worker.assign(
-                index, attempt, self.items[index], fault, self.policy.timeout_s
-            )
+            worker.assign(index, attempt, self.items[index], self.policy.timeout_s)
 
     def _wait_timeout(self) -> Optional[float]:
         now = time.monotonic()
@@ -467,7 +374,7 @@ class _Supervisor:
         worker.stop(graceful=False)
         self.workers.remove(worker)
         if index is None:
-            # died while idle (e.g. crash-fault straggler): just replace
+            # died while idle: just replace
             self._replenish()
             return
         self._task_failed(index, "crash", _describe_exit(worker.process), "")
@@ -527,11 +434,8 @@ class _Supervisor:
                         self.items[failure.index],
                         failure.index,
                         failure.attempts + 1,
-                        self.plan,
                     )
                 )
-            except SimulatedCrash:
-                pass
             except Exception:
                 pass
         return failure
@@ -592,49 +496,39 @@ class _Success:
 # ----------------------------------------------------------------------
 
 
-def _run_one_inline(fn, item, index, attempt, plan):
-    fault = plan.fault_for(index, attempt) if plan else None
-    if fault is not None:
-        fault.apply(in_worker=False)
+def _run_one_inline(fn, item, index, attempt):
+    _TASK.set((index, attempt))
     return fn(item)
 
 
-def _iter_inline(fn, items, policy, plan) -> Iterator[Any]:
+def _iter_inline(fn, items, policy) -> Iterator[Any]:
     """The no-pool path: same policy semantics, minus deadlines (running
-    work cannot be cancelled in-process) and minus real crashes (injected
-    ``exit`` faults surface as ``kind="crash"`` failures instead of
-    taking the driver down)."""
+    work cannot be cancelled in-process) and minus crashes (nothing
+    survives the death of this process to record one)."""
     for index, item in enumerate(items):
         attempt = 0
         while True:
             attempt += 1
             try:
-                yield _run_one_inline(fn, item, index, attempt, plan)
+                yield _run_one_inline(fn, item, index, attempt)
                 break
-            except SimulatedCrash as crash:
-                kind, error_type, message, exc = "crash", "", str(crash), None
             except Exception as caught:
-                kind, error_type, message, exc = (
-                    "error", type(caught).__name__, str(caught), caught
-                )
+                exc = caught
             if attempt <= policy.retries:
                 delay = policy.retry_delay(attempt)
                 if delay:
                     time.sleep(delay)
                 continue
-            failure = TaskFailure(
-                index=index, kind=kind, message=message,
-                error_type=error_type, attempts=attempt,
-            )
             if policy.on_error == "raise":
-                if exc is not None:
-                    raise exc
-                raise TaskError(failure)
+                raise exc
             if policy.on_error == "degrade":
                 try:
-                    yield _run_one_inline(fn, item, index, attempt + 1, plan)
+                    yield _run_one_inline(fn, item, index, attempt + 1)
                     break
-                except (SimulatedCrash, Exception):
+                except Exception:
                     pass
-            yield failure
+            yield TaskFailure(
+                index=index, kind="error", message=str(exc),
+                error_type=type(exc).__name__, attempts=attempt,
+            )
             break

@@ -160,10 +160,11 @@ def _bind(state, mig, caching, policy, budget) -> None:
 
     def alloc() -> int:
         """A work cell; past the budget, evict the oldest unprotected
-        cached complement first (or fail)."""
+        cached complement first (or fail).  FRESH never reuses a freed
+        cell, so evicting cannot help it: it fails at the budget."""
         nonlocal next_cell
-        if budgeted and not free and next_cell - first_cell >= budget:
-            for node, address in compl_order.items():
+        if budgeted and not (free and reuse) and next_cell - first_cell >= budget:
+            for node, address in compl_order.items() if reuse else ():
                 if address not in protected:
                     del compl_order[node]
                     compl_cell[node] = NO_CELL

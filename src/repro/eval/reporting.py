@@ -17,11 +17,6 @@ def improvement(baseline: float, value: float) -> float:
     return (1.0 - value / baseline) * 100.0
 
 
-def format_percent(value: float) -> str:
-    """Paper-style percentage with two decimals (negative = regression)."""
-    return f"{value:.2f}%"
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from repro.circuits.registry import BENCHMARK_NAMES, benchmark_info
 from repro.core.batch import parallel_imap
 from repro.core.cache import SynthesisCache
-from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
+from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.eval.reporting import format_table, improvement, to_csv
@@ -241,7 +241,6 @@ def run_table1(
     objective="size",
     cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
 ) -> Table1Result:
     """Run the full Table 1 reproduction.
 
@@ -264,7 +263,6 @@ def run_table1(
     under ``on_error="skip"`` (or a ``"degrade"`` whose inline re-run also
     fails) the failed benchmark's row is dropped and recorded on
     :attr:`Table1Result.failures` while the remaining rows complete.
-    ``fault_plan`` injects deterministic faults for testing.
     """
     selected = list(names) if names is not None else list(BENCHMARK_NAMES)
     payloads = [
@@ -274,8 +272,7 @@ def run_table1(
     rows = []
     failures = []
     results = parallel_imap(
-        _benchmark_task, payloads, workers=workers, cache=cache,
-        policy=policy, fault_plan=fault_plan,
+        _benchmark_task, payloads, workers=workers, cache=cache, policy=policy
     )
     for name, outcome in zip(selected, results):
         if isinstance(outcome, TaskFailure):

@@ -300,28 +300,6 @@ def _exceeds_depth_budget(
     return delta > depth_budget - mig.current_depth()
 
 
-def try_majority(
-    mig: Mig,
-    v: int,
-    fanouts: Optional[list[int]] = None,
-    depth_budget: Optional[int] = None,
-) -> set[int]:
-    """Ω.M at ``v``: collapse a trivially decided gate, merge duplicates.
-
-    ``replace_node`` already cascades Ω.M and strash merges through
-    parents, so on a graph built with simplification enabled this fires
-    only for gates created with ``simplify=False`` — which is why the
-    worklist engine's size phases do not visit it.  ``depth_budget`` is
-    accepted for worklist-phase uniformity and ignored: a collapse replaces
-    ``v`` by one of its own children (or a constant), which can only lower
-    levels.
-    """
-    replacement = Mig._simplify_enc(mig._ca[v], mig._cb[v], mig._cc[v])
-    if replacement < 0:
-        return set()
-    return mig.replace_node(v, Signal(replacement))
-
-
 def try_distributivity_rl(
     mig: Mig,
     v: int,

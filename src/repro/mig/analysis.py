@@ -116,12 +116,6 @@ class ComplementStats:
     num_gates: int
     by_count: tuple[int, int, int, int]  # gates with 0, 1, 2, 3 complements
 
-    @property
-    def multi_complement_gates(self) -> int:
-        """Gates with two or more complemented children — the costly ones."""
-        return self.by_count[2] + self.by_count[3]
-
-
 def complement_stats(mig: Mig) -> ComplementStats:
     """Histogram of complemented-child counts over all gates."""
     histogram = [0, 0, 0, 0]

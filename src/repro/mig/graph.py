@@ -535,11 +535,6 @@ class Mig:
         """
         return self._edit_count
 
-    @property
-    def is_inplace(self) -> bool:
-        """True once :meth:`enable_inplace` has been called."""
-        return self._refs is not None
-
     def enable_inplace(self) -> None:
         """Switch on incremental parent/reference/histogram maintenance.
 
@@ -686,19 +681,6 @@ class Mig:
         self._require_inplace()
         return list(self._refs)
 
-    def parents_of_node(self, node: int) -> tuple[int, ...]:
-        """Current live gate parents of ``node`` (each parent once)."""
-        self._require_inplace()
-        if self._reserved:
-            self.materialize_reserved()
-        ca = self._ca
-        return tuple(p for p in self._parents[node] if ca[p] >= 0)
-
-    def po_edges_of(self, node: int) -> list[Signal]:
-        """Primary-output signals currently pointing at ``node``."""
-        self._require_inplace()
-        return [self._pos[i] for i in self._po_of.get(node, ())]
-
     def inherit_order(self, node: int, like: int) -> None:
         """Slot ``node`` into ``like``'s position in the creation order.
 
@@ -712,22 +694,6 @@ class Mig:
         if self._reserved:
             self.materialize_reserved()
         self._order[node] = self._order[like] + (node,)
-
-    def find_maj(self, a: Signal, b: Signal, c: Signal) -> Optional[Signal]:
-        """Signal for ``⟨a b c⟩`` if it is free — simplifies trivially or
-        structurally hashes to an existing gate — without creating a node."""
-        a, b, c = self._check_signal(a), self._check_signal(b), self._check_signal(c)
-        simplified = self._simplify_triple(a, b, c)
-        if simplified is not None:
-            return simplified
-        existing = self._strash.get(self._pack_key(int(a), int(b), int(c)))
-        if existing is not None:
-            return Signal.make(existing)
-        return None
-
-    def strash_owner(self, a: Signal, b: Signal, c: Signal) -> Optional[int]:
-        """Node currently owning the strash key of ``⟨a b c⟩``, if any."""
-        return self._strash.get(self._pack_key(int(a), int(b), int(c)))
 
     def evict_strash(self, node: int) -> None:
         """Withdraw ``node``'s strash ownership; it stays live.

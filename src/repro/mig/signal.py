@@ -47,10 +47,6 @@ class Signal(int):
         """Complemented copy of this signal (``~s``)."""
         return Signal(int(self) ^ 1)
 
-    def with_inversion(self, inverted: bool) -> "Signal":
-        """This signal with its complement flag set to ``inverted``."""
-        return Signal((int(self) & ~1) | bool(inverted))
-
     def xor_inversion(self, inverted: bool) -> "Signal":
         """This signal, additionally complemented when ``inverted`` is true.
 

@@ -184,19 +184,6 @@ def _first_duplicate(names) -> Optional[str]:
     return None
 
 
-def simulate_signals(
-    mig: Mig,
-    pi_values: Mapping[str, int] | Sequence[int],
-    num_patterns: int = 1,
-) -> dict[int, int]:
-    """Like :func:`simulate` but returns values for *every* node index.
-
-    Tombstoned (dead) nodes map to ``None``.
-    """
-    values = _signal_values(mig, pi_values, num_patterns)
-    return {v: values[v << 1] for v in mig.nodes()}
-
-
 def _resolve_pi_ints(
     mig: Mig,
     pi_values: Mapping[str, int] | Sequence[int],

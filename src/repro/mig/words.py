@@ -92,11 +92,6 @@ def mux_word(
     return [builder.mux(select, t, e) for t, e in zip(if_true, if_false)]
 
 
-def max_word(builder: LogicBuilder, a: Sequence[Signal], b: Sequence[Signal]) -> Word:
-    """Unsigned maximum of two words."""
-    return mux_word(builder, less_than(builder, a, b), b, a)
-
-
 def multiply(
     builder: LogicBuilder,
     a: Sequence[Signal],
@@ -264,11 +259,3 @@ def popcount(builder: LogicBuilder, signals: Sequence[Signal]) -> Word:
             merged.append(words[-1])
         words = merged
     return words[0]
-
-
-def word_value(bits: Sequence[int]) -> int:
-    """Assemble an integer from little-endian simulated bit values."""
-    value = 0
-    for i, bit in enumerate(bits):
-        value |= (bit & 1) << i
-    return value

@@ -111,11 +111,3 @@ def encode_program(program: Program, addr_bits: int | None = None) -> ProgramIma
     return ProgramImage(
         bits=tuple(bits), addr_bits=addr_bits, num_instructions=len(program)
     )
-
-
-def decode_program(image: ProgramImage) -> list[Instruction]:
-    """Recover the instruction sequence from an image."""
-    return [
-        decode_instruction(image.instruction_word(i), image.addr_bits)
-        for i in range(image.num_instructions)
-    ]

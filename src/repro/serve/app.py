@@ -37,7 +37,7 @@ from typing import Optional
 
 from repro.core.batch import parallel_map
 from repro.core.cache import SynthesisCache
-from repro.core.resilience import FaultPlan, TaskFailure, TaskPolicy
+from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.errors import ReproError
 from repro.mig.graph import Mig
 from repro.serve import protocol
@@ -92,9 +92,9 @@ class ServerConfig:
     transport's deadline for receiving one full request (stalled
     clients get 408 instead of holding a connection task forever);
     ``max_finished_jobs`` caps how many done/failed job records the
-    registry retains.  ``fault_plan`` injects deterministic faults into
-    the ``"compile"`` phase (task index 0 of each request) — the test
-    harness's crash/timeout lever.
+    registry retains.  The request classes' task policies are built at
+    construction, so a value the pool cannot run, such as an infinite
+    ``request_timeout_s``, fails here rather than on the first request.
     """
 
     workers: int = 2
@@ -110,7 +110,6 @@ class ServerConfig:
     max_finished_jobs: int = 256
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -123,6 +122,20 @@ class ServerConfig:
             raise ReproError(
                 f"max_finished_jobs must be >= 0, got {self.max_finished_jobs!r}"
             )
+        for klass in ("interactive", "batch"):
+            _task_policy(self, klass)
+
+
+def _task_policy(config: ServerConfig, klass: str) -> TaskPolicy:
+    """The request class's task policy (``on_error="skip"`` always:
+    failures must come back as structured records, never pool
+    exceptions)."""
+    return TaskPolicy(
+        timeout_s=config.request_timeout_s,
+        retries=config.batch_retries if klass == "batch" else 0,
+        backoff=config.retry_backoff_s,
+        on_error="skip",
+    )
 
 
 class FingerprintMemo:
@@ -388,10 +401,7 @@ class PlimServer:
                         [task_payload],
                         workers=1,
                         cache=view,
-                        policy=self._policy(klass),
-                        fault_plan=(self.config.fault_plan or FaultPlan()).scoped(
-                            "compile"
-                        ),
+                        policy=_task_policy(self.config, klass),
                         force_pool=self.config.pooled,
                     )
                 )[0]
@@ -404,18 +414,6 @@ class PlimServer:
             return self._success_triple(record, cached=cached)
         finally:
             self._release()
-
-    def _policy(self, klass: str) -> TaskPolicy:
-        """The request class's task policy (``on_error="skip"`` always:
-        failures must come back as structured records, never pool
-        exceptions)."""
-        retries = self.config.batch_retries if klass == "batch" else 0
-        return TaskPolicy(
-            timeout_s=self.config.request_timeout_s,
-            retries=retries,
-            backoff=self.config.retry_backoff_s,
-            on_error="skip",
-        )
 
     @staticmethod
     def _success_triple(record: dict, *, cached: bool) -> tuple:

@@ -40,14 +40,14 @@ count reaches zero the node's cells go back to the allocator (§4.2.3).
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
-from repro.core.allocator import RramAllocator
-from repro.core.compiler import PlimCompiler
+from repro.core.compiler import POLICIES, PlimCompiler
 from repro.core.schedule import CandidateKey, make_key
-from repro.errors import CompilationError
+from repro.errors import AllocationError, CompilationError
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
@@ -56,6 +56,86 @@ from repro.plim.program import Program
 
 #: sentinel: a node's value cell was overwritten in place by a parent
 CONSUMED = -1
+
+
+class RramAllocator:
+    """Work-RRAM address allocator with a recyclable free list (§4.2.3).
+
+    Addresses go out through ``request`` and come back through
+    ``release``.  The paper's policy is **FIFO**: the *oldest* released
+    cell is reused first, spreading reuse over many physical cells (RRAM
+    endurance); LIFO (stack) and FRESH (never reuse) serve the endurance
+    ablation.  The number of *distinct* addresses ever handed out is the
+    paper's ``#R``.  The shipped per-gate step
+    (:mod:`repro.core.translate_fast`) runs the same policies inline on
+    its own free list; the byte-identity tests hold the two to the same
+    cell sequence.
+    """
+
+    def __init__(self, first_address: int = 0, policy: str = "fifo"):
+        if policy not in POLICIES:
+            raise AllocationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+        if first_address < 0:
+            raise AllocationError(f"first_address must be non-negative, got {first_address}")
+        self.policy = policy
+        self._next_fresh = first_address
+        self._first_address = first_address
+        self._free: deque[int] = deque()
+        self._in_use: set[int] = set()
+        self._ever_allocated: list[int] = []
+
+    def request(self) -> int:
+        """Return a ready-to-use cell address.
+
+        Reuses a released cell according to the policy, or allocates a
+        fresh address.  The caller must assume the cell's content is
+        unknown (reused cells keep their last value).
+        """
+        if self._free and self.policy != "fresh":
+            if self.policy == "fifo":
+                address = self._free.popleft()  # oldest released first
+            else:  # lifo
+                address = self._free.pop()  # most recently released first
+        else:
+            address = self._next_fresh
+            self._next_fresh += 1
+            self._ever_allocated.append(address)
+        self._in_use.add(address)
+        return address
+
+    def release(self, address: int) -> None:
+        """Return a cell to the free list."""
+        if address not in self._in_use:
+            raise AllocationError(
+                f"cell {address} is not currently allocated (double free or foreign address)"
+            )
+        self._in_use.remove(address)
+        self._free.append(address)
+
+    @property
+    def num_allocated(self) -> int:
+        """Distinct addresses ever handed out (the paper's #R)."""
+        return len(self._ever_allocated)
+
+    @property
+    def num_in_use(self) -> int:
+        """Cells currently held by the compiler."""
+        return len(self._in_use)
+
+    @property
+    def num_free(self) -> int:
+        """Cells currently on the free list."""
+        return len(self._free)
+
+    def is_allocated(self, address: int) -> bool:
+        """True if ``address`` is currently held."""
+        return address in self._in_use
+
+    def __repr__(self) -> str:
+        return (
+            f"<RramAllocator policy={self.policy} allocated={self.num_allocated} "
+            f"in_use={self.num_in_use} free={self.num_free}>"
+        )
 
 
 class TranslationState:
@@ -122,11 +202,13 @@ class TranslationState:
         When a ``max_work_cells`` budget is set and a fresh address would
         exceed it, a cached complement cell is evicted (oldest first) so
         its address can be recycled; if nothing is evictable, compilation
-        fails — the function genuinely needs more cells.
+        fails — the function genuinely needs more cells.  FRESH hands out
+        a fresh address on every request, so it fails at the budget.
         """
+        fresh = self.allocator.policy == "fresh"
         if (
             self.max_work_cells is not None
-            and self.allocator.num_free == 0
+            and (fresh or self.allocator.num_free == 0)
             and self.allocator.num_allocated >= self.max_work_cells
         ):
             self._evict_complement_cache()
@@ -138,7 +220,8 @@ class TranslationState:
         return address
 
     def _evict_complement_cache(self) -> None:
-        """Free the oldest unprotected cached complement (or fail)."""
+        """Free the oldest unprotected cached complement (or fail; FRESH
+        would never reuse the freed cell)."""
         victim = next(
             (
                 (node, address)
@@ -146,7 +229,7 @@ class TranslationState:
                 if address not in self._protected
             ),
             None,
-        )
+        ) if self.allocator.policy != "fresh" else None
         if victim is not None:
             node, address = victim
             del self.compl_cell[node]

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import RramAllocator
 from repro.plim.isa import rm3
+
+from compile_reference import RramAllocator
 
 from .strategies import packed_bits
 

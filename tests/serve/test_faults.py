@@ -1,10 +1,11 @@
 """Deterministic fault injection through the serve stack.
 
-Reuses :class:`~repro.core.resilience.FaultPlan` — the same lever every
-pooled driver in this codebase is tested with — scoped to the server's
-``"compile"`` phase.  Worker crashes, deadlines, queue shedding and the
-drain contract all come back as *structured protocol errors*, never as
-wedged requests or raw exceptions.
+Reuses ``tests/faults.py`` — the same lever every pooled driver in this
+codebase is tested with — wrapped around the server's task function
+``repro.serve.app.serve_compile_task`` (task index 0 of each request).
+Worker crashes, deadlines, queue shedding and the drain contract all
+come back as *structured protocol errors*, never as wedged requests or
+raw exceptions.
 
 The pooled tests spawn real worker processes (that is the point: a
 genuine ``os._exit`` in a genuine worker); they are the slowest tests in
@@ -17,24 +18,40 @@ import asyncio
 
 import pytest
 
-from repro.core.resilience import Fault, FaultPlan
+from repro.core.resilience import TaskFailure
+from repro.errors import ReproError
+from repro.serve.app import ServerConfig
+
+from faults import Fault, FaultPlan, install
 
 from .conftest import aget, apost, make_app
 
 
 def crash_plan(attempts=(1,)) -> FaultPlan:
-    return FaultPlan(phases={"compile": {0: Fault("exit", attempts=attempts)}})
+    return FaultPlan({0: Fault("exit", attempts=attempts)})
 
 
 def sleep_plan(seconds: float) -> FaultPlan:
-    return FaultPlan(
-        phases={"compile": {0: Fault("sleep", seconds=seconds, attempts=())}}
-    )
+    return FaultPlan({0: Fault("sleep", seconds=seconds, attempts=())})
+
+
+def faulty_app(monkeypatch, plan: FaultPlan, **config_kwargs):
+    """A fresh server whose compiles run under ``plan``."""
+    install(monkeypatch, "repro.serve.app.serve_compile_task", plan)
+    return make_app(**config_kwargs)
 
 
 class TestCrashPaths:
-    def test_inline_crash_is_structured_502(self, circuit_payloads):
-        app = make_app(fault_plan=crash_plan())
+    def test_inline_crash_is_structured_502(self, circuit_payloads, monkeypatch):
+        # an inline compile cannot kill its own process, so the pool's
+        # crash record is handed to the unpooled server directly: it must
+        # map to the same structured 502 as a genuine worker exit
+        def crashed_map(fn, items, workers=None, **kwargs):
+            assert kwargs["force_pool"] is False
+            return [TaskFailure(0, "crash", "worker exited with code 13")]
+
+        monkeypatch.setattr("repro.serve.app.parallel_map", crashed_map)
+        app = make_app()
         response = asyncio.run(apost(app, "/compile", circuit_payloads["mig"]))
         assert response.status == 502
         error = response.json()["error"]
@@ -42,27 +59,36 @@ class TestCrashPaths:
         assert error["attempts"] == 1
         assert app.counters["failures"] == 1
 
-    def test_pooled_worker_exit_is_structured_502(self, circuit_payloads):
+    def test_pooled_worker_exit_is_structured_502(
+        self, circuit_payloads, monkeypatch
+    ):
         # a genuine os._exit in a genuine supervised worker process
-        app = make_app(pooled=True, fault_plan=crash_plan())
+        app = faulty_app(monkeypatch, crash_plan(), pooled=True)
         response = asyncio.run(apost(app, "/compile", circuit_payloads["mig"]))
         assert response.status == 502
-        assert response.json()["error"]["code"] == "worker-crash"
+        error = response.json()["error"]
+        assert error["code"] == "worker-crash"
+        assert error["attempts"] == 1
+        assert app.counters["failures"] == 1
 
-    def test_batch_class_retries_past_the_crash(self, circuit_payloads):
+    def test_batch_class_retries_past_the_crash(
+        self, circuit_payloads, monkeypatch
+    ):
         # the fault fires on attempt 1 only; class=batch grants a retry,
         # so the same request that 502s interactively succeeds as batch
-        app = make_app(pooled=True, fault_plan=crash_plan(attempts=(1,)))
+        app = faulty_app(monkeypatch, crash_plan(attempts=(1,)), pooled=True)
         payload = dict(circuit_payloads["mig"])
         payload["class"] = "batch"
         response = asyncio.run(apost(app, "/compile", payload))
         assert response.status == 200, response.body
         assert response.json()["cached"] is False
 
-    def test_error_fans_out_to_dedup_followers(self, circuit_payloads):
+    def test_error_fans_out_to_dedup_followers(
+        self, circuit_payloads, monkeypatch
+    ):
         # an error response is published to the whole dedup group —
         # followers of a failed leader see the identical error bytes
-        app = make_app(fault_plan=crash_plan())
+        app = faulty_app(monkeypatch, crash_plan(), pooled=True)
         payload = circuit_payloads["mig"]
 
         async def main():
@@ -77,9 +103,10 @@ class TestCrashPaths:
 
 
 class TestInjectedException:
-    def test_unexpected_task_exception_is_500(self, circuit_payloads):
-        plan = FaultPlan(phases={"compile": {0: Fault("raise")}})
-        app = make_app(fault_plan=plan)
+    def test_unexpected_task_exception_is_500(
+        self, circuit_payloads, monkeypatch
+    ):
+        app = faulty_app(monkeypatch, FaultPlan({0: Fault("raise")}))
         response = asyncio.run(apost(app, "/compile", circuit_payloads["mig"]))
         assert response.status == 500
         error = response.json()["error"]
@@ -88,21 +115,30 @@ class TestInjectedException:
 
 
 class TestDeadline:
-    def test_pooled_timeout_is_504(self, circuit_payloads):
+    def test_pooled_timeout_is_504(self, circuit_payloads, monkeypatch):
         # the injected sleep (fires on every attempt) blows the 0.5s
         # per-attempt deadline; the supervisor kills the worker and the
         # client sees a structured 504 long before the sleep would end
-        app = make_app(
-            pooled=True, request_timeout_s=0.5, fault_plan=sleep_plan(30.0)
+        app = faulty_app(
+            monkeypatch, sleep_plan(30.0), pooled=True, request_timeout_s=0.5
         )
         response = asyncio.run(apost(app, "/compile", circuit_payloads["mig"]))
         assert response.status == 504
         assert response.json()["error"]["code"] == "timeout"
 
+    @pytest.mark.parametrize("timeout_s", [float("inf"), float("nan"), 0])
+    def test_unrunnable_deadline_fails_at_construction(self, timeout_s):
+        # the pool cannot wait an infinite deadline; refuse it at startup
+        # instead of answering every request with a 500
+        with pytest.raises(ReproError, match="timeout_s"):
+            ServerConfig(pooled=True, request_timeout_s=timeout_s)
+
 
 class TestQueueFull:
-    def test_shed_with_retry_after(self, circuit_payloads, other_mig_text):
-        app = make_app(queue_limit=1, fault_plan=sleep_plan(2.0))
+    def test_shed_with_retry_after(
+        self, circuit_payloads, other_mig_text, monkeypatch
+    ):
+        app = faulty_app(monkeypatch, sleep_plan(2.0), queue_limit=1)
 
         async def main():
             slow = asyncio.ensure_future(
@@ -130,9 +166,9 @@ class TestQueueFull:
 
 class TestDrain:
     def test_draining_rejects_new_work_finishes_inflight(
-        self, circuit_payloads, other_mig_text
+        self, circuit_payloads, other_mig_text, monkeypatch
     ):
-        app = make_app(queue_limit=8, fault_plan=sleep_plan(0.5))
+        app = faulty_app(monkeypatch, sleep_plan(0.5), queue_limit=8)
 
         async def main():
             inflight = asyncio.ensure_future(

@@ -18,7 +18,7 @@ from repro.serve.app import FINGERPRINT_MEMO_CAPACITY, FingerprintMemo
 from repro.serve.protocol import canonical_json
 
 from .conftest import apost, get, make_app, post
-from .test_faults import sleep_plan
+from .test_faults import faulty_app, sleep_plan
 
 
 @pytest.fixture
@@ -118,8 +118,10 @@ class TestAdmission:
         assert app.fingerprints.stats()["hits"] == 1
         assert app._admitted == 0
 
-    def test_full_queue_sheds_a_memo_hit(self, circuit_payloads, other_mig_text):
-        app = make_app(queue_limit=1, fault_plan=sleep_plan(0.3))
+    def test_full_queue_sheds_a_memo_hit(
+        self, circuit_payloads, other_mig_text, monkeypatch
+    ):
+        app = faulty_app(monkeypatch, sleep_plan(0.3), queue_limit=1)
         warm = circuit_payloads["mig"]
 
         async def main():
@@ -138,10 +140,10 @@ class TestAdmission:
         assert slow.status == 200
         assert app._admitted == 0
 
-    def test_key_in_flight_follows_its_leader(self, circuit_payloads):
+    def test_key_in_flight_follows_its_leader(self, circuit_payloads, monkeypatch):
         # the leader has parsed (memo filled) and holds the only admission
         # slot while it compiles: a repeat joins it instead of shedding
-        app = make_app(queue_limit=1, fault_plan=sleep_plan(0.3))
+        app = faulty_app(monkeypatch, sleep_plan(0.3), queue_limit=1)
         payload = circuit_payloads["mig"]
 
         async def main():

@@ -1,9 +1,11 @@
-"""Unit tests for repro.core.allocator (§4.2.3 RRAM allocation)."""
+"""Unit tests of the reference RRAM allocator (§4.2.3), the model the
+shipped per-gate step's inline free list is held to."""
 
 import pytest
 
-from repro.core.allocator import RramAllocator
 from repro.errors import AllocationError
+
+from compile_reference import RramAllocator
 
 
 class TestBasics:
@@ -48,9 +50,7 @@ class TestBasics:
 
     def test_allocated_addresses_order(self):
         alloc = RramAllocator(first_address=5)
-        alloc.request()
-        alloc.request()
-        assert alloc.allocated_addresses == [5, 6]
+        assert [alloc.request(), alloc.request()] == [5, 6]
 
 
 class TestPolicies:

@@ -20,12 +20,13 @@ import pytest
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.core.batch import BatchResult, compile_many, parallel_map, resolve_workers
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.resilience import Fault, FaultPlan, TaskFailure, TaskPolicy
+from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.errors import MigError, ReproError
 from repro.mig import analysis
 from repro.mig.context import AnalysisContext
 
 from conftest import random_mig
+from faults import Fault, FaultPlan, install
 
 CI_SPECS = [(name, "ci") for name in BENCHMARK_NAMES]
 
@@ -233,17 +234,18 @@ class TestResolveWorkers:
             )
 
 
+#: the batch driver's task function, which fault tests wrap
+TASK = "repro.core.batch._compile_task"
+
+
 class TestCompileManyResilience:
     """Policy plumbing through the batch driver (ISSUE 7 tentpole)."""
 
-    def test_crashed_circuit_becomes_one_failure_slot(self):
+    def test_crashed_circuit_becomes_one_failure_slot(self, monkeypatch):
         specs = [("ctrl", "ci"), ("dec", "ci"), ("int2float", "ci")]
         clean = compile_many(specs, workers=2)
-        plan = FaultPlan({1: Fault("exit")})
-        out = compile_many(
-            specs, workers=2,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
-        )
+        install(monkeypatch, TASK, FaultPlan({1: Fault("exit")}))
+        out = compile_many(specs, workers=2, policy=TaskPolicy(on_error="skip"))
         # one task per circuit: the dec slot fails, the others survive
         # byte-identically (circuit-major order is preserved)
         failures = [r for r in out if isinstance(r, TaskFailure)]
@@ -253,22 +255,21 @@ class TestCompileManyResilience:
         expected = [r for r in clean if r.circuit != "dec"]
         assert _result_key(survivors) == _result_key(expected)
 
-    def test_raise_mode_is_the_default_and_aborts(self):
+    def test_raise_mode_is_the_default_and_aborts(self, monkeypatch):
         from repro.core.resilience import TaskError
 
-        plan = FaultPlan({0: Fault("exit")})
+        install(monkeypatch, TASK, FaultPlan({0: Fault("exit")}))
         with pytest.raises(TaskError):
-            compile_many([("ctrl", "ci"), ("dec", "ci")], workers=2,
-                         fault_plan=plan)
+            compile_many([("ctrl", "ci"), ("dec", "ci")], workers=2)
 
-    def test_retry_recovers_a_transient_crash(self):
+    def test_retry_recovers_a_transient_crash(self, monkeypatch):
         specs = [("ctrl", "ci"), ("dec", "ci")]
-        plan = FaultPlan({0: Fault("exit", attempts=(1,))})
+        clean = compile_many(specs, workers=2)
+        install(monkeypatch, TASK, FaultPlan({0: Fault("exit", attempts=(1,))}))
         out = compile_many(
-            specs, workers=2,
-            policy=TaskPolicy(retries=1, backoff=0), fault_plan=plan,
+            specs, workers=2, policy=TaskPolicy(retries=1, backoff=0)
         )
-        assert _result_key(out) == _result_key(compile_many(specs, workers=2))
+        assert _result_key(out) == _result_key(clean)
 
 
 def _square(x):

@@ -7,11 +7,13 @@ needed) instead of allocating fresh cells.
 
 import pytest
 
+from repro.circuits.registry import build
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.errors import CompilationError
 from repro.mig.graph import Mig
 from repro.plim.verify import verify_program
 
+from compile_reference import ReferenceCompiler
 from conftest import random_mig
 
 
@@ -90,3 +92,26 @@ class TestBudgetedCompilation:
             return  # genuinely infeasible — acceptable
         assert program.num_rrams <= budget
         assert verify_program(mig, program, raise_on_mismatch=True).ok
+
+
+def _outcome(compiler, mig, options):
+    """The program text, or the error message, of one compile."""
+    try:
+        return compiler(options).compile(mig).to_text()
+    except CompilationError as error:
+        return f"error: {error}"
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "fresh"])
+def test_budget_holds_under_every_allocator_policy(policy):
+    """voter@ci needs 11 work cells under FIFO/LIFO but 39 under FRESH,
+    which never reuses a cell: a budget of 20 fits the first two and
+    stops FRESH with the budget error, identically in the reference."""
+    mig = build("voter", "ci")
+    options = CompilerOptions(allocator_policy=policy, max_work_cells=20)
+    shipped = _outcome(PlimCompiler, mig, options)
+    assert shipped == _outcome(ReferenceCompiler, mig, options)
+    if policy == "fresh":
+        assert shipped.startswith("error: work-cell budget of 20 exceeded")
+    else:
+        assert PlimCompiler(options).compile(mig).num_rrams <= 20

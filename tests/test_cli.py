@@ -207,16 +207,13 @@ class TestParetoCommand:
     def test_pareto_failure_names_its_point(self, monkeypatch, capsys, phase, label):
         """A skip-mode sweep prints one stderr line per lost point, named
         by its label rather than its task index."""
-        from repro.core import pareto
-        from repro.core.resilience import Fault, FaultPlan
+        from faults import Fault, FaultPlan, anchor_point, budget_point, install
 
-        real = pareto.pareto_sweep
-
-        def faulty(*args_, **kwargs):
-            kwargs["fault_plan"] = FaultPlan(phases={phase: {0: Fault("raise")}})
-            return real(*args_, **kwargs)
-
-        monkeypatch.setattr(pareto, "pareto_sweep", faulty)
+        only = anchor_point if phase == "anchor" else budget_point
+        install(
+            monkeypatch, "repro.core.pareto._point_task",
+            FaultPlan({0: Fault("raise")}, only=only),
+        )
         code = main(["pareto", "router", "--scale", "ci", "--workers", "1",
                      "--on-error", "skip"])
         assert code == 0
@@ -392,6 +389,22 @@ class TestResilienceFlags:
         assert code == 2
         assert "timeout_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--names", "ctrl", "dec", "--scale", "ci",
+             "--workers", "2", "--timeout", "inf"],
+            ["serve", "--pooled", "--port", "0", "--timeout", "inf"],
+        ],
+        ids=["table1", "serve"],
+    )
+    def test_infinite_timeout_exits_2(self, argv, capsys):
+        # the pool cannot wait forever: refused before any work starts
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("plimc: error:")
+        assert "timeout_s" in err[0]
+
     def test_negative_retries_exits_2(self, capsys):
         code = main(["batch", "ctrl", "--scale", "ci", "--retries", "-3"])
         assert code == 2
@@ -439,17 +452,12 @@ class TestResilienceFlags:
 
     def test_skip_mode_reports_failed_rows(self, monkeypatch, capsys):
         """A skip-mode table1 run prints one line per lost benchmark."""
-        from repro.core.resilience import Fault, FaultPlan
-        import repro.cli as cli
-        import repro.eval.table1 as table1_mod
+        from faults import Fault, FaultPlan, install
 
-        real = table1_mod.run_table1
-
-        def faulty(*args_, **kwargs):
-            kwargs["fault_plan"] = FaultPlan({0: Fault("raise")})
-            return real(*args_, **kwargs)
-
-        monkeypatch.setattr(cli, "run_table1", faulty)
+        install(
+            monkeypatch, "repro.eval.table1._benchmark_task",
+            FaultPlan({0: Fault("raise")}),
+        )
         code = main(["table1", "--names", "ctrl", "dec", "--scale", "ci",
                      "--workers", "2", "--on-error", "skip"])
         assert code == 0

@@ -9,7 +9,6 @@ from repro.plim.encoding import (
     ProgramImage,
     address_bits_for,
     decode_instruction,
-    decode_program,
     encode_instruction,
     encode_program,
     instruction_bits,
@@ -60,7 +59,10 @@ class TestEncoding:
         mig = random_mig(1, num_pis=4, num_gates=15)
         program = compile_mig(mig).program
         image = encode_program(program)
-        decoded = decode_program(image)
+        decoded = [
+            decode_instruction(image.instruction_word(i), image.addr_bits)
+            for i in range(image.num_instructions)
+        ]
         assert len(decoded) == len(program)
         for original, back in zip(program, decoded):
             assert (original.a, original.b, original.z) == (back.a, back.b, back.z)

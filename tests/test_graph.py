@@ -272,9 +272,9 @@ class TestInplace:
         mig, (a, b, c, d), (g1, g2, g3) = self._chain()
         assert mig.fanout_of(g1.node) == 1
         assert mig.fanout_of(g3.node) == 1  # the PO edge
-        assert mig.parents_of_node(g1.node) == (g2.node,)
-        assert set(mig.parents_of_node(c.node)) == {g1.node, g2.node}
-        assert [po for po in mig.po_edges_of(g3.node)] == [g3]
+        assert mig._parents[g1.node] == {g2.node}
+        assert mig._parents[c.node] == {g1.node, g2.node}
+        assert [mig.pos()[i] for i in mig._po_of[g3.node]] == [g3]
 
     def test_replace_node_redirects_parents_and_pos(self):
         mig, (a, b, c, d), (g1, g2, g3) = self._chain()
@@ -346,14 +346,6 @@ class TestInplace:
             mig.replace_node(g.node, a)
         with pytest.raises(MigError, match="enable_inplace"):
             mig.fanout_of(g.node)
-
-    def test_find_maj_never_creates(self):
-        mig, (a, b, c, d), (g1, g2, g3) = self._chain()
-        size = len(mig)
-        assert mig.find_maj(a, b, c) == g1  # strash hit
-        assert mig.find_maj(a, ~a, d) == d  # simplification
-        assert mig.find_maj(a, b, d) is None  # would be a fresh gate
-        assert len(mig) == size
 
     def test_inplace_signature_tracks_edits(self):
         from repro.mig.analysis import complement_stats
@@ -428,6 +420,6 @@ class TestInplace:
         mig.replace_node(g2.node, g1)
         clone = mig.clone()
         assert clone.num_gates == mig.num_gates
-        assert not clone.is_inplace  # in-place state is not carried over
+        assert clone._refs is None  # in-place state is not carried over
         assert clone.pi_name(b.node) == "b"
         assert truth_tables(clone) == truth_tables(mig)

@@ -6,7 +6,9 @@ pass pipeline and the round-by-round verifier are differential oracles;
 they live in ``tests/compile_reference.py``,
 ``tests/graph_dict_reference.py``, ``tests/rewrite_reference.py`` and
 ``tests/verify_reference.py``.  None may come back into ``src/``, and no
-public option or wrapper may select them.
+public option or wrapper may select them.  The same holds for the
+object RRAM allocator (``tests/compile_reference.py``) and the pool's
+fault injector (``tests/faults.py``).
 """
 
 import asyncio
@@ -18,16 +20,21 @@ import io
 import pytest
 
 import repro
+import repro.core
+import repro.core.resilience
 import repro.core.rewriting
 import repro.core.schedule
 import repro.mig.algebra
 import repro.plim.verify
 from repro.cli import build_parser
+from repro.core.batch import compile_many, parallel_imap, parallel_map
 from repro.core.compiler import CompilerOptions
+from repro.core.pareto import pareto_sweep
 from repro.core.cost import CompiledPlim
 from repro.core.rewriting import RewriteOptions
 from repro.errors import ReproError
 from repro.eval.fig3 import fig3b
+from repro.eval.table1 import run_table1
 from repro.mig.graph import Mig
 from repro.mig.io_mig import write_mig
 from repro.serve.app import PlimServer, ServerConfig
@@ -110,3 +117,29 @@ def test_serve_rejects_rebuild_engine():
     response = asyncio.run(app.handle(Request("POST", "/compile", body)))
     assert response.status == 400
     assert response.json()["error"]["code"] == "bad-request"
+
+
+@pytest.mark.parametrize(
+    "name", ["Fault", "FaultPlan", "SimulatedCrash", "InjectedFault"]
+)
+def test_fault_injector_lives_in_the_tests(name):
+    assert not hasattr(repro.core.resilience, name)
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [parallel_imap, parallel_map, compile_many, pareto_sweep, run_table1],
+    ids=lambda fn: fn.__name__,
+)
+def test_no_fault_plan_parameter(surface):
+    assert "fault_plan" not in inspect.signature(surface).parameters
+
+
+def test_server_config_has_no_fault_plan():
+    assert "fault_plan" not in {f.name for f in dataclasses.fields(ServerConfig)}
+
+
+def test_object_allocator_is_not_exported():
+    assert not hasattr(repro.core, "RramAllocator")
+    assert "RramAllocator" not in repro.core.__all__
+    assert importlib.util.find_spec("repro.core.allocator") is None

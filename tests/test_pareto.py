@@ -30,13 +30,19 @@ from repro.core.pareto import (
     _subsample,
     pareto_sweep,
 )
-from repro.core.resilience import Fault, FaultPlan, TaskPolicy
+from repro.core.resilience import TaskPolicy
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import MigError, ReproError
 from repro.mig.analysis import depth
 from repro.mig.equivalence import equivalent
 
 from conftest import random_mig
+from faults import Fault, FaultPlan, anchor_point, budget_point, install
+
+#: the sweep's task function, which fault tests wrap
+TASK = "repro.core.pareto._point_task"
+#: crashes the depth anchor (the second anchor task) in its worker
+DEPTH_ANCHOR_CRASH = FaultPlan({1: Fault("exit")}, only=anchor_point)
 
 
 class TestDepthBudgetValidation:
@@ -328,18 +334,20 @@ class TestPartialFrontiers:
             for a, b in zip(pts, pts[1:])
         )
 
-    def test_chain_crash_yields_partial_staircase(self):
-        # router/ci has a 2-point front, so the budget phase has real work
-        clean = pareto_sweep(("router", "ci"), workers=1)
+    def test_chain_crash_yields_partial_staircase(self, monkeypatch):
+        # int2float/ci sweeps two budgets, so the budget phase runs pooled
+        # and the injected exit is a real worker death
+        clean = pareto_sweep(("int2float", "ci"), workers=1)
         assert not clean.incomplete and clean.failed_budgets == ()
         first_budget = min(
             p.budget for p in (*clean.points, *clean.dominated)
             if p.budget is not None
         )
-        plan = FaultPlan(phases={"budget": {0: Fault("exit")}})
+        install(
+            monkeypatch, TASK, FaultPlan({0: Fault("exit")}, only=budget_point)
+        )
         partial = pareto_sweep(
-            ("router", "ci"), workers=2,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
+            ("int2float", "ci"), workers=2, policy=TaskPolicy(on_error="skip")
         )
         assert partial.incomplete
         # one lost task is exactly one lost point
@@ -352,30 +360,32 @@ class TestPartialFrontiers:
             # every surviving point is still equivalence-checked
             assert p.equivalence in ("exhaustive", "random")
 
-    def test_anchor_crash_flags_the_objective(self):
-        plan = FaultPlan(phases={"anchor": {1: Fault("exit")}})
+    def test_anchor_crash_flags_the_objective(self, monkeypatch):
+        install(monkeypatch, TASK, DEPTH_ANCHOR_CRASH)
         partial = pareto_sweep(
-            ("ctrl", "ci"), workers=2,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
+            ("ctrl", "ci"), workers=2, policy=TaskPolicy(on_error="skip")
         )
         assert partial.incomplete and "depth" in partial.failed_budgets
         assert partial.points and self._staircase_valid(partial)
 
-    def test_raise_mode_still_aborts(self):
+    def test_raise_mode_still_aborts(self, monkeypatch):
         from repro.core.resilience import TaskError
 
-        plan = FaultPlan(phases={"anchor": {0: Fault("exit")}})
+        install(
+            monkeypatch, TASK, FaultPlan({0: Fault("exit")}, only=anchor_point)
+        )
         with pytest.raises(TaskError):
-            pareto_sweep(("ctrl", "ci"), workers=2, fault_plan=plan)
+            pareto_sweep(("ctrl", "ci"), workers=2)
 
-    def test_incomplete_fronts_are_never_cached(self, tmp_path):
-        plan = FaultPlan(phases={"anchor": {1: Fault("exit")}})
+    def test_incomplete_fronts_are_never_cached(self, tmp_path, monkeypatch):
+        install(monkeypatch, TASK, DEPTH_ANCHOR_CRASH)
         cache = SynthesisCache(tmp_path / "c")
         partial = pareto_sweep(
             ("ctrl", "ci"), workers=2, cache=cache,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
+            policy=TaskPolicy(on_error="skip"),
         )
         assert partial.incomplete
+        monkeypatch.undo()
         # a later healthy sweep through the same cache dir must recompute
         # the front (no front entry was stored), then cache the full one
         healthy_cache = SynthesisCache(tmp_path / "c")
@@ -386,11 +396,10 @@ class TestPartialFrontiers:
             (p.num_gates, p.depth) for p in clean.points
         ]
 
-    def test_failure_fields_roundtrip_to_dict(self):
-        plan = FaultPlan(phases={"anchor": {1: Fault("exit")}})
+    def test_failure_fields_roundtrip_to_dict(self, monkeypatch):
+        install(monkeypatch, TASK, DEPTH_ANCHOR_CRASH)
         partial = pareto_sweep(
-            ("ctrl", "ci"), workers=2,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
+            ("ctrl", "ci"), workers=2, policy=TaskPolicy(on_error="skip")
         )
         clone = ParetoFront.from_dict(partial.to_dict())
         assert clone.incomplete == partial.incomplete

@@ -5,7 +5,7 @@ import pytest
 from repro.circuits.registry import BENCHMARK_NAMES, SCALES, benchmark_info, build
 from repro.errors import BenchmarkError
 from repro.eval import ablations
-from repro.eval.reporting import format_percent, format_table, improvement, to_csv
+from repro.eval.reporting import format_table, improvement, to_csv
 from repro.eval.table1 import (
     PAPER_TOTAL_IMPROVEMENTS,
     Table1Result,
@@ -79,9 +79,6 @@ class TestReporting:
         assert improvement(100, 80) == pytest.approx(20.0)
         assert improvement(100, 120) == pytest.approx(-20.0)
         assert improvement(0, 5) == 0.0
-
-    def test_format_percent(self):
-        assert format_percent(19.95) == "19.95%"
 
     def test_format_table_alignment(self):
         table = format_table(["name", "value"], [["a", 1], ["long", 22]])

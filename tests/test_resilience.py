@@ -1,12 +1,13 @@
 """The fault-tolerant execution engine (``repro.core.resilience``).
 
 The fault-injection tests here are real, not mocked: ``Fault("exit")``
-genuinely ``os._exit``\\ s a pool worker mid-task and the supervisor must
-recover, ``Fault("sleep")`` genuinely blows a deadline and the worker is
-killed.  The acceptance bar (ISSUE 7): a crashed worker loses only its
-own task under ``on_error="skip"`` (all other results byte-identical to
-a clean run), a hung task is cancelled at ``timeout_s``, and results
-arrive in input order for any worker count and fault pattern.
+(``tests/faults.py``, wrapped around the task function) genuinely
+``os._exit``\\ s a pool worker mid-task and the supervisor must recover,
+``Fault("sleep")`` genuinely blows a deadline and the worker is killed.
+The acceptance bar: a crashed worker loses only its own task under
+``on_error="skip"`` (all other results byte-identical to a clean run), a
+hung task is cancelled at ``timeout_s``, and results arrive in input
+order for any worker count and fault pattern.
 """
 
 from __future__ import annotations
@@ -19,15 +20,10 @@ import pytest
 
 from repro.core.batch import parallel_imap, parallel_map
 from repro.core.cache import COMPILATION_KIND, SynthesisCache
-from repro.core.resilience import (
-    Fault,
-    FaultPlan,
-    InjectedFault,
-    TaskError,
-    TaskFailure,
-    TaskPolicy,
-)
+from repro.core.resilience import TaskError, TaskFailure, TaskPolicy
 from repro.errors import ReproError
+
+from faults import Fault, FaultPlan, inject
 
 POOL = 2  # pooled-path worker count (works on any CPU count)
 
@@ -84,6 +80,10 @@ class TestTaskPolicy:
         {"retries": -1}, {"retries": 1.5},
         {"backoff": -0.1},
         {"on_error": "ignore"}, {"on_error": ""},
+        {"timeout_s": float("inf")}, {"timeout_s": float("nan")},
+        {"timeout_s": True}, {"timeout_s": "5"},
+        {"backoff": float("nan")}, {"backoff": float("inf")}, {"backoff": "x"},
+        {"retries": True},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ReproError):
@@ -104,29 +104,6 @@ class TestTaskFailure:
         failure = TaskFailure(7, "error", "boom", error_type="ValueError")
         text = repr(failure)
         assert "#7" in text and "ValueError" in text and "boom" in text
-
-
-class TestFaultPlan:
-    def test_invalid_kind_raises(self):
-        with pytest.raises(ReproError):
-            Fault("oom")
-
-    def test_fires_on_listed_attempts_only(self):
-        fault = Fault("raise", attempts=(1, 3))
-        assert fault.fires(1) and not fault.fires(2) and fault.fires(3)
-        assert Fault("raise", attempts=()).fires(99)  # empty = every attempt
-
-    def test_scoped_phases(self):
-        plan = FaultPlan(
-            {0: Fault("raise")}, phases={"budget": {2: Fault("exit")}}
-        )
-        assert plan.fault_for(0, 1) is not None
-        assert plan.fault_for(2, 1) is None  # phase faults need scoping
-        budget = plan.scoped("budget")
-        assert budget.fault_for(2, 1).kind == "exit"
-        assert not plan.scoped("nonexistent")
-        assert bool(plan) and bool(budget)
-        assert not FaultPlan()
 
 
 class TestInlinePath:
@@ -153,33 +130,25 @@ class TestInlinePath:
     def test_retry_recovers_a_transient_fault(self):
         plan = FaultPlan({1: Fault("raise", attempts=(1,))})
         out = parallel_map(
-            _square, [1, 2, 3], workers=1,
-            policy=TaskPolicy(retries=1, backoff=0), fault_plan=plan,
+            inject(_square, plan), [1, 2, 3], workers=1,
+            policy=TaskPolicy(retries=1, backoff=0),
         )
         assert out == [1, 4, 9]
-
-    def test_injected_exit_becomes_a_crash_record_not_driver_death(self):
-        plan = FaultPlan({0: Fault("exit")})
-        out = parallel_map(
-            _square, [5], workers=1,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
-        )
-        assert isinstance(out[0], TaskFailure) and out[0].kind == "crash"
 
     def test_degrade_retries_worker_only_faults_inline(self):
         # worker_only=False → the fault also fires inline; the degrade
         # attempt fires it again (attempts=()) so the failure stands
         always = FaultPlan({0: Fault("raise", attempts=())})
         out = parallel_map(
-            _square, [3], workers=1,
-            policy=TaskPolicy(on_error="degrade"), fault_plan=always,
+            inject(_square, always), [3], workers=1,
+            policy=TaskPolicy(on_error="degrade"),
         )
         assert isinstance(out[0], TaskFailure)
         # fault limited to attempt 1 → the degrade attempt (attempt 2) runs clean
         once = FaultPlan({0: Fault("raise", attempts=(1,))})
         out = parallel_map(
-            _square, [3], workers=1,
-            policy=TaskPolicy(on_error="degrade"), fault_plan=once,
+            inject(_square, once), [3], workers=1,
+            policy=TaskPolicy(on_error="degrade"),
         )
         assert out == [9]
 
@@ -198,8 +167,8 @@ class TestPooledPath:
         clean = parallel_map(_square, items, workers=POOL)
         plan = FaultPlan({3: Fault("exit")})
         out = parallel_map(
-            _square, items, workers=POOL,
-            policy=TaskPolicy(on_error="skip"), fault_plan=plan,
+            inject(_square, plan), items, workers=POOL,
+            policy=TaskPolicy(on_error="skip"),
         )
         assert isinstance(out[3], TaskFailure)
         assert out[3].kind == "crash" and out[3].index == 3
@@ -207,18 +176,26 @@ class TestPooledPath:
             if i != 3:
                 assert pickle.dumps(out[i]) == pickle.dumps(clean[i])
 
+    def test_injected_exit_becomes_a_crash_record_not_driver_death(self):
+        plan = FaultPlan({0: Fault("exit")})
+        out = parallel_map(
+            inject(_square, plan), [5], workers=1, force_pool=True,
+            policy=TaskPolicy(on_error="skip"),
+        )
+        assert isinstance(out[0], TaskFailure) and out[0].kind == "crash"
+
     def test_crash_then_retry_recovers(self):
         plan = FaultPlan({2: Fault("exit", attempts=(1,))})
         out = parallel_map(
-            _square, list(range(6)), workers=POOL,
-            policy=TaskPolicy(retries=1, backoff=0), fault_plan=plan,
+            inject(_square, plan), list(range(6)), workers=POOL,
+            policy=TaskPolicy(retries=1, backoff=0),
         )
         assert out == [x * x for x in range(6)]
 
     def test_crash_under_raise_mode_raises_task_error(self):
         plan = FaultPlan({1: Fault("exit")})
         with pytest.raises(TaskError) as excinfo:
-            parallel_map(_square, list(range(4)), workers=POOL, fault_plan=plan)
+            parallel_map(inject(_square, plan), list(range(4)), workers=POOL)
         assert excinfo.value.failure.kind == "crash"
         assert excinfo.value.failure.index == 1
 
@@ -228,9 +205,8 @@ class TestPooledPath:
         plan = FaultPlan({1: Fault("sleep", seconds=60)})
         start = time.monotonic()
         out = parallel_map(
-            _square, list(range(4)), workers=POOL,
+            inject(_square, plan), list(range(4)), workers=POOL,
             policy=TaskPolicy(timeout_s=1.0, on_error="skip"),
-            fault_plan=plan,
         )
         elapsed = time.monotonic() - start
         assert elapsed < 30, f"deadline not enforced ({elapsed:.1f}s)"
@@ -269,8 +245,8 @@ class TestPooledPath:
         expected = None
         for workers in (2, 3, 4):
             out = parallel_map(
-                _square, items, workers=workers,
-                policy=TaskPolicy(on_error="skip"), fault_plan=plan,
+                inject(_square, plan), items, workers=workers,
+                policy=TaskPolicy(on_error="skip"),
             )
             key = [
                 ("fail", o.index, o.kind) if isinstance(o, TaskFailure) else o
@@ -285,8 +261,8 @@ class TestPooledPath:
         # only the degrade disposition's in-driver attempt can succeed
         plan = FaultPlan({1: Fault("raise", attempts=(), worker_only=True)})
         out = parallel_map(
-            _square, [1, 2, 3], workers=POOL,
-            policy=TaskPolicy(on_error="degrade"), fault_plan=plan,
+            inject(_square, plan), [1, 2, 3], workers=POOL,
+            policy=TaskPolicy(on_error="degrade"),
         )
         assert out == [1, 4, 9]
 
@@ -327,20 +303,11 @@ class TestCacheHandOff:
         plan = FaultPlan({1: Fault("raise", attempts=(), worker_only=True)})
         cache = SynthesisCache(tmp_path)
         out = parallel_map(
-            _store_record, [1, 2, 3], workers=POOL, cache=cache,
-            policy=TaskPolicy(on_error="degrade"), fault_plan=plan,
+            inject(_store_record, plan), [1, 2, 3], workers=POOL, cache=cache,
+            policy=TaskPolicy(on_error="degrade"),
         )
         assert [o["square"] for o in out] == [1, 4, 9]
         assert out[1]["cache_id"] == id(cache) and not out[1]["read_only"]
         assert out[1]["pid"] == os.getpid()
         assert cache.get_compilation("fp2", None, None) == {"x": 2}
         assert cache.disk_usage()[COMPILATION_KIND]["entries"] == 3
-
-
-class TestInjectedFaultTypes:
-    def test_raise_fault_raises_injected_fault(self):
-        with pytest.raises(InjectedFault, match="injected fault"):
-            Fault("raise").apply(in_worker=False)
-
-    def test_worker_only_fault_is_inert_inline(self):
-        Fault("raise", worker_only=True).apply(in_worker=False)  # no raise

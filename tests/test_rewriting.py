@@ -150,18 +150,22 @@ class TestWorklistPhaseDeadNode:
         set (replacement is a literal, ``v`` was read only by POs); the
         phase must not run the next rule on the tombstoned node."""
         from repro.core.rewriting import _worklist_phase
-        from repro.mig.algebra import try_distributivity_rl, try_majority
+        from repro.mig.algebra import try_distributivity_rl
         from repro.mig.graph import Mig
+
+        def collapse_to_a(mig, v, fanouts=None, depth_budget=None):
+            """A rule that replaces the gate by its first child."""
+            return mig.replace_node(v, mig.children(v)[0])
 
         mig = Mig()
         a, b = mig.add_pi("a"), mig.add_pi("b")
         trivial = mig.add_maj(a, a, b, simplify=False)  # Ω.M-collapsible
         mig.add_po(trivial, "f")
         mig.enable_inplace()
-        # try_majority replaces the gate by ``a`` (affected = empty: the
+        # collapse_to_a replaces the gate by ``a`` (affected = empty: the
         # only reader is a PO) and tombstones it; before the fix the phase
         # fell through to try_distributivity_rl, which raised MigError on
         # the dead node.
-        _worklist_phase(mig, (try_majority, try_distributivity_rl))
+        _worklist_phase(mig, (collapse_to_a, try_distributivity_rl))
         assert mig.num_gates == 0
         assert mig.pos()[0] == a

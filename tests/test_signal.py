@@ -35,11 +35,6 @@ class TestInversion:
         s = Signal.make(7, True)
         assert ~~s == s
 
-    def test_with_inversion(self):
-        s = Signal.make(4, True)
-        assert not s.with_inversion(False).inverted
-        assert s.with_inversion(True) == s
-
     def test_xor_inversion(self):
         s = Signal.make(4)
         assert s.xor_inversion(True) == ~s

@@ -10,7 +10,6 @@ from repro.mig.simulate import (
     output_tables,
     simulate,
     simulate_outputs,
-    simulate_signals,
     truth_tables,
 )
 
@@ -130,11 +129,3 @@ class TestDuplicateOutputNames:
 
     def test_output_tables_match_truth_tables_without_duplicates(self, maj3):
         assert output_tables(maj3) == [truth_tables(maj3)["m"]]
-
-
-class TestSimulateSignals:
-    def test_internal_values(self, maj3):
-        values = simulate_signals(maj3, {"a": 1, "b": 1, "c": 0})
-        gate = next(iter(maj3.gates()))
-        assert values[gate] == 1
-        assert values[0] == 0  # constant node

@@ -17,14 +17,18 @@ from both engines and must agree — so each case is asserted on both.
 
 import pytest
 
-from repro.core.allocator import RramAllocator
 from repro.core.translate_fast import NO_CELL, NOT_COMPUTED, FastTranslationState
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
 from repro.plim.program import Program
 
-from compile_reference import CONSUMED, TranslationState, translate_node
+from compile_reference import (
+    CONSUMED,
+    RramAllocator,
+    TranslationState,
+    translate_node,
+)
 
 
 class _Engine:
