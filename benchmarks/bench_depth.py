@@ -4,8 +4,7 @@ Measures ``objective="depth"`` rewriting throughput on representative
 circuits for both engines — the in-place worklist engine with incremental
 level maintenance and the legacy ``pass_associativity_depth`` rebuild
 pipeline kept as the differential oracle in ``tests/rewrite_reference.py``
-(the ``"rebuild"`` engine key) — plus the multi-objective ``balanced``
-loop on the worklist engine.
+(the ``"rebuild"`` engine key).
 
 Run directly (``python benchmarks/bench_depth.py [--scale ci]``) to emit
 ``BENCH_depth.json`` next to this file: per-circuit depth before/after and
@@ -22,7 +21,7 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
 
 from bench_rewriting import rewrite_engines
 from repro.circuits.registry import benchmark_info
-from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.core.rewriting import RewriteOptions
 from repro.mig.analysis import depth
 
 REPRESENTATIVE = ["adder", "sin", "router", "voter", "mem_ctrl"]
@@ -45,21 +44,6 @@ if pytest is not None:
             }
         )
         assert depth(rewritten) <= depth(mig.cleanup()[0])
-
-    @pytest.mark.parametrize("name", ["adder", "router"])
-    def test_balanced_objective_throughput(benchmark, name, scale):
-        """The multi-objective loop: size + depth to a joint fixed point."""
-        mig = benchmark_info(name).build(scale)
-        options = RewriteOptions(effort=4, objective="balanced")
-        rewritten = benchmark(rewrite_for_plim, mig, options)
-        benchmark.extra_info.update(
-            {
-                "scale": scale,
-                "gates_after": rewritten.num_gates,
-                "depth_after": depth(rewritten),
-            }
-        )
-        assert rewritten.num_gates <= mig.cleanup()[0].num_gates
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +93,6 @@ def main(argv=None) -> int:
                 "depth_after": depth(rewritten),
                 "gates_after": rewritten.num_gates,
             }
-        seconds, balanced = best_time(
-            rewrite_for_plim, mig, RewriteOptions(effort=4, objective="balanced")
-        )
-        row["balanced"] = {
-            "seconds": round(seconds, 6),
-            "depth_after": depth(balanced),
-            "gates_after": balanced.num_gates,
-        }
         worklist = row["engines"]["worklist"]
         rebuild = row["engines"]["rebuild"]
         row["speedup"] = (

@@ -3,7 +3,7 @@
 Subcommands::
 
     plimc compile <circuit> [-o out.plim] [--naive] [--no-rewrite]
-                  [--objective size|depth|balanced|static-plim|plim]
+                  [--objective size|depth|static-plim|plim]
                   [--cache-dir DIR] ...
     plimc stats <circuit>
     plimc run <program.plim> --set a=1 --set b=0 ...
@@ -46,9 +46,8 @@ from pathlib import Path
 from repro._version import __version__
 from repro.circuits.registry import BENCHMARK_NAMES, SCALES, benchmark_info
 from repro.core.compiler import CompilerOptions
+from repro.core.cost import COST_MODELS
 from repro.core.pipeline import compile_mig
-from repro.core.rewriting import MODEL_OBJECTIVES
-from repro.core.rewriting import OBJECTIVES as REWRITE_OBJECTIVES
 from repro.core.resilience import ON_ERROR_MODES, TaskError, TaskFailure, TaskPolicy
 from repro.errors import ReproError
 from repro.eval import ablations
@@ -522,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compile",
         help="compile a circuit file to a PLiM program",
-        epilog="examples: plimc compile adder.blif --objective balanced;  "
+        epilog="examples: plimc compile adder.blif --objective plim;  "
         "plimc compile c.mig --objective depth;  "
         "use 'plimc pareto' to sweep the whole (#N, #D) trade-off",
     )
@@ -553,11 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--objective",
-        choices=list(REWRITE_OBJECTIVES) + list(MODEL_OBJECTIVES),
+        choices=list(COST_MODELS),
         default="size",
         help="rewriting objective: node count (size, the paper's Algorithm 1), "
-        "critical path (depth), the interleaved multi-objective loop "
-        "(balanced), or a cost model — the §4.2.2 instruction estimate "
+        "critical path (depth), the §4.2.2 instruction estimate "
         "(static-plim) or real measured Algorithm 2 cost (plim, the "
         "synthesize/schedule/re-synthesize loop)",
     )
@@ -780,8 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-request compile deadline (enforced only with --pooled; "
-        "default: none)",
+        help="per-request compile deadline; a compile with a deadline runs "
+        "on a worker process, killed when overdue (default: none)",
     )
     p.add_argument(
         "--job-timeout",
@@ -793,8 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pooled",
         action="store_true",
-        help="run every compile on a supervised worker process "
-        "(crash isolation + enforceable --timeout, at process-hop cost)",
+        help="run every compile on a supervised worker process, even "
+        "without --timeout (crash isolation, at process-hop cost)",
     )
     p.add_argument(
         "--cache-dir",

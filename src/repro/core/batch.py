@@ -115,9 +115,10 @@ def parallel_imap(
     (see :class:`~repro.core.resilience.TaskPolicy`); under
     ``on_error="skip"``/``"degrade"`` an unrecovered task's slot yields
     its :class:`~repro.core.resilience.TaskFailure` record instead of a
-    result.  ``force_pool=True`` supervises even a single item on a worker
-    process — how ``plimc serve`` gets an enforceable deadline and crash
-    isolation for one request.
+    result.  A policy with a deadline (``timeout_s``) always runs on
+    supervised worker processes, because only a worker can be killed when
+    the deadline passes; so does ``force_pool=True``, which is how
+    ``plimc serve --pooled`` gets crash isolation for one request.
     """
     items = list(items)
     size = min(resolve_workers(workers), max(1, len(items)))
@@ -125,7 +126,7 @@ def parallel_imap(
         return
     policy = policy or TaskPolicy()
     inline = fn if cache is None else functools.partial(_on_live, fn, cache)
-    if size <= 1 and not force_pool:
+    if size <= 1 and not force_pool and policy.timeout_s is None:
         outcomes = _iter_inline(inline, items, policy)
     else:
         task = fn if cache is None else functools.partial(_on_view, fn, cache.view())
@@ -162,9 +163,10 @@ def parallel_map(
 
     ``workers=None`` (the default, the package-wide convention) means one
     worker per CPU.  ``fn`` and the items must be picklable (``fn`` a
-    module-level function).  With one worker (or one item) everything
-    runs inline in this process — no pool, no pickling — which is also
-    the fallback the tests rely on for exact reproducibility checks.
+    module-level function).  With one worker (or one item) and no
+    deadline everything runs inline in this process — no pool, no
+    pickling — which is also the fallback the tests rely on for exact
+    reproducibility checks.
 
     ``cache``/``policy``/``force_pool`` are those of
     :func:`parallel_imap`; asyncio callers run the whole map through

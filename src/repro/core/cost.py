@@ -113,24 +113,6 @@ def estimate_extra_rrams(mig: Mig) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """Bundle of the static estimates for reporting."""
-
-    num_gates: int
-    instructions: int
-    extra_rrams: int
-
-
-def estimate(mig: Mig, po_negation_cost: int = 0) -> CostEstimate:
-    """Collect a :class:`CostEstimate` for ``mig``."""
-    return CostEstimate(
-        num_gates=mig.num_gates,
-        instructions=estimate_instructions(mig, po_negation_cost),
-        extra_rrams=estimate_extra_rrams(mig),
-    )
-
-
 def estimate_from_histogram(
     num_gates: int, hist: Sequence[int], zero_comp_no_const: int
 ) -> int:
@@ -225,8 +207,8 @@ class CostReport:
 class CostModel:
     """Protocol of a rewriting objective (subclass the frozen dataclasses).
 
-    A model measures a whole MIG (:meth:`measure`) and exposes the
-    orderable :meth:`objective_key` the guided drivers minimize.
+    A model measures a whole MIG (:meth:`measure`); the report's
+    orderable ``objective`` is what the guided drivers minimize.
     ``strategy`` routes dispatch in
     :func:`~repro.core.rewriting.rewrite_for_plim`: ``"size"``/``"depth"``
     models run the dedicated (bit-identical) objectives; ``"guided"`` models
@@ -252,16 +234,6 @@ class CostModel:
         measurement is expensive (:class:`CompiledPlim`) memoize reports
         under its ``"measurements"`` kind, cheap models ignore it."""
         raise NotImplementedError
-
-    def objective_key(
-        self,
-        mig: Mig,
-        *,
-        context: "Optional[AnalysisContext]" = None,
-        cache=None,
-    ) -> tuple:
-        """The orderable scalarization of :meth:`measure` (lower is better)."""
-        return self.measure(mig, context=context, cache=cache).objective
 
 
 @dataclass(frozen=True)
@@ -434,12 +406,11 @@ def resolve_cost_model(objective: Union[str, CostModel]) -> CostModel:
     """Map a string alias (or pass a model through) to a :class:`CostModel`.
 
     Raises :class:`~repro.errors.ReproError` for unknown aliases and for
-    objects that are not cost models (``"balanced"`` is a rewriting
-    *strategy*, not a measurable model, and is rejected here).
+    objects that are neither strings nor cost models.
     """
     if isinstance(objective, CostModel):
         return objective
-    factory = COST_MODELS.get(objective)
+    factory = COST_MODELS.get(objective) if isinstance(objective, str) else None
     if factory is None:
         raise ReproError(
             f"unknown cost model {objective!r}; expected one of "

@@ -86,9 +86,9 @@ def compile_mig(
 ) -> CompileResult:
     """Rewrite (optional) and compile ``mig`` into a PLiM program.
 
-    ``effort`` is the rewriter's cycle count and ``objective`` its target ("size" — Algorithm 1, the default — "depth"
-    for critical-path rewriting, "balanced" for the interleaved
-    multi-objective loop, or a :class:`~repro.core.cost.CostModel`
+    ``effort`` is the rewriter's cycle count and ``objective`` its target
+    ("size" — Algorithm 1, the default — "depth" for critical-path
+    rewriting, or another :class:`~repro.core.cost.CostModel`
     instance/alias such as "plim" for guided measure-and-select rewriting
     against real compiled cost — see :func:`repro.core.rewriting
     .compile_cost_loop` for the loop with full reporting; all ignored
@@ -119,7 +119,7 @@ def compile_mig(
         >>> result = compile_mig(mig)
         >>> (result.num_gates, result.num_instructions, result.num_rrams)
         (1, 5, 2)
-        >>> compile_mig(mig, objective="balanced").num_gates
+        >>> compile_mig(mig, objective="depth").num_gates
         1
     """
     copts = compiler_options if compiler_options is not None else CompilerOptions()

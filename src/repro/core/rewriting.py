@@ -61,7 +61,6 @@ from repro.mig.algebra import (
     try_associativity_depth,
     try_complementary_associativity,
     try_distributivity_rl,
-    try_push_inverters,
 )
 from repro.mig.graph import Mig
 
@@ -101,18 +100,17 @@ class RewriteOptions:
     #: only one, and the field stays because its repr is part of every
     #: rewrite cache key
     engine: str = "worklist"
-    #: optimization target: "size" (the paper's Algorithm 1 — serial PLiM
-    #: programs only care about node count), "depth" (critical-path Ω.A
-    #: swaps only — parallel in-memory targets), "balanced" (interleave
-    #: size and depth effort cycles until a joint fixed point), or a
-    #: :class:`~repro.core.cost.CostModel` — by instance, or by alias
-    #: ("static-plim"/"plim") — which runs the guided measure-and-select
-    #: driver against that model's objective
+    #: optimization target: a :data:`~repro.core.cost.COST_MODELS` alias
+    #: or a :class:`~repro.core.cost.CostModel` instance.  "size" is the
+    #: paper's Algorithm 1 (serial PLiM programs only care about node
+    #: count), "depth" runs critical-path Ω.A swaps only (parallel
+    #: in-memory targets), and every other model ("static-plim", "plim")
+    #: runs the guided measure-and-select driver against its objective
     objective: Union[str, CostModel] = "size"
     #: hard depth ceiling for size rewriting: size rules reject any
     #: candidate that could push a primary-output level past the budget,
-    #: so ``objective="size"``/``"balanced"`` can shrink the graph without
-    #: deepening it beyond ``depth_budget`` levels.
+    #: so ``objective="size"`` can shrink the graph without deepening it
+    #: beyond ``depth_budget`` levels.
     #: ``None`` (the default) places no ceiling.  A budget below the input
     #: MIG's depth is infeasible and raises
     #: :class:`~repro.errors.MigError`.
@@ -123,14 +121,14 @@ class RewriteOptions:
             raise ReproError(
                 f"unknown rewrite engine {self.engine!r}; expected one of {ENGINES}"
             )
-
-
-#: the built-in rewriting strategies (legacy string objectives)
-OBJECTIVES = ("size", "depth", "balanced")
-#: cost-model aliases additionally accepted by ``objective`` (the
-#: "size"/"depth" aliases of :data:`repro.core.cost.COST_MODELS` map onto
-#: the strategies above; these two run the guided driver)
-MODEL_OBJECTIVES = ("static-plim", "plim")
+        objective = self.objective
+        if not isinstance(objective, CostModel) and not (
+            isinstance(objective, str) and objective in COST_MODELS
+        ):
+            raise ReproError(
+                f"unknown rewrite objective {objective!r}; expected one of "
+                f"{tuple(COST_MODELS)} or a CostModel instance"
+            )
 
 
 def _normalize_objective(
@@ -138,27 +136,16 @@ def _normalize_objective(
 ) -> tuple[RewriteOptions, Optional[CostModel]]:
     """Resolve ``opts.objective`` to (canonical options, guided model).
 
-    Strings in :data:`OBJECTIVES` are the legacy strategies (returned
-    unchanged, no model).  Cost-model aliases and instances resolve
-    through :func:`~repro.core.cost.resolve_cost_model`; models whose
-    ``strategy`` is ``"size"``/``"depth"`` collapse onto the dedicated
-    objectives (``objective=NodeCount()`` is bit-identical to
+    Aliases and instances resolve through
+    :func:`~repro.core.cost.resolve_cost_model`.  :class:`NodeCount` and
+    :class:`Depth` map back onto the ``"size"``/``"depth"`` strings of the
+    dedicated engines (``objective=NodeCount()`` is bit-identical to
     ``objective="size"`` — and shares its cache entries, because the
     canonicalized options are the cache key).  Guided models are stored
     back into the options as instances, so ``"plim"`` and
     ``CompiledPlim()`` share one cache identity too.
     """
-    objective = opts.objective
-    if isinstance(objective, str) and objective in OBJECTIVES:
-        return opts, None
-    if not isinstance(objective, CostModel) and (
-        not isinstance(objective, str) or objective not in COST_MODELS
-    ):
-        raise ReproError(
-            f"unknown rewrite objective {objective!r}; expected one of "
-            f"{OBJECTIVES + MODEL_OBJECTIVES} or a CostModel instance"
-        )
-    model = resolve_cost_model(objective)
+    model = resolve_cost_model(opts.objective)
     if type(model) in (NodeCount, Depth):
         return replace(opts, objective=model.strategy), None
     return replace(opts, objective=model), model
@@ -173,9 +160,9 @@ def rewrite_for_plim(
     """Run MIG rewriting on ``mig`` and return the rewritten MIG.
 
     ``options.objective`` picks the target: ``"size"`` is the paper's
-    Algorithm 1, ``"depth"`` the critical-path rewriter, ``"balanced"``
-    the interleaved multi-objective loop.  ``options.depth_budget`` puts a
-    hard depth ceiling under size rewriting (a budget below the input's
+    Algorithm 1, ``"depth"`` the critical-path rewriter, any other cost
+    model the guided measure-and-select loop.  ``options.depth_budget``
+    puts a hard depth ceiling under size rewriting (a budget below the input's
     depth raises :class:`~repro.errors.MigError`).  ``mig`` itself is
     never modified, whichever objective runs.
 
@@ -216,8 +203,8 @@ def rewrite_for_plim(
             )
         if opts.objective == "depth":
             raise ReproError(
-                "depth_budget applies to the 'size' and 'balanced' "
-                "objectives; objective='depth' already minimizes depth"
+                "depth_budget does not apply to objective='depth', which "
+                "already minimizes depth"
             )
     fingerprint = None
     if cache is not None:
@@ -230,7 +217,7 @@ def rewrite_for_plim(
     elif opts.objective == "size":
         result = _rewrite_worklist(mig, opts)
     else:
-        result = _rewrite_objective_worklist(mig, opts)
+        result = _rewrite_depth_worklist(mig, opts)
     if cache is not None:
         cache.put_rewrite(fingerprint, opts, result)
     return result
@@ -442,37 +429,14 @@ def _reshaping_phase(work: Mig, use_psi: bool, depth_budget: Optional[int]) -> N
         if not candidate:
             continue
         for rule in rules:
-            # see _worklist_phase: a fired rule may return an empty set
-            if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
-                break
-        if len(ca) > len(single):
-            single.extend(b"\x01" * (len(ca) - len(single)))
-
-
-def _worklist_phase(
-    work: Mig,
-    rules: tuple,
-    depth_budget: Optional[int] = None,
-) -> None:
-    """Run one rule family once over every live gate, in topological order.
-
-    Every seed is visited once: merge/collapse cascades still run inside
-    ``replace_node``, and follow-up opportunities are picked up by the
-    next phase or cycle.  The first rule that fires at a gate ends that
-    gate's visit.
-    """
-    ca = work._ca
-    fanouts = work.fanout_snapshot()
-    for v in list(work.topo_gates()):
-        if ca[v] < 0:  # retired by an earlier rewrite's cascade
-            continue
-        for rule in rules:
             # A rule can fire and still report an empty affected set (the
             # replacement is a literal and ``v`` was read only by POs, so
             # no gate's children changed); ``v`` is tombstoned then, and
             # the next rule must not run on the dead node.
             if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
                 break
+        if len(ca) > len(single):
+            single.extend(b"\x01" * (len(ca) - len(single)))
 
 
 def _sweep_commutativity(work: Mig) -> None:
@@ -601,7 +565,8 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
 
 
 def _sweep_push_inverters(work: Mig, threshold: int) -> None:
-    """In-place unconditional Ω.I(R→L) sweep (:func:`try_push_inverters`)."""
+    """In-place unconditional Ω.I(R→L) sweep
+    (:func:`~repro.mig.algebra.try_push_inverters`)."""
     order = list(work.topo_gates())
     position = {v: i for i, v in enumerate(order)}
     evicted: set[int] = set()
@@ -650,56 +615,40 @@ def _visit_for_flip(
 
 
 # ----------------------------------------------------------------------
-# depth and balanced objectives (the multi-objective synthesis loop)
+# the depth objective
 # ----------------------------------------------------------------------
 
 
-def _rewrite_objective_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
-    """Depth/balanced objectives on the in-place worklist engine.
+def _rewrite_depth_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
+    """The depth objective on the in-place worklist engine.
 
     One private dead-free copy with incremental level maintenance
     (:meth:`~repro.mig.graph.Mig.enable_levels`), so every depth query
     during the sweep reads maintained levels instead of traversing the
-    graph.  Each effort cycle runs (balanced only) one Algorithm 1 size
-    cycle, then one depth phase of local
-    :func:`~repro.mig.algebra.try_associativity_depth` moves; the loop
-    stops at the joint (signature, depth) fixed point.  Depth is
-    monotonically non-increasing across the depth phases: every local
-    move strictly lowers the rewritten node's level and can raise no
-    other node's.
+    graph.  Each effort cycle visits every live gate once, in topological
+    order, with the local
+    :func:`~repro.mig.algebra.try_associativity_depth` move.  The loop
+    keeps a strict-improvement rule: it stops as soon as a cycle fails to
+    lower the global depth.  Moves already applied in that cycle are
+    harmless, because each strictly lowers the rewritten node's level and
+    can raise no other node's.
     """
     work = _private_clean_copy(mig)
     work.enable_inplace()
     # drop unreachable cones a clone carried over
     work.collect_unused()
     work.enable_levels()
-    if opts.depth_budget is not None:
-        _check_budget_feasible(work, opts.depth_budget)
     edits_at_start = work.edit_count
-    balanced = opts.objective == "balanced"
+    ca = work._ca
     for _cycle in range(opts.effort):
-        before_sig = _inplace_signature(work)
-        before_depth = work.current_depth()
-        if balanced:
-            _size_cycle_worklist(work, opts)
-        _worklist_phase(work, (try_associativity_depth,))
+        before = work.current_depth()
+        fanouts = work.fanout_snapshot()
+        for v in list(work.topo_gates()):
+            if ca[v] >= 0:  # not retired by an earlier rewrite's cascade
+                try_associativity_depth(work, v, fanouts)
         work.collect_unused()
-        if balanced:
-            # joint fixed point: neither objective moved this cycle
-            if opts.early_exit and (
-                _inplace_signature(work),
-                work.current_depth(),
-            ) == (before_sig, before_depth):
-                break
-        elif work.current_depth() >= before_depth:
-            # pure depth keeps a strict-improvement rule: stop as soon as
-            # a cycle fails to lower the global depth (already-applied
-            # local moves are harmless — depth is monotonically
-            # non-increasing under the rule)
+        if work.current_depth() >= before:
             break
-    if balanced:
-        # restore the translation-friendly child order, like the size objective
-        _sweep_commutativity(work)
     if work.edit_count == edits_at_start:
         return work  # no structural edits: the private copy is already clean
     return work.compact()
@@ -732,7 +681,7 @@ class CostLoopStep:
     #: guided round (0 = the un-rewritten input's baseline measurement)
     iteration: int
     #: which strategy produced the candidate ("input", "size", "size+psi",
-    #: "balanced", "depth")
+    #: "depth")
     variant: str
     #: whether the candidate improved the model objective and was kept
     accepted: bool
@@ -788,9 +737,9 @@ def _guided_variants(opts: RewriteOptions) -> tuple:
     Algorithm 1 variants that land in *different* local optima: plain
     size rewriting, size with the derived Ψ.A rule (which frequently
     trades a node of sharing for a cheaper complement structure — the
-    single biggest #I winner on the registry), the balanced loop, and —
-    when no depth budget constrains the search — pure depth rewriting
-    (occasionally cheaper to translate at equal #N).  The model, not the
+    single biggest #I winner on the registry), and — when no depth budget
+    constrains the search — pure depth rewriting (occasionally cheaper to
+    translate at equal #N).  The model, not the
     strategy, decides what is kept.
     """
     base = dict(
@@ -807,10 +756,6 @@ def _guided_variants(opts: RewriteOptions) -> tuple:
             RewriteOptions(
                 objective="size", use_psi=True, depth_budget=opts.depth_budget, **base
             ),
-        ),
-        (
-            "balanced",
-            RewriteOptions(objective="balanced", depth_budget=opts.depth_budget, **base),
         ),
     ]
     if opts.depth_budget is None:

@@ -1,8 +1,8 @@
 """Ablation studies called out in DESIGN.md (experiments X1–X5).
 
 * :func:`effort_sweep` — rewriting effort (Algorithm 1 cycles) vs. cost.
-* :func:`objective_ablation` — size vs. depth vs. balanced rewriting
-  objectives (#N/#D/#I/#R trade-off of the multi-objective loop).
+* :func:`objective_ablation` — size vs. depth rewriting objectives
+  (the #N/#D/#I/#R trade-off).
 * :func:`format_pareto_front` — X7, the full (#N, #D) frontier of the
   depth-budgeted sweep (:func:`repro.core.pareto.pareto_sweep`), in both
   MIG and PLiM terms.
@@ -28,7 +28,6 @@ from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import CompiledPlim
 from repro.core.pareto import ParetoFront, pareto_sweep
 from repro.core.rewriting import (
-    OBJECTIVES,
     CostLoopResult,
     RewriteOptions,
     compile_cost_loop,
@@ -89,7 +88,7 @@ def format_effort_sweep(name: str, points: Sequence[EffortPoint]) -> str:
 
 
 # ----------------------------------------------------------------------
-# X6: rewriting objective (size vs depth vs balanced)
+# X6: rewriting objective (size vs depth)
 # ----------------------------------------------------------------------
 
 
@@ -107,12 +106,11 @@ def objective_ablation(mig: Mig, rewrite_effort: int = 4) -> list[ObjectivePoint
 
     ``size`` is the paper's Algorithm 1 (serial PLiM programs only care
     about node count); ``depth`` optimizes the critical path for parallel
-    in-memory targets; ``balanced`` interleaves both to a joint fixed
-    point.
+    in-memory targets.
     """
     compiler = PlimCompiler(CompilerOptions(fix_output_polarity=False))
     points = []
-    for objective in OBJECTIVES:
+    for objective in ("size", "depth"):
         rewritten = rewrite_for_plim(
             mig,
             RewriteOptions(effort=rewrite_effort, objective=objective),

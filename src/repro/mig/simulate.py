@@ -229,25 +229,6 @@ def _simulate_encodings(
     return [_fetch(values, encoding, mask) for encoding in encodings]
 
 
-def _signal_values(
-    mig: Mig,
-    pi_values: Mapping[str, int] | Sequence[int],
-    num_patterns: int,
-) -> list[Optional[int]]:
-    """Packed value per signal, as a flat list indexed by signal encoding.
-
-    This is the inner loop of equivalence checking and program
-    verification, so it avoids dict hashing: slot ``int(signal)`` holds the
-    signal's packed value.  Complemented values are computed lazily — a
-    slot is filled from its sibling (``encoding ^ 1``) on first use — so a
-    gate whose output is never read complemented costs one store instead
-    of two XORs and two stores.  Unfilled slots (unused complements, dead
-    nodes) remain ``None``.
-    """
-    pi_ints = _resolve_pi_ints(mig, pi_values, num_patterns)
-    return _run_bigint(_plan_for(mig), pi_ints, num_patterns)
-
-
 def _run_bigint(
     plan: _SimPlan, pi_ints: list[int], num_patterns: int
 ) -> list[Optional[int]]:

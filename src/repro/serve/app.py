@@ -11,8 +11,8 @@ Execution model
 The event loop owns all shared state: the :class:`~repro.core.cache
 .SynthesisCache`, the dedup table, the admission counter.  Compiles run
 off-loop — on an executor thread (default) or a supervised worker
-process (``pooled=True``, which buys per-request deadlines and crash
-isolation) — and *never* see the live cache: each request or job works
+process (with a per-request deadline, or ``pooled=True``, which buys
+crash isolation) — and *never* see the live cache: each request or job works
 on its own :meth:`~repro.core.cache.SynthesisCache.view`, whose fresh
 entries the event loop absorbs afterwards.  One request = one task on
 the :mod:`repro.core.resilience` engine with a per-class
@@ -85,10 +85,11 @@ class ServerConfig:
     ``workers`` bounds *concurrent* compiles (an asyncio semaphore);
     ``queue_limit`` bounds requests in the system at once — admitted
     requests beyond ``workers`` wait for a slot, requests beyond
-    ``queue_limit`` are shed with 429.  ``pooled`` routes every compile
-    through a supervised worker process (the only way ``timeout_s``
-    deadlines can actually kill a runaway compile — inline threads are
-    uncancellable in CPython).  ``read_timeout_s`` is the socket
+    ``queue_limit`` are shed with 429.  A ``request_timeout_s`` deadline
+    routes every compile through a supervised worker process, the only
+    thing that can kill a runaway compile (inline threads are
+    uncancellable in CPython); ``pooled`` does so even without a
+    deadline, for crash isolation.  ``read_timeout_s`` is the socket
     transport's deadline for receiving one full request (stalled
     clients get 408 instead of holding a connection task forever);
     ``max_finished_jobs`` caps how many done/failed job records the

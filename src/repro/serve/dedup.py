@@ -27,7 +27,6 @@ touched from the event loop — which is exactly how the app uses it
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
 
 
 class DedupTable:

@@ -44,7 +44,6 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ParseError, ReproError
 from repro.mig.graph import Mig
@@ -263,7 +262,8 @@ def compile_options(payload: dict) -> dict:
     also the dedup/cache identity of the request — two requests with the
     same fingerprint and the same normalized options are the same job.
     """
-    from repro.core.rewriting import ENGINES, MODEL_OBJECTIVES, OBJECTIVES
+    from repro.core.cost import COST_MODELS
+    from repro.core.rewriting import ENGINES
 
     options = payload.get("options", {})
     if not isinstance(options, dict):
@@ -294,13 +294,15 @@ def compile_options(payload: dict) -> dict:
             f"unknown engine {normalized['engine']!r}; expected one of "
             f"{sorted(ENGINES)}",
         )
-    objectives = tuple(OBJECTIVES) + tuple(MODEL_OBJECTIVES)
-    if normalized["objective"] not in objectives:
+    if (
+        not isinstance(normalized["objective"], str)
+        or normalized["objective"] not in COST_MODELS
+    ):
         raise ProtocolError(
             400,
             "bad-request",
             f"unknown objective {normalized['objective']!r}; expected one of "
-            f"{sorted(objectives)}",
+            f"{sorted(COST_MODELS)}",
         )
     return normalized
 

@@ -4,9 +4,9 @@ Hypothesis generates arbitrary well-formed MIGs; on every one of them the
 worklist depth engine must compute the same functions as the
 ``pass_associativity_depth`` rebuild oracle (``tests/rewrite_reference.py``),
 reach a depth no worse than the oracle's, and never grow beyond the
-cleaned input (the depth move is size-neutral beyond Ω.A).  A second property checks the incremental level
-table against a from-scratch recomputation after arbitrary local moves,
-and a third drives the ``balanced`` multi-objective loop.
+cleaned input (the depth move is size-neutral beyond Ω.A).  A second
+property checks the incremental level table against a from-scratch
+recomputation after arbitrary local moves.
 """
 
 from hypothesis import given, settings
@@ -55,11 +55,3 @@ def test_local_depth_moves_keep_levels_exact(mig):
     assert work.current_depth() <= before_depth
     assert output_tables(work) == before_tables
 
-
-@FAST
-@given(mig=migs())
-def test_balanced_objective_function_preserving(mig):
-    clean = mig.cleanup()[0]
-    balanced = rewrite_for_plim(mig, RewriteOptions(objective="balanced"))
-    assert output_tables(balanced) == output_tables(mig)
-    assert balanced.num_gates <= clean.num_gates

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import compile_mig
+from repro.eval.fig3 import fig3b
 from repro.serve.app import PlimServer, ServerConfig
 from repro.serve.protocol import Request, canonical_json
 from repro.serve.worker import build_record, request_option_sets
@@ -31,9 +32,25 @@ option_sets = st.fixed_dictionaries(
         "rewrite": st.booleans(),
         "effort": st.integers(1, 3),
         "engine": st.just("worklist"),
-        "objective": st.sampled_from(["size", "depth", "balanced"]),
+        "objective": st.sampled_from(["size", "depth"]),
     },
 )
+
+
+def test_balanced_objective_is_a_bad_request():
+    """Objective names are the cost-model aliases; ``balanced`` is not one."""
+    buf = io.StringIO()
+    write_mig(fig3b(), buf)
+    payload = {
+        "circuit": buf.getvalue(), "format": "mig", "options": {"objective": "balanced"}
+    }
+    response = asyncio.run(
+        PlimServer(ServerConfig()).handle(
+            Request("POST", "/compile", canonical_json(payload))
+        )
+    )
+    assert response.status == 400
+    assert response.json()["error"]["code"] == "bad-request"
 
 
 @FAST

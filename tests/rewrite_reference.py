@@ -6,7 +6,7 @@ whole graph through :func:`rebuild_with`, so one effort cycle copies the
 MIG about eight times.  Passes return a fresh, dead-node-free graph and
 never change the computed functions.  :func:`rewrite_reference` runs the
 paper's cycle (Ω.M; Ω.D; Ω.A[; Ψ.A]; Ω.C; Ω.M; Ω.D; Ω.I(1–3); Ω.I) on
-them for the ``size``, ``depth`` and ``balanced`` objectives; the
+them for the ``size`` and ``depth`` objectives; the
 shipped :func:`~repro.core.rewriting.rewrite_for_plim` must compute the
 same functions and never end up larger or deeper
 (``tests/test_rewrite_engines.py``, ``tests/test_depth_engines.py`` and
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.cost import negation_cost
-from repro.core.rewriting import OBJECTIVES, RewriteOptions, _signature
+from repro.core.rewriting import RewriteOptions, _signature
 from repro.errors import ReproError
 from repro.mig.algebra import (
     _best_permutation,
@@ -450,22 +450,22 @@ def rewrite_reference(mig: Mig, options: Optional[RewriteOptions] = None) -> Mig
     :func:`~repro.core.rewriting.rewrite_for_plim`.
 
     Honours every :class:`~repro.core.rewriting.RewriteOptions` knob of
-    the ``"size"``, ``"depth"`` and ``"balanced"`` objectives.  Cost-model
+    the ``"size"`` and ``"depth"`` objectives.  Other cost-model
     objectives and ``depth_budget`` (which gates on the worklist engine's
     incremental levels) have no pass form and raise
     :class:`~repro.errors.ReproError`.  ``mig`` itself is never modified.
     """
     opts = options if options is not None else RewriteOptions()
-    if not (isinstance(opts.objective, str) and opts.objective in OBJECTIVES):
+    if opts.objective not in ("size", "depth"):
         raise ReproError(
-            f"the reference rewriter runs only the {OBJECTIVES} objectives, "
-            f"got {opts.objective!r}"
+            "the reference rewriter runs only the 'size' and 'depth' "
+            f"objectives, got {opts.objective!r}"
         )
     if opts.depth_budget is not None:
         raise ReproError("the reference rewriter has no depth-budget gating")
     if opts.objective == "size":
         return _rewrite_size(mig, opts)
-    return _rewrite_objective(mig, opts)
+    return _rewrite_depth(mig, opts)
 
 
 def _size_cycle(mig: Mig, opts: RewriteOptions) -> Mig:
@@ -497,32 +497,15 @@ def _rewrite_size(mig: Mig, opts: RewriteOptions) -> Mig:
     return pass_commutativity(mig)
 
 
-def _rewrite_objective(mig: Mig, opts: RewriteOptions) -> Mig:
-    """The depth and balanced objectives.
-
-    ``objective="depth"`` iterates ``pass_associativity_depth`` + Ω.M and
-    accepts only strictly depth-improving rounds.  ``objective="balanced"``
-    interleaves one full Algorithm 1 size cycle with one depth cycle per
-    round until the joint (size signature, depth) fixed point — the depth
-    cycle runs *after* the size cycle so area reshaping cannot undo the
-    depth gains.
-    """
-    if opts.objective == "depth":
-        best = mig
-        best_depth = depth(mig)
-        for _ in range(opts.effort):
-            candidate = pass_majority(pass_associativity_depth(best))
-            candidate_depth = depth(candidate)
-            if candidate_depth >= best_depth:
-                break
-            best, best_depth = candidate, candidate_depth
-        return best
-    current = mig
-    for _cycle in range(opts.effort):
-        before = (_signature(current), depth(current))
-        current = _size_cycle(current, opts)
-        current = pass_majority(pass_associativity_depth(current))
-        if opts.early_exit and (_signature(current), depth(current)) == before:
+def _rewrite_depth(mig: Mig, opts: RewriteOptions) -> Mig:
+    """The depth objective: ``pass_associativity_depth`` + Ω.M rounds,
+    accepting only strictly depth-improving ones."""
+    best = mig
+    best_depth = depth(mig)
+    for _ in range(opts.effort):
+        candidate = pass_majority(pass_associativity_depth(best))
+        candidate_depth = depth(candidate)
+        if candidate_depth >= best_depth:
             break
-    # restore the translation-friendly child order, like the size objective
-    return pass_commutativity(current)
+        best, best_depth = candidate, candidate_depth
+    return best

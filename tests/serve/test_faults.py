@@ -126,6 +126,14 @@ class TestDeadline:
         assert response.status == 504
         assert response.json()["error"]["code"] == "timeout"
 
+    def test_unpooled_timeout_is_504(self, circuit_payloads, monkeypatch):
+        # a deadline pools the compile without --pooled: the overdue
+        # worker is killed, so the deadline holds on the default server too
+        app = faulty_app(monkeypatch, sleep_plan(30.0), request_timeout_s=0.5)
+        response = asyncio.run(apost(app, "/compile", circuit_payloads["mig"]))
+        assert response.status == 504
+        assert response.json()["error"]["code"] == "timeout"
+
     @pytest.mark.parametrize("timeout_s", [float("inf"), float("nan"), 0])
     def test_unrunnable_deadline_fails_at_construction(self, timeout_s):
         # the pool cannot wait an infinite deadline; refuse it at startup

@@ -302,18 +302,18 @@ class TestNewCompileFlags:
         assert "endmodule" in text
 
     def test_depth_rewrite_flag(self, circuit_file, capsys):
-        """The removed --depth-rewrite flag is a usage error; its
-        replacement, --objective balanced, compiles correctly."""
+        """The removed --depth-rewrite flag and the removed balanced
+        objective are both usage errors."""
         with pytest.raises(SystemExit) as excinfo:
             main(["compile", circuit_file, "--depth-rewrite"])
         assert excinfo.value.code == 2
         assert "--depth-rewrite" in capsys.readouterr().err
-        assert main(
-            ["compile", circuit_file, "--objective", "balanced", "--listing", "--verify"]
-        ) == 0
-        assert "OK" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", circuit_file, "--objective", "balanced"])
+        assert excinfo.value.code == 2
+        assert "balanced" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("objective", ["size", "depth", "balanced"])
+    @pytest.mark.parametrize("objective", ["size", "depth"])
     def test_objective_flag(self, circuit_file, objective, capsys):
         assert main(
             ["compile", circuit_file, "--objective", objective, "--verify"]

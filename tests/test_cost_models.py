@@ -33,7 +33,8 @@ from repro.core.cost import (
     Depth,
     NodeCount,
     StaticPlim,
-    estimate,
+    estimate_extra_rrams,
+    estimate_instructions,
     resolve_cost_model,
 )
 from repro.core.rewriting import (
@@ -78,10 +79,9 @@ class TestModelMeasurements:
     def test_static_plim_matches_the_422_estimator(self):
         m = fa_mig()
         report = StaticPlim().measure(m)
-        est = estimate(m)
-        assert report["instructions"] == est.instructions
-        assert report["extra_rrams"] == est.extra_rrams
-        assert report.objective[0] == est.instructions
+        assert report["instructions"] == estimate_instructions(m)
+        assert report["extra_rrams"] == estimate_extra_rrams(m)
+        assert report.objective[0] == estimate_instructions(m)
 
     def test_static_plim_charges_po_negations_when_asked(self):
         m = fa_mig()  # one complemented PO
@@ -142,14 +142,44 @@ class TestResolution:
             resolve_cost_model("area")
 
     def test_balanced_is_a_strategy_not_a_model(self):
-        # "balanced" interleaves two engines; it measures nothing, so it
-        # stays a rewriting strategy and is rejected here
+        # the removed "balanced" strategy measured nothing, so it never
+        # was a cost model
         with pytest.raises(ReproError, match="unknown cost model"):
             resolve_cost_model("balanced")
+
+    @pytest.mark.parametrize("objective", [["size"], None, 3])
+    def test_non_string_alias_rejected(self, objective):
+        with pytest.raises(ReproError, match="unknown cost model"):
+            resolve_cost_model(objective)
 
     def test_unknown_rewrite_objective_rejected(self):
         with pytest.raises(ReproError, match="unknown rewrite objective"):
             rewrite_for_plim(fa_mig(), RewriteOptions(objective="fastest"))
+
+
+class TestObjectiveVocabulary:
+    """Every objective name is a :data:`COST_MODELS` alias, everywhere."""
+
+    def test_accepted_names_are_the_cost_model_aliases(self):
+        from repro.cli import build_parser
+        from repro.serve.protocol import compile_options
+
+        for name in COST_MODELS:
+            args = build_parser().parse_args(["compile", "c.mig", "--objective", name])
+            assert args.objective == name
+            assert RewriteOptions(objective=name).objective == name
+            assert compile_options({"options": {"objective": name}})["objective"] == name
+
+    @pytest.mark.parametrize("objective", ["balanced", ["size"]])
+    def test_unknown_objective_refused_by_every_api(self, objective):
+        from repro.core.pipeline import compile_mig
+
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            RewriteOptions(objective=objective)
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            rewrite_for_plim(fa_mig(), RewriteOptions(objective=objective))
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            compile_mig(fa_mig(), objective=objective)
 
 
 class TestLegacyEquivalence:
@@ -289,7 +319,7 @@ class TestCostLoop:
     def test_static_objective_reports_the_estimate(self):
         result = compile_cost_loop(build("ctrl", "ci"), objective="static-plim")
         assert result.model == "static-plim"
-        assert result.final["instructions"] == estimate(result.mig).instructions
+        assert result.final["instructions"] == estimate_instructions(result.mig)
 
     def test_compiler_options_override_the_final_compile(self):
         honest = compile_cost_loop(

@@ -72,7 +72,8 @@ class TestFetch:
         with pytest.raises(fb.FetchError, match="does not match the"):
             fb.fetch("tiny", source["entry"], dest, pins, force=True)
 
-    def test_dead_url_raises(self, tmp_path):
+    def test_dead_url_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fb.time, "sleep", lambda s: None)  # no real waits
         entry = {"url": (tmp_path / "missing.aig").as_uri()}
         with pytest.raises(fb.FetchError, match="download failed"):
             fb.fetch("gone", entry, tmp_path / "circuits", {})
@@ -132,7 +133,8 @@ class TestCli:
         with pytest.raises(SystemExit):
             fb.main(["nonesuch", "--manifest", str(manifest)])
 
-    def test_offline_ok_downgrades_failure(self, tmp_path, capsys):
+    def test_offline_ok_downgrades_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fb.time, "sleep", lambda s: None)  # no real waits
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(
             {"gone": {"url": (tmp_path / "missing.aig").as_uri()}}

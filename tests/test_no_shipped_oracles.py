@@ -8,19 +8,24 @@ they live in ``tests/compile_reference.py``,
 ``tests/verify_reference.py``.  None may come back into ``src/``, and no
 public option or wrapper may select them.  The same holds for the
 object RRAM allocator (``tests/compile_reference.py``) and the pool's
-fault injector (``tests/faults.py``).
+fault injector (``tests/faults.py``).  Rewriting objectives have one
+vocabulary, the cost-model aliases, and no module under ``src/`` imports
+a name it never uses.
 """
 
+import ast
 import asyncio
 import dataclasses
 import importlib.util
 import inspect
 import io
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.core
+import repro.core.cost
 import repro.core.resilience
 import repro.core.rewriting
 import repro.core.schedule
@@ -143,3 +148,89 @@ def test_object_allocator_is_not_exported():
     assert not hasattr(repro.core, "RramAllocator")
     assert "RramAllocator" not in repro.core.__all__
     assert importlib.util.find_spec("repro.core.allocator") is None
+
+
+@pytest.mark.parametrize("name", ["estimate", "CostEstimate"])
+def test_no_estimate_bundle(name):
+    """``estimate_instructions``/``estimate_extra_rrams`` are the estimates."""
+    assert not hasattr(repro.core.cost, name)
+
+
+@pytest.mark.parametrize("name", ["OBJECTIVES", "MODEL_OBJECTIVES"])
+def test_no_second_objective_vocabulary(name):
+    """Every objective name is a ``repro.core.cost.COST_MODELS`` alias."""
+    assert not hasattr(repro.core.rewriting, name)
+
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+def _names_in(node: ast.AST) -> set:
+    """Every bare name ``node`` reads, including names inside string
+    annotations such as ``"Optional[SynthesisCache]"``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _names_in(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(source: str) -> list:
+    """``(line, name)`` of each import in ``source`` that nothing reads.
+
+    A name counts as read when the module loads it anywhere, names it in
+    an annotation (also as a string, so ``TYPE_CHECKING`` imports count),
+    or lists it in ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, bound))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _names_in(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _names_in(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)
+            }
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_unused_import_check_sees_string_annotations():
+    source = (
+        "from typing import TYPE_CHECKING, Optional, Sequence\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.core.cache import SynthesisCache\n"
+        "def f(cache: 'Optional[SynthesisCache]' = None) -> None:\n"
+        "    pass\n"
+    )
+    assert unused_imports(source) == [(1, "Sequence")]
+
+
+def test_no_unused_imports():
+    """``__init__.py`` files re-export, so they are not checked."""
+    found = {
+        str(path.relative_to(SRC)): unused
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        and (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -70,13 +70,6 @@ class TestDepthBudgetValidation:
         with pytest.raises(MigError, match="infeasible"):
             rewrite_for_plim(mig, RewriteOptions(depth_budget=1))
 
-    def test_infeasible_budget_raises_for_balanced(self):
-        mig = build("adder", "ci")
-        with pytest.raises(MigError, match="infeasible"):
-            rewrite_for_plim(
-                mig, RewriteOptions(depth_budget=1, objective="balanced")
-            )
-
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 class TestDepthBudgetOnRegistry:
@@ -125,18 +118,7 @@ class TestDepthBudgetOnRegistry:
         assert depth(loose) == depth(unconstrained)
 
 
-class TestDepthBudgetBalanced:
-    def test_balanced_respects_budget(self):
-        for name in ("i2c", "router", "int2float"):
-            mig = build(name, "ci")
-            ceiling = depth(mig.cleanup()[0])
-            rewritten = rewrite_for_plim(
-                mig,
-                RewriteOptions(depth_budget=ceiling, objective="balanced"),
-            )
-            assert depth(rewritten) <= ceiling
-            assert equivalent(rewritten, mig)
-
+class TestDepthBudgetInput:
     def test_budget_does_not_mutate_input(self):
         mig = build("i2c", "ci")
         nodes, gates, edits = len(mig), mig.num_gates, mig.edit_count

@@ -213,6 +213,19 @@ class TestPooledPath:
         assert isinstance(out[1], TaskFailure) and out[1].kind == "timeout"
         assert [out[0], out[2], out[3]] == [0, 4, 9]
 
+    def test_a_deadline_always_pools(self):
+        """One item under a deadline still runs on a worker the deadline
+        can kill, never inline where nothing could stop it."""
+        plan = FaultPlan({0: Fault("sleep", seconds=30)})
+        start = time.monotonic()
+        out = parallel_map(
+            inject(_square, plan), [3], workers=2,
+            policy=TaskPolicy(timeout_s=0.5, on_error="skip"),
+        )
+        elapsed = time.monotonic() - start
+        assert elapsed < 15, f"deadline not enforced ({elapsed:.1f}s)"
+        assert isinstance(out[0], TaskFailure) and out[0].kind == "timeout"
+
     def test_task_exception_reraises_original_type(self):
         with pytest.raises(ValueError, match="negative input -7"):
             parallel_map(_fail_on_negative, [1, -7, 2, 3], workers=POOL)

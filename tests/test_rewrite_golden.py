@@ -7,7 +7,7 @@ rewriting engine must keep every digest: the same fingerprints and the
 same programs mean cache entries stay valid and ``ALGORITHM_REVISION``
 does not move.
 
-The cases cover the 18 registry circuits at ci scale under five option
+The cases cover the 18 registry circuits at ci scale under four option
 sets, plus the three circuits of the benchmark's ``pipeline`` workload
 at default scale (``mem_ctrl`` with 80 outputs).  After an intended
 algorithm change, regenerate the fixture and bump ``ALGORITHM_REVISION``:
@@ -35,7 +35,6 @@ OPTIONS = {
     "size": RewriteOptions(),
     "size-po2": RewriteOptions(po_negation_cost=2),
     "size-psi": RewriteOptions(use_psi=True),
-    "balanced": RewriteOptions(objective="balanced"),
     "depth": RewriteOptions(objective="depth"),
 }
 #: the benchmark's pipeline circuits: default scale, effort 4, objective

@@ -145,27 +145,28 @@ class TestEndToEndImprovement:
 
 
 class TestWorklistPhaseDeadNode:
-    def test_rule_that_kills_node_stops_the_rule_chain(self):
+    def test_rule_that_kills_node_stops_the_rule_chain(self, monkeypatch):
         """Regression: a rule can fire and still return an empty affected
         set (replacement is a literal, ``v`` was read only by POs); the
-        phase must not run the next rule on the tombstoned node."""
-        from repro.core.rewriting import _worklist_phase
-        from repro.mig.algebra import try_distributivity_rl
+        reshaping phase must not run its next rule (Ψ.A) on the
+        tombstoned node."""
+        import repro.core.rewriting as rewriting
         from repro.mig.graph import Mig
 
-        def collapse_to_a(mig, v, fanouts=None, depth_budget=None):
+        def collapse_to_first_child(mig, v, fanouts=None, depth_budget=None):
             """A rule that replaces the gate by its first child."""
             return mig.replace_node(v, mig.children(v)[0])
 
         mig = Mig()
-        a, b = mig.add_pi("a"), mig.add_pi("b")
-        trivial = mig.add_maj(a, a, b, simplify=False)  # Ω.M-collapsible
-        mig.add_po(trivial, "f")
+        a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
+        # ⟨a b ⟨a b c⟩⟩ passes the Ω.A/Ψ.A early reject at the outer gate
+        outer = mig.add_maj(a, b, mig.add_maj(a, b, c))
+        mig.add_po(outer, "f")
         mig.enable_inplace()
-        # collapse_to_a replaces the gate by ``a`` (affected = empty: the
-        # only reader is a PO) and tombstones it; before the fix the phase
-        # fell through to try_distributivity_rl, which raised MigError on
-        # the dead node.
-        _worklist_phase(mig, (collapse_to_a, try_distributivity_rl))
-        assert mig.num_gates == 0
-        assert mig.pos()[0] == a
+        first = mig.children(outer.node)[0]
+        monkeypatch.setattr(rewriting, "try_associativity", collapse_to_first_child)
+        # the replacement's affected set is empty (the only reader is a PO)
+        # and the gate is tombstoned; Ψ.A must not run on the dead node
+        rewriting._reshaping_phase(mig, True, None)
+        assert not mig.is_gate(outer.node)
+        assert mig.pos()[0] == first

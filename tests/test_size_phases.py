@@ -27,7 +27,9 @@ from conftest import random_mig
 OPTIONS = {
     "size": RewriteOptions(),
     "size-psi": RewriteOptions(use_psi=True),
-    "balanced": RewriteOptions(objective="balanced", use_psi=True),
+    # a budget far above any input's depth gates nothing, but it runs the
+    # phases on a graph with incremental levels enabled
+    "size-levels": RewriteOptions(use_psi=True, depth_budget=10**6),
 }
 RANDOM_SEEDS = range(40)
 
