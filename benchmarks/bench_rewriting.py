@@ -9,15 +9,20 @@ Run directly (``python benchmarks/bench_rewriting.py [--scale ci]``) to
 emit ``BENCH_rewriting.json`` next to this file: gates/second for each
 engine plus the per-circuit speedup, so successive PRs have a
 machine-readable rewriting-perf trajectory.  The ``"rebuild"`` engine key
-names the reference.
+names the reference.  The representative circuits run at ``--scale``;
+the three perfbench ``pipeline`` circuits (``<name>@pipeline``) run at
+their own scale, read back from binary AIGER, so they carry the
+workload's unreachable cones.  Standalone mode exits 1 when the worklist
+engine leaves more gates than the reference on any circuit.
 
 The snapshot's ``counts`` section attributes the size phases' work, per
 registry circuit at ci scale and per circuit of the perfbench
 ``pipeline`` workload: gates each Ω.D and Ω.A phase visits, visits that
-pass the inline early reject (the rule is called), firings, and the
-speculative Ω.A gates reserved and later materialized.  The counts come
-from wrapping the engine's functions here, for one run each; they repeat
-exactly from run to run.
+pass the inline test (the rule is called — for Ω.D the rule's whole
+test, for Ω.A and Ψ.A their shared early reject), firings, and the
+speculative Ω.A gates reserved and later materialized.  A skipped phase
+visits nothing.  The counts come from wrapping the engine's functions
+here, for one run each; they repeat exactly from run to run.
 """
 
 import io
@@ -114,14 +119,23 @@ def rule_counts(mig, options=COUNT_OPTIONS) -> dict:
     }
 
 
+def pipeline_inputs() -> dict:
+    """``<name>@pipeline`` → the perfbench ``pipeline`` input, built at
+    default scale and read back from binary AIGER."""
+    inputs = {}
+    for name, overrides in PIPELINE.items():
+        buffer = io.BytesIO()
+        write_aiger(build(name, "default", **overrides), buffer, binary=True)
+        inputs[f"{name}@pipeline"] = read_aiger(io.BytesIO(buffer.getvalue()))
+    return inputs
+
+
 def count_rows(scale: str = "ci") -> dict:
     """:func:`rule_counts` per registry circuit at ``scale`` and per
     ``pipeline`` circuit."""
     rows = {f"{name}@{scale}": rule_counts(build(name, scale)) for name in BENCHMARK_NAMES}
-    for name, overrides in PIPELINE.items():
-        buffer = io.BytesIO()
-        write_aiger(build(name, "default", **overrides), buffer, binary=True)
-        rows[f"{name}@pipeline"] = rule_counts(read_aiger(io.BytesIO(buffer.getvalue())))
+    for label, mig in pipeline_inputs().items():
+        rows[label] = rule_counts(mig)
     return rows
 
 
@@ -211,11 +225,13 @@ def main(argv=None) -> int:
 
     circuits = []
     wall_start = time.perf_counter()
-    for name in REPRESENTATIVE:
-        mig = benchmark_info(name).build(args.scale)
+    inputs = {name: benchmark_info(name).build(args.scale) for name in REPRESENTATIVE}
+    inputs.update(pipeline_inputs())
+    for name, mig in inputs.items():
+        options = COUNT_OPTIONS if name.endswith("@pipeline") else RewriteOptions(effort=4)
         row = {"circuit": name, "gates_before": mig.num_gates, "engines": {}}
         for engine, rewrite in rewrite_engines().items():
-            seconds, rewritten = best_time(rewrite, mig, RewriteOptions(effort=4))
+            seconds, rewritten = best_time(rewrite, mig, options)
             row["engines"][engine] = {
                 "seconds": round(seconds, 6),
                 "gates_after": rewritten.num_gates,
@@ -239,6 +255,10 @@ def main(argv=None) -> int:
             f"{row['speculative']['materialized']} materialized"
         )
     wall = time.perf_counter() - wall_start
+    larger = [
+        row["circuit"] for row in circuits
+        if row["engines"]["worklist"]["gates_after"] > row["engines"]["rebuild"]["gates_after"]
+    ]
 
     _common.write_snapshot(
         args.output,
@@ -249,6 +269,9 @@ def main(argv=None) -> int:
         repeats=args.repeats,
         counts=counts,
     )
+    if larger:
+        print(f"FAIL: the worklist engine leaves more gates than the reference on {larger}")
+        return 1
     return 0
 
 

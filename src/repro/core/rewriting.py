@@ -82,7 +82,8 @@ class RewriteOptions:
         12
     """
 
-    #: number of rewriting cycles (the paper's experiments use 4)
+    #: number of rewriting cycles (the paper's experiments use 4; 0 runs
+    #: none, leaving the cleanup copy and the closing Ω.C)
     effort: int = 4
     #: cost charged per complemented primary output (0 = paper accounting)
     po_negation_cost: int = 0
@@ -117,6 +118,12 @@ class RewriteOptions:
     depth_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
+        effort = self.effort
+        # bool is an int subclass: effort=True must not pass as 1
+        if isinstance(effort, bool) or not isinstance(effort, int) or effort < 0:
+            raise ReproError(
+                f"rewrite effort must be a non-negative integer, got {effort!r}"
+            )
         if self.engine not in ENGINES:
             raise ReproError(
                 f"unknown rewrite engine {self.engine!r}; expected one of {ENGINES}"
@@ -258,29 +265,39 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     """Algorithm 1 as one incremental sweep per effort cycle.
 
     Works on a private dead-free copy of ``mig`` with in-place maintenance
-    enabled; one final compaction drops the tombstones and restores a
+    enabled (:meth:`~repro.mig.graph.Mig._rebuild_inplace`, one pass);
+    one final compaction drops the tombstones and restores a
     creation-order index, and the closing Ω.C sweep restores the
     translation-friendly child order.
     """
-    work, _ = mig.rebuild()  # private copy; also the initial Ω.M cleanup
-    work.enable_inplace()
+    work = mig._rebuild_inplace()  # private copy; also the initial Ω.M cleanup
     if opts.depth_budget is not None:
         work.enable_levels()
         _check_budget_feasible(work, opts.depth_budget)
-    for _cycle in range(opts.effort):
-        # Cycle 0 measures the fixed point against the *raw* input: a first
-        # cycle that only cleans up or reshapes (no count change against
-        # the cleaned graph) must not exit early, because reshaping feeds
-        # the next cycle's Ω.D.
-        before = _signature(mig) if _cycle == 0 else _inplace_signature(work)
-        _size_cycle_worklist(work, opts)
-        if opts.early_exit and _inplace_signature(work) == before:
+    swept = None  # the edit count right after the last cycle's Ω.C sweep
+    for cycle in range(opts.effort):
+        before = _inplace_signature(work) if cycle else None
+        swept = _size_cycle_worklist(work, opts)
+        if not opts.early_exit:
+            continue
+        after = _inplace_signature(work)
+        if cycle == 0 and after[0] == mig.num_gates:
+            # Cycle 0 measures the fixed point against the *raw* input: a
+            # first cycle that only cleans up or reshapes (no count change
+            # against the cleaned graph) must not exit early, because
+            # reshaping feeds the next cycle's Ω.D.  The input's signature
+            # is a full traversal, and only a gate-count tie can match it.
+            before = _signature(mig)
+        if after == before:
             break
     # Inverter propagation may have changed which children are complemented;
-    # restore the translation-friendly child order (Ω.C) in place, then
-    # drop the tombstones.  Every live gate is Ω.M-irreducible and owns its
-    # strash key here, so renumbering is all the final copy has to do.
-    _sweep_commutativity(work)
+    # restore the translation-friendly child order (Ω.C) in place — unless
+    # nothing was edited since the cycle's own Ω.C, which is idempotent —
+    # then drop the tombstones.  Every live gate is Ω.M-irreducible and
+    # owns its strash key here, so renumbering is all the final copy has
+    # to do.
+    if swept != work.edit_count:
+        _sweep_commutativity(work)
     return work.compact()
 
 
@@ -315,16 +332,18 @@ def _inplace_signature(mig: Mig) -> tuple:
     return (num_gates, hist, estimate)
 
 
-def _size_cycle_worklist(work: Mig, opts: RewriteOptions) -> None:
-    """One Algorithm 1 effort cycle as in-place worklist sweeps."""
-    if opts.size_rules:
-        _worklist_size_sweep(work, opts)
+def _size_cycle_worklist(work: Mig, opts: RewriteOptions) -> Optional[int]:
+    """One Algorithm 1 effort cycle as in-place worklist sweeps; returns
+    :func:`_worklist_size_sweep`'s edit count after its Ω.C sweep, or
+    ``None`` when size rules are off."""
+    swept = _worklist_size_sweep(work, opts) if opts.size_rules else None
     if opts.inverter_rules:
         _sweep_inverters_cost_aware(work, opts.po_negation_cost)
         _sweep_push_inverters(work, threshold=3)
+    return swept
 
 
-def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
+def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> int:
     """One size-rule cycle: the paper's Ω.M; Ω.D; Ω.A[; Ψ.A]; Ω.C; Ω.M; Ω.D.
 
     Each phase visits every live gate once in topological order and
@@ -339,8 +358,15 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     With ``opts.depth_budget`` set (level-maintained graphs only), every
     phase gates its candidates so no primary-output level can exceed the
     budget — size rewriting under a hard depth ceiling.
+
+    The second Ω.D is skipped when no node was created, rewired, killed
+    or materialized since the first one started (an unchanged shape
+    stamp): Ω.C only permutes stored order, and Ω.D's fire test reads
+    child sets, so it would fire nowhere the first one did not.  Returns
+    the edit count right after the Ω.C sweep.
     """
     budget = opts.depth_budget
+    shape = work._shape_version
     _distributivity_phase(work, budget)
     _reshaping_phase(work, opts.use_psi, budget)
     # Rejected reshaping candidates stay reserved as speculative gates
@@ -348,7 +374,10 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> None:
     # a hit or commit materialized, at the phase boundary.
     work.collect_unused()
     _sweep_commutativity(work)
-    _distributivity_phase(work, budget)
+    swept = work.edit_count
+    if budget is not None or work._shape_version != shape:
+        _distributivity_phase(work, budget)
+    return swept
 
 
 def _single_fanout_table(work: Mig, fanouts: list[int]) -> bytearray:
@@ -362,13 +391,20 @@ def _single_fanout_table(work: Mig, fanouts: list[int]) -> bytearray:
     return single
 
 
+#: the polarity-adjusted triple of a child that cannot be an Ω.D inner gate
+_NO_TRIPLE = frozenset()
+
+
 def _distributivity_phase(work: Mig, depth_budget: Optional[int]) -> None:
     """Ω.D(R→L) over every live gate, in topological order.
 
-    The rule's own early reject runs inline, and the rule only on gates
-    that pass it: at least two children must be single-fanout gates
-    (read from :func:`_single_fanout_table`; a node created during the
-    phase counts as a candidate, and the rule reads its live fanout).
+    The rule's whole test runs inline, and the rule only on gates that
+    pass it: two children must be single-fanout gates (read from
+    :func:`_single_fanout_table`; a node created during the phase counts
+    as a candidate, and the rule reads its live fanout) whose
+    polarity-adjusted triples share two signals.  The children of an
+    Ω.M-irreducible gate are distinct, so a set intersection is the
+    rule's multiset match.
     """
     ca, cb, cc = work._ca, work._cb, work._cc
     fanouts = work.fanout_snapshot()
@@ -377,7 +413,17 @@ def _distributivity_phase(work: Mig, depth_budget: Optional[int]) -> None:
         ea = ca[v]
         if ea < 0:  # retired by an earlier rewrite's cascade
             continue
-        if single[ea >> 1] + single[cb[v] >> 1] + single[cc[v] >> 1] < 2:
+        eb, ec = cb[v], cc[v]
+        a, b, c = ea >> 1, eb >> 1, ec >> 1
+        if single[a] + single[b] + single[c] < 2:
+            continue
+        p = ea & 1
+        x = {ca[a] ^ p, cb[a] ^ p, cc[a] ^ p} if single[a] else _NO_TRIPLE
+        p = eb & 1
+        y = {ca[b] ^ p, cb[b] ^ p, cc[b] ^ p} if single[b] else _NO_TRIPLE
+        p = ec & 1
+        z = {ca[c] ^ p, cb[c] ^ p, cc[c] ^ p} if single[c] else _NO_TRIPLE
+        if len(x & y) < 2 and len(x & z) < 2 and len(y & z) < 2:
             continue
         try_distributivity_rl(work, v, fanouts, depth_budget)
         if len(ca) > len(single):

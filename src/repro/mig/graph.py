@@ -163,8 +163,10 @@ class Mig:
         self._levels: Optional[array] = None
         self._topo_dirty: bool = False
         # cached topo_gates order for dirty graphs, keyed on a shape
-        # version (bumped by node creation, rewiring and tombstoning;
-        # stored-order permutations don't affect it)
+        # version (bumped by node creation, rewiring, tombstoning and
+        # materializing reservations; stored-order permutations and
+        # dropping never-materialized reservations, which no cached order
+        # holds, don't affect it)
         self._shape_version: int = 0
         self._topo_cache: Optional[list[int]] = None
         self._topo_cache_version: int = -1
@@ -930,7 +932,22 @@ class Mig:
         self._topo_dirty = True
         self._edit_count += 1
         if refs[v] == 0:
-            self._kill(v)
+            # _kill(v) without its cascade: n reads every child node of
+            # v, so none of them loses its last reader here
+            ea, eb, ec = ca[v], cb[v], cc[v]
+            key = pack(ea, eb, ec)
+            if strash.get(key) == v:
+                del strash[key]
+            self._hist_remove_enc(ea, eb, ec)
+            ca[v] = cb[v] = cc[v] = -1
+            self._kind[v] = _DEAD
+            self._num_dead += 1
+            parents[v].clear()
+            self._edit_count += 1
+            self._shape_version += 1
+            for e in (ea, eb, ec):
+                refs[e >> 1] -= 1
+                parents[e >> 1].discard(v)
         if queue:
             self._cascade(queue, affected)
         if ca[n] >= 0:
@@ -1059,12 +1076,13 @@ class Mig:
             refs[ea >> 1] -= 1
             refs[eb >> 1] -= 1
             refs[ec >> 1] -= 1
-        # tombstones read neither parent sets nor order keys
+        # tombstones read neither parent sets nor order keys; and every
+        # cached topological order predates the reservations (reading one
+        # materializes them first), so the shape version stays
         self._parents.extend([None] * len(likes))
         self._order.extend([None] * len(likes))
         self._num_dead += len(likes)
         self._edit_count += len(likes)
-        self._shape_version += 1
 
     def collect_unused(self) -> int:
         """Tombstone every live gate that nothing reads; returns the count.
@@ -1224,6 +1242,75 @@ class Mig:
         for po, name in zip(self._pos, self._po_names):
             new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
         return new, {n: Signal(e) for n, e in enc_map.items()}
+
+    def _rebuild_inplace(self) -> "Mig":
+        """``rebuild()[0]`` with :meth:`enable_inplace` already switched
+        on, in one pass: the rewriter's private copy.
+
+        The same simplify/strash decisions create the same nodes, and each
+        new gate's references, parent-set entries and histogram profile
+        are recorded as it is appended.  Gates are appended in index
+        order, so every parent set receives its entries in the order
+        :meth:`enable_inplace`'s index-order scan adds them and iterates
+        alike.
+        """
+        new = Mig(name=self.name)
+        # old node -> new encoding (the constant stays 0)
+        enc_map = array("q", bytes(8 * len(self._kind)))
+        for node, name in zip(self._pi_ids, self._pi_names):
+            enc_map[node] = int(new.add_pi(name))
+        live = self._live_mark()
+        if self._topo_dirty or self._reserved:
+            order = [v for v in self.topo_gates() if live[v]]
+        else:  # index order is topological: visit the live gates only
+            order = compress(range(len(live)), live)
+        ca, cb, cc = self._ca, self._cb, self._cc
+        nca, ncb, ncc, nkind = new._ca, new._cb, new._cc, new._kind
+        strash = new._strash
+        refs = array("q", bytes(8 * len(nkind)))
+        parents: list[set[int]] = [set() for _ in nkind]
+        hist = [0, 0, 0, 0]
+        c0_noconst = 0
+        simplify, pack, profile = Mig._simplify_enc, Mig._pack_key, Mig._profile_enc
+        index = len(nkind)
+        for v in order:
+            ea, eb, ec = ca[v], cb[v], cc[v]
+            na = enc_map[ea >> 1] ^ (ea & 1)
+            nb = enc_map[eb >> 1] ^ (eb & 1)
+            nc = enc_map[ec >> 1] ^ (ec & 1)
+            enc = simplify(na, nb, nc)
+            if enc < 0:
+                key = pack(na, nb, nc)
+                owner = strash.get(key)
+                if owner is not None:
+                    enc = owner << 1
+                else:  # append the gate, with its in-place bookkeeping
+                    enc = index << 1
+                    nca.append(na)
+                    ncb.append(nb)
+                    ncc.append(nc)
+                    nkind.append(_GATE)
+                    strash[key] = index
+                    refs.append(0)
+                    parents.append(set())
+                    for u in (na >> 1, nb >> 1, nc >> 1):
+                        refs[u] += 1
+                        parents[u].add(index)
+                    complemented, has_const = profile(na, nb, nc)
+                    hist[complemented] += 1
+                    if complemented == 0 and not has_const:
+                        c0_noconst += 1
+                    index += 1
+            enc_map[v] = enc
+        new._refs = refs
+        new._parents = parents
+        new._po_of = {}
+        new._hist = hist
+        new._c0_noconst = c0_noconst
+        new._order = [(i,) for i in range(index)]
+        for po, name in zip(self._pos, self._po_names):
+            new.add_po(Signal(enc_map[po.node] ^ po.inverted), name)
+        return new
 
     def compact(self) -> "Mig":
         """:meth:`rebuild` that only renumbers: the same node order and

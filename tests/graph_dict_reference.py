@@ -19,7 +19,7 @@ core — but it stays behind as
 It exposes the same hot-path encoding protocol as the array core
 (read-only ``_ca``/``_cb``/``_cc``/``_kind`` views, ``add_maj_enc``,
 ``_pack_key``, ``reorder_children_enc``, ``flip_enc``,
-``is_append_clean``, ``is_clean``) so the
+``_rebuild_inplace``, ``is_append_clean``, ``is_clean``) so the
 worklist rewriting engine, the DFS reorder and the compiler run on
 either class unchanged.  No third-party imports, so the standalone
 benchmark can load this module.  Everything below the
@@ -892,11 +892,11 @@ class DictMig:
             self._dead.add(u)
             for s in triple:
                 self._refs[s.node] -= 1
-        # tombstones read neither parent sets nor order keys
+        # tombstones read neither parent sets nor order keys, and no
+        # cached topological order holds a never-materialized reservation
         self._parents.extend([None] * len(likes))
         self._order.extend([None] * len(likes))
         self._edit_count += len(likes)
-        self._shape_version += 1
 
     def collect_unused(self) -> int:
         """Tombstone every live gate that nothing reads; returns the count.
@@ -1047,6 +1047,13 @@ class DictMig:
         for po, name in zip(self._pos, self._po_names):
             new.add_po(mapping[po.node].xor_inversion(po.inverted), name)
         return new, mapping
+
+    def _rebuild_inplace(self) -> "DictMig":
+        """``rebuild()[0]`` with :meth:`enable_inplace` switched on (the
+        array core fuses the two into one pass)."""
+        new, _ = self.rebuild()
+        new.enable_inplace()
+        return new
 
     def compact(self) -> "DictMig":
         """:meth:`rebuild` that only renumbers: each live gate is appended

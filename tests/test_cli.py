@@ -284,6 +284,16 @@ class TestNewCompileFlags:
         assert err.startswith("plimc: error: max_work_cells must be")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("effort", ["-1", "-7"])
+    def test_negative_effort_exits_2(self, circuit_file, effort, capsys):
+        assert main(["compile", circuit_file, "--effort", effort]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plimc: error: rewrite effort must be")
+        assert effort in err and "Traceback" not in err
+
+    def test_effort_zero_compiles(self, circuit_file, capsys):
+        assert main(["compile", circuit_file, "--effort", "0"]) == 0
+
     def test_duplicate_output_names_exit_2(self, tmp_path, capsys):
         """Two outputs named f (a∧b and its complement) once compiled to
         a program with a single ``.output f``."""

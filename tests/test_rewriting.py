@@ -5,6 +5,7 @@ import pytest
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import estimate_instructions
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.errors import ReproError
 from repro.mig.analysis import complement_stats
 from repro.mig.graph import Mig
 from repro.mig.simulate import truth_tables
@@ -48,6 +49,11 @@ class TestOptions:
         rewritten = rewrite_for_plim(mig, RewriteOptions(effort=0))
         assert rewritten.num_gates == mig.cleanup()[0].num_gates
         assert truth_tables(rewritten) == truth_tables(mig)
+
+    @pytest.mark.parametrize("effort", [2.5, "3", -1, True, False, None])
+    def test_bad_effort_is_refused(self, effort):
+        with pytest.raises(ReproError, match=repr(effort)):
+            RewriteOptions(effort=effort)
 
     def test_size_rules_only(self):
         mig = random_mig(2, num_pis=5, num_gates=30, invert_probability=0.6)
