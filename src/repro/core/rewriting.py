@@ -680,7 +680,7 @@ def _rewrite_depth_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     can raise no other node's.
     """
     work = _private_clean_copy(mig)
-    work.enable_inplace()
+    work.enable_inplace()  # a clone's; the one-pass copy has it on already
     # drop unreachable cones a clone carried over
     work.collect_unused()
     work.enable_levels()
@@ -703,15 +703,17 @@ def _rewrite_depth_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
 def _private_clean_copy(mig: Mig) -> Mig:
     """A private, Ω.M-simplified copy of ``mig`` for in-place rewriting.
 
-    ``rebuild()`` is the safe default (it drops tombstones and re-simplifies
-    every gate); an input that is verifiably clean already — append-only, no
-    tombstones, no trivially reducible gate — is
-    :meth:`~repro.mig.graph.Mig.clone`-copied instead, which skips the whole
-    per-gate re-hash.  Unreachable cones a clone carries over are swept by
-    the caller with ``collect_unused()`` once in-place maintenance is on.
+    The one-pass :meth:`~repro.mig.graph.Mig._rebuild_inplace` is the safe
+    default (it drops tombstones and re-simplifies every gate); an input
+    that is verifiably clean already — append-only, no tombstones, no
+    trivially reducible gate — is :meth:`~repro.mig.graph.Mig.clone`-copied
+    instead, which skips the whole per-gate re-hash and keeps the input's
+    node ids, so a rewrite that moves nothing returns them unchanged.
+    Unreachable cones a clone carries over are swept by the caller with
+    ``collect_unused()`` once in-place maintenance is on.
     """
     if not mig.is_append_clean():
-        return mig.rebuild()[0]
+        return mig._rebuild_inplace()
     return mig.clone()
 
 

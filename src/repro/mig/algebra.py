@@ -314,6 +314,13 @@ def try_distributivity_rl(
     *deeper* than the original (``z`` gains a level); under
     ``depth_budget`` a candidate whose predicted level increase could push
     a PO past the budget is rejected before any node is created.
+
+    The worklist engine's Ω.D phase
+    (:func:`repro.core.rewriting._distributivity_phase`) runs this match
+    test inline — two single-fanout gate children whose polarity-adjusted
+    triples share two signals — and calls the rule only where it holds;
+    a change to the test here must be made there too
+    (``tests/test_rewrite_skips.py`` checks that the two agree).
     """
     _require_levels_for_budget(mig, depth_budget)
     ca, cb, cc = mig._ca, mig._cb, mig._cc

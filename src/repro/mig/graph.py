@@ -932,22 +932,7 @@ class Mig:
         self._topo_dirty = True
         self._edit_count += 1
         if refs[v] == 0:
-            # _kill(v) without its cascade: n reads every child node of
-            # v, so none of them loses its last reader here
-            ea, eb, ec = ca[v], cb[v], cc[v]
-            key = pack(ea, eb, ec)
-            if strash.get(key) == v:
-                del strash[key]
-            self._hist_remove_enc(ea, eb, ec)
-            ca[v] = cb[v] = cc[v] = -1
-            self._kind[v] = _DEAD
-            self._num_dead += 1
-            parents[v].clear()
-            self._edit_count += 1
-            self._shape_version += 1
-            for e in (ea, eb, ec):
-                refs[e >> 1] -= 1
-                parents[e >> 1].discard(v)
+            self._kill(v)
         if queue:
             self._cascade(queue, affected)
         if ca[n] >= 0:
