@@ -83,10 +83,9 @@ def rule_counts(mig, options=COUNT_OPTIONS) -> dict:
         def make(original):
             def run(work, v, *args):
                 counts[rule]["past_reject"] += 1
-                affected = original(work, v, *args)
-                if affected or work._ca[v] < 0:
-                    counts[rule]["fired"] += 1
-                return affected
+                fired = original(work, v, *args)
+                counts[rule]["fired"] += fired
+                return fired
             return run
         return make
 

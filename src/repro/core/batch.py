@@ -243,25 +243,21 @@ def _compile_task(payload, cache=None):
     # doesn't absorb the one-time cost (order-dependent reorders like the
     # "best" DFS image stay inside the timers — they are real per-set work
     # the first time an option set asks for them).
-    for clean in (True, False):
-        readers = [options for _, options in option_sets if options.clean == clean]
-        if readers:
-            shared = context.cleaned() if clean else context
-            _ = shared.use_counts  # and the parents it is derived from
-            if any(o.level_rule and o.scheduling == "priority" for o in readers):
-                _ = shared.levels
+    compiled = context.cleaned()
+    _ = compiled.use_counts  # and the parents it is derived from
+    if any(o.level_rule and o.scheduling == "priority" for _, o in option_sets):
+        _ = compiled.levels
     results = []
     for option_index, (label, options) in enumerate(option_sets):
         start = time.perf_counter()
         program = PlimCompiler(options).compile(mig, context=context)
-        compiled = (context.cleaned() if options.clean else context).mig
         results.append(
             BatchResult(
                 circuit=name,
                 option_label=label,
                 circuit_index=circuit_index,
                 option_index=option_index,
-                num_gates=compiled.num_gates,
+                num_gates=compiled.mig.num_gates,
                 num_instructions=program.num_instructions,
                 num_rrams=program.num_rrams,
                 seconds=time.perf_counter() - start,

@@ -64,6 +64,9 @@ OPERAND_MODES = ("cases", "child_order")
 #: §4.2.3 work-cell reuse: oldest released first (the paper's), most
 #: recently released first, or never reuse (the endurance ablation)
 POLICIES = ("fifo", "lifo", "fresh")
+#: node orders Algorithm 2 runs on: as given, or the better of as given
+#: and the DFS image (see ``CompilerOptions.reorder``)
+REORDER_MODES = ("none", "best")
 
 
 @dataclass(frozen=True)
@@ -78,17 +81,16 @@ class CompilerOptions:
     #: instructions each); False: the paper's accounting — outputs may rest
     #: in complemented form, flagged in the program's output contract.
     fix_output_polarity: bool = True
-    #: drop dead gates before compiling (node indices are then re-packed)
-    clean: bool = True
-    #: pre-ordering pass: "dfs" re-indexes gates in PO-driven depth-first
-    #: postorder before scheduling, making cell liveness independent of the
-    #: input file's gate order; "none" keeps the given order (the naïve
-    #: baseline translates in as-given index order, like the paper's);
-    #: "best" (default) keeps the program with fewer work RRAMs, then
-    #: fewer instructions, ties going to the as-given order — DFS wins on
-    #: hostile orders, the as-given order can win when the builder
-    #: interleaved shared consumers.  It compiles the DFS image first, then
-    #: the as-given order only until its partial program provably loses.
+    #: node order of the (dead-gate-free) graph Algorithm 2 schedules:
+    #: "none" keeps the given order (the naïve baseline translates in
+    #: as-given index order, like the paper's); "best" (default) also
+    #: compiles the PO-driven depth-first postorder image, which makes cell
+    #: liveness independent of the input file's gate order, and keeps the
+    #: program with fewer work RRAMs, then fewer instructions, ties going
+    #: to the as-given order — DFS wins on hostile orders, the as-given
+    #: order can win when the builder interleaved shared consumers.  It
+    #: compiles the DFS image first, then the as-given order only until its
+    #: partial program provably loses.
     reorder: str = "best"
     #: candidate-selection rule toggles (ablation X5).  The paper's
     #: comparator is releasing → levels → index; on creation-ordered MIGs
@@ -126,10 +128,10 @@ class CompilerOptions:
                 f"unknown allocator policy {self.allocator_policy!r}; "
                 f"expected one of {POLICIES}"
             )
-        if self.reorder not in ("none", "dfs", "best"):
+        if self.reorder not in REORDER_MODES:
             raise CompilationError(
                 f"unknown reorder mode {self.reorder!r}; "
-                "expected 'none', 'dfs', or 'best'"
+                f"expected one of {REORDER_MODES}"
             )
         budget = self.max_work_cells
         if budget is not None and (
@@ -180,6 +182,7 @@ class PlimCompiler:
     def compile(self, mig: Mig, context: Optional[AnalysisContext] = None) -> Program:
         """Translate ``mig`` into an executable :class:`Program`.
 
+        Dead gates are dropped first (node indices are then re-packed).
         Pass the same :class:`AnalysisContext` to repeated calls on one MIG
         (e.g. when sweeping option sets) and the per-order structural
         analyses — cleanup, DFS reorder, parents, levels, use counts — are
@@ -188,21 +191,16 @@ class PlimCompiler:
         self._timings = {"schedule_seconds": 0.0, "translate_seconds": 0.0}
         start = perf_counter()
         _check_output_names(mig)
-        ctx = AnalysisContext.of(mig, context)
-        if self.options.clean:
-            ctx = ctx.cleaned()
-        if self.options.reorder in ("dfs", "best"):
-            dfs_ctx = ctx.reordered_dfs()
+        ctx = AnalysisContext.of(mig, context).cleaned()
+        dfs_ctx = ctx.reordered_dfs() if self.options.reorder == "best" else None
         self._timings["schedule_seconds"] += perf_counter() - start
-        if self.options.reorder == "dfs":
-            return self._compile_ordered(dfs_ctx)
-        if self.options.reorder == "best":
-            dfs = self._compile_ordered(dfs_ctx)
-            as_given = self._compile_ordered(ctx, _program_cost(dfs))
-            if as_given is None or _program_cost(dfs) < _program_cost(as_given):
-                return dfs
-            return as_given
-        return self._compile_ordered(ctx)
+        if dfs_ctx is None:
+            return self._compile_ordered(ctx)
+        dfs = self._compile_ordered(dfs_ctx)
+        as_given = self._compile_ordered(ctx, _program_cost(dfs))
+        if as_given is None or _program_cost(dfs) < _program_cost(as_given):
+            return dfs
+        return as_given
 
     def _compile_ordered(
         self, ctx: AnalysisContext, bound: Optional[tuple[int, int]] = None

@@ -22,7 +22,6 @@ from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import CostModel
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
-from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.plim.program import Program
 
@@ -81,7 +80,6 @@ def compile_mig(
     objective: "str | CostModel" = "size",
     compiler_options: Optional[CompilerOptions] = None,
     rewrite_options: Optional[RewriteOptions] = None,
-    context: Optional[AnalysisContext] = None,
     cache: Optional[SynthesisCache] = None,
 ) -> CompileResult:
     """Rewrite (optional) and compile ``mig`` into a PLiM program.
@@ -93,18 +91,13 @@ def compile_mig(
     against real compiled cost — see :func:`repro.core.rewriting
     .compile_cost_loop` for the loop with full reporting; all ignored
     when an explicit ``rewrite_options`` is given).  When the compiler is
-    configured to fix
-    output polarity (the default), the rewriter is told to charge
-    complemented outputs accordingly.
+    configured to fix output polarity (the default), the rewriter is told
+    to charge complemented outputs accordingly.
 
-    ``context`` is an optional :class:`AnalysisContext` of the graph the
-    compiler will actually see (i.e. of ``mig`` itself when
-    ``rewrite=False``); pass the same one across repeated calls to share
-    the structural analyses.  It is ignored when rewriting is enabled,
-    since rewriting produces a fresh graph.  ``cache`` is an optional
-    :class:`~repro.core.cache.SynthesisCache` that memoizes the rewriting
-    step under the input's :meth:`~repro.mig.graph.Mig.fingerprint`
-    (``plimc compile --cache-dir`` threads a persistent one through here).
+    ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`
+    that memoizes the rewriting step under the input's
+    :meth:`~repro.mig.graph.Mig.fingerprint` (``plimc compile
+    --cache-dir`` threads a persistent one through here).
 
     Returns a :class:`CompileResult`: the :class:`~repro.plim.program.Program`
     plus both the original and the compiled MIG and the exact option sets
@@ -139,9 +132,8 @@ def compile_mig(
         start = perf_counter()
         compiled = rewrite_for_plim(mig, ropts, cache=cache)
         rewrite_seconds = perf_counter() - start
-        context = None
     compiler = PlimCompiler(copts)
-    program = compiler.compile(compiled, context=context)
+    program = compiler.compile(compiled)
     timings = compiler.last_timings
     return CompileResult(
         program=program,

@@ -87,10 +87,6 @@ class RewriteOptions:
     effort: int = 4
     #: cost charged per complemented primary output (0 = paper accounting)
     po_negation_cost: int = 0
-    #: skip size rules (Ω.M/Ω.D/Ω.A/Ω.C) — inverter propagation only
-    size_rules: bool = True
-    #: skip inverter propagation — size rules only
-    inverter_rules: bool = True
     #: stop early once a cycle reaches a fixed point
     early_exit: bool = True
     #: also apply the derived Ψ.A rule (complementary associativity) in the
@@ -274,10 +270,13 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     if opts.depth_budget is not None:
         work.enable_levels()
         _check_budget_feasible(work, opts.depth_budget)
-    swept = None  # the edit count right after the last cycle's Ω.C sweep
+    # the edit count right after the last cycle's Ω.C sweep (None: effort 0)
+    swept = None
     for cycle in range(opts.effort):
         before = _inplace_signature(work) if cycle else None
-        swept = _size_cycle_worklist(work, opts)
+        swept = _worklist_size_sweep(work, opts)
+        _sweep_inverters_cost_aware(work, opts.po_negation_cost)
+        _sweep_push_inverters(work, threshold=3)
         if not opts.early_exit:
             continue
         after = _inplace_signature(work)
@@ -330,17 +329,6 @@ def _inplace_signature(mig: Mig) -> tuple:
     num_gates, hist, zero_comp_no_const = mig.inplace_signature()
     estimate = estimate_from_histogram(num_gates, hist, zero_comp_no_const)
     return (num_gates, hist, estimate)
-
-
-def _size_cycle_worklist(work: Mig, opts: RewriteOptions) -> Optional[int]:
-    """One Algorithm 1 effort cycle as in-place worklist sweeps; returns
-    :func:`_worklist_size_sweep`'s edit count after its Ω.C sweep, or
-    ``None`` when size rules are off."""
-    swept = _worklist_size_sweep(work, opts) if opts.size_rules else None
-    if opts.inverter_rules:
-        _sweep_inverters_cost_aware(work, opts.po_negation_cost)
-        _sweep_push_inverters(work, threshold=3)
-    return swept
 
 
 def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> int:
@@ -439,7 +427,7 @@ def _reshaping_phase(work: Mig, use_psi: bool, depth_budget: Optional[int]) -> N
     contain one of the other two children — as is for Ω.A, or
     complemented for Ψ.A (so with Ψ.A on, the test compares nodes).  The
     rules run, in order, only on gates that pass it, and the first that
-    fires ends the visit.
+    fires (returns ``True``: ``v`` is retired) ends the visit.
     """
     rules = (try_associativity,)
     if use_psi:
@@ -475,11 +463,7 @@ def _reshaping_phase(work: Mig, use_psi: bool, depth_budget: Optional[int]) -> N
         if not candidate:
             continue
         for rule in rules:
-            # A rule can fire and still report an empty affected set (the
-            # replacement is a literal and ``v`` was read only by POs, so
-            # no gate's children changed); ``v`` is tombstoned then, and
-            # the next rule must not run on the dead node.
-            if rule(work, v, fanouts, depth_budget) or ca[v] < 0:
+            if rule(work, v, fanouts, depth_budget):
                 break
         if len(ca) > len(single):
             single.extend(b"\x01" * (len(ca) - len(single)))
@@ -611,8 +595,9 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
 
 
 def _sweep_push_inverters(work: Mig, threshold: int) -> None:
-    """In-place unconditional Ω.I(R→L) sweep
-    (:func:`~repro.mig.algebra.try_push_inverters`)."""
+    """In-place unconditional Ω.I(R→L) sweep: ``⟨x̄ ȳ z̄⟩ → ¬⟨x y z⟩``
+    wherever at least ``threshold`` non-constant children are complemented
+    (Algorithm 1's final sweep uses 3, the most costly case only)."""
     order = list(work.topo_gates())
     position = {v: i for i, v in enumerate(order)}
     evicted: set[int] = set()
@@ -793,8 +778,6 @@ def _guided_variants(opts: RewriteOptions) -> tuple:
     base = dict(
         effort=opts.effort,
         po_negation_cost=opts.po_negation_cost,
-        size_rules=opts.size_rules,
-        inverter_rules=opts.inverter_rules,
         early_exit=opts.early_exit,
     )
     variants = [

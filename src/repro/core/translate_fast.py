@@ -133,7 +133,8 @@ def _bind(state, mig, caching, policy, budget) -> None:
     in_use = state.in_use
     hold, drop = in_use.add, in_use.remove
     ca, cb, cc, kind = mig._ca, mig._cb, mig._cc, mig._kind
-    # the program's instruction columns (see Program.append_encoded)
+    # the program's instruction columns (Program's flat spine), appended
+    # to directly on the hot loop
     put_a, put_b = program._enc_a.append, program._enc_b.append
     put_z, put_kind = program._dst.append, program._ck.append
     put_x, put_y = program._cx.append, program._cy.append

@@ -10,10 +10,10 @@ The paper's axiomatic system Ω (§2.1):
 
 Each axiom is a *local rule* ``try_<axiom>(mig, v)`` that rewrites the
 single gate ``v`` of an :meth:`~repro.mig.graph.Mig.enable_inplace` graph
-through :meth:`~repro.mig.graph.Mig.replace_node` and returns the set of
-nodes the rewrite touched (empty when the rule does not apply) — the
-building blocks of the worklist engine.  Their PLiM-specific composition —
-Algorithm 1 of the paper — lives in :mod:`repro.core.rewriting`.
+through :meth:`~repro.mig.graph.Mig.replace_node` and returns whether it
+did — the building blocks of the worklist engine.  Their PLiM-specific
+composition — Algorithm 1 of the paper — lives in
+:mod:`repro.core.rewriting`.
 """
 
 from __future__ import annotations
@@ -191,9 +191,11 @@ def _common_pair(
 # local rules (the worklist engine's building blocks)
 #
 # Each takes an enable_inplace() graph and one live gate ``v``, applies the
-# axiom at ``v`` through Mig.replace_node, and returns the set of nodes the
-# rewrite touched — empty when the rule does not apply.  Single-fanout
-# heuristics read the optional ``fanouts`` snapshot
+# axiom at ``v`` through Mig.replace_node, and returns True exactly when it
+# called ``replace_node(v, …)`` (``v`` is then retired), else False.  No
+# rule reports which nodes it touched: the engine's phases are topological
+# sweeps and re-queue nothing.  Single-fanout heuristics read the optional
+# ``fanouts`` snapshot
 # (:meth:`~repro.mig.graph.Mig.fanout_snapshot`, falling back to the live
 # counts for nodes created after it) so one phase decides against the
 # fanout counts at its start; pass ``None`` to use live counts.
@@ -215,8 +217,8 @@ def _common_pair(
 # ancestor level — and therefore every PO level — by at most ``delta``
 # (cascaded Ω.M collapses and strash merges only lower levels), so a
 # candidate is safe whenever ``delta <= budget - current_depth()``.
-# Collapse-only rules (Ω.M) and polarity flips (Ω.I) never raise a level
-# and ignore the budget.
+# Collapse-only rules (Ω.M), polarity flips (Ω.I) and the strictly
+# level-lowering depth move never raise a level and take no budget.
 # ----------------------------------------------------------------------
 
 #: for each child slot k, the other two slots (outer ``u``/``x`` candidates)
@@ -305,7 +307,7 @@ def try_distributivity_rl(
     v: int,
     fanouts: Optional[list[int]] = None,
     depth_budget: Optional[int] = None,
-) -> set[int]:
+) -> bool:
     """Ω.D(R→L) at ``v``: ``⟨⟨x y u⟩ ⟨x y v⟩ z⟩ → ⟨x y ⟨u v z⟩⟩``.
 
     Applied when both inner gates have a single fanout, so the rewrite
@@ -329,7 +331,7 @@ def try_distributivity_rl(
     # a empty => not a gate); the rule needs two of them
     single = [ca[e >> 1] >= 0 and _fanout(mig, fanouts, e >> 1) == 1 for e in enc]
     if single.count(True) < 2:
-        return set()
+        return False
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if not (single[i] and single[j]):
             continue
@@ -358,13 +360,12 @@ def try_distributivity_rl(
         if outer >> 1 == v:  # degenerate: the pattern reproduced v itself
             mig.release_if_dead(inner >> 1)
             continue
-        affected = mig.replace_node(v, Signal(outer))
+        mig.replace_node(v, Signal(outer))
         # ``outer`` may have simplified or hashed past a freshly created
         # ``inner``; sweep the speculative gate if nothing reads it.
         mig.release_if_dead(inner >> 1)
-        affected.update(u for u in (inner >> 1, outer >> 1) if ca[u] >= 0)
-        return affected
-    return set()
+        return True
+    return False
 
 
 def try_associativity(
@@ -372,7 +373,7 @@ def try_associativity(
     v: int,
     fanouts: Optional[list[int]] = None,
     depth_budget: Optional[int] = None,
-) -> set[int]:
+) -> bool:
     """Ω.A at ``v``: ``⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩`` where it is free.
 
     Accepted only when the replacement inner gate ``⟨y u x⟩`` is free —
@@ -430,29 +431,23 @@ def try_associativity(
             _inherit_order(mig, first_new, v)
             if replacement >> 1 == v:  # the swap reproduced v itself
                 continue
-            affected = mig.replace_node(v, Signal(replacement))
-            if ca[replacement >> 1] >= 0:
-                affected.add(replacement >> 1)
-            return affected
+            mig.replace_node(v, Signal(replacement))
+            return True
     if collapse < 0:
-        return set()
-    affected = mig.replace_node(v, Signal(collapse))
-    if ca[collapse >> 1] >= 0:
-        affected.add(collapse >> 1)
-    return affected
+        return False
+    mig.replace_node(v, Signal(collapse))
+    return True
 
 
 def try_associativity_depth(
     mig: Mig,
     v: int,
     fanouts: Optional[list[int]] = None,
-    depth_budget: Optional[int] = None,
-) -> set[int]:
+) -> bool:
     """Ω.A at ``v`` targeting *depth* — the depth-rewriting move of the
     MIG papers (Amarù et al.) restricted to strictly improving
-    applications.  ``depth_budget`` is accepted for worklist-phase
-    uniformity and ignored: every committed move strictly
-    lowers ``v``'s level and can raise no other node's.
+    applications.  It needs no depth budget: every committed move
+    strictly lowers ``v``'s level and can raise no other node's.
 
     In ``⟨x u ⟨y u z⟩⟩`` the inner gate adds a level on top of ``z``; when
     the swap ``⟨z u ⟨y u x⟩⟩`` strictly lowers ``v``'s level, it takes the
@@ -505,15 +500,12 @@ def try_associativity_depth(
             if replacement >> 1 == v:  # the swap reproduced v itself
                 mig.release_if_dead(swapped >> 1)
                 continue
-            affected = mig.replace_node(v, Signal(replacement))
+            mig.replace_node(v, Signal(replacement))
             # ``replacement`` may have simplified or hashed past the
             # freshly created ``swapped``; sweep it if nothing reads it.
             mig.release_if_dead(swapped >> 1)
-            affected.update(
-                node for node in (swapped >> 1, replacement >> 1) if ca[node] >= 0
-            )
-            return affected
-    return set()
+            return True
+    return False
 
 
 def try_complementary_associativity(
@@ -521,7 +513,7 @@ def try_complementary_associativity(
     v: int,
     fanouts: Optional[list[int]] = None,
     depth_budget: Optional[int] = None,
-) -> set[int]:
+) -> bool:
     """Ψ.A at ``v``: ``⟨x u ⟨y ū z⟩⟩ = ⟨x u ⟨y x z⟩⟩`` where it is free.
 
     Part of the derived rule set Ψ that the MIG papers add on top of Ω: an
@@ -564,45 +556,26 @@ def try_complementary_associativity(
             _inherit_order(mig, first_new, v)
             if replacement >> 1 == v:  # the rewrite reproduced v itself
                 continue
-            affected = mig.replace_node(v, Signal(replacement))
-            if ca[replacement >> 1] >= 0:
-                affected.add(replacement >> 1)
-            return affected
-    return set()
+            mig.replace_node(v, Signal(replacement))
+            return True
+    return False
 
 
-def flip_complement(mig: Mig, v: int) -> set[int]:
+def flip_complement(mig: Mig, v: int) -> None:
     """Ω.I(R→L) at ``v``: replace the gate by its complement.
 
     ``⟨a b c⟩`` becomes ``¬⟨ā b̄ c̄⟩``, pushing one inversion onto every
     fanout edge.  The flipped gate may hash to an existing node, in which
     case the flip also merges.  Unconditional — cost policies live in the
-    callers (:func:`try_push_inverters`, the worklist engine's cost-aware
-    sweep).  A flip to a fresh gate takes :meth:`~repro.mig.graph.Mig.flip_enc`;
-    only a strash hit goes through the generic replacement.
+    callers (the worklist engine's cost-aware and unconditional inverter
+    sweeps).  A flip to a fresh gate takes
+    :meth:`~repro.mig.graph.Mig.flip_enc`; only a strash hit goes through
+    the generic replacement.
     """
-    affected = mig.flip_enc(v)
-    if affected is not None:
-        return affected
+    if mig.flip_enc(v):
+        return
     ea, eb, ec = _gate_children(mig, v)
     first_new = len(mig)
     flipped = mig.add_maj_enc(ea ^ 1, eb ^ 1, ec ^ 1)
     _inherit_order(mig, first_new, v)
-    affected = mig.replace_node(v, Signal(flipped ^ 1))
-    if mig._ca[flipped >> 1] >= 0:
-        affected.add(flipped >> 1)
-    return affected
-
-
-def try_push_inverters(mig: Mig, v: int, threshold: int = 2) -> set[int]:
-    """Unconditional Ω.I(R→L) at ``v``: ``⟨x̄ ȳ z̄⟩ → ¬⟨x y z⟩``.
-
-    Flips the gate when at least ``threshold`` non-constant children are
-    complemented, pushing the inversion onto the fanout edges.  Algorithm
-    1's final sweep uses ``threshold=3`` — it only removes the most costly
-    case, leaving cost-rejected two-complement gates alone.
-    """
-    inverted_nonconst = sum(e & 1 for e in _gate_children(mig, v) if e >= 2)
-    if inverted_nonconst < threshold:
-        return set()
-    return flip_complement(mig, v)
+    mig.replace_node(v, Signal(flipped ^ 1))

@@ -1,9 +1,9 @@
 """Cached structural analyses of one MIG snapshot.
 
 Every compilation needs the same per-graph measurements — gate parents,
-topological levels, fanout, initial use counts — and several compiler
-configurations additionally need the *cleaned* (dead gates dropped) and
-*DFS-reordered* images of the graph.  Before this module existed, each
+topological levels, initial use counts — and the *cleaned* (dead gates
+dropped) image of the graph, and ``reorder="best"`` additionally its
+*DFS-reordered* image.  Before this module existed, each
 ``PlimCompiler.compile`` call recomputed all of them from scratch, so
 sweeping one MIG through N option sets (Table 1, the ablations, any
 iterative synthesis loop) paid N× for analyses that never change.
@@ -23,7 +23,7 @@ Treat a context-held MIG as frozen — build and rewrite first, analyse
 after.
 
 Per-node analyses the compiler reads in its inner loop — parents and use
-counts — are flat lists indexed by node id; levels and fanout are dicts.
+counts — are flat lists indexed by node id; levels are a dict.
 Cached results are shared, not copied; callers must not mutate them.  The
 one per-compilation *mutable* table, the remaining-use counts, is handed
 out as a fresh copy by :meth:`AnalysisContext.fresh_uses`.
@@ -62,7 +62,6 @@ class AnalysisContext:
         self._edit_count = mig.edit_count
         self._parents: Optional[list[list[int]]] = None
         self._levels: Optional[dict[int, int]] = None
-        self._fanout: Optional[dict[int, int]] = None
         self._uses: Optional[list[int]] = None
         self._gate_order: Optional[tuple[int, ...]] = None
         # True once the graph proved clean (cleanup() would rebuild it
@@ -113,14 +112,6 @@ class AnalysisContext:
         if self._levels is None:
             self._levels = analysis.levels(self._mig)
         return self._levels
-
-    @property
-    def fanout(self) -> dict[int, int]:
-        """Reader edges per node (``analysis.fanout_counts``)."""
-        self._check_current()
-        if self._fanout is None:
-            self._fanout = analysis.fanout_counts(self._mig)
-        return self._fanout
 
     @property
     def use_counts(self) -> list[int]:
@@ -185,7 +176,6 @@ class AnalysisContext:
             for name, value in [
                 ("parents", self._parents),
                 ("levels", self._levels),
-                ("fanout", self._fanout),
                 ("uses", self._uses),
                 ("cleaned", self._cleaned),
                 ("dfs", self._dfs),

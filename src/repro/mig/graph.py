@@ -714,25 +714,22 @@ class Mig:
         if self._strash.get(key) == node:
             del self._strash[key]
 
-    def rehash_node(self, node: int) -> set[int]:
+    def rehash_node(self, node: int) -> None:
         """Re-insert an evicted gate into the strash, merging if taken.
 
-        Returns the affected set of :meth:`replace_node` when the key is
-        now owned by another gate (``node`` is merged into it), else
-        re-claims the key and returns an empty set.
+        When the key is now owned by another gate, ``node`` is merged into
+        it (:meth:`replace_node`); else ``node`` re-claims the key.
         """
         self._require_inplace()
         ea = self._ca[node]
         if ea < 0:
-            return set()
+            return
         key = self._pack_key(ea, self._cb[node], self._cc[node])
         owner = self._strash.get(key)
         if owner is None:
             self._strash[key] = node
-            return set()
-        if owner == node:
-            return set()
-        return self.replace_node(node, Signal.make(owner))
+        elif owner != node:
+            self.replace_node(node, Signal.make(owner))
 
     def inplace_signature(self) -> tuple[int, tuple[int, int, int, int], int]:
         """O(1) structural signature for fixed-point detection.
@@ -746,7 +743,7 @@ class Mig:
             self.materialize_reserved()
         return (self.num_gates, tuple(self._hist), self._c0_noconst)
 
-    def replace_node(self, old: int, new_signal: Signal) -> set[int]:
+    def replace_node(self, old: int, new_signal: Signal) -> None:
         """Redirect every reader of gate ``old`` to ``new_signal``, in place.
 
         ``new_signal`` must compute the same function as ``old`` (the caller
@@ -756,11 +753,8 @@ class Mig:
         or structurally hashes to an existing gate is itself replaced, and
         cones left without readers are tombstoned.  ``new_signal``'s cone
         must not contain any reader of ``old`` (rules built from ``old``'s
-        own fan-in satisfy this by construction).
-
-        Returns the set of nodes whose children changed (the rewired
-        parents) — the worklist re-examination candidates.  Replacing a
-        node by itself (plain) is a no-op returning the empty set.
+        own fan-in satisfy this by construction).  Replacing a node by
+        itself (plain) is a no-op.
         """
         self._require_inplace()
         if not self.is_gate(old):
@@ -771,18 +765,18 @@ class Mig:
         if new_signal.node == old:
             if new_signal.inverted:
                 raise MigError(f"cannot replace node {old} by its own complement")
-            return set()
+            return
         # Every queued replacement target is pinned with an artificial
         # reference: a sibling cascade branch may otherwise retire it
         # before its entry is processed, and readers would be redirected
         # to a tombstone.
         self._refs[new_signal.node] += 1
-        return self._cascade([(old, int(new_signal))], set())
+        self._cascade([(old, int(new_signal))])
 
-    def _cascade(self, queue: list[tuple[int, int]], affected: set[int]) -> set[int]:
+    def _cascade(self, queue: list[tuple[int, int]]) -> None:
         """The :meth:`replace_node` loop over ``queue``'s ``(old node,
         replacement encoding)`` entries, each target pinned by one
-        reference; adds every rewired parent to ``affected``."""
+        reference."""
         ca, cb, cc = self._ca, self._cb, self._cc
         refs = self._refs
         while queue:
@@ -811,7 +805,6 @@ class Mig:
                 nb = ns ^ (eb & 1) if eb >> 1 == o else eb
                 nc = ns ^ (ec & 1) if ec >> 1 == o else ec
                 collapse = self._rewire_enc(p, na, nb, nc)
-                affected.add(p)
                 if collapse >= 0:
                     queue.append((p, collapse))
                     refs[collapse >> 1] += 1  # pin until processed
@@ -819,18 +812,17 @@ class Mig:
             self._edit_count += 1
             if refs[o] == 0:
                 self._kill(o)
-        return affected
 
-    def flip_enc(self, v: int) -> Optional[set[int]]:
+    def flip_enc(self, v: int) -> bool:
         """Ω.I at live gate ``v`` when its complement is a fresh gate.
 
         Creates ``n = ⟨ā b̄ c̄⟩`` in ``v``'s creation-order slot and
         redirects every reader of ``v`` to ``¬n``: the same state changes,
         in the same order, as :meth:`add_maj_enc`, :meth:`inherit_order`
         and ``replace_node(v, ~n)``, so parent sets iterate alike.
-        Returns ``None``, changing nothing but pending reservations, when
-        the complemented triple simplifies or hits the strash; else the
-        rewired parents plus ``n`` if it is live.
+        Returns ``False``, changing nothing but pending reservations, when
+        the complemented triple simplifies or hits the strash; else applies
+        the flip and returns ``True``.
 
         No cascade can start from a fresh ``n``: a rewired parent's new
         key holds ``n``, which no other gate reads yet, so it can equal
@@ -848,12 +840,12 @@ class Mig:
             raise MigError(f"node {v} is not a live gate")
         ea, eb, ec = ea ^ 1, cb[v] ^ 1, cc[v] ^ 1
         if self._simplify_enc(ea, eb, ec) >= 0:
-            return None
+            return False
         pack = self._pack_key
         strash = self._strash
         key = pack(ea, eb, ec)
         if key in strash:
-            return None
+            return False
         # add_maj_enc + inherit_order
         n = self._new_slot(_GATE, ea, eb, ec)
         strash[key] = n
@@ -880,7 +872,6 @@ class Mig:
                 refs[v] -= 1
                 refs[n] += 1
             self._po_of[n] = list(po_indices)
-        affected: set[int] = set()
         queue: list[tuple[int, int]] = []
         for p in list(parents[v]):
             pa = ca[p]
@@ -918,7 +909,6 @@ class Mig:
             self._shape_version += 1
             if levels is not None:
                 self._propagate_levels(p)
-            affected.add(p)
             collapse = self._simplify_enc(na, nb, nc)
             if collapse < 0:
                 new_key = pack(na, nb, nc)
@@ -934,10 +924,8 @@ class Mig:
         if refs[v] == 0:
             self._kill(v)
         if queue:
-            self._cascade(queue, affected)
-        if ca[n] >= 0:
-            affected.add(n)
-        return affected
+            self._cascade(queue)
+        return True
 
     def reorder_children(self, node: int, triple: tuple[Signal, Signal, Signal]) -> None:
         """Store gate ``node``'s children in a new order, in place.

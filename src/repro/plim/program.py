@@ -100,27 +100,6 @@ class Program:
         self._cy.append(0)
         self.version += 1
 
-    def append_encoded(
-        self,
-        a_enc: int,
-        b_enc: int,
-        z: int,
-        ckind: int = COMMENT_NONE,
-        cx: int = 0,
-        cy: int = 0,
-        text: Optional[str] = None,
-    ) -> None:
-        """Fast-path append: pre-encoded operands and a lazy comment."""
-        if text is not None:
-            self._ctext[len(self._dst)] = text
-        self._enc_a.append(a_enc)
-        self._enc_b.append(b_enc)
-        self._dst.append(z)
-        self._ck.append(ckind)
-        self._cx.append(cx)
-        self._cy.append(cy)
-        self.version += 1
-
     def extend(self, instructions: Iterable[Instruction]) -> None:
         """Add several instructions."""
         for instruction in instructions:

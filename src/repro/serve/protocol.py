@@ -262,8 +262,7 @@ def compile_options(payload: dict) -> dict:
     also the dedup/cache identity of the request — two requests with the
     same fingerprint and the same normalized options are the same job.
     """
-    from repro.core.cost import COST_MODELS
-    from repro.core.rewriting import ENGINES
+    from repro.core.rewriting import RewriteOptions
 
     options = payload.get("options", {})
     if not isinstance(options, dict):
@@ -281,29 +280,18 @@ def compile_options(payload: dict) -> dict:
     }
     if not isinstance(normalized["rewrite"], bool):
         raise ProtocolError(400, "bad-request", "'rewrite' must be a boolean")
-    if (
-        not isinstance(normalized["effort"], int)
-        or isinstance(normalized["effort"], bool)  # bool passes isinstance(int)
-        or normalized["effort"] < 1
-    ):
-        raise ProtocolError(400, "bad-request", "'effort' must be an integer >= 1")
-    if normalized["engine"] not in ENGINES:
-        raise ProtocolError(
-            400,
-            "bad-request",
-            f"unknown engine {normalized['engine']!r}; expected one of "
-            f"{sorted(ENGINES)}",
+    # the objective travels as a name: JSON cannot carry a CostModel
+    if not isinstance(normalized["objective"], str):
+        raise ProtocolError(400, "bad-request", "'objective' must be a string")
+    # one error contract with the library: RewriteOptions checks the rest
+    try:
+        RewriteOptions(
+            effort=normalized["effort"],
+            engine=normalized["engine"],
+            objective=normalized["objective"],
         )
-    if (
-        not isinstance(normalized["objective"], str)
-        or normalized["objective"] not in COST_MODELS
-    ):
-        raise ProtocolError(
-            400,
-            "bad-request",
-            f"unknown objective {normalized['objective']!r}; expected one of "
-            f"{sorted(COST_MODELS)}",
-        )
+    except ReproError as exc:
+        raise ProtocolError(400, "bad-request", str(exc)) from None
     return normalized
 
 

@@ -674,25 +674,22 @@ class DictMig:
         if self._strash.get(key) == node:
             del self._strash[key]
 
-    def rehash_node(self, node: int) -> set[int]:
+    def rehash_node(self, node: int) -> None:
         """Re-insert an evicted gate into the strash, merging if taken.
 
-        Returns the affected set of :meth:`replace_node` when the key is
-        now owned by another gate (``node`` is merged into it), else
-        re-claims the key and returns an empty set.
+        When the key is now owned by another gate, ``node`` is merged into
+        it (:meth:`replace_node`); else ``node`` re-claims the key.
         """
         self._require_inplace()
         triple = self._children[node]
         if triple is None:
-            return set()
+            return
         key = self._strash_key(*triple)
         owner = self._strash.get(key)
         if owner is None:
             self._strash[key] = node
-            return set()
-        if owner == node:
-            return set()
-        return self.replace_node(node, Signal.make(owner))
+        elif owner != node:
+            self.replace_node(node, Signal.make(owner))
 
     def inplace_signature(self) -> tuple[int, tuple[int, int, int, int], int]:
         """O(1) structural signature for fixed-point detection.
@@ -706,7 +703,7 @@ class DictMig:
             self.materialize_reserved()
         return (self.num_gates, tuple(self._hist), self._c0_noconst)
 
-    def replace_node(self, old: int, new_signal: Signal) -> set[int]:
+    def replace_node(self, old: int, new_signal: Signal) -> None:
         """Redirect every reader of gate ``old`` to ``new_signal``, in place.
 
         ``new_signal`` must compute the same function as ``old`` (the caller
@@ -716,11 +713,8 @@ class DictMig:
         or structurally hashes to an existing gate is itself replaced, and
         cones left without readers are tombstoned.  ``new_signal``'s cone
         must not contain any reader of ``old`` (rules built from ``old``'s
-        own fan-in satisfy this by construction).
-
-        Returns the set of nodes whose children changed (the rewired
-        parents) — the worklist re-examination candidates.  Replacing a
-        node by itself (plain) is a no-op returning the empty set.
+        own fan-in satisfy this by construction).  Replacing a node by
+        itself (plain) is a no-op.
         """
         self._require_inplace()
         if not self.is_gate(old):
@@ -731,8 +725,7 @@ class DictMig:
         if new_signal.node == old:
             if new_signal.inverted:
                 raise MigError(f"cannot replace node {old} by its own complement")
-            return set()
-        affected: set[int] = set()
+            return
         queue: list[tuple[int, Signal]] = [(old, new_signal)]
         # Every queued replacement target is pinned with an artificial
         # reference: a sibling cascade branch may otherwise retire it
@@ -763,7 +756,6 @@ class DictMig:
                     ns.xor_inversion(s.inverted) if s.node == o else s for s in triple
                 )
                 collapse = self._rewire(p, new_triple)
-                affected.add(p)
                 if collapse is not None:
                     queue.append((p, collapse))
                     self._refs[collapse.node] += 1  # pin until processed
@@ -771,14 +763,13 @@ class DictMig:
             self._edit_count += 1
             if self._refs[o] == 0:
                 self._kill(o)
-        return affected
 
-    def flip_enc(self, v: int) -> Optional[set[int]]:
+    def flip_enc(self, v: int) -> bool:
         """Ω.I at live gate ``v`` onto a fresh gate: when ``⟨ā b̄ c̄⟩``
         neither simplifies nor hits the strash, ``add_maj`` +
-        ``inherit_order`` + ``replace_node(v, ~n)``, returning the rewired
-        parents plus ``n`` if live; else ``None`` with nothing changed but
-        pending reservations (the caller takes the generic path)."""
+        ``inherit_order`` + ``replace_node(v, ~n)`` and ``True``; else
+        ``False`` with nothing changed but pending reservations (the
+        caller takes the generic path)."""
         self._require_inplace()
         if self._reserved:
             self.materialize_reserved()
@@ -790,13 +781,11 @@ class DictMig:
             self._simplify_triple(*flipped) is not None
             or self._strash_key(*flipped) in self._strash
         ):
-            return None
+            return False
         n = self.add_maj(*flipped).node
         self.inherit_order(n, v)
-        affected = self.replace_node(v, Signal.make(n, True))
-        if self._children[n] is not None:
-            affected.add(n)
-        return affected
+        self.replace_node(v, Signal.make(n, True))
+        return True
 
     def reorder_children(self, node: int, triple: tuple[Signal, Signal, Signal]) -> None:
         """Store gate ``node``'s children in a new order, in place.

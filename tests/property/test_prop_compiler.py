@@ -25,7 +25,7 @@ option_sets = st.builds(
     complement_caching=st.booleans(),
     allocator_policy=st.sampled_from(["fifo", "lifo", "fresh"]),
     fix_output_polarity=st.booleans(),
-    reorder=st.sampled_from(["none", "dfs"]),
+    reorder=st.sampled_from(["none", "best"]),
     unblocking_rule=st.booleans(),
     level_rule=st.booleans(),
 )

@@ -30,7 +30,7 @@ option_sets = st.fixed_dictionaries(
     {},
     optional={
         "rewrite": st.booleans(),
-        "effort": st.integers(1, 3),
+        "effort": st.integers(0, 3),
         "engine": st.just("worklist"),
         "objective": st.sampled_from(["size", "depth"]),
     },

@@ -470,18 +470,16 @@ def rewrite_reference(mig: Mig, options: Optional[RewriteOptions] = None) -> Mig
 
 def _size_cycle(mig: Mig, opts: RewriteOptions) -> Mig:
     """One Algorithm 1 effort cycle as whole-graph rebuild passes."""
-    if opts.size_rules:
-        mig = pass_majority(mig)  # Ω.M
-        mig = pass_distributivity_rl(mig)  # Ω.D(R→L)
-        mig = pass_associativity(mig)  # Ω.A
-        if opts.use_psi:
-            mig = pass_complementary_associativity(mig)  # Ψ.A
-        mig = pass_commutativity(mig)  # Ω.C
-        mig = pass_majority(mig)  # Ω.M
-        mig = pass_distributivity_rl(mig)  # Ω.D(R→L)
-    if opts.inverter_rules:
-        mig = pass_inverter_cost_aware(mig, opts.po_negation_cost)  # Ω.I(R→L)(1–3)
-        mig = pass_push_inverters(mig, threshold=3)  # Ω.I(R→L): worst case only
+    mig = pass_majority(mig)  # Ω.M
+    mig = pass_distributivity_rl(mig)  # Ω.D(R→L)
+    mig = pass_associativity(mig)  # Ω.A
+    if opts.use_psi:
+        mig = pass_complementary_associativity(mig)  # Ψ.A
+    mig = pass_commutativity(mig)  # Ω.C
+    mig = pass_majority(mig)  # Ω.M
+    mig = pass_distributivity_rl(mig)  # Ω.D(R→L)
+    mig = pass_inverter_cost_aware(mig, opts.po_negation_cost)  # Ω.I(R→L)(1–3)
+    mig = pass_push_inverters(mig, threshold=3)  # Ω.I(R→L): worst case only
     return mig
 
 

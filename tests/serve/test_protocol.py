@@ -164,10 +164,16 @@ class TestOptionValidation:
         b = compile_options({"options": {"objective": "depth", "effort": 2}})
         assert options_token(a) == options_token(b)
 
+    def test_effort_zero_is_accepted(self):
+        """One error contract: the server accepts what ``RewriteOptions``
+        accepts (``plimc compile --effort 0`` runs no cycle, and so does
+        ``"effort": 0``)."""
+        assert compile_options({"options": {"effort": 0}})["effort"] == 0
+
     @pytest.mark.parametrize(
         "options",
         [
-            {"effort": 0},
+            {"effort": -1},
             {"effort": "high"},
             # bool sneaks through a bare isinstance(int) check — it must
             # not validate (nor mint a "true" options token distinct
@@ -176,6 +182,7 @@ class TestOptionValidation:
             {"rewrite": "yes"},
             {"engine": "magic"},
             {"objective": "speed"},
+            {"objective": ["size"]},
             {"bogus": 1},
         ],
     )

@@ -49,7 +49,6 @@ class TestAnalysisContext:
         ctx = AnalysisContext(mig)
         assert ctx.parents == analysis.parents_of(mig)
         assert ctx.levels == analysis.levels(mig)
-        assert ctx.fanout == analysis.fanout_counts(mig)
         assert ctx.use_counts == analysis.use_counts(mig)
         assert ctx.depth == analysis.depth(mig)
         assert list(ctx.gate_order) == list(mig.gates())

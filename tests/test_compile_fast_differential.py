@@ -40,13 +40,13 @@ GATE_CONFIGS = {
 }
 
 #: extra corners beyond the gate: no complement caching, paper-style
-#: candidate selection (level rule, no cleanup, and under "best"), a
+#: candidate selection (level rule, as given and under "best"), a
 #: tight cell budget, complemented outputs left in place, the lookahead
 #: rule (also under LIFO), index scheduling with case selection, and the
 #: never-reuse allocator
 EXTRA_CONFIGS = {
     "nocache": CompilerOptions(complement_caching=False),
-    "paper": CompilerOptions(level_rule=True, reorder="none", clean=False),
+    "paper": CompilerOptions(level_rule=True, reorder="none"),
     "paper_best": CompilerOptions.paper_selection(reorder="best"),
     "budget": CompilerOptions(max_work_cells=64),
     "paper_outputs": CompilerOptions(fix_output_polarity=False),

@@ -5,7 +5,7 @@ import pytest
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.errors import CompilationError
 from repro.mig.graph import Mig
-from repro.mig.reorder import shuffle_topological
+from repro.mig.reorder import reorder_dfs, shuffle_topological
 from repro.mig.signal import Signal
 from repro.plim.verify import verify_program
 
@@ -211,18 +211,24 @@ class TestDeterminism:
     def test_dfs_reorder_makes_result_order_independent(self):
         mig = random_mig(16, num_pis=6, num_gates=50)
         shuffled = shuffle_topological(mig, seed=3)
-        opts = CompilerOptions(reorder="dfs")
-        p1 = PlimCompiler(opts).compile(mig)
-        p2 = PlimCompiler(opts).compile(shuffled)
+        opts = CompilerOptions(reorder="none")
+        p1 = PlimCompiler(opts).compile(reorder_dfs(mig.cleanup()[0]))
+        p2 = PlimCompiler(opts).compile(reorder_dfs(shuffled.cleanup()[0]))
         assert p1.num_instructions == p2.num_instructions
         assert p1.num_rrams == p2.num_rrams
 
     def test_best_reorder_never_loses_to_either_order(self):
         mig = random_mig(17, num_pis=6, num_gates=50)
-        results = {}
-        for mode in ("none", "dfs", "best"):
-            program = PlimCompiler(CompilerOptions(reorder=mode)).compile(mig)
-            results[mode] = (program.num_rrams, program.num_instructions)
+        as_given = PlimCompiler(CompilerOptions(reorder="none"))
+        programs = {
+            "none": as_given.compile(mig),
+            "dfs": as_given.compile(reorder_dfs(mig.cleanup()[0])),
+            "best": PlimCompiler(CompilerOptions(reorder="best")).compile(mig),
+        }
+        results = {
+            mode: (program.num_rrams, program.num_instructions)
+            for mode, program in programs.items()
+        }
         assert results["best"] == min(results.values())
 
 

@@ -35,6 +35,7 @@ from repro.errors import CompilationError
 from repro.mig.analysis import depth
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
+from repro.mig.reorder import reorder_dfs
 from repro.mig.signal import Signal
 from repro.plim.verify import verify_program
 
@@ -53,10 +54,17 @@ def random_case(seed: int) -> Mig:
 # ----------------------------------------------------------------------
 
 
+def compile_dfs(mig: Mig, **options):
+    """The DFS candidate of ``reorder="best"`` on its own: the DFS image of
+    the cleaned graph (itself clean) compiled as given."""
+    image = reorder_dfs(AnalysisContext(mig).cleaned().mig)
+    return PlimCompiler(CompilerOptions(reorder="none", **options)).compile(image)
+
+
 def compile_both_in_full(mig: Mig, **options):
     """The selection rule on two finished programs, as-given compiled first."""
     as_given = PlimCompiler(CompilerOptions(reorder="none", **options)).compile(mig)
-    dfs = PlimCompiler(CompilerOptions(reorder="dfs", **options)).compile(mig)
+    dfs = compile_dfs(mig, **options)
     cost = lambda program: (program.num_rrams, program.num_instructions)  # noqa: E731
     return dfs if cost(dfs) < cost(as_given) else as_given
 
@@ -159,7 +167,7 @@ def test_budget_no_longer_raises_for_a_cut_off_order():
     budget = {"max_work_cells": 12}
     with pytest.raises(CompilationError, match="work-cell budget of 12"):
         PlimCompiler(CompilerOptions(reorder="none", **budget)).compile(mig)
-    dfs = PlimCompiler(CompilerOptions(reorder="dfs", **budget)).compile(mig)
+    dfs = compile_dfs(mig, **budget)
     program = PlimCompiler(CompilerOptions(**budget)).compile(mig)
     assert program.to_text() == dfs.to_text()
     assert program.num_rrams <= 12
@@ -171,16 +179,13 @@ def test_budget_no_longer_raises_for_a_cut_off_order():
 # ----------------------------------------------------------------------
 
 
-def generic_flip(mig: Mig, v: int) -> set[int]:
+def generic_flip(mig: Mig, v: int) -> None:
     """Ω.I the generic way: create, slot in, replace."""
     first_new = len(mig)
     flipped = mig.add_maj_enc(mig._ca[v] ^ 1, mig._cb[v] ^ 1, mig._cc[v] ^ 1)
     for node in range(first_new, len(mig)):
         mig.inherit_order(node, v)
-    affected = mig.replace_node(v, Signal(flipped ^ 1))
-    if mig._ca[flipped >> 1] >= 0:
-        affected.add(flipped >> 1)
-    return affected
+    mig.replace_node(v, Signal(flipped ^ 1))
 
 
 def full_state(mig: Mig) -> tuple:
@@ -205,10 +210,10 @@ def checked_flips(monkeypatch):
 
     def checked(work, v):
         twin = copy.deepcopy(work)
-        expected = generic_flip(twin, v)
+        generic_flip(twin, v)
         key = work._pack_key(work._ca[v] ^ 1, work._cb[v] ^ 1, work._cc[v] ^ 1)
         paths["generic" if key in work._strash else "fast"] += 1
-        assert flip(work, v) == expected
+        flip(work, v)
         assert full_state(work) == full_state(twin)
 
     monkeypatch.setattr(rewriting, "flip_complement", checked)
@@ -245,10 +250,11 @@ def test_strash_hit_flip_takes_the_generic_path():
     mig.add_po(~g, "g")
     mig.enable_inplace()
     before = full_state(mig)
-    assert mig.flip_enc(g.node) is None
+    assert mig.flip_enc(g.node) is False
     assert full_state(mig) == before
     twin = copy.deepcopy(mig)
-    assert rewriting.flip_complement(mig, g.node) == generic_flip(twin, g.node)
+    rewriting.flip_complement(mig, g.node)
+    generic_flip(twin, g.node)
     assert full_state(mig) == full_state(twin)
     assert mig._ca[g.node] < 0  # merged into h
 

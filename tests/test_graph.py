@@ -280,11 +280,14 @@ class TestInplace:
         mig, (a, b, c, d), (g1, g2, g3) = self._chain()
         before = truth_tables(mig)
         # replace g3 by an equivalent (here: itself rebuilt) — no-op
-        assert mig.replace_node(g3.node, mig.add_maj(g2, a, d)) == set()
+        edits = mig.edit_count
+        mig.replace_node(g3.node, mig.add_maj(g2, a, d))
+        assert mig.edit_count == edits
         # replace g2 by ~(an equivalent of its complement) — same function
         flipped = mig.add_maj(~g1, ~c, ~d)
-        affected = mig.replace_node(g2.node, ~flipped)
-        assert g3.node in affected
+        mig.replace_node(g2.node, ~flipped)
+        assert ~flipped in mig.children(g3.node)  # g3 was rewired
+        assert mig._parents[flipped.node] == {g3.node}
         assert g2.node not in list(mig.gates())
         assert truth_tables(mig) == before
 
@@ -300,8 +303,9 @@ class TestInplace:
         mig.enable_inplace()
         gates_before = mig.num_gates
         # replacing g2 by g1 makes p2's triple identical to p1's -> merge
-        affected = mig.replace_node(g2.node, g1)
-        assert p2.node in affected
+        mig.replace_node(g2.node, g1)
+        assert not mig.is_gate(p2.node)  # rewired, then merged into p1
+        assert mig._parents[g1.node] == {p1.node}
         assert mig.num_gates == gates_before - 2
         assert mig.pos()[0] == mig.pos()[1]
 
@@ -331,7 +335,9 @@ class TestInplace:
 
     def test_self_replacement_guards(self):
         mig, (a, *_), (g1, g2, g3) = self._chain()
-        assert mig.replace_node(g2.node, g2) == set()
+        edits = mig.edit_count
+        mig.replace_node(g2.node, g2)
+        assert mig.edit_count == edits
         with pytest.raises(MigError):
             mig.replace_node(g2.node, ~g2)
         with pytest.raises(MigError):

@@ -9,8 +9,9 @@ they live in ``tests/compile_reference.py``,
 public option or wrapper may select them.  The same holds for the
 object RRAM allocator (``tests/compile_reference.py``) and the pool's
 fault injector (``tests/faults.py``).  Rewriting objectives have one
-vocabulary, the cost-model aliases, and no module under ``src/`` imports
-a name it never uses.
+vocabulary, the cost-model aliases, no module under ``src/`` imports a
+name it never uses, and every function, class and method under ``src/``
+has a reader.  Settings no caller changed stay removed.
 """
 
 import ast
@@ -34,14 +35,18 @@ import repro.plim.verify
 from repro.cli import build_parser
 from repro.core.batch import compile_many, parallel_imap, parallel_map
 from repro.core.compiler import CompilerOptions
+from repro.core.pipeline import compile_mig
 from repro.core.pareto import pareto_sweep
 from repro.core.cost import CompiledPlim
 from repro.core.rewriting import RewriteOptions
-from repro.errors import ReproError
+from repro.errors import CompilationError, ReproError
 from repro.eval.fig3 import fig3b
 from repro.eval.table1 import run_table1
+from repro.mig.algebra import try_associativity_depth
+from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
 from repro.mig.io_mig import write_mig
+from repro.plim.program import Program
 from repro.serve.app import PlimServer, ServerConfig
 from repro.serve.protocol import Request, canonical_json
 
@@ -234,3 +239,164 @@ def test_no_unused_imports():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# ----------------------------------------------------------------------
+# every shipped definition has a reader
+# ----------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+#: the trees whose code may call into ``src/``
+READER_TREES = ("src", "tests", "benchmarks", "perfbench", "examples", "tools")
+
+
+def _docstrings(tree: ast.AST) -> set:
+    """The ids of the docstring constants of ``tree``'s module, classes
+    and functions (prose, not references)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                found.add(id(body[0].value))
+    return found
+
+
+def _references(tree: ast.AST) -> list:
+    """``(name, line)`` of every reference in ``tree``: a name, an
+    attribute, an import alias, or a non-docstring string constant that
+    is an identifier (``monkeypatch.setattr(module, "name", …)``)."""
+    skip = _docstrings(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found.extend((part, node.lineno) for part in node.name.split("."))
+            if node.asname:
+                found.append((node.asname, node.lineno))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in skip
+        ):
+            found.append((node.value, node.lineno))
+    return found
+
+
+def dead_definitions(root: Path) -> list:
+    """``(path:line, qualified name)`` of every function, class and method
+    under ``root/src`` (dunders excepted) that nothing references outside
+    its own definition, in any of :data:`READER_TREES`."""
+    counts: dict = {}
+    shipped = []  # (path, tree, {name: [reference lines]}) per src file
+    for tree_name in READER_TREES:
+        for path in sorted((root / tree_name).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            lines: dict = {}
+            for name, line in _references(tree):
+                counts[name] = counts.get(name, 0) + 1
+                lines.setdefault(name, []).append(line)
+            if tree_name == "src":
+                shipped.append((path, tree, lines))
+    dead = []
+    for path, tree, lines in shipped:
+        stack = [(tree, "")]
+        while stack:
+            parent, prefix = stack.pop()
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    stack.append((node, prefix))
+                    continue
+                name = node.name
+                stack.append((node, f"{prefix}{name}."))
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                inside = sum(
+                    node.lineno <= line <= node.end_lineno for line in lines.get(name, ())
+                )
+                if counts.get(name, 0) <= inside:
+                    where = f"{path.relative_to(root / 'src')}:{node.lineno}"
+                    dead.append((where, prefix + name))
+    return sorted(dead)
+
+
+def test_dead_definition_scan_sees_a_dead_method(tmp_path):
+    for tree_name in READER_TREES:
+        (tmp_path / tree_name).mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "class Live:\n"
+        "    def used(self):\n"
+        "        '''unused is not a reference here'''\n"
+        "        return self.used\n"
+        "    def unused(self):\n"
+        "        return self.unused()\n"
+        "    def patched(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    pass\n"
+    )
+    (tmp_path / "tests" / "t.py").write_text(
+        "from m import Live, helper\n"
+        "Live().used()\n"
+        "setattr(Live, 'patched', None)\n"
+    )
+    assert dead_definitions(tmp_path) == [("m.py:5", "Live.unused")]
+
+
+def test_every_shipped_definition_is_referenced():
+    assert dead_definitions(REPO) == []
+
+
+@pytest.mark.parametrize(
+    ("owner", "name"),
+    [
+        (repro.mig.algebra, "try_push_inverters"),
+        (Program, "append_encoded"),
+        (AnalysisContext, "fanout"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_dead_definitions_stay_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    ("options", "field"),
+    [
+        (RewriteOptions, "size_rules"),
+        (RewriteOptions, "inverter_rules"),
+        (CompilerOptions, "clean"),
+    ],
+)
+def test_unchanged_settings_stay_gone(options, field):
+    """Settings no shipped caller changed were removed, not deprecated."""
+    assert field not in {f.name for f in dataclasses.fields(options)}
+
+
+@pytest.mark.parametrize(
+    ("function", "parameter"),
+    [(compile_mig, "context"), (try_associativity_depth, "depth_budget")],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_ignored_parameters_stay_gone(function, parameter):
+    assert parameter not in inspect.signature(function).parameters
+
+
+def test_dfs_reorder_mode_is_gone():
+    """``reorder="best"`` compiles the DFS image itself; alone, it is
+    ``reorder="none"`` on ``reorder_dfs`` of the cleaned graph."""
+    with pytest.raises(CompilationError, match="unknown reorder mode"):
+        CompilerOptions(reorder="dfs")

@@ -111,8 +111,6 @@ def test_engines_equivalent_on_random_migs(seed):
 @pytest.mark.parametrize(
     "options_kwargs",
     [
-        {"size_rules": False},
-        {"inverter_rules": False},
         {"use_psi": True},
         {"po_negation_cost": 2},
         {"effort": 1},

@@ -136,10 +136,18 @@ def test_one_pass_copy_on_random_migs(mig):
 def replay_distributivity(monkeypatch) -> dict:
     """Replay every Ω.D phase on a twin, calling the rule on every live
     gate: the gates the shipped phase passed to the rule take the same
-    edits, and every other call must change nothing and return empty."""
+    edits, and every other call must change nothing and return False.
+    Every call's return must say whether the rule called
+    ``replace_node(v, …)``."""
     counts = {"called": 0, "skipped": 0}
     phase, rule = rewriting._distributivity_phase, rewriting.try_distributivity_rl
     calls: list[int] = []
+    replaced: list[int] = []
+    replace_node = Mig.replace_node
+
+    def recording_replace(work, old, new_signal):
+        replaced.append(old)
+        replace_node(work, old, new_signal)
 
     def recording(work, v, fanouts, depth_budget):
         calls.append(v)
@@ -155,13 +163,16 @@ def replay_distributivity(monkeypatch) -> dict:
         for v in list(twin.topo_gates()):
             if twin._ca[v] < 0:
                 continue
+            replaced.clear()
             if v == expected:
-                rule(twin, v, fanouts, depth_budget)
+                fired = rule(twin, v, fanouts, depth_budget)
+                assert replaced == ([v] if fired else [])
                 expected = next(pending, None)
                 counts["called"] += 1
                 continue
             stamp = (len(twin), twin.edit_count, twin._shape_version)
-            assert rule(twin, v, fanouts, depth_budget) == set()
+            assert rule(twin, v, fanouts, depth_budget) is False
+            assert replaced == []
             assert (len(twin), twin.edit_count, twin._shape_version) == stamp
             counts["skipped"] += 1
         assert expected is None
@@ -169,6 +180,7 @@ def replay_distributivity(monkeypatch) -> dict:
 
     monkeypatch.setattr(rewriting, "try_distributivity_rl", recording)
     monkeypatch.setattr(rewriting, "_distributivity_phase", replayed)
+    monkeypatch.setattr(Mig, "replace_node", recording_replace)
     return counts
 
 
@@ -328,6 +340,6 @@ def test_second_distributivity_runs_after_the_first_fired(monkeypatch):
         phases.append(work._shape_version != shape)
 
     monkeypatch.setattr(rewriting, "_distributivity_phase", counted)
-    rewritten = rewrite_for_plim(mig, RewriteOptions(effort=1, inverter_rules=False))
+    rewritten = rewrite_for_plim(mig, RewriteOptions(effort=1))
     assert phases == [True, True]
     assert rewritten.num_gates == 2

@@ -55,19 +55,6 @@ class TestOptions:
         with pytest.raises(ReproError, match=repr(effort)):
             RewriteOptions(effort=effort)
 
-    def test_size_rules_only(self):
-        mig = random_mig(2, num_pis=5, num_gates=30, invert_probability=0.6)
-        rewritten = rewrite_for_plim(
-            mig, RewriteOptions(inverter_rules=False)
-        )
-        assert truth_tables(rewritten) == truth_tables(mig)
-
-    def test_inverter_rules_only(self):
-        mig = random_mig(3, num_pis=5, num_gates=30, invert_probability=0.6)
-        rewritten = rewrite_for_plim(mig, RewriteOptions(size_rules=False))
-        assert truth_tables(rewritten) == truth_tables(mig)
-        assert complement_stats(rewritten).by_count[3] == 0
-
     def test_early_exit_matches_full_run(self):
         mig = random_mig(4, num_pis=5, num_gates=30)
         fast = rewrite_for_plim(mig, RewriteOptions(effort=8, early_exit=True))
@@ -152,16 +139,23 @@ class TestEndToEndImprovement:
 
 class TestWorklistPhaseDeadNode:
     def test_rule_that_kills_node_stops_the_rule_chain(self, monkeypatch):
-        """Regression: a rule can fire and still return an empty affected
-        set (replacement is a literal, ``v`` was read only by POs); the
-        reshaping phase must not run its next rule (Ψ.A) on the
-        tombstoned node."""
+        """Regression: a rule that fires retires ``v`` (here the
+        replacement is a literal and ``v`` was read only by POs, so no
+        gate's children change); the reshaping phase must not run its
+        next rule (Ψ.A) on the tombstoned node."""
         import repro.core.rewriting as rewriting
         from repro.mig.graph import Mig
 
         def collapse_to_first_child(mig, v, fanouts=None, depth_budget=None):
             """A rule that replaces the gate by its first child."""
-            return mig.replace_node(v, mig.children(v)[0])
+            mig.replace_node(v, mig.children(v)[0])
+            return True
+
+        psi_calls = []
+
+        def psi(mig, v, fanouts=None, depth_budget=None):
+            psi_calls.append(v)
+            return False
 
         mig = Mig()
         a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
@@ -171,8 +165,9 @@ class TestWorklistPhaseDeadNode:
         mig.enable_inplace()
         first = mig.children(outer.node)[0]
         monkeypatch.setattr(rewriting, "try_associativity", collapse_to_first_child)
-        # the replacement's affected set is empty (the only reader is a PO)
-        # and the gate is tombstoned; Ψ.A must not run on the dead node
+        monkeypatch.setattr(rewriting, "try_complementary_associativity", psi)
+        # the gate is tombstoned; Ψ.A must not run on the dead node
         rewriting._reshaping_phase(mig, True, None)
         assert not mig.is_gate(outer.node)
         assert mig.pos()[0] == first
+        assert psi_calls == []
