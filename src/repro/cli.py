@@ -205,7 +205,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _program_and_inputs(args) -> tuple[Program, dict[str, int]]:
+    """The ``.plim`` program of ``run``/``controller`` and its ``--set
+    name=0|1`` inputs, every input cell given a value."""
     program = Program.from_text(Path(args.program).read_bytes())
     inputs = {}
     for assignment in args.set or []:
@@ -216,6 +218,11 @@ def _cmd_run(args) -> int:
     missing = sorted(set(program.input_cells) - set(inputs))
     if missing:
         raise ReproError(f"missing inputs: {', '.join(missing)} (use --set name=0)")
+    return program, inputs
+
+
+def _cmd_run(args) -> int:
+    program, inputs = _program_and_inputs(args)
     machine = PlimMachine.for_program(program)
     outputs = machine.run_program(program, inputs)
     for name in sorted(outputs):
@@ -231,16 +238,7 @@ def _cmd_controller(args) -> int:
     """Run a .plim program on the von Neumann fetching controller."""
     from repro.plim.controller import FetchingController
 
-    program = Program.from_text(Path(args.program).read_bytes())
-    inputs = {}
-    for assignment in args.set or []:
-        name, _, value = assignment.partition("=")
-        if value not in ("0", "1"):
-            raise ReproError(f"input values must be 0 or 1, got {assignment!r}")
-        inputs[name] = int(value)
-    missing = sorted(set(program.input_cells) - set(inputs))
-    if missing:
-        raise ReproError(f"missing inputs: {', '.join(missing)} (use --set name=0)")
+    program, inputs = _program_and_inputs(args)
     controller = FetchingController(program)
     outputs = controller.run(inputs)
     for name in sorted(outputs):

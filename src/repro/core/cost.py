@@ -48,8 +48,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.mig.algebra import complement_profile
-from repro.mig.analysis import depth as mig_depth
+from repro.mig.analysis import complement_histogram, depth as mig_depth
 from repro.mig.graph import Mig
 from repro.plim.endurance import EnduranceReport, work_cell_wear
 from repro.plim.machine import PlimMachine
@@ -64,27 +63,37 @@ NEGATION_INSTRUCTIONS = 2
 NEGATION_RRAMS = 1
 
 
-def classify_children(mig: Mig, node: int) -> tuple[int, int, bool]:
-    """Return ``(num_nonconst, num_complemented_nonconst, has_const_child)``."""
-    return complement_profile(mig.children(node))
+def negation_cost(num_complemented: int, has_const: bool) -> int:
+    """Instructions spent on negations alone for one node's child profile.
 
-
-def negations_needed(num_complemented: int, has_const: bool) -> int:
-    """Complement materializations a node's translation will need.
-
-    ``num_complemented`` counts complemented non-constant children.
+    ``num_complemented`` counts complemented non-constant children.  The
+    quantity every inverter-propagation cost balance compares before and
+    after a flip (``NEGATION_INSTRUCTIONS`` per materialization).
     """
     if num_complemented >= 1:
-        return num_complemented - 1  # operand B absorbs one
-    if has_const:
-        return 0  # operand B becomes the constant's inverse
-    return 1  # a complement must be fabricated for operand B
+        negations = num_complemented - 1  # operand B absorbs one
+    elif has_const:
+        negations = 0  # operand B becomes the constant's inverse
+    else:
+        negations = 1  # a complement must be fabricated for operand B
+    return NEGATION_INSTRUCTIONS * negations
 
 
-def node_instruction_cost(mig: Mig, node: int) -> int:
-    """Expected instructions to translate ``node`` (≥ 1)."""
-    _, complemented, has_const = classify_children(mig, node)
-    return 1 + NEGATION_INSTRUCTIONS * negations_needed(complemented, has_const)
+def estimate_from_histogram(
+    num_gates: int, hist: Sequence[int], zero_comp_no_const: int
+) -> int:
+    """:func:`estimate_instructions` from the complemented-child counters
+    of :func:`~repro.mig.analysis.complement_histogram`.
+
+    ``hist[c]`` counts live gates with ``c`` complemented non-constant
+    children; ``zero_comp_no_const`` those of ``hist[0]`` without a
+    constant child.  The worklist engine's fixed-point signature reads the
+    counters off :meth:`~repro.mig.graph.Mig.inplace_signature` every
+    cycle, in O(1).
+    """
+    return num_gates + NEGATION_INSTRUCTIONS * (
+        hist[2] + 2 * hist[3] + zero_comp_no_const
+    )
 
 
 def estimate_instructions(mig: Mig, po_negation_cost: int = 0) -> int:
@@ -94,7 +103,7 @@ def estimate_instructions(mig: Mig, po_negation_cost: int = 0) -> int:
     primary output (0 reproduces the paper's accounting, where outputs may
     rest in complemented form; 2 models an explicit fix-up).
     """
-    total = sum(node_instruction_cost(mig, v) for v in mig.gates())
+    total = estimate_from_histogram(mig.num_gates, *complement_histogram(mig))
     if po_negation_cost:
         total += po_negation_cost * sum(1 for po in mig.pos() if po.inverted and not po.is_const)
     return total
@@ -106,36 +115,8 @@ def estimate_extra_rrams(mig: Mig) -> int:
     A lower bound companion to :func:`estimate_instructions`; the true #R
     additionally depends on scheduling and cell reuse.
     """
-    total = 0
-    for v in mig.gates():
-        _, complemented, has_const = classify_children(mig, v)
-        total += NEGATION_RRAMS * negations_needed(complemented, has_const)
-    return total
-
-
-def estimate_from_histogram(
-    num_gates: int, hist: Sequence[int], zero_comp_no_const: int
-) -> int:
-    """:func:`estimate_instructions` from incrementally maintained counters.
-
-    ``hist[c]`` counts live gates with ``c`` complemented non-constant
-    children; ``zero_comp_no_const`` those of ``hist[0]`` without a
-    constant child.  The O(1) counterpart of the full traversal — the
-    worklist engine's fixed-point signature reads it off
-    :meth:`~repro.mig.graph.Mig.inplace_signature` every cycle.
-    """
-    return num_gates + NEGATION_INSTRUCTIONS * (
-        hist[2] + 2 * hist[3] + zero_comp_no_const
-    )
-
-
-def negation_cost(num_complemented: int, has_const: bool) -> int:
-    """Instructions spent on negations alone for one node's child profile.
-
-    The quantity every inverter-propagation cost balance compares before
-    and after a flip (``NEGATION_INSTRUCTIONS`` per materialization).
-    """
-    return NEGATION_INSTRUCTIONS * negations_needed(num_complemented, has_const)
+    negation_instructions = estimate_from_histogram(0, *complement_histogram(mig))
+    return NEGATION_RRAMS * negation_instructions // NEGATION_INSTRUCTIONS
 
 
 def measure_program(
@@ -209,18 +190,15 @@ class CostModel:
 
     A model measures a whole MIG (:meth:`measure`); the report's
     orderable ``objective`` is what the guided drivers minimize.
-    ``strategy`` routes dispatch in
-    :func:`~repro.core.rewriting.rewrite_for_plim`: ``"size"``/``"depth"``
-    models run the dedicated (bit-identical) objectives; ``"guided"`` models
-    run the measure-and-select loop.  Implementations must be frozen
+    :func:`~repro.core.rewriting.rewrite_for_plim` runs :class:`NodeCount`
+    and :class:`Depth` on their dedicated (bit-identical) engines, every
+    other model on the measure-and-select loop.  Implementations must be frozen
     dataclasses: a deterministic ``repr`` is the model's cache identity,
     and instances cross process-pool boundaries by pickle.
     """
 
     #: alias under which :func:`resolve_cost_model` finds the model
     name: str = "abstract"
-    #: "size" | "depth" | "guided" — see class docstring
-    strategy: str = "guided"
 
     def measure(
         self,
@@ -242,7 +220,6 @@ class NodeCount(CostModel):
     one translation per gate, so node count is the first-order cost)."""
 
     name = "size"
-    strategy = "size"
 
     def measure(self, mig: Mig, *, context=None, cache=None) -> CostReport:
         num_gates = mig.num_gates
@@ -259,7 +236,6 @@ class Depth(CostModel):
     """#D — critical-path length, the cost parallel in-memory targets pay."""
 
     name = "depth"
-    strategy = "depth"
 
     def measure(self, mig: Mig, *, context=None, cache=None) -> CostReport:
         num_gates = mig.num_gates
@@ -281,7 +257,6 @@ class StaticPlim(CostModel):
     """
 
     name = "static-plim"
-    strategy = "guided"
 
     po_negation_cost: int = 0
 
@@ -330,7 +305,6 @@ class CompiledPlim(CostModel):
     """
 
     name = "plim"
-    strategy = "guided"
 
     paper_accounting: bool = True
     allocator_policy: str = "fifo"

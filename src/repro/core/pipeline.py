@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.cost import CostModel
+from repro.core.cost import NEGATION_INSTRUCTIONS, CostModel
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.graph import Mig
 from repro.plim.program import Program
@@ -72,6 +72,25 @@ class CompileResult:
         )
 
 
+def plim_rewrite_options(
+    fix_output_polarity: bool,
+    *,
+    effort: int = 4,
+    objective: "str | CostModel" = "size",
+) -> RewriteOptions:
+    """The rewrite options matching a compiler's output-polarity setting.
+
+    A compiler that fixes output polarity spends
+    ``NEGATION_INSTRUCTIONS`` on each complemented output, so the rewriter
+    is told to charge them that much; without the fix-up they are free.
+    """
+    return RewriteOptions(
+        effort=effort,
+        po_negation_cost=NEGATION_INSTRUCTIONS if fix_output_polarity else 0,
+        objective=objective,
+    )
+
+
 def compile_mig(
     mig: Mig,
     *,
@@ -88,11 +107,12 @@ def compile_mig(
     ("size" — Algorithm 1, the default — "depth" for critical-path
     rewriting, or another :class:`~repro.core.cost.CostModel`
     instance/alias such as "plim" for guided measure-and-select rewriting
-    against real compiled cost — see :func:`repro.core.rewriting
-    .compile_cost_loop` for the loop with full reporting; all ignored
-    when an explicit ``rewrite_options`` is given).  When the compiler is
-    configured to fix output polarity (the default), the rewriter is told
-    to charge complemented outputs accordingly.
+    against real compiled cost — see
+    :func:`repro.core.rewriting.compile_cost_loop` for the loop with full
+    reporting; all ignored when an explicit ``rewrite_options`` is
+    given).  When the compiler is configured to fix output polarity (the
+    default), the rewriter is told to charge complemented outputs
+    accordingly (:func:`plim_rewrite_options`).
 
     ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`
     that memoizes the rewriting step under the input's
@@ -123,11 +143,8 @@ def compile_mig(
         if rewrite_options is not None:
             ropts = rewrite_options
         else:
-            po_cost = 2 if copts.fix_output_polarity else 0
-            ropts = RewriteOptions(
-                effort=effort,
-                po_negation_cost=po_cost,
-                objective=objective,
+            ropts = plim_rewrite_options(
+                copts.fix_output_polarity, effort=effort, objective=objective
             )
         start = perf_counter()
         compiled = rewrite_for_plim(mig, ropts, cache=cache)

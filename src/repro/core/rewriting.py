@@ -62,6 +62,7 @@ from repro.mig.algebra import (
     try_complementary_associativity,
     try_distributivity_rl,
 )
+from repro.mig.analysis import complement_histogram
 from repro.mig.graph import Mig
 
 
@@ -150,7 +151,7 @@ def _normalize_objective(
     """
     model = resolve_cost_model(opts.objective)
     if type(model) in (NodeCount, Depth):
-        return replace(opts, objective=model.strategy), None
+        return replace(opts, objective=model.name), None
     return replace(opts, objective=model), model
 
 
@@ -226,28 +227,19 @@ def rewrite_for_plim(
     return result
 
 
-def _signature(mig: Mig) -> tuple:
-    """Cheap fixed-point detector for the effort loop (full traversal).
+def _signature(
+    num_gates: int, hist: tuple[int, int, int, int], zero_comp_no_const: int
+) -> tuple:
+    """Cheap fixed-point detector for the effort loop.
 
-    ``(gate count, complemented-child histogram, instruction estimate)`` —
-    :func:`~repro.mig.analysis.complement_stats` and
-    :func:`~repro.core.cost.estimate_instructions` folded into one loop
-    over the child encodings (constants are encodings 0 and 1).
+    ``(gate count, complemented-child histogram, instruction estimate)``
+    from the counters of :func:`~repro.mig.analysis.complement_histogram`
+    (one traversal) or :meth:`~repro.mig.graph.Mig.inplace_signature`
+    (maintained incrementally, O(1)).
     """
-    hist = [0, 0, 0, 0]
-    zero_comp_no_const = 0
-    profile = Mig._profile_enc
-    for ea, eb, ec in zip(mig._ca, mig._cb, mig._cc):
-        if ea < 0:
-            continue
-        complemented, has_const = profile(ea, eb, ec)
-        hist[complemented] += 1
-        if complemented == 0 and not has_const:
-            zero_comp_no_const += 1
-    num_gates = mig.num_gates
     return (
         num_gates,
-        tuple(hist),
+        hist,
         estimate_from_histogram(num_gates, hist, zero_comp_no_const),
     )
 
@@ -273,20 +265,20 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
     # the edit count right after the last cycle's Ω.C sweep (None: effort 0)
     swept = None
     for cycle in range(opts.effort):
-        before = _inplace_signature(work) if cycle else None
+        before = _signature(*work.inplace_signature()) if cycle else None
         swept = _worklist_size_sweep(work, opts)
         _sweep_inverters_cost_aware(work, opts.po_negation_cost)
         _sweep_push_inverters(work, threshold=3)
         if not opts.early_exit:
             continue
-        after = _inplace_signature(work)
+        after = _signature(*work.inplace_signature())
         if cycle == 0 and after[0] == mig.num_gates:
             # Cycle 0 measures the fixed point against the *raw* input: a
             # first cycle that only cleans up or reshapes (no count change
             # against the cleaned graph) must not exit early, because
             # reshaping feeds the next cycle's Ω.D.  The input's signature
             # is a full traversal, and only a gate-count tie can match it.
-            before = _signature(mig)
+            before = _signature(mig.num_gates, *complement_histogram(mig))
         if after == before:
             break
     # Inverter propagation may have changed which children are complemented;
@@ -317,18 +309,6 @@ def _check_budget_feasible(work: Mig, depth_budget: int) -> None:
             f"depth {current}; rewrite with objective='depth' first or "
             f"raise the budget"
         )
-
-
-def _inplace_signature(mig: Mig) -> tuple:
-    """O(1) counterpart of :func:`_signature` for in-place graphs.
-
-    Same (gate count, complement histogram, instruction estimate) triple,
-    but read from the incrementally maintained counters instead of a full
-    traversal.
-    """
-    num_gates, hist, zero_comp_no_const = mig.inplace_signature()
-    estimate = estimate_from_histogram(num_gates, hist, zero_comp_no_const)
-    return (num_gates, hist, estimate)
 
 
 def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> int:

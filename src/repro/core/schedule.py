@@ -13,9 +13,10 @@ are all computed.  The ordering implements the paper's two principles:
 
 Ties fall back to the node index, which also makes the schedule fully
 deterministic.  This module defines the keys; the heap that orders them
-lives in the compilation loop (:meth:`repro.core.compiler.PlimCompiler.
-_compile_ordered`), which pushes a candidate when its last child is
-computed and re-keys it when a translation changes its context.
+lives in the compilation loop
+(:meth:`repro.core.compiler.PlimCompiler._compile_ordered`), which
+pushes a candidate when its last child is computed and re-keys it when
+a translation changes its context.
 
 :func:`candidate_key_fn` builds the key of one compilation run.  Without
 the level rule the comparator is a total order on

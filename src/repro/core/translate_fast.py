@@ -21,10 +21,11 @@ value, an optional cell holding its *complement* ("it is remembered for
 future use", Fig. 5(f)), and the number of remaining readers — when that
 count reaches zero the node's cells go back to the free list (§4.2.3),
 which hands them out again under the FIFO, LIFO or FRESH policy of
-:mod:`repro.core.allocator`.  :meth:`FastTranslationState.gate_step`
-returns the whole per-gate translation — case analysis, allocation,
-emission and release — as one closure over flat per-node lists, and the
-compilation loop calls it once per gate.  Instructions go straight into
+:data:`repro.core.compiler.POLICIES`.
+:meth:`FastTranslationState.gate_step` returns the whole per-gate
+translation — case analysis, allocation, emission and release — as one
+closure over flat per-node lists, and the compilation loop calls it
+once per gate.  Instructions go straight into
 the program's flat columns with lazy comment descriptors.  Operand
 encodings follow the ISA convention (:func:`repro.plim.isa.encode_operand`):
 constants 0/1 are ``1``/``3``, cell ``k`` is ``2k``.

@@ -27,6 +27,7 @@ from repro.core.batch import parallel_map
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import CompiledPlim
 from repro.core.pareto import ParetoFront, pareto_sweep
+from repro.core.pipeline import plim_rewrite_options
 from repro.core.rewriting import (
     CostLoopResult,
     RewriteOptions,
@@ -266,9 +267,10 @@ def allocator_ablation(
 ) -> list[AllocatorPoint]:
     """Compile with each allocator policy and measure real write wear.
 
-    Each policy is measured through the :class:`~repro.core.cost
-    .CompiledPlim` cost model — the same endurance-aware path guided
-    rewriting optimizes against — so the wear numbers here are exactly
+    Each policy is measured through the
+    :class:`~repro.core.cost.CompiledPlim` cost model — the same
+    endurance-aware path guided rewriting optimizes against — so the
+    wear numbers here are exactly
     the ones a ``plim``-objective rewrite would see: the program is
     executed once on the machine model (width 1, seeded random inputs)
     and the per-cell programming pulses counted, not estimated.
@@ -326,9 +328,7 @@ def polarity_ablation(mig: Mig, rewrite_effort: int = 4) -> list[PolarityPoint]:
     points = []
     for paper in (True, False):
         fix = not paper
-        rewritten = rewrite_for_plim(
-            mig, RewriteOptions(effort=rewrite_effort, po_negation_cost=2 if fix else 0)
-        )
+        rewritten = rewrite_for_plim(mig, plim_rewrite_options(fix, effort=rewrite_effort))
         program = PlimCompiler(
             CompilerOptions(fix_output_polarity=fix)
         ).compile(rewritten)

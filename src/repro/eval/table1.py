@@ -33,7 +33,8 @@ from repro.core.batch import parallel_imap
 from repro.core.cache import SynthesisCache
 from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.core.pipeline import plim_rewrite_options
+from repro.core.rewriting import rewrite_for_plim
 from repro.eval.reporting import format_table, improvement, to_csv
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
@@ -151,9 +152,7 @@ def measure_mig(
 
     rewritten = rewrite_for_plim(
         mig,
-        RewriteOptions(
-            effort=effort, po_negation_cost=2 if fix else 0, objective=objective,
-        ),
+        plim_rewrite_options(fix, effort=effort, objective=objective),
         cache=cache,
     )
     rewritten_context = AnalysisContext(rewritten)

@@ -25,27 +25,6 @@ from repro.mig.graph import Mig
 from repro.mig.signal import Signal
 
 
-def complement_profile(signals) -> tuple[int, int, bool]:
-    """``(num_nonconst, num_complemented_nonconst, has_const)`` of a child triple.
-
-    The polarity profile every inverter-cost decision is made on: RM3's
-    operand-B slot absorbs one complemented (non-constant) child for free,
-    constants ride along as built-in operands.  Used by the §4.2.2
-    estimators in :mod:`repro.core.cost`.
-    """
-    nonconst = 0
-    complemented = 0
-    has_const = False
-    for s in signals:
-        if s.is_const:
-            has_const = True
-        else:
-            nonconst += 1
-            if s.inverted:
-                complemented += 1
-    return nonconst, complemented, has_const
-
-
 _CHILD_PERMUTATIONS = (
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
 )

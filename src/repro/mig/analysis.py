@@ -95,18 +95,28 @@ def use_counts(mig: Mig, parents: Optional[list[list[int]]] = None) -> list[int]
     return uses
 
 
-def complemented_child_count(mig: Mig, node: int, count_constants: bool = False) -> int:
-    """Complemented child edges of a gate.
+def complement_histogram(mig: Mig) -> tuple[tuple[int, int, int, int], int]:
+    """The §4.2.2 child-polarity profile of every live gate, counted.
 
-    Constant children are excluded by default: a complemented edge to the
-    constant node is just the constant 1 and costs nothing to compute, so
-    the compiler's cost analysis must not count it as an inversion.
+    Returns ``(hist, zero_comp_no_const)``: ``hist[c]`` counts gates with
+    ``c`` complemented children, and ``zero_comp_no_const`` counts the
+    gates of ``hist[0]`` without a constant child.  Constant children are
+    never counted as complemented: a complemented edge to the constant
+    node is just the constant 1 and costs nothing to compute.  The same
+    counters :meth:`~repro.mig.graph.Mig.inplace_signature` maintains
+    incrementally.
     """
-    return sum(
-        1
-        for child in mig.children(node)
-        if child.inverted and (count_constants or not child.is_const)
-    )
+    hist = [0, 0, 0, 0]
+    zero_comp_no_const = 0
+    profile = Mig._profile_enc
+    for ea, eb, ec in zip(mig._ca, mig._cb, mig._cc):
+        if ea < 0:  # the constant, a PI or a tombstone
+            continue
+        complemented, has_const = profile(ea, eb, ec)
+        hist[complemented] += 1
+        if complemented == 0 and not has_const:
+            zero_comp_no_const += 1
+    return tuple(hist), zero_comp_no_const
 
 
 @dataclass(frozen=True)
@@ -116,12 +126,12 @@ class ComplementStats:
     num_gates: int
     by_count: tuple[int, int, int, int]  # gates with 0, 1, 2, 3 complements
 
+
 def complement_stats(mig: Mig) -> ComplementStats:
     """Histogram of complemented-child counts over all gates."""
-    histogram = [0, 0, 0, 0]
-    for v in mig.gates():
-        histogram[complemented_child_count(mig, v)] += 1
-    return ComplementStats(num_gates=mig.num_gates, by_count=tuple(histogram))
+    return ComplementStats(
+        num_gates=mig.num_gates, by_count=complement_histogram(mig)[0]
+    )
 
 
 @dataclass(frozen=True)

@@ -5,29 +5,22 @@ integer (bit ``p`` = value under pattern ``p``), so a single pass over the
 gates simulates all patterns at once.  This is the engine behind truth
 tables, equivalence checking, and program verification.
 
-Two word-parallel kernels sit under the public functions:
+The gate schedule (topological order plus child encodings) is compiled
+once per graph shape and cached on the :class:`~repro.mig.graph.Mig`
+(keyed on ``(len, shape version)``, so any structural edit invalidates
+it); each run is then a tight loop of Python-int ``&``/``|``/``^`` over
+pre-resolved encodings.  CPython big-ints are already bit-sliced 30 bits
+per digit, so the loop's bitwise ops are C loops over whole batches.
 
-* **Compiled big-int kernel** — the default.  The gate schedule (topo
-  order plus child encodings) is compiled once per graph shape and cached
-  on the :class:`~repro.mig.graph.Mig` (keyed on ``(len, shape version)``,
-  so any structural edit invalidates it); each run is then a tight loop of
-  Python-int ``&``/``|``/``^`` over pre-resolved encodings — CPython
-  big-ints are already 64-wide-per-word bit-sliced, the compilation
-  removes the per-gate ``children()``/``topo_gates()`` interpretation that
-  used to dominate.
-* **Chunked numpy ``uint64`` kernel** — engaged for very wide batches
-  (truth-table widths, ``num_patterns >= 65536`` on graphs with enough
-  gates) when numpy is importable.  Gates are grouped by topological
-  level; each level is one vectorized gather + majority over a
-  ``(gates, words)`` ``uint64`` block.  Patterns are processed in chunks
-  sized to keep the node-value matrix cache-resident rather than
-  collapsing under memory traffic.  At narrower widths the big-int kernel
-  is at parity or faster (its ops are C loops too, without the gather
-  copies), so it stays the default.
-
-Both kernels are bit-for-bit identical to the scalar definition (the
-property tests in ``tests/property/test_prop_simulate.py`` pin this down);
-which one runs is purely a latency choice.
+Batches of :data:`_SLICE_MIN_PATTERNS` patterns or more run the same loop
+over pattern slices: one pass holds a value for every node slot, so an
+unsliced truth-table-width pass on a large graph would hold
+``2 * slots * patterns`` bits at once.  Each slice is sized so one pass's
+values stay near :data:`_CHUNK_TARGET_BYTES`; the inputs are cut per
+slice and the outputs joined back in pattern order.  Slicing is exact
+(pattern ``p`` only ever meets bit ``p`` of the other signals), and the
+property tests in ``tests/property/test_prop_simulate.py`` pin sliced and
+single-pass runs to each other and to the scalar definition.
 """
 
 from __future__ import annotations
@@ -39,20 +32,11 @@ from repro.mig.graph import Mig
 from repro.mig.signal import Signal
 from repro.utils.bits import full_mask, pattern_mask
 
-try:  # numpy is optional: everything falls back to the big-int kernel
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
-#: minimum batch width before the numpy kernel can beat big-ints —
-#: CPython big-int bitwise ops are C loops over 30-bit digits and stay at
-#: parity with the vectorized gather up to tens of thousands of patterns
-#: (measured on the EPFL registry circuits), so numpy only engages at
-#: truth-table widths where its chunked blocks tie or win
-_NUMPY_MIN_PATTERNS = 65536
-#: minimum gate count before per-level numpy dispatch overhead amortizes
-_NUMPY_MIN_GATES = 32
-#: target bytes for one chunk of the node-value matrix (cache residency)
+#: narrowest batch that runs in pattern slices; narrower batches take one
+#: pass (``verify_program``, ``equivalent`` and the sampled checks all
+#: stay below it)
+_SLICE_MIN_PATTERNS = 65536
+#: target bytes of one sliced pass's node values
 _CHUNK_TARGET_BYTES = 1 << 25
 
 
@@ -61,49 +45,15 @@ class _SimPlan:
 
     ``gates`` is the whole simulation as data: one ``(target encoding,
     child a, child b, child c)`` tuple per live gate, in topological
-    order.  ``groups`` (numpy level groups) are compiled lazily on first
-    wide-batch use so big-int-only callers never pay for them.
+    order.
     """
 
-    __slots__ = ("gates", "pi_nodes", "n_slots", "groups", "max_group")
+    __slots__ = ("gates", "pi_nodes", "n_slots")
 
     def __init__(self, gates: list[tuple[int, int, int, int]], pi_nodes: list[int], n_slots: int):
         self.gates = gates
         self.pi_nodes = pi_nodes
         self.n_slots = n_slots
-        self.groups = None
-        self.max_group = 0
-
-    def numpy_groups(self):
-        """Level groups as numpy index/complement-mask vectors (lazy)."""
-        if self.groups is not None:
-            return self.groups
-        np = _np
-        levels = [0] * self.n_slots
-        by_level: dict[int, list[tuple[int, int, int, int]]] = {}
-        for t, ia, ib, ic in self.gates:
-            level = 1 + max(levels[ia >> 1], levels[ib >> 1], levels[ic >> 1])
-            levels[t >> 1] = level
-            by_level.setdefault(level, []).append((t, ia, ib, ic))
-        ones = ~np.uint64(0)
-        zero = np.uint64(0)
-        groups = []
-        for level in sorted(by_level):
-            rows = by_level[level]
-            groups.append(
-                (
-                    np.array([t >> 1 for t, _, _, _ in rows], dtype=np.intp),
-                    np.array([ia >> 1 for _, ia, _, _ in rows], dtype=np.intp),
-                    np.array([ones if ia & 1 else zero for _, ia, _, _ in rows], dtype=np.uint64),
-                    np.array([ib >> 1 for _, _, ib, _ in rows], dtype=np.intp),
-                    np.array([ones if ib & 1 else zero for _, _, ib, _ in rows], dtype=np.uint64),
-                    np.array([ic >> 1 for _, _, _, ic in rows], dtype=np.intp),
-                    np.array([ones if ic & 1 else zero for _, _, _, ic in rows], dtype=np.uint64),
-                )
-            )
-            self.max_group = max(self.max_group, len(rows))
-        self.groups = groups
-        return groups
 
 
 def _plan_for(mig: Mig) -> _SimPlan:
@@ -152,10 +102,7 @@ def simulate(
             f"duplicate primary output name {duplicate!r}: a name-keyed "
             "result would shadow one output; use simulate_outputs()"
         )
-    outputs = _simulate_encodings(
-        mig, pi_values, num_patterns, [int(po) for po in mig.pos()]
-    )
-    return dict(zip(names, outputs))
+    return dict(zip(names, simulate_outputs(mig, pi_values, num_patterns)))
 
 
 def simulate_outputs(
@@ -169,9 +116,12 @@ def simulate_outputs(
     dict of :func:`simulate` would collapse entries); the equivalence
     checker compares outputs positionally through this function.
     """
-    return _simulate_encodings(
-        mig, pi_values, num_patterns, [int(po) for po in mig.pos()]
-    )
+    pi_ints = _resolve_pi_ints(mig, pi_values, num_patterns)
+    plan = _plan_for(mig)
+    encodings = [int(po) for po in mig.pos()]
+    if num_patterns < _SLICE_MIN_PATTERNS:
+        return _run_bigint(plan, pi_ints, num_patterns, encodings)
+    return _run_sliced(plan, pi_ints, num_patterns, encodings)
 
 
 def _first_duplicate(names) -> Optional[str]:
@@ -209,30 +159,43 @@ def _resolve_pi_ints(
     return resolved
 
 
-def _simulate_encodings(
-    mig: Mig,
-    pi_values: Mapping[str, int] | Sequence[int],
-    num_patterns: int,
-    encodings: list[int],
+def _run_sliced(
+    plan: _SimPlan, pi_ints: list[int], num_patterns: int, encodings: list[int]
 ) -> list[int]:
-    """Packed value per requested signal encoding — kernel dispatch point."""
-    pi_ints = _resolve_pi_ints(mig, pi_values, num_patterns)
-    plan = _plan_for(mig)
-    if (
-        _np is not None
-        and num_patterns >= _NUMPY_MIN_PATTERNS
-        and len(plan.gates) >= _NUMPY_MIN_GATES
-    ):
-        return _run_numpy(plan, pi_ints, num_patterns, encodings)
-    values = _run_bigint(plan, pi_ints, num_patterns)
-    mask = full_mask(num_patterns)
-    return [_fetch(values, encoding, mask) for encoding in encodings]
+    """:func:`_run_bigint` over consecutive pattern slices.
+
+    A slice is a multiple of 64 patterns wide, sized so one pass's node
+    values stay near :data:`_CHUNK_TARGET_BYTES`.  Inputs are cut and
+    outputs joined as little-endian bytes (whole bytes, since every slice
+    but the last is a multiple of 8 patterns), which keeps both linear in
+    the batch width where shifting whole integers would not be.
+    """
+    width = max(64, (_CHUNK_TARGET_BYTES * 8 // (2 * plan.n_slots)) & ~63)
+    size = (num_patterns + 7) >> 3
+    # in place: each masked input is a private copy, so dropping it as its
+    # bytes are made keeps one copy of the inputs alive instead of two
+    for index, value in enumerate(pi_ints):
+        pi_ints[index] = value.to_bytes(size, "little")
+    parts: list = [[] for _ in encodings]
+    for lo in range(0, num_patterns, width):
+        n = min(width, num_patterns - lo)
+        b0, b1 = lo >> 3, (lo + n + 7) >> 3
+        values = _run_bigint(
+            plan, [int.from_bytes(raw[b0:b1], "little") for raw in pi_ints], n, encodings
+        )
+        for slot, value in zip(parts, values):
+            slot.append(value.to_bytes(b1 - b0, "little"))
+    # in place again: each output's parts are freed as it is joined
+    for index, slot in enumerate(parts):
+        parts[index] = int.from_bytes(b"".join(slot), "little")
+    return parts
 
 
 def _run_bigint(
-    plan: _SimPlan, pi_ints: list[int], num_patterns: int
-) -> list[Optional[int]]:
-    """Compiled big-int kernel: one pass over the pre-resolved schedule."""
+    plan: _SimPlan, pi_ints: list[int], num_patterns: int, encodings: list[int]
+) -> list[int]:
+    """One pass over the pre-resolved schedule; the value of each of
+    ``encodings``."""
     mask = full_mask(num_patterns)
     values: list[Optional[int]] = [None] * (plan.n_slots << 1)
     values[int(Signal.CONST0)] = 0
@@ -250,64 +213,8 @@ def _run_bigint(
         if c is None:
             c = values[ic] = values[ic ^ 1] ^ mask
         values[t] = (a & b) | (a & c) | (b & c)
-    return values
-
-
-def _run_numpy(
-    plan: _SimPlan, pi_ints: list[int], num_patterns: int, encodings: list[int]
-) -> list[int]:
-    """Chunked level-grouped ``uint64`` kernel for wide batches.
-
-    The node-value matrix is ``(node slots, chunk words)``; patterns are
-    processed 64-per-word in chunks sized so the matrix stays around
-    cache/working-set scale regardless of graph size.  Per level: gather
-    the three child rows, flip complemented edges by XOR with all-ones
-    masks, and combine as ``(a&b) | (c & (a|b))`` with in-place ops (three
-    temporaries per level, no per-gate Python work).
-    """
-    np = _np
-    words = (num_patterns + 63) >> 6
-    n = plan.n_slots
-    chunk = max(1, min(words, _CHUNK_TARGET_BYTES // (8 * max(n, 1))))
-    groups = plan.numpy_groups()
-    pi_bytes = [value.to_bytes(words * 8, "little") for value in pi_ints]
-    matrix = np.zeros((n, chunk), dtype=np.uint64)
-    out_parts: list[list[bytes]] = [[] for _ in encodings]
-    for w0 in range(0, words, chunk):
-        w1 = min(words, w0 + chunk)
-        view = matrix[:, : w1 - w0]
-        view[0] = 0
-        for node, raw in zip(plan.pi_nodes, pi_bytes):
-            view[node] = np.frombuffer(raw[w0 * 8 : w1 * 8], dtype=np.uint64)
-        for tgt, ia, inv_a, ib, inv_b, ic, inv_c in groups:
-            a = view[ia]
-            a ^= inv_a[:, None]
-            b = view[ib]
-            b ^= inv_b[:, None]
-            c = view[ic]
-            c ^= inv_c[:, None]
-            ab = a & b
-            np.bitwise_or(a, b, out=b)
-            np.bitwise_and(b, c, out=b)
-            np.bitwise_or(b, ab, out=b)
-            view[tgt] = b
-        for slot, encoding in enumerate(encodings):
-            row = view[encoding >> 1]
-            if encoding & 1:
-                row = ~row
-            out_parts[slot].append(row.tobytes())
-    mask = full_mask(num_patterns)
-    return [
-        int.from_bytes(b"".join(parts), "little") & mask for parts in out_parts
-    ]
-
-
-def _fetch(values: list[Optional[int]], encoding: int, mask: int) -> int:
-    """Value of one signal encoding, filling its lazy complement slot."""
-    value = values[encoding]
-    if value is None:
-        value = values[encoding] = values[encoding ^ 1] ^ mask
-    return value
+    # an output in a polarity no gate reads is complemented here
+    return [values[e ^ 1] ^ mask if values[e] is None else values[e] for e in encodings]
 
 
 def truth_tables(mig: Mig) -> dict[str, int]:

@@ -8,11 +8,12 @@ without a socket.
 
 Execution model
 ---------------
-The event loop owns all shared state: the :class:`~repro.core.cache
-.SynthesisCache`, the dedup table, the admission counter.  Compiles run
-off-loop — on an executor thread (default) or a supervised worker
-process (with a per-request deadline, or ``pooled=True``, which buys
-crash isolation) — and *never* see the live cache: each request or job works
+The event loop owns all shared state: the
+:class:`~repro.core.cache.SynthesisCache`, the dedup table, the
+admission counter.  Compiles run off-loop — on an executor thread
+(default) or a supervised worker process (with a per-request deadline,
+or ``pooled=True``, which buys crash isolation) — and *never* see the
+live cache: each request or job works
 on its own :meth:`~repro.core.cache.SynthesisCache.view`, whose fresh
 entries the event loop absorbs afterwards.  One request = one task on
 the :mod:`repro.core.resilience` engine with a per-class
@@ -67,6 +68,13 @@ _CLIENT_ERROR_TYPES = frozenset(
     }
 )
 
+#: seconds a shed client is told to wait (``Retry-After`` on a 429)
+RETRY_AFTER_S = 1.0
+#: seconds between attempts of a retried batch-class compile
+RETRY_BACKOFF_S = 0.05
+#: retries of a failed batch-class compile (interactive ones get none)
+BATCH_RETRIES = 1
+
 #: most circuit keys the fingerprint memo keeps — about 1 MiB of 64-character
 #: keys and fingerprints; a constant because only one value is ever in use
 FINGERPRINT_MEMO_CAPACITY = 4096
@@ -104,9 +112,6 @@ class ServerConfig:
     request_timeout_s: Optional[float] = None
     job_timeout_s: Optional[float] = None
     read_timeout_s: Optional[float] = 10.0
-    retry_after_s: float = 1.0
-    retry_backoff_s: float = 0.05
-    batch_retries: int = 1
     max_body_bytes: int = 4 * 1024 * 1024
     max_finished_jobs: int = 256
     cache_dir: Optional[str] = None
@@ -133,8 +138,8 @@ def _task_policy(config: ServerConfig, klass: str) -> TaskPolicy:
     exceptions)."""
     return TaskPolicy(
         timeout_s=config.request_timeout_s,
-        retries=config.batch_retries if klass == "batch" else 0,
-        backoff=config.retry_backoff_s,
+        retries=BATCH_RETRIES if klass == "batch" else 0,
+        backoff=RETRY_BACKOFF_S,
         on_error="skip",
     )
 
@@ -466,8 +471,8 @@ class PlimServer:
                 429,
                 "queue-full",
                 f"admission queue is full ({self.config.queue_limit} in flight)",
-                headers=(("Retry-After", f"{self.config.retry_after_s:g}"),),
-                retry_after=self.config.retry_after_s,
+                headers=(("Retry-After", f"{RETRY_AFTER_S:g}"),),
+                retry_after=RETRY_AFTER_S,
             )
         self._admitted += 1
 

@@ -14,9 +14,9 @@ byte-level framing.
 
 Lifecycle: :func:`run_server` installs SIGTERM/SIGINT handlers that stop
 the listener, flip the app into draining (new work → 503 while the
-listener is still up mid-drain), await :meth:`~repro.serve.app
-.PlimServer.drained`, and return — the graceful-drain contract the
-deployment story depends on.
+listener is still up mid-drain), await
+:meth:`~repro.serve.app.PlimServer.drained`, and return — the
+graceful-drain contract the deployment story depends on.
 """
 
 from __future__ import annotations

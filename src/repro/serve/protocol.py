@@ -261,6 +261,9 @@ def compile_options(payload: dict) -> dict:
     Returns the *complete* options dict (defaults filled in), which is
     also the dedup/cache identity of the request — two requests with the
     same fingerprint and the same normalized options are the same job.
+    With ``"rewrite": false`` it is ``{"rewrite": False}`` alone: such a
+    compile never reads the rewrite settings, so they are checked but
+    not kept.
     """
     from repro.core.rewriting import RewriteOptions
 
@@ -292,6 +295,8 @@ def compile_options(payload: dict) -> dict:
         )
     except ReproError as exc:
         raise ProtocolError(400, "bad-request", str(exc)) from None
+    if not normalized["rewrite"]:
+        return {"rewrite": False}
     return normalized
 
 

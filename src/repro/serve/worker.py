@@ -23,8 +23,7 @@ from typing import Optional
 
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions
-from repro.core.pipeline import compile_mig
-from repro.core.rewriting import RewriteOptions
+from repro.core.pipeline import compile_mig, plim_rewrite_options
 from repro.mig.graph import Mig
 from repro.mig.io_mig import write_mig
 
@@ -32,19 +31,19 @@ from repro.mig.io_mig import write_mig
 def request_option_sets(options: dict):
     """The exact ``(rewrite_options, compiler_options)`` pair of a request.
 
-    Mirrors :func:`repro.core.pipeline.compile_mig`'s internal option
-    construction so the *cache key* computed on the event loop (fast
-    path) and in the worker (slow path) is identical to the options the
-    compile actually runs under.  ``rewrite_options`` is ``None`` when
-    the request disabled rewriting — exactly what ``compile_mig`` would
-    record.
+    The options :func:`repro.core.pipeline.compile_mig` builds itself
+    (through :func:`~repro.core.pipeline.plim_rewrite_options`), so the
+    *cache key* computed on the event loop (fast path) and in the worker
+    (slow path) is identical to the options the compile actually runs
+    under.  ``rewrite_options`` is ``None`` when the request disabled
+    rewriting — exactly what ``compile_mig`` would record.
     """
     copts = CompilerOptions()
     if not options["rewrite"]:
         return None, copts
-    ropts = RewriteOptions(
+    ropts = plim_rewrite_options(
+        copts.fix_output_polarity,
         effort=options["effort"],
-        po_negation_cost=2 if copts.fix_output_polarity else 0,
         objective=options["objective"],
     )
     return ropts, copts

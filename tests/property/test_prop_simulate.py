@@ -5,15 +5,15 @@ Three claims, each checked by hypothesis over arbitrary MIGs:
 
 * batched ``truth_tables``/``simulate_outputs`` agree bit-for-bit with the
   single-pattern ``evaluate`` loop (the scalar semantics are the spec);
-* the chunked numpy kernel and the compiled big-int kernel are
-  interchangeable — same outputs on the same plan, pattern count and
-  chunking notwithstanding (forced via the engagement thresholds);
+* a batch run in pattern slices equals the same batch in one pass —
+  whatever the slice count and however the last slice is cut (forced
+  via the slicing threshold and a tiny slice target);
 * duplicate output names fail loudly in the name-keyed API and work in
   the index-keyed one.
 
 Plus a deterministic wide-circuit case: a >64-PI graph exercises the
-multi-word path of both kernels (packed values no longer fit one
-machine word on any backend).
+multi-word path (packed values no longer fit one machine word), sliced
+and in one pass.
 """
 
 from __future__ import annotations
@@ -80,40 +80,42 @@ def test_packed_simulation_matches_per_pattern_evaluate(mig, seed):
 
 
 @contextlib.contextmanager
-def _thresholds(*, patterns, gates, chunk_bytes=None):
-    """Temporarily override the numpy-kernel engagement thresholds."""
-    saved = (sim._NUMPY_MIN_PATTERNS, sim._NUMPY_MIN_GATES, sim._CHUNK_TARGET_BYTES)
-    sim._NUMPY_MIN_PATTERNS = patterns
-    sim._NUMPY_MIN_GATES = gates
+def _slicing(*, min_patterns, chunk_bytes=None):
+    """Temporarily override the slicing threshold and slice target."""
+    saved = (sim._SLICE_MIN_PATTERNS, sim._CHUNK_TARGET_BYTES)
+    sim._SLICE_MIN_PATTERNS = min_patterns
     if chunk_bytes is not None:
         sim._CHUNK_TARGET_BYTES = chunk_bytes
     try:
         yield
     finally:
-        sim._NUMPY_MIN_PATTERNS, sim._NUMPY_MIN_GATES, sim._CHUNK_TARGET_BYTES = saved
+        sim._SLICE_MIN_PATTERNS, sim._CHUNK_TARGET_BYTES = saved
+
+
+def _single_and_sliced(mig: Mig, packed: list[int], num_patterns: int):
+    """The same batch in one pass and in 64-pattern slices."""
+    with _slicing(min_patterns=1 << 60):
+        single = simulate_outputs(mig, packed, num_patterns)
+    with _slicing(min_patterns=1, chunk_bytes=1):
+        sliced = simulate_outputs(mig, packed, num_patterns)
+    return single, sliced
 
 
 @given(mig=migs(max_pis=4, max_gates=40), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_numpy_kernel_matches_bigint_kernel(mig, seed):
-    """Force both kernels over the same batch and compare verbatim.
+def test_sliced_passes_match_single_pass(mig, seed):
+    """Force both paths over the same batch and compare verbatim.
 
-    The engagement thresholds are dropped to zero so even tiny graphs and
-    narrow batches route through numpy; the chunk target is shrunk so
-    multi-chunk assembly is exercised, not just the single-chunk path.
+    The threshold is dropped to one pattern so even narrow batches are
+    sliced, and the slice target to one byte so every slice is the
+    64-pattern minimum: widths up to 300 span up to five slices, the
+    last one usually partial.
     """
-    if sim._np is None:  # pragma: no cover - CI ships numpy
-        pytest.skip("numpy not available")
     rng = random.Random(seed)
     num_patterns = rng.randint(1, 300)
     packed = [rng.getrandbits(num_patterns) for _ in range(mig.num_pis)]
-    encodings = [int(po) for po in mig.pos()]
-
-    with _thresholds(patterns=1 << 60, gates=1 << 60):
-        via_bigint = sim._simulate_encodings(mig, packed, num_patterns, encodings)
-    with _thresholds(patterns=1, gates=0, chunk_bytes=64):
-        via_numpy = sim._simulate_encodings(mig, packed, num_patterns, encodings)
-    assert via_numpy == via_bigint
+    single, sliced = _single_and_sliced(mig, packed, num_patterns)
+    assert sliced == single
 
 
 def _wide_majority_chain(num_pis: int) -> Mig:
@@ -150,19 +152,13 @@ def test_wide_circuit_over_64_pis_matches_scalar():
         assert {n: (v >> p) & 1 for n, v in batched.items()} == scalar
 
 
-def test_wide_circuit_numpy_agrees():
-    if sim._np is None:  # pragma: no cover
-        pytest.skip("numpy not available")
-    mig = _wide_majority_chain(70)
+def test_wide_circuit_sliced_agrees():
+    mig = _wide_majority_chain(80)
     rng = random.Random(7)
-    num_patterns = 257  # deliberately not a multiple of 64
+    num_patterns = 257  # four whole slices and a one-pattern one
     packed = [rng.getrandbits(num_patterns) for _ in range(mig.num_pis)]
-    encodings = [int(po) for po in mig.pos()]
-    with _thresholds(patterns=1 << 60, gates=1 << 60):
-        via_bigint = sim._simulate_encodings(mig, packed, num_patterns, encodings)
-    with _thresholds(patterns=1, gates=0, chunk_bytes=1024):
-        via_numpy = sim._simulate_encodings(mig, packed, num_patterns, encodings)
-    assert via_numpy == via_bigint
+    single, sliced = _single_and_sliced(mig, packed, num_patterns)
+    assert sliced == single
 
 
 class TestDuplicateOutputs:

@@ -29,12 +29,29 @@ from repro.errors import ReproError
 from repro.mig.algebra import (
     _best_permutation,
     _common_pair,
-    complement_profile,
     structural_keys,
 )
-from repro.mig.analysis import depth, fanout_counts
+from repro.mig.analysis import complement_histogram, depth, fanout_counts
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
+
+
+def complement_profile(signals) -> tuple[int, int, bool]:
+    """``(num_nonconst, num_complemented_nonconst, has_const)`` of a child
+    triple, computed on :class:`Signal` objects (the shipped code counts
+    on encodings, :meth:`Mig._profile_enc`)."""
+    nonconst = 0
+    complemented = 0
+    has_const = False
+    for s in signals:
+        if s.is_const:
+            has_const = True
+        else:
+            nonconst += 1
+            if s.inverted:
+                complemented += 1
+    return nonconst, complemented, has_const
+
 
 def rebuild_with(
     mig: Mig, gate_fn: Callable[[Mig, int, tuple[Signal, Signal, Signal]], Signal]
@@ -486,9 +503,10 @@ def _size_cycle(mig: Mig, opts: RewriteOptions) -> Mig:
 def _rewrite_size(mig: Mig, opts: RewriteOptions) -> Mig:
     """The size objective: effort cycles to a fixed point, then Ω.C."""
     for _cycle in range(opts.effort):
-        before = _signature(mig)
+        before = _signature(mig.num_gates, *complement_histogram(mig))
         mig = _size_cycle(mig, opts)
-        if opts.early_exit and _signature(mig) == before:
+        after = _signature(mig.num_gates, *complement_histogram(mig))
+        if opts.early_exit and after == before:
             break
     # Inverter propagation may have changed which children are complemented;
     # restore the translation-friendly child order for child-order consumers.

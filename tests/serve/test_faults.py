@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.resilience import TaskFailure
 from repro.errors import ReproError
-from repro.serve.app import ServerConfig
+from repro.serve.app import RETRY_AFTER_S, ServerConfig
 
 from faults import Fault, FaultPlan, install
 
@@ -165,8 +165,8 @@ class TestQueueFull:
         assert shed.status == 429
         error = shed.json()["error"]
         assert error["code"] == "queue-full"
-        assert error["retry_after"] == app.config.retry_after_s
-        assert ("Retry-After", f"{app.config.retry_after_s:g}") in shed.headers
+        assert error["retry_after"] == RETRY_AFTER_S
+        assert ("Retry-After", f"{RETRY_AFTER_S:g}") in shed.headers
         assert app.counters["shed"] == 1
         # the slow request itself still finished fine
         assert slow.status == 200

@@ -221,6 +221,28 @@ class TestDedupKey:
         assert key != dedup_key({"circuit": mig_text, "format": "mig"}, depth)
         assert key != dedup_key({"circuit": mig_text, "format": "blif"}, base)
 
+    def test_unrewritten_requests_ignore_rewrite_settings(self, mig_text):
+        """A compile with rewriting off never reads effort, engine or
+        objective, so spelling them differently must not split its dedup
+        group — while invalid values are still refused."""
+        payload = {"circuit": mig_text, "format": "mig"}
+        spellings = [
+            {"rewrite": False},
+            {"rewrite": False, "effort": 1},
+            {"rewrite": False, "effort": 2, "objective": "depth"},
+            {"rewrite": False, "engine": "worklist", "objective": "plim"},
+        ]
+        keys = {
+            dedup_key(payload, compile_options({"options": options}))
+            for options in spellings
+        }
+        assert len(keys) == 1
+        assert keys != {dedup_key(payload, compile_options({}))}
+        for bad in ({"effort": -1}, {"engine": "magic"}, {"objective": "speed"}):
+            with pytest.raises(ProtocolError) as excinfo:
+                compile_options({"options": {"rewrite": False, **bad}})
+            assert excinfo.value.status == 400
+
     def test_key_needs_no_parse(self):
         # garbage circuits still key fine — the whole point is that the
         # join can happen before (and regardless of) parsing

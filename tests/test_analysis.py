@@ -3,8 +3,8 @@
 import pytest
 
 from repro.mig.analysis import (
+    complement_histogram,
     complement_stats,
-    complemented_child_count,
     depth,
     fanout_counts,
     levels,
@@ -80,11 +80,15 @@ class TestFanout:
 
 class TestComplementStats:
     def test_complemented_child_count(self):
+        # the complemented constant child is not counted: it is the
+        # constant 1 and costs nothing to compute
         mig = Mig()
         a, b = mig.add_pi("a"), mig.add_pi("b")
         g = mig.add_maj(~a, ~b, Signal.CONST1)
-        assert complemented_child_count(mig, g.node) == 2
-        assert complemented_child_count(mig, g.node, count_constants=True) == 3
+        assert complement_histogram(mig) == ((0, 0, 1, 0), 0)
+        mig.add_maj(a, b, Signal.CONST0)  # no complement, but a constant
+        mig.add_maj(a, b, g)  # no complement and no constant
+        assert complement_histogram(mig) == ((2, 0, 1, 0), 1)
 
     def test_histogram(self):
         mig = Mig()

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core.cost import (
-    classify_children,
-    estimate_instructions,
     estimate_extra_rrams,
-    negations_needed,
-    node_instruction_cost,
+    estimate_instructions,
+    negation_cost,
 )
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
@@ -20,58 +18,65 @@ def mig():
 
 
 class TestNegationsNeeded:
+    """``negation_cost``: two instructions per complement materialized."""
+
     def test_single_complement_is_free(self):
-        assert negations_needed(1, False) == 0
-        assert negations_needed(1, True) == 0
+        assert negation_cost(1, False) == 0
+        assert negation_cost(1, True) == 0
 
     def test_extra_complements_cost(self):
-        assert negations_needed(2, False) == 1
-        assert negations_needed(3, False) == 2
+        assert negation_cost(2, False) == 2
+        assert negation_cost(3, False) == 4
 
     def test_no_complement_needs_fabrication(self):
-        assert negations_needed(0, False) == 1
+        assert negation_cost(0, False) == 2
 
     def test_constant_rescues_no_complement(self):
-        assert negations_needed(0, True) == 0
+        assert negation_cost(0, True) == 0
 
 
 class TestClassify:
+    """The child profile the estimates count: complemented non-constant
+    children, and whether a constant child is present."""
+
     def test_mixed(self, mig):
         m, a, b, _ = mig
         g = m.add_maj(~a, b, Signal.CONST1)
-        assert classify_children(m, g.node) == (2, 1, True)
+        assert Mig._profile_enc(*map(int, m.children(g.node))) == (1, True)
 
     def test_all_plain(self, mig):
         m, a, b, c = mig
         g = m.add_maj(a, b, c)
-        assert classify_children(m, g.node) == (3, 0, False)
+        assert Mig._profile_enc(*map(int, m.children(g.node))) == (0, False)
 
 
 class TestNodeCost:
+    """Expected instructions of a one-gate graph: the gate's own cost."""
+
     def test_ideal_node(self, mig):
         m, a, b, c = mig
-        g = m.add_maj(~a, b, c)
-        assert node_instruction_cost(m, g.node) == 1
+        m.add_maj(~a, b, c)
+        assert estimate_instructions(m) == 1
 
     def test_and_node(self, mig):
         m, a, b, _ = mig
-        g = m.add_maj(a, b, Signal.CONST0)
-        assert node_instruction_cost(m, g.node) == 1
+        m.add_maj(a, b, Signal.CONST0)
+        assert estimate_instructions(m) == 1
 
     def test_double_complement(self, mig):
         m, a, b, c = mig
-        g = m.add_maj(~a, ~b, c)
-        assert node_instruction_cost(m, g.node) == 3
+        m.add_maj(~a, ~b, c)
+        assert estimate_instructions(m) == 3
 
     def test_triple_complement(self, mig):
         m, a, b, c = mig
-        g = m.add_maj(~a, ~b, ~c)
-        assert node_instruction_cost(m, g.node) == 5
+        m.add_maj(~a, ~b, ~c)
+        assert estimate_instructions(m) == 5
 
     def test_no_complement_no_const(self, mig):
         m, a, b, c = mig
-        g = m.add_maj(a, b, c)
-        assert node_instruction_cost(m, g.node) == 3
+        m.add_maj(a, b, c)
+        assert estimate_instructions(m) == 3
 
 
 class TestEstimates:

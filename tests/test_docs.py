@@ -1,12 +1,15 @@
-"""Documentation health: public-API doctests and intra-repo links.
+"""Documentation health: public-API doctests, intra-repo links and
+docstring cross-references.
 
-Two rot gates, both also run by the CI ``docs`` job:
+Three rot gates, all also run by the CI ``docs`` job:
 
 * every runnable example in the public-API docstrings (the exports of
   ``repro/__init__.py`` plus the modules that carry them) must still
   produce its documented output;
 * every intra-repo link in ``README.md`` and ``docs/*.md`` must resolve
-  (``tools/check_links.py``).
+  (``tools/check_links.py``);
+* every Sphinx cross-reference in a ``src/`` docstring that names a
+  ``repro.*`` object must resolve to a module or attribute.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import doctest
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -116,3 +120,60 @@ def test_link_checker_catches_dangling_anchors(tmp_path):
     assert sorted(e.split(" -> ")[1] for e in errors) == [
         "#nowhere", "docs/page.md#gone",
     ]
+
+
+#: a Sphinx cross-reference role whose target names a ``repro.*`` object
+#: (``~`` shortens the rendered name; the target may not span lines)
+_XREF = re.compile(r":(?:mod|func|class|meth|data|attr):`~?(repro\.[^`]*)`")
+
+
+def _resolve(target: str) -> bool:
+    """True when ``target`` is an importable module or an attribute path
+    under one (dataclass fields and slots count as attributes)."""
+    if not re.fullmatch(r"[A-Za-z_][\w.]*", target):
+        return False
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            fields = getattr(obj, "__dataclass_fields__", {})
+            slots = getattr(obj, "__slots__", ())
+            if hasattr(obj, name):
+                obj = getattr(obj, name)
+            elif name in fields or name in slots:
+                obj = None
+            else:
+                return False
+        return True
+    return False
+
+
+def _docstring_xrefs() -> list[tuple[str, str]]:
+    refs = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in _XREF.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            refs.append((f"{path.relative_to(REPO_ROOT)}:{line}", match.group(1)))
+    return refs
+
+
+def test_docstring_cross_references_resolve():
+    """Every ``:mod:``/``:func:``/``:class:``/``:meth:``/``:data:``/``:attr:``
+    target naming a ``repro.*`` object in ``src/`` resolves."""
+    refs = _docstring_xrefs()
+    assert len(refs) > 100  # the scan sees the docstrings at all
+    broken = [f"{where}: {target!r}" for where, target in refs if not _resolve(target)]
+    assert not broken, "unresolved cross-references:\n" + "\n".join(broken)
+
+
+def test_cross_reference_check_catches_breakage():
+    assert _resolve("repro.mig.simulate.simulate_outputs")
+    assert _resolve("repro.core.compiler.PlimCompiler._compile_ordered")
+    assert _resolve("repro.core.rewriting.RewriteOptions.objective")
+    assert not _resolve("repro.core.allocator")
+    assert not _resolve("repro.core.compiler.PlimCompiler.\n    _compile_ordered")
+    assert not _resolve("repro.mig.simulate.no_such_function")
