@@ -8,7 +8,11 @@ sockets, so the numbers are compile economics, not TCP noise):
 
 * **cold**: a fresh server answering 100 mixed requests (every registry
   circuit, cycled) — every distinct circuit compiles once, concurrent
-  duplicates collapse; zero requests may shed or fail.
+  duplicates collapse; zero requests may shed or fail.  The leg also
+  counts, per real compile, fingerprint computations, ``.mig`` writes
+  and ``.mig`` parses on the event loop, which must be 1, 1 and 0: a
+  miss computes each artifact once, and absorbing the compile's cache
+  entries parses nothing.
 * **warm**: the same 100 requests again on the now-hot cache — answered
   from the compilation cache without touching the compiler, and through
   the fingerprint memo without parsing the circuit.  The gates
@@ -21,9 +25,9 @@ sockets, so the numbers are compile economics, not TCP noise):
   the scaling reality rather than gating on it).
 
 Run directly (``python benchmarks/bench_serve.py [--scale ci]``) to
-emit ``BENCH_serve.json``; exits nonzero when a request drops, the warm
-speedup misses 3x, a warm request parses, or dedup fails to collapse —
-the CI gates.
+emit ``BENCH_serve.json``; exits nonzero when a request drops, a cold
+compile repeats an artifact, the warm speedup misses 3x, a warm request
+parses, or dedup fails to collapse — the CI gates.
 """
 
 try:
@@ -32,8 +36,12 @@ except ModuleNotFoundError:  # standalone snapshot mode needs no pytest
     pytest = None
 
 import asyncio
+import contextlib
 import io
+import threading
 
+import repro.mig.algebra as algebra
+import repro.mig.io_mig as io_mig
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.mig.io_mig import write_mig
 from repro.serve import protocol
@@ -83,6 +91,41 @@ async def _fire_counting_parses(app: PlimServer, requests: list) -> tuple:
     finally:
         protocol.parse_circuit = real
     return responses, len(calls)
+
+
+@contextlib.contextmanager
+def _counting_artifacts():
+    """Count fingerprint computations (``structural_keys`` is the
+    fingerprint's traversal, and a memoized fingerprint skips it),
+    ``.mig`` writes, and ``.mig`` parses on the calling thread — the
+    event loop's — while the block runs."""
+    counts = {"fingerprints": 0, "mig_writes": 0, "loop_mig_reads": 0}
+    lock = threading.Lock()  # compiles run on several executor threads
+    loop_thread = threading.current_thread()
+    real = (algebra.structural_keys, io_mig._write, io_mig._read)
+
+    def bump(counter):
+        with lock:
+            counts[counter] += 1
+
+    def keys(mig):
+        bump("fingerprints")
+        return real[0](mig)
+
+    def write(mig, out):
+        bump("mig_writes")
+        return real[1](mig, out)
+
+    def read(lines):
+        if threading.current_thread() is loop_thread:
+            bump("loop_mig_reads")
+        return real[2](lines)
+
+    algebra.structural_keys, io_mig._write, io_mig._read = keys, write, read
+    try:
+        yield counts
+    finally:
+        algebra.structural_keys, io_mig._write, io_mig._read = real
 
 
 def _mixed_workload(texts: list, total: int) -> list:
@@ -159,9 +202,10 @@ def main(argv=None) -> int:
     # cold + warm: same app, same 100 mixed requests, twice
     app = _make_app()
     workload = _mixed_workload(texts, args.requests)
-    t0 = time.perf_counter()
-    cold = asyncio.run(_fire(app, workload))
-    cold_s = time.perf_counter() - t0
+    with _counting_artifacts() as artifacts:
+        t0 = time.perf_counter()
+        cold = asyncio.run(_fire(app, workload))
+        cold_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     warm, warm_parses = asyncio.run(
         _fire_counting_parses(app, _mixed_workload(texts, args.requests))
@@ -171,6 +215,12 @@ def main(argv=None) -> int:
     warm_ok = [r.status for r in warm] == [200] * args.requests
     warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     compiles = app.counters["compiles"]
+    once_per_compile = (
+        compiles > 0
+        and artifacts["fingerprints"] == compiles
+        and artifacts["mig_writes"] == compiles
+        and artifacts["loop_mig_reads"] == 0
+    )
 
     # dedup burst: 20 identical concurrent → one compile
     dedup_app = _make_app()
@@ -214,6 +264,7 @@ def main(argv=None) -> int:
             "req_per_s": round(args.requests / cold_s, 1),
             "compiles": compiles,
             "dropped": sum(1 for r in cold if r.status != 200),
+            **artifacts,
         },
         warm={
             "seconds": round(warm_s, 4),
@@ -234,6 +285,7 @@ def main(argv=None) -> int:
     )
     ok = (
         cold_ok
+        and once_per_compile
         and warm_ok
         and burst_ok
         and warm_speedup >= args.min_warm_speedup
@@ -246,6 +298,7 @@ def main(argv=None) -> int:
     if not ok:
         print(
             f"FAIL: cold_ok={cold_ok} warm_ok={warm_ok} burst_ok={burst_ok} "
+            f"cold compiles={compiles} artifacts={artifacts} "
             f"warm_speedup={warm_speedup:.2f}x "
             f"(min {args.min_warm_speedup}x), warm parses={warm_parses}, "
             f"dedup compiles={dedup_compiles} "

@@ -45,10 +45,12 @@ Process pools share a cache through :meth:`SynthesisCache.view`, a
 fresh instance that reads the same ``cache_dir`` but never writes to
 disk and collects what it computes for :meth:`SynthesisCache.export_fresh`;
 the parent merges those entries with :meth:`SynthesisCache.absorb`, so
-only one process ever writes.  :func:`repro.core.batch.parallel_imap`
-(``cache=``) runs that hand-off for every pooled driver.  A view of a
-*memory-only* cache starts empty (there is no disk store to read), so an
-in-memory cache only accelerates inline runs and same-process repeats —
+only one process ever writes.  Absorbed entries stay text until their
+first read parses them, so the merge costs no parse.
+:func:`repro.core.batch.parallel_imap` (``cache=``) runs that hand-off
+for every pooled driver.  A view of a *memory-only* cache starts empty
+(there is no disk store to read), so an in-memory cache only
+accelerates inline runs and same-process repeats —
 give the cache a ``cache_dir`` whenever pooled workers should see prior
 results.
 
@@ -432,22 +434,34 @@ class SynthesisCache:
         fresh, self._fresh = self._fresh, []
         return fresh
 
+    def fresh_text(self, kind: str, key: str) -> Optional[str]:
+        """The text this view stored under ``(kind, key)`` since its last
+        :meth:`export_fresh`, or ``None`` (always ``None`` for an
+        ordinary cache, which keeps no texts)."""
+        for fresh_kind, fresh_key, text in self._fresh:
+            if fresh_key == key and fresh_kind == kind:
+                return text
+        return None
+
     def absorb(self, entries: list[tuple[str, str, str]]) -> int:
         """Merge serialized ``(kind, key, text)`` entries from a view.
 
-        Returns the number of entries that were new to this cache.
-        Malformed entries are counted as errors and skipped.
+        Returns the number of entries that were new to this cache.  The
+        texts are stored as they are and parsed on their first read, so
+        absorbing costs no parse, and an entry nobody reads never costs
+        one.  A text that fails to parse on that read is handled like a
+        corrupt disk file: counted as an error, dropped, and answered as
+        a miss.  An entry of an unknown kind is counted as an error here
+        and skipped.
         """
         added = 0
         for kind, key, text in entries:
-            if (kind, key) in self._mem:
-                continue
-            try:
-                value = _deserialize(kind, text)
-            except Exception:
+            if kind not in _EXTENSIONS:
                 self.stats.bump("errors")
                 continue
-            self._put(kind, key, value, text)
+            if (kind, key) in self._mem:
+                continue
+            self._put(kind, key, _Absorbed(text), text)
             added += 1
         return added
 
@@ -555,6 +569,11 @@ class SynthesisCache:
 
     def _get(self, kind: str, key: str):
         value = self._mem.get((kind, key))
+        if type(value) is _Absorbed:
+            value = self._parse_absorbed(kind, key, value)
+            if value is None:
+                self.stats.bump("misses")
+                return None
         if value is not None:
             try:
                 self._mem.move_to_end((kind, key))
@@ -580,6 +599,28 @@ class SynthesisCache:
             return value
         self.stats.bump("misses")
         return None
+
+    def _parse_absorbed(self, kind: str, key: str, absorbed: "_Absorbed"):
+        """The value of an absorbed entry, parsed on its first read and
+        kept in its place; ``None`` when the text is corrupt, after the
+        entry is dropped from memory and (best-effort) from disk."""
+        entry = (kind, key)
+        try:
+            value = _deserialize(kind, absorbed.text)
+        except Exception:
+            self.stats.bump("errors")
+            if self._mem.get(entry) is absorbed:
+                del self._mem[entry]
+                self._mem_bytes -= self._sizes.pop(entry, 0)
+            if self._dir is not None and not self._read_only:
+                try:
+                    self._entry_path(kind, key).unlink()
+                except OSError:
+                    pass
+            return None
+        if self._mem.get(entry) is absorbed:
+            self._mem[entry] = value  # an existing key keeps its LRU slot
+        return value
 
     def _mem_insert(self, kind: str, key: str, value, size: int) -> None:
         entry = (kind, key)
@@ -701,6 +742,15 @@ class SynthesisCache:
             f"<SynthesisCache {where}: {len(self._mem)} entries, "
             f"{self.stats.hits} hits / {self.stats.misses} misses>"
         )
+
+
+class _Absorbed:
+    """The text of an absorbed entry, until its first read parses it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def _serialize_mig(mig: Mig) -> str:

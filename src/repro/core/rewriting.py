@@ -264,11 +264,18 @@ def _rewrite_worklist(mig: Mig, opts: RewriteOptions) -> Mig:
         _check_budget_feasible(work, opts.depth_budget)
     # the edit count right after the last cycle's Ω.C sweep (None: effort 0)
     swept = None
+    d_stamp = -1  # shape version at the start of the last Ω.D
+    hist = work._hist
     for cycle in range(opts.effort):
         before = _signature(*work.inplace_signature()) if cycle else None
-        swept = _worklist_size_sweep(work, opts)
-        _sweep_inverters_cost_aware(work, opts.po_negation_cost)
-        _sweep_push_inverters(work, threshold=3)
+        swept, d_stamp = _worklist_size_sweep(work, opts, d_stamp)
+        # Each inverter sweep acts only on gates with at least 2 (3)
+        # complemented non-constant children, which the maintained
+        # histogram counts (no reservation is pending after Ω.D).
+        if hist[2] or hist[3]:
+            _sweep_inverters_cost_aware(work, opts.po_negation_cost)
+        if hist[3]:
+            _sweep_push_inverters(work, threshold=3)
         if not opts.early_exit:
             continue
         after = _signature(*work.inplace_signature())
@@ -311,7 +318,9 @@ def _check_budget_feasible(work: Mig, depth_budget: int) -> None:
         )
 
 
-def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> int:
+def _worklist_size_sweep(
+    work: Mig, opts: RewriteOptions, d_stamp: int
+) -> tuple[int, int]:
     """One size-rule cycle: the paper's Ω.M; Ω.D; Ω.A[; Ψ.A]; Ω.C; Ω.M; Ω.D.
 
     Each phase visits every live gate once in topological order and
@@ -327,15 +336,18 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> int:
     phase gates its candidates so no primary-output level can exceed the
     budget — size rewriting under a hard depth ceiling.
 
-    The second Ω.D is skipped when no node was created, rewired, killed
-    or materialized since the first one started (an unchanged shape
-    stamp): Ω.C only permutes stored order, and Ω.D's fire test reads
-    child sets, so it would fire nowhere the first one did not.  Returns
-    the edit count right after the Ω.C sweep.
+    An Ω.D is skipped when no node was created, rewired, killed or
+    materialized since the previous Ω.D started (an unchanged shape
+    stamp, which also means that Ω.D fired nothing): Ω.C only permutes
+    stored order, and Ω.D's fire test reads child sets, so it would
+    fire nowhere that one did not.  ``d_stamp`` is the stamp of the
+    previous cycle's last Ω.D (``-1`` before the first cycle).  Returns
+    the edit count right after the Ω.C sweep and this cycle's stamp.
     """
     budget = opts.depth_budget
     shape = work._shape_version
-    _distributivity_phase(work, budget)
+    if budget is not None or shape != d_stamp:
+        _distributivity_phase(work, budget)
     _reshaping_phase(work, opts.use_psi, budget)
     # Rejected reshaping candidates stay reserved as speculative gates
     # (they seed sharing within the phase); drop them, and sweep the ones
@@ -343,9 +355,10 @@ def _worklist_size_sweep(work: Mig, opts: RewriteOptions) -> int:
     work.collect_unused()
     _sweep_commutativity(work)
     swept = work.edit_count
-    if budget is not None or work._shape_version != shape:
+    start = work._shape_version
+    if budget is not None or start != shape:
         _distributivity_phase(work, budget)
-    return swept
+    return swept, start
 
 
 def _single_fanout_table(work: Mig, fanouts: list[int]) -> bytearray:

@@ -174,6 +174,10 @@ class Mig:
         # (len, shape_version) so structural edits invalidate it
         self._sim_plan = None
         self._sim_plan_key: tuple[int, int] = (-1, -1)
+        # memoized fingerprint(), keyed on (len, edit count, shape
+        # version, PO count): every edit that can move the digest bumps one
+        self._fingerprint: Optional[str] = None
+        self._fingerprint_key: tuple[int, int, int, int] = (-1, -1, -1, -1)
 
     # ------------------------------------------------------------------
     # construction
@@ -1437,7 +1441,9 @@ class Mig:
         This is the content address :class:`~repro.core.cache.SynthesisCache`
         keys rewriting results on.  Per-node keys use Python's integer
         hashing (stable across processes; a Python upgrade merely turns
-        disk-cache hits into misses).
+        disk-cache hits into misses).  The digest is memoized until the
+        graph changes: a node count, edit count, shape version or output
+        count that differs from the memo's recomputes it.
 
         Example — rebuilding the same circuit fingerprints identically,
         flipping an output polarity does not:
@@ -1454,6 +1460,8 @@ class Mig:
             >>> build(False).fingerprint() == build(True).fingerprint()
             False
         """
+        if self._fingerprint_key == self._fingerprint_stamp():
+            return self._fingerprint
         # Local import: algebra imports this module at load time.
         from repro.mig.algebra import structural_keys
 
@@ -1464,7 +1472,13 @@ class Mig:
             tuple((keys[po.node], int(po) & 1) for po in self._pos),
             self._live_mark().count(1),
         )
-        return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+        self._fingerprint = hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+        # stamped after the traversal, which may materialize reservations
+        self._fingerprint_key = self._fingerprint_stamp()
+        return self._fingerprint
+
+    def _fingerprint_stamp(self) -> tuple[int, int, int, int]:
+        return (len(self._kind), self._edit_count, self._shape_version, len(self._pos))
 
     def signal_name(self, signal: Signal) -> str:
         """Readable name for a signal (used by listings and dot output)."""

@@ -13,7 +13,8 @@ own :meth:`~repro.core.cache.SynthesisCache.view`, never the live
 instance, because the task runs on an executor thread or a worker
 process and the server's cache is only ever touched from the event
 loop.  The task checks the compilation kind first, compiles on a miss
-and stores the full answer.
+and stores the full answer.  A miss serializes the rewritten graph once:
+the record's ``"mig"`` text is the one the rewrite entry stored.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from __future__ import annotations
 import io
 from typing import Optional
 
-from repro.core.cache import SynthesisCache
+from repro.core.cache import REWRITE_KIND, SynthesisCache
 from repro.core.compiler import CompilerOptions
 from repro.core.pipeline import compile_mig, plim_rewrite_options
+from repro.core.rewriting import _normalize_objective
 from repro.mig.graph import Mig
 from repro.mig.io_mig import write_mig
 
@@ -49,7 +51,7 @@ def request_option_sets(options: dict):
     return ropts, copts
 
 
-def build_record(name: Optional[str], result) -> dict:
+def build_record(name: Optional[str], result, mig_text: Optional[str] = None) -> dict:
     """The JSON-ready compilation record stored in the cache and served.
 
     Carries everything a client needs (counts, the rewritten graph as
@@ -57,16 +59,19 @@ def build_record(name: Optional[str], result) -> dict:
     answers a request without touching the compiler at all.  The
     ``*_seconds`` fields are the per-stage wall-clock of the compile
     that *produced* the record — a cache hit serves them unchanged (the
-    response's ``"cached"`` flag tells the two apart).
+    response's ``"cached"`` flag tells the two apart).  ``mig_text``,
+    when given, is ``result.compiled_mig`` already serialized.
     """
-    buf = io.StringIO()
-    write_mig(result.compiled_mig, buf)
+    if mig_text is None:
+        buf = io.StringIO()
+        write_mig(result.compiled_mig, buf)
+        mig_text = buf.getvalue()
     return {
         "name": name or result.compiled_mig.name or "",
         "num_gates": result.num_gates,
         "num_instructions": result.num_instructions,
         "num_rrams": result.num_rrams,
-        "mig": buf.getvalue(),
+        "mig": mig_text,
         "program": result.program.to_text(),
         "rewrite_seconds": result.rewrite_seconds,
         "schedule_seconds": result.schedule_seconds,
@@ -95,6 +100,11 @@ def serve_compile_task(payload: dict, cache: SynthesisCache):
         compiler_options=copts,
         cache=cache,
     )
-    record = build_record(payload.get("name"), result)
+    mig_text = None
+    if ropts is not None:
+        # the key rewrite_for_plim stored a fresh rewrite under
+        key = cache.rewrite_key(fingerprint, _normalize_objective(ropts)[0])
+        mig_text = cache.fresh_text(REWRITE_KIND, key)
+    record = build_record(payload.get("name"), result, mig_text)
     cache.put_compilation(fingerprint, ropts, copts, record)
     return record, False

@@ -107,6 +107,19 @@ class TestCompileRoundTrips:
         assert response.json()["cached"] is False
         assert app.counters["compiles"] == 2
 
+    def test_every_objective_matches_direct_pipeline(self, other_mig_text):
+        """A guided objective stores several rewrites in one compile (on
+        ``int2float`` they differ); the record's ``.mig`` text must be
+        the one of the graph it compiled."""
+        circuit = {"circuit": other_mig_text, "format": "mig"}
+        for objective in ("depth", "plim"):
+            options = {"objective": objective}
+            response = post(make_app(), "/compile", dict(circuit, options=options))
+            assert response.status == 200, (objective, response.body)
+            assert normalized_body(response) == expected_compile_body(
+                circuit, options
+            ), objective
+
     def test_rewrite_false(self, circuit_payloads):
         payload = dict(circuit_payloads["mig"], options={"rewrite": False})
         response = post(make_app(), "/compile", payload)

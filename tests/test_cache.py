@@ -22,7 +22,7 @@ import pytest
 
 from repro.circuits.registry import build
 from repro.core.batch import compile_many, resolve_workers
-from repro.core.cache import FRONT_KIND, REWRITE_KIND, SynthesisCache
+from repro.core.cache import COMPILATION_KIND, FRONT_KIND, REWRITE_KIND, SynthesisCache
 from repro.core.pareto import ParetoFront, ParetoPoint, pareto_sweep
 from repro.core.pipeline import compile_mig
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
@@ -174,10 +174,57 @@ class TestDiskStore:
         merged = rewrite_for_plim(mig, OPTS, cache=SynthesisCache(tmp_path))
         assert _listing(merged) == _listing(reference)
 
-    def test_absorb_skips_malformed_entries(self):
+    def test_absorb_skips_malformed_entries(self, tmp_path):
+        """Absorbing stores texts unparsed, so a malformed one is taken
+        without raising; its first read counts one error and one miss and
+        drops it, from memory and disk, and it is never served."""
+        for cache_dir in (None, tmp_path):
+            cache = SynthesisCache(cache_dir)
+            key = cache.rewrite_key("fp", OPTS)
+            assert cache.absorb([(REWRITE_KIND, key, "not a mig")]) == 1
+            assert cache.stats.errors == 0
+            assert cache.get_rewrite("fp", OPTS) is None
+            stats = cache.stats
+            assert (stats.errors, stats.misses, stats.hits) == (1, 1, 0)
+            assert cache.stats_snapshot()["memory"] == {"entries": 0, "bytes": 0}
+            assert cache.disk_usage()[REWRITE_KIND]["entries"] == 0
+            assert cache.get_rewrite("fp", OPTS) is None  # gone: a plain miss
+            assert (cache.stats.errors, cache.stats.misses) == (1, 2)
+
+    def test_absorb_counts_unknown_kinds_at_once(self):
         cache = SynthesisCache()
-        assert cache.absorb([(REWRITE_KIND, "key", "not a mig")]) == 0
+        assert cache.absorb([("bogus", "key", "text")]) == 0
         assert cache.stats.errors == 1
+
+    def test_malformed_compilation_entry_is_a_miss(self):
+        cache = SynthesisCache()
+        key = cache.compilation_key("fp", None, None)
+        assert cache.absorb([(COMPILATION_KIND, key, "[1, 2]")]) == 1
+        assert cache.get_compilation("fp", None, None) is None
+        assert (cache.stats.errors, cache.stats.misses) == (1, 1)
+
+    def test_absorbed_entries_are_parsed_once_on_first_read(self, monkeypatch):
+        import repro.core.cache as cache_module
+
+        mig = build("ctrl", "ci")
+        view = SynthesisCache().view()
+        reference = rewrite_for_plim(mig, OPTS, cache=view)
+        parses = []
+        real = cache_module._deserialize
+
+        def counting(kind, text):
+            parses.append(kind)
+            return real(kind, text)
+
+        monkeypatch.setattr(cache_module, "_deserialize", counting)
+        parent = SynthesisCache()
+        assert parent.absorb(view.export_fresh()) == 1
+        assert parses == []
+        for _ in range(3):
+            hit = parent.get_rewrite(mig.fingerprint(), OPTS)
+            assert _listing(hit) == _listing(reference)
+        assert parses == [REWRITE_KIND]
+        assert (parent.stats.hits, parent.stats.errors) == (3, 0)
 
     def test_ordinary_caches_do_not_accumulate_fresh_entries(self, tmp_path):
         """Only views retain serialized fresh entries; a long-lived cache

@@ -7,8 +7,11 @@ pinned here against the work it replaces.
 * The Ω.D phase calls ``try_distributivity_rl`` only where its inline
   test passes; everywhere else the rule must do nothing at all.
 * Ω.C is idempotent, so the closing sweep is skipped when nothing was
-  edited since the cycle's own sweep; the second Ω.D of a cycle is skipped
-  when nothing structural happened since the first one started.
+  edited since the cycle's own sweep; an Ω.D is skipped when nothing
+  structural happened since an Ω.D that fired nothing started (the
+  second of a cycle, or the first of the next one).
+* The inverter sweeps run only when the maintained histogram counts a
+  gate they could flip; where it counts none they must do nothing.
 * Dropping never-materialized reservations keeps the cached topological
   order, which must still equal a fresh sort.
 
@@ -290,16 +293,44 @@ def test_sweeps_and_drops_on_random_migs(seed):
 # ----------------------------------------------------------------------
 
 
-def unskipped_size_sweep(work, opts):
-    """``_worklist_size_sweep`` without either skip: the second Ω.D always
-    runs, and returning ``None`` forces the closing Ω.C."""
+def unskipped_size_sweep(work, opts, d_stamp):
+    """``_worklist_size_sweep`` without its skips: both Ω.D always run,
+    and returning ``None`` forces the closing Ω.C."""
     budget = opts.depth_budget
     rewriting._distributivity_phase(work, budget)
     rewriting._reshaping_phase(work, opts.use_psi, budget)
     work.collect_unused()
     rewriting._sweep_commutativity(work)
     rewriting._distributivity_phase(work, budget)
-    return None
+    return None, -1
+
+
+def assert_idle_sweeps_change_nothing(monkeypatch) -> None:
+    """Wherever the engine skips an inverter sweep, run it anyway and
+    require it to leave the graph untouched."""
+    size_sweep = rewriting._worklist_size_sweep
+    cost_aware = rewriting._sweep_inverters_cost_aware
+    push = rewriting._sweep_push_inverters
+
+    def run_idle(sweep, work, *args):
+        before = graph_state(work), work.edit_count, work._shape_version
+        sweep(work, *args)
+        assert (graph_state(work), work.edit_count, work._shape_version) == before
+
+    def checked_size_sweep(work, opts, d_stamp):
+        result = size_sweep(work, opts, d_stamp)
+        if not (work._hist[2] or work._hist[3]):
+            run_idle(cost_aware, work, opts.po_negation_cost)
+            run_idle(push, work, 3)
+        return result
+
+    def checked_cost_aware(work, po_negation_cost):
+        cost_aware(work, po_negation_cost)
+        if not work._hist[3]:
+            run_idle(push, work, 3)
+
+    monkeypatch.setattr(rewriting, "_worklist_size_sweep", checked_size_sweep)
+    monkeypatch.setattr(rewriting, "_sweep_inverters_cost_aware", checked_cost_aware)
 
 
 def assert_skips_exact(mig: Mig, options: RewriteOptions) -> None:
@@ -314,6 +345,21 @@ def assert_skips_exact(mig: Mig, options: RewriteOptions) -> None:
 def test_skipped_phases_change_nothing(name, label):
     for mig in inputs(name):
         assert_skips_exact(mig, OPTIONS[label])
+
+
+@pytest.mark.parametrize(("name", "label"), REGISTRY_CASES)
+def test_skipped_inverter_sweeps_change_nothing(name, label, monkeypatch):
+    assert_idle_sweeps_change_nothing(monkeypatch)
+    for mig in inputs(name):
+        rewrite_for_plim(mig, OPTIONS[label])
+
+
+@FAST
+@given(mig=raw_migs(), label=st.sampled_from(sorted(OPTIONS)))
+def test_skipped_inverter_sweeps_change_nothing_on_random_migs(mig, label):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_idle_sweeps_change_nothing(monkeypatch)
+        rewrite_for_plim(mig, OPTIONS[label])
 
 
 @FAST
@@ -342,4 +388,27 @@ def test_second_distributivity_runs_after_the_first_fired(monkeypatch):
     monkeypatch.setattr(rewriting, "_distributivity_phase", counted)
     rewritten = rewrite_for_plim(mig, RewriteOptions(effort=1))
     assert phases == [True, True]
+    assert rewritten.num_gates == 2
+
+
+def test_idle_distributivity_is_not_repeated_in_later_cycles(monkeypatch):
+    """On a graph no rule changes, the first Ω.D fires nothing and every
+    later one — the cycle's second and each later cycle's first — is
+    skipped, as are the inverter sweeps (no gate has two complemented
+    children)."""
+    mig = Mig()
+    a, b, c, d = (mig.add_pi(name) for name in "abcd")
+    mig.add_po(mig.add_maj(mig.add_maj(a, b, c), ~b, d), "f")
+    calls = []
+    phases = ("_distributivity_phase", "_sweep_inverters_cost_aware", "_sweep_push_inverters")
+    for name in phases:
+        real = getattr(rewriting, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(rewriting, name, counted)
+    rewritten = rewrite_for_plim(mig, RewriteOptions(effort=3, early_exit=False))
+    assert calls == ["_distributivity_phase"]
     assert rewritten.num_gates == 2
