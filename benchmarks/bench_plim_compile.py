@@ -272,7 +272,7 @@ def main(argv=None) -> int:
 
     loop_mig = benchmark_info("priority").build(args.scale)
     start = time.perf_counter()
-    compile_cost_loop(loop_mig, objective=CompiledPlim(), effort=2, max_iterations=2)
+    compile_cost_loop(loop_mig, objective="plim", effort=2, max_iterations=2)
     cost_loop_seconds = round(time.perf_counter() - start, 4)
 
     report_meta = {

@@ -45,14 +45,7 @@ from repro.mig.context import AnalysisContext
 from repro.mig.signal import Signal
 from repro.core.batch import BatchResult, compile_many
 from repro.core.cache import CacheStats, SynthesisCache
-from repro.core.cost import (
-    CompiledPlim,
-    CostModel,
-    Depth,
-    NodeCount,
-    StaticPlim,
-    resolve_cost_model,
-)
+from repro.core.cost import CompiledPlim
 from repro.core.pareto import ParetoFront, ParetoPoint, pareto_sweep
 from repro.core.pipeline import CompileResult, compile_mig
 from repro.core.compiler import CompilerOptions, PlimCompiler
@@ -73,11 +66,7 @@ __all__ = [
     "CacheStats",
     "CompiledPlim",
     "CostLoopResult",
-    "CostModel",
-    "Depth",
     "Mig",
-    "NodeCount",
-    "StaticPlim",
     "ParetoFront",
     "ParetoPoint",
     "Signal",
@@ -95,6 +84,5 @@ __all__ = [
     "compile_mig",
     "compile_many",
     "pareto_sweep",
-    "resolve_cost_model",
     "rewrite_for_plim",
 ]

@@ -5,7 +5,8 @@ ctrl, router.
 re-implementations.  ``ctrl`` (a RISC-style control decoder) and ``router``
 (an XY route-compute + arbitration unit) rebuild the same *family* of logic
 at the paper's exact I/O signatures — the original netlists are not
-publicly specified beyond their sizes (DESIGN.md §4).
+publicly specified beyond their sizes
+(docs/architecture.md#reproduction-status-of-the-circuits).
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ we rebuild the *functions* with the standard hardware algorithms —
 These produce the same structural mix the originals have — wide adders,
 muxes, and priority logic — at parameterized precision, which is what the
 compiler experiments exercise.  Bit-exactness to the EPFL netlists is
-neither possible nor needed (DESIGN.md §4); each generator's function is
-tested against Python's ``math`` with precision-derived tolerances.
+neither possible nor needed
+(docs/architecture.md#reproduction-status-of-the-circuits);
+each generator's function is tested against Python's ``math`` with
+precision-derived tolerances.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 ``cavlc``, ``i2c`` and ``mem_ctrl`` are slices of real IP (an H.264 coder,
 an I²C master, a DDR controller); their netlists cannot be rebuilt from
-public descriptions.  Per the substitution policy (DESIGN.md §4) we replace
-them with *seeded pseudo-random PLA logic*: every output is a sum of
+public descriptions.  Per the substitution policy
+(docs/architecture.md#reproduction-status-of-the-circuits) we
+replace them with *seeded pseudo-random PLA logic*: every output is a sum of
 products over randomly chosen literals.  This preserves exactly what the
 compiler experiments consume — irregular cube-based control logic with the
 paper's I/O signature and a calibrated node count — while being fully

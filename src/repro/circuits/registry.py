@@ -27,7 +27,8 @@ SCALES = ("ci", "default", "paper")
 
 @dataclass(frozen=True)
 class PaperRow:
-    """One row of the paper's Table 1 (for EXPERIMENTS.md comparisons)."""
+    """One row of the paper's Table 1 (the figures a generator is compared
+    with; see docs/architecture.md#reproduction-status-of-the-circuits)."""
 
     pi: int
     po: int

@@ -704,7 +704,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listings", action="store_true", help="print the four program listings")
     p.set_defaults(func=_cmd_fig3)
 
-    p = sub.add_parser("ablate", help="run the DESIGN.md ablations on one benchmark")
+    p = sub.add_parser(
+        "ablate",
+        help="run the ablation studies (docs/cli.md#plimc-ablate) on one benchmark",
+    )
     p.add_argument("name", choices=BENCHMARK_NAMES)
     p.add_argument("--scale", choices=SCALES, default="default")
     p.add_argument(

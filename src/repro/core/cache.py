@@ -117,6 +117,10 @@ _FORMAT_VERSION = 1
 ALGORITHM_REVISION = 8  # the guided (cost-model) objectives no longer
 # try a "balanced" candidate per round, which changes some static-plim
 # results (int2float and mem_ctrl at ci scale, cavlc at default scale).
+# Deliberately NOT bumped when objectives became names only: the rewrite
+# and compilation keys of "static-plim"/"plim" now carry the name instead
+# of a model repr, and measurement keys a CompiledPlim repr without
+# ``input_seed``, so older entries miss once; no output changed.
 # (Previously 7 — Ω.A collapses a match whose second inner child is the
 # outer ``x`` or ``x̄`` (``⟨x u ⟨y u x̄⟩⟩ = u``), which changes the
 # rewritten i2c at ci scale.)
@@ -387,7 +391,7 @@ class SynthesisCache:
         )
 
     # ------------------------------------------------------------------
-    # cost-model measurements (CompiledPlim / StaticPlim reports)
+    # cost-model measurements (CompiledPlim reports)
     # ------------------------------------------------------------------
 
     def get_measurement(self, fingerprint: str, model):

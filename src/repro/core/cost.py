@@ -16,27 +16,27 @@ The static model intentionally ignores dynamic effects (complement caching,
 cell reuse); those depend on the schedule and are handled by the compiler
 itself.
 
-On top of the per-node estimators this module defines the pluggable
-:class:`CostModel` abstraction the rewriting drivers and the Pareto sweep
-optimize against:
+On top of the per-node estimators this module defines the cost models
+the rewriting drivers and the Pareto sweep optimize against, one per
+:data:`COST_MODELS` name:
 
-* :class:`NodeCount` — the paper's Algorithm 1 objective (#N);
-* :class:`Depth` — critical-path length (#D) for parallel targets;
-* :class:`StaticPlim` — the §4.2.2 instruction/RRAM estimate above;
-* :class:`CompiledPlim` — the *real* cost: run Algorithm 2 on the
-  candidate and report measured #I/#R/cycles plus endurance wear from an
-  actual machine execution (:mod:`repro.plim.endurance`), memoized per
-  :meth:`~repro.mig.graph.Mig.fingerprint`.
+* ``"size"`` — :class:`NodeCount`, the paper's Algorithm 1 objective (#N);
+* ``"depth"`` — :class:`Depth`, critical-path length (#D) for parallel
+  targets;
+* ``"static-plim"`` — :class:`StaticPlim`, the §4.2.2 instruction/RRAM
+  estimate above;
+* ``"plim"`` — :class:`CompiledPlim`, the *real* cost: run Algorithm 2 on
+  the candidate and report measured #I/#R/cycles plus endurance wear from
+  an actual machine execution (:mod:`repro.plim.endurance`).
 
-Models are frozen dataclasses: their ``repr`` is deterministic and feeds
-the :class:`~repro.core.cache.SynthesisCache` key (two rewrites under
-different models never share an entry), and they pickle cleanly across
-the process-pool seams.  Resolve string aliases with
-:func:`resolve_cost_model`:
+An objective is always given by its name; :func:`resolve_cost_model` is
+the one place that turns a name into a model.  Models are frozen
+dataclasses, so their ``repr`` is deterministic and keys the
+:class:`~repro.core.cache.SynthesisCache` ``"measurements"`` kind:
 
     >>> from repro.core.cost import resolve_cost_model
     >>> resolve_cost_model("plim")
-    CompiledPlim(paper_accounting=True, allocator_policy='fifo', input_seed=7)
+    CompiledPlim(paper_accounting=True, allocator_policy='fifo')
     >>> resolve_cost_model("size").name
     'size'
 """
@@ -44,8 +44,8 @@ the process-pool seams.  Resolve string aliases with
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.mig.analysis import complement_histogram, depth as mig_depth
@@ -120,25 +120,25 @@ def estimate_extra_rrams(mig: Mig) -> int:
 
 
 def measure_program(
-    program: Program, pi_names: Sequence[str], *, input_seed: int = 7
+    program: Program, pi_names: Sequence[str]
 ) -> tuple[PlimMachine, EnduranceReport]:
     """Execute ``program`` once (width 1) and return machine + work-cell wear.
 
-    Inputs are pseudo-random bits drawn from ``input_seed``, so repeated
+    Inputs are pseudo-random bits drawn from a fixed seed, so repeated
     measurements of the same program are deterministic.  Width 1 is the
     physical machine: flip counts are exact per-cell switching events (at
     wider words a "flip" means *any* universe flipped — see
     :mod:`repro.plim.endurance`); pulse counts are exact at any width.
     """
     machine = PlimMachine.for_program(program)
-    rng = random.Random(input_seed)
+    rng = random.Random(7)
     inputs = {name: rng.randint(0, 1) for name in pi_names}
     machine.run_program(program, inputs)
     return machine, work_cell_wear(machine, program)
 
 
 # ----------------------------------------------------------------------
-# pluggable cost models
+# cost models
 # ----------------------------------------------------------------------
 
 
@@ -190,14 +190,13 @@ class CostModel:
 
     A model measures a whole MIG (:meth:`measure`); the report's
     orderable ``objective`` is what the guided drivers minimize.
-    :func:`~repro.core.rewriting.rewrite_for_plim` runs :class:`NodeCount`
-    and :class:`Depth` on their dedicated (bit-identical) engines, every
-    other model on the measure-and-select loop.  Implementations must be frozen
-    dataclasses: a deterministic ``repr`` is the model's cache identity,
-    and instances cross process-pool boundaries by pickle.
+    :func:`~repro.core.rewriting.rewrite_for_plim` runs ``"size"`` and
+    ``"depth"`` on their dedicated engines, every other model on the
+    measure-and-select loop.  Implementations are frozen dataclasses: a
+    deterministic ``repr`` is the model's measurement-cache identity.
     """
 
-    #: alias under which :func:`resolve_cost_model` finds the model
+    #: the :data:`COST_MODELS` name of the model
     name: str = "abstract"
 
     def measure(
@@ -283,22 +282,19 @@ class CompiledPlim(CostModel):
 
     Every measurement compiles the candidate MIG with
     :class:`~repro.core.compiler.PlimCompiler` and executes the program
-    once on the machine model (width 1, inputs seeded by ``input_seed``),
-    so #I/#R are the scheduler's actual outputs, ``cycles`` the machine's
-    counted read/read/write cycles, and ``wear`` a genuine
-    :class:`~repro.plim.endurance.EnduranceReport` over the work cells.
-    ``paper_accounting=False`` charges output-polarity fix-ups like
-    ``plimc --honest``; ``allocator_policy`` selects the work-cell
+    once on the machine model (width 1, seeded inputs; see
+    :func:`measure_program`), so #I/#R are the scheduler's actual outputs,
+    ``cycles`` the machine's counted read/read/write cycles, and ``wear``
+    a genuine :class:`~repro.plim.endurance.EnduranceReport` over the work
+    cells.  ``paper_accounting=False`` charges output-polarity fix-ups
+    like ``plimc --honest``; ``allocator_policy`` selects the work-cell
     recycling policy whose wear is being measured.
 
-    Compilation is the expensive part, so measurements are memoized per
-    :meth:`~repro.mig.graph.Mig.fingerprint` on the model instance —
-    the guided drivers re-measure unchanged candidates for free.  The
-    memo is excluded from ``repr``/equality (cache identity) and dropped
-    on pickle (workers re-measure rather than ship reports).  Pass a
+    Compilation is the expensive part.  The guided search measures each
+    distinct candidate once (its own per-fingerprint memo); pass a
     :class:`~repro.core.cache.SynthesisCache` to :meth:`measure` and the
-    report is additionally memoized under the cache's ``"measurements"``
-    kind — keyed on fingerprint + model repr (salted with
+    report is also memoized under the cache's ``"measurements"`` kind —
+    keyed on fingerprint + model repr (salted with
     ``ALGORITHM_REVISION``) — so repeated cost loops over one circuit
     family skip the compile-and-execute entirely, across processes when
     the cache is disk-backed.
@@ -308,30 +304,16 @@ class CompiledPlim(CostModel):
 
     paper_accounting: bool = True
     allocator_policy: str = "fifo"
-    input_seed: int = 7
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_memo"] = {}
-        return state
 
     def measure(self, mig: Mig, *, context=None, cache=None) -> CostReport:
-        fingerprint = mig.fingerprint()
-        hit = self._memo.get(fingerprint)
-        if hit is not None:
-            return hit
         if cache is not None:
-            cached = cache.get_measurement(fingerprint, self)
+            cached = cache.get_measurement(mig.fingerprint(), self)
             if cached is not None:
-                self._memo[fingerprint] = cached
                 return cached
         from repro.core.compiler import PlimCompiler
 
         program = PlimCompiler(self.compiler_options()).compile(mig, context=context)
-        machine, wear = measure_program(
-            program, mig.pi_names(), input_seed=self.input_seed
-        )
+        machine, wear = measure_program(program, mig.pi_names())
         num_gates = mig.num_gates
         d = mig_depth(mig)
         report = CostReport(
@@ -349,9 +331,8 @@ class CompiledPlim(CostModel):
             objective=(program.num_instructions, program.num_rrams, num_gates, d),
             wear=wear,
         )
-        self._memo[fingerprint] = report
         if cache is not None:
-            cache.put_measurement(fingerprint, self, report)
+            cache.put_measurement(mig.fingerprint(), self, report)
         return report
 
     def compiler_options(self):
@@ -366,8 +347,8 @@ class CompiledPlim(CostModel):
         )
 
 
-#: string aliases accepted wherever a :class:`CostModel` is (``RewriteOptions
-#: .objective``, ``plimc compile --objective``, ``compile_cost_loop``)
+#: the objective names ``RewriteOptions.objective``, ``plimc compile
+#: --objective`` and ``compile_cost_loop`` accept, and their models
 COST_MODELS = {
     "size": NodeCount,
     "depth": Depth,
@@ -376,18 +357,16 @@ COST_MODELS = {
 }
 
 
-def resolve_cost_model(objective: Union[str, CostModel]) -> CostModel:
-    """Map a string alias (or pass a model through) to a :class:`CostModel`.
+def resolve_cost_model(name: str) -> CostModel:
+    """The default-parameter :class:`CostModel` a :data:`COST_MODELS`
+    name stands for.
 
-    Raises :class:`~repro.errors.ReproError` for unknown aliases and for
-    objects that are neither strings nor cost models.
+    Raises :class:`~repro.errors.ReproError` for anything that is not one
+    of the names (model instances included).
     """
-    if isinstance(objective, CostModel):
-        return objective
-    factory = COST_MODELS.get(objective) if isinstance(objective, str) else None
+    factory = COST_MODELS.get(name) if isinstance(name, str) else None
     if factory is None:
         raise ReproError(
-            f"unknown cost model {objective!r}; expected one of "
-            f"{tuple(COST_MODELS)} or a CostModel instance"
+            f"unknown cost model {name!r}; expected one of {tuple(COST_MODELS)}"
         )
     return factory()

@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.cost import NEGATION_INSTRUCTIONS, CostModel
+from repro.core.cost import NEGATION_INSTRUCTIONS
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.mig.graph import Mig
 from repro.plim.program import Program
@@ -76,7 +76,7 @@ def plim_rewrite_options(
     fix_output_polarity: bool,
     *,
     effort: int = 4,
-    objective: "str | CostModel" = "size",
+    objective: str = "size",
 ) -> RewriteOptions:
     """The rewrite options matching a compiler's output-polarity setting.
 
@@ -96,18 +96,18 @@ def compile_mig(
     *,
     rewrite: bool = True,
     effort: int = 4,
-    objective: "str | CostModel" = "size",
+    objective: str = "size",
     compiler_options: Optional[CompilerOptions] = None,
     rewrite_options: Optional[RewriteOptions] = None,
     cache: Optional[SynthesisCache] = None,
 ) -> CompileResult:
     """Rewrite (optional) and compile ``mig`` into a PLiM program.
 
-    ``effort`` is the rewriter's cycle count and ``objective`` its target
-    ("size" — Algorithm 1, the default — "depth" for critical-path
-    rewriting, or another :class:`~repro.core.cost.CostModel`
-    instance/alias such as "plim" for guided measure-and-select rewriting
-    against real compiled cost — see
+    ``effort`` is the rewriter's cycle count and ``objective`` its target,
+    a :data:`~repro.core.cost.COST_MODELS` name ("size" — Algorithm 1,
+    the default — "depth" for critical-path rewriting, "static-plim" or
+    "plim" for guided measure-and-select rewriting against estimated or
+    real compiled cost — see
     :func:`repro.core.rewriting.compile_cost_loop` for the loop with full
     reporting; all ignored when an explicit ``rewrite_options`` is
     given).  When the compiler is configured to fix output polarity (the

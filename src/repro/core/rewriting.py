@@ -34,8 +34,8 @@ with ``fix_output_polarity`` they cost 2 instructions each, which
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # import cycle: cache deserialization reaches back here
     from repro.core.cache import SynthesisCache
@@ -45,8 +45,7 @@ from repro.core.cost import (
     COST_MODELS,
     CompiledPlim,
     CostModel,
-    Depth,
-    NodeCount,
+    CostReport,
     estimate_from_histogram,
     negation_cost,
     resolve_cost_model,
@@ -98,13 +97,12 @@ class RewriteOptions:
     #: only one, and the field stays because its repr is part of every
     #: rewrite cache key
     engine: str = "worklist"
-    #: optimization target: a :data:`~repro.core.cost.COST_MODELS` alias
-    #: or a :class:`~repro.core.cost.CostModel` instance.  "size" is the
-    #: paper's Algorithm 1 (serial PLiM programs only care about node
-    #: count), "depth" runs critical-path Ω.A swaps only (parallel
-    #: in-memory targets), and every other model ("static-plim", "plim")
-    #: runs the guided measure-and-select driver against its objective
-    objective: Union[str, CostModel] = "size"
+    #: optimization target, a :data:`~repro.core.cost.COST_MODELS` name.
+    #: "size" is the paper's Algorithm 1 (serial PLiM programs only care
+    #: about node count), "depth" runs critical-path Ω.A swaps only
+    #: (parallel in-memory targets), and "static-plim" and "plim" run the
+    #: guided measure-and-select driver against their model's objective
+    objective: str = "size"
     #: hard depth ceiling for size rewriting: size rules reject any
     #: candidate that could push a primary-output level past the budget,
     #: so ``objective="size"`` can shrink the graph without deepening it
@@ -126,33 +124,11 @@ class RewriteOptions:
                 f"unknown rewrite engine {self.engine!r}; expected one of {ENGINES}"
             )
         objective = self.objective
-        if not isinstance(objective, CostModel) and not (
-            isinstance(objective, str) and objective in COST_MODELS
-        ):
+        if not (isinstance(objective, str) and objective in COST_MODELS):
             raise ReproError(
                 f"unknown rewrite objective {objective!r}; expected one of "
-                f"{tuple(COST_MODELS)} or a CostModel instance"
+                f"{tuple(COST_MODELS)}"
             )
-
-
-def _normalize_objective(
-    opts: RewriteOptions,
-) -> tuple[RewriteOptions, Optional[CostModel]]:
-    """Resolve ``opts.objective`` to (canonical options, guided model).
-
-    Aliases and instances resolve through
-    :func:`~repro.core.cost.resolve_cost_model`.  :class:`NodeCount` and
-    :class:`Depth` map back onto the ``"size"``/``"depth"`` strings of the
-    dedicated engines (``objective=NodeCount()`` is bit-identical to
-    ``objective="size"`` — and shares its cache entries, because the
-    canonicalized options are the cache key).  Guided models are stored
-    back into the options as instances, so ``"plim"`` and
-    ``CompiledPlim()`` share one cache identity too.
-    """
-    model = resolve_cost_model(opts.objective)
-    if type(model) in (NodeCount, Depth):
-        return replace(opts, objective=model.name), None
-    return replace(opts, objective=model), model
 
 
 def rewrite_for_plim(
@@ -164,11 +140,12 @@ def rewrite_for_plim(
     """Run MIG rewriting on ``mig`` and return the rewritten MIG.
 
     ``options.objective`` picks the target: ``"size"`` is the paper's
-    Algorithm 1, ``"depth"`` the critical-path rewriter, any other cost
-    model the guided measure-and-select loop.  ``options.depth_budget``
-    puts a hard depth ceiling under size rewriting (a budget below the input's
-    depth raises :class:`~repro.errors.MigError`).  ``mig`` itself is
-    never modified, whichever objective runs.
+    Algorithm 1, ``"depth"`` the critical-path rewriter, ``"static-plim"``
+    and ``"plim"`` the guided measure-and-select loop.
+    ``options.depth_budget`` puts a hard depth ceiling under size
+    rewriting (a budget below the input's depth raises
+    :class:`~repro.errors.MigError`).  ``mig`` itself is never modified,
+    whichever objective runs.
 
     ``cache`` is an optional :class:`~repro.core.cache.SynthesisCache`:
     the result is memoized under ``(mig.fingerprint(), options)``, so a
@@ -199,7 +176,6 @@ def rewrite_for_plim(
         (3, 2)
     """
     opts = options if options is not None else RewriteOptions()
-    opts, model = _normalize_objective(opts)
     if opts.depth_budget is not None:
         if opts.depth_budget < 0:
             raise ReproError(
@@ -216,12 +192,13 @@ def rewrite_for_plim(
         hit = cache.get_rewrite(fingerprint, opts)
         if hit is not None:
             return hit
-    if model is not None:
-        result = _rewrite_guided(mig, opts, model, cache=cache)
-    elif opts.objective == "size":
+    if opts.objective == "size":
         result = _rewrite_worklist(mig, opts)
-    else:
+    elif opts.objective == "depth":
         result = _rewrite_depth_worklist(mig, opts)
+    else:
+        model = resolve_cost_model(opts.objective)
+        result = _guided_search(mig, opts, model, cache=cache)[0]
     if cache is not None:
         cache.put_rewrite(fingerprint, opts, result)
     return result
@@ -795,7 +772,7 @@ def _guided_search(
     cache: "Optional[SynthesisCache]" = None,
     max_rounds: Optional[int] = None,
     progress: Optional[Callable[["CostLoopStep"], None]] = None,
-) -> tuple[Mig, list, int, bool]:
+) -> tuple[Mig, CostReport, list, int, bool]:
     """Measure-and-select driver: iterate rewriting to a model fixed point.
 
     Each round rewrites the incumbent under every :func:`_guided_variants`
@@ -804,15 +781,29 @@ def _guided_search(
     nothing (``converged``) or after ``max_rounds`` rounds (the bounded
     iteration budget — defaults to ``opts.effort``).  The un-rewritten
     input is the baseline candidate, so the result is never worse than
-    the input under the model.  Returns
-    ``(best, steps, rounds_run, converged)``.
+    the input under the model.  Under :class:`~repro.core.cost.CompiledPlim`
+    each candidate :meth:`~repro.mig.graph.Mig.fingerprint` is compiled
+    once: a variant that lands on a graph already seen reuses its report.
+    Returns ``(best, best_report, steps, rounds_run, converged)``.
     """
-    current = mig if mig.is_append_clean() else mig.rebuild()[0]
-    best = current
-    report = model.measure(best, cache=cache)
-    best_key = report.objective
+    reports: dict = {}
+
+    def measure(candidate: Mig) -> CostReport:
+        # Only compiled measurements are memoized.  A fingerprint ignores
+        # unreachable gates, which ``num_gates`` counts, so a hit can
+        # carry another graph's #N; the cheap models measure every time.
+        if not isinstance(model, CompiledPlim):
+            return model.measure(candidate, cache=cache)
+        fingerprint = candidate.fingerprint()
+        report = reports.get(fingerprint)
+        if report is None:
+            report = reports[fingerprint] = model.measure(candidate, cache=cache)
+        return report
+
+    best = mig if mig.is_append_clean() else mig.rebuild()[0]
+    best_report = measure(best)
     steps: list[CostLoopStep] = [
-        CostLoopStep(0, "input", True, dict(report.metrics))
+        CostLoopStep(0, "input", True, dict(best_report.metrics))
     ]
     if progress is not None:
         progress(steps[0])
@@ -823,63 +814,51 @@ def _guided_search(
         improved = False
         for variant, vopts in _guided_variants(opts):
             candidate = rewrite_for_plim(best, vopts, cache=cache)
-            report = model.measure(candidate, cache=cache)
-            accepted = report.objective < best_key
+            report = measure(candidate)
+            accepted = report.objective < best_report.objective
             steps.append(
                 CostLoopStep(rounds, variant, accepted, dict(report.metrics))
             )
             if progress is not None:
                 progress(steps[-1])
             if accepted:
-                best, best_key = candidate, report.objective
+                best, best_report = candidate, report
                 improved = True
         if not improved:
             converged = True
             break
-    return best, steps, rounds, converged
-
-
-def _rewrite_guided(
-    mig: Mig,
-    opts: RewriteOptions,
-    model: CostModel,
-    *,
-    cache: "Optional[SynthesisCache]" = None,
-) -> Mig:
-    """``rewrite_for_plim`` body for guided (cost-model) objectives."""
-    best, _, _, _ = _guided_search(mig, opts, model, cache=cache)
-    return best
+    return best, best_report, steps, rounds, converged
 
 
 def compile_cost_loop(
     mig: Mig,
     *,
-    objective: Union[str, CostModel] = "plim",
+    objective: str = "plim",
     effort: int = 4,
     max_iterations: int = 4,
-    compiler_options=None,
     cache: "Optional[SynthesisCache]" = None,
     progress: Optional[Callable[["CostLoopStep"], None]] = None,
 ) -> CostLoopResult:
     """Iterate synthesize→schedule→re-synthesize to a cost fixed point.
 
     The closed loop ROADMAP item 3 asks for: rewrite the MIG, measure the
-    candidate with ``objective`` (default ``"plim"`` — a real Algorithm 2
-    compile + machine execution via
+    candidate under the ``objective`` model (default ``"plim"`` — a real
+    Algorithm 2 compile + machine execution via
     :class:`~repro.core.cost.CompiledPlim`), feed the measurement back as
     the selection criterion, and repeat until no rewriting strategy
     improves the measured cost (or ``max_iterations`` rounds elapse — the
     bounded iteration budget).  ``effort`` is each inner rewrite's
     Algorithm 1 cycle count; ``cache`` memoizes the inner rewrites *and*
-    the cost-model measurements (the ``"measurements"`` cache kind, on
-    top of the model's own per-fingerprint memo), so converged loops are
-    cheap to re-run — across processes when the cache is disk-backed.
+    the cost-model measurements (the ``"measurements"`` cache kind), so
+    converged loops are cheap to re-run — across processes when the cache
+    is disk-backed.
 
-    The final program is compiled under ``compiler_options`` when given,
-    else under the model's own accounting
-    (:meth:`~repro.core.cost.CompiledPlim.compiler_options`, falling back
-    to paper accounting), so the reported #I/#R are exactly the quantity
-    the loop minimized.
+    The final program is compiled under the model's own accounting
+    (:meth:`~repro.core.cost.CompiledPlim.compiler_options`; paper
+    accounting for the other models), so the reported #I/#R are exactly
+    the quantity the loop minimized.  ``final`` is the search's own
+    report of the winner, so the only compile beyond the search's
+    measurements is the one of the shipped program.
 
     Example — the loop never does worse than one-shot size rewriting:
 
@@ -897,20 +876,17 @@ def compile_cost_loop(
     from repro.core.compiler import CompilerOptions, PlimCompiler
 
     start = time.perf_counter()
+    opts = RewriteOptions(effort=effort, objective=objective)
     model = resolve_cost_model(objective)
-    opts = RewriteOptions(effort=effort, objective=model)
-    best, steps, rounds, converged = _guided_search(
+    best, final, steps, rounds, converged = _guided_search(
         mig, opts, model, cache=cache, max_rounds=max_iterations,
         progress=progress,
     )
-    copts = compiler_options
-    if copts is None:
-        if isinstance(model, CompiledPlim):
-            copts = model.compiler_options()
-        else:
-            copts = CompilerOptions(fix_output_polarity=False)
+    if isinstance(model, CompiledPlim):
+        copts = model.compiler_options()
+    else:
+        copts = CompilerOptions(fix_output_polarity=False)
     program = PlimCompiler(copts).compile(best)
-    final = model.measure(best, cache=cache)
     return CostLoopResult(
         mig=best,
         program=program,

@@ -5,8 +5,8 @@
 * :mod:`repro.eval.fig3` — the §3 motivating examples, reconstructed
   exactly from the paper's instruction listings.
 * :mod:`repro.eval.ablations` — effort sweep, candidate-selection rules,
-  allocator policy/endurance, output-polarity accounting (DESIGN.md
-  X1–X5).
+  allocator policy/endurance, output-polarity accounting
+  (docs/cli.md#plimc-ablate).
 * :mod:`repro.eval.reporting` — fixed-width tables and CSV export shared
   by the harness, the CLI, and the benchmarks.
 """

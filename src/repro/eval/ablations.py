@@ -1,4 +1,4 @@
-"""Ablation studies called out in DESIGN.md (experiments X1–X5).
+"""Ablation studies behind ``plimc ablate`` (docs/cli.md#plimc-ablate).
 
 * :func:`effort_sweep` — rewriting effort (Algorithm 1 cycles) vs. cost.
 * :func:`objective_ablation` — size vs. depth rewriting objectives
@@ -11,8 +11,8 @@
 * :func:`allocator_ablation` — FIFO vs. LIFO vs. FRESH allocation and the
   endurance (write-wear) consequences, executed on the machine model.
 * :func:`polarity_ablation` — paper vs. honest output-polarity accounting.
-* :func:`cost_loop_ablation` — #N-guided vs. cost-model-guided rewriting:
-  does closing the synthesis↔scheduling loop
+* :func:`format_cost_loop_ablation` — #N-guided vs. cost-model-guided
+  rewriting: does closing the synthesis↔scheduling loop
   (:func:`repro.core.rewriting.compile_cost_loop`) beat the size-optimal
   MIG in real #I?
 """
@@ -213,16 +213,14 @@ class SelectionPoint:
     rrams: int
 
 
-def selection_ablation(
-    mig: Mig, shuffle_seed: int = 42, rewrite_effort: int = 4
-) -> list[SelectionPoint]:
+def selection_ablation(mig: Mig, rewrite_effort: int = 4) -> list[SelectionPoint]:
     """All selection configs on as-built and shuffled gate orders."""
     rewritten = rewrite_for_plim(mig, RewriteOptions(effort=rewrite_effort))
     # One AnalysisContext per gate order: all six option sets of an order
     # share its parents/levels/use-count analyses.
     orders = [
         ("as-built", AnalysisContext(rewritten)),
-        ("shuffled", AnalysisContext(shuffle_topological(rewritten, seed=shuffle_seed))),
+        ("shuffled", AnalysisContext(shuffle_topological(rewritten, seed=42))),
     ]
     points = []
     for label, options in SELECTION_CONFIGS.items():
@@ -263,7 +261,6 @@ def allocator_ablation(
     mig: Mig,
     policies: Sequence[str] = ("fifo", "lifo", "fresh"),
     rewrite_effort: int = 4,
-    input_seed: int = 7,
 ) -> list[AllocatorPoint]:
     """Compile with each allocator policy and measure real write wear.
 
@@ -280,7 +277,7 @@ def allocator_ablation(
     context = AnalysisContext(rewritten)
     points = []
     for policy in policies:
-        model = CompiledPlim(allocator_policy=policy, input_seed=input_seed)
+        model = CompiledPlim(allocator_policy=policy)
         report = model.measure(rewritten, context=context)
         points.append(
             AllocatorPoint(
@@ -358,19 +355,6 @@ def format_polarity_ablation(name: str, points: Sequence[PolarityPoint]) -> str:
 # ----------------------------------------------------------------------
 
 
-def cost_loop_ablation(
-    mig: Mig, rewrite_effort: int = 4, objective: str = "plim"
-) -> CostLoopResult:
-    """Run the compiled-cost loop and keep its full candidate audit trail.
-
-    A thin wrapper over :func:`repro.core.rewriting.compile_cost_loop`:
-    every Algorithm 1 variant the guided search tried is in
-    ``result.steps`` with its measured metrics, so the formatted section
-    shows exactly where #N-optimal and #I-optimal diverge.
-    """
-    return compile_cost_loop(mig, objective=objective, effort=rewrite_effort)
-
-
 def format_cost_loop_ablation(name: str, result: CostLoopResult) -> str:
     def row(step):
         m = step.metrics
@@ -419,7 +403,7 @@ def _ablation_section(payload) -> str:
     if section == "polarity":
         return format_polarity_ablation(name, polarity_ablation(mig))
     if section == "cost_loop":
-        return format_cost_loop_ablation(name, cost_loop_ablation(mig))
+        return format_cost_loop_ablation(name, compile_cost_loop(mig))
     raise ValueError(f"unknown ablation section {section!r}")
 
 

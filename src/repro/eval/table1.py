@@ -19,7 +19,8 @@ harness options deviate-by-default and are reported explicitly:
 * ``shuffled=True`` first permutes each MIG into a random topological
   order, emulating the locality-free gate order of netlist files (our
   generators' creation order is already depth-first, which makes the naïve
-  baseline's RRAM usage far better than the paper's — see EXPERIMENTS.md).
+  baseline's RRAM usage far better than the paper's — see
+  docs/architecture.md#reproduction-status-of-the-circuits).
 """
 
 from __future__ import annotations
@@ -126,15 +127,10 @@ def measure_mig(
     *,
     effort: int = 4,
     paper_accounting: bool = True,
-    compiler_options: Optional[CompilerOptions] = None,
-    objective="size",
     cache: Optional[SynthesisCache] = None,
 ) -> Table1Row:
     """Run the three Table 1 configurations on one MIG.
 
-    ``objective`` is the Algorithm 1 target — "size" is the paper's; any
-    other :class:`~repro.core.rewriting.RewriteOptions.objective` (e.g.
-    a "plim" cost model) yields a what-if table of the same layout.
     ``cache`` memoizes the rewriting step (the row's dominant cost) under
     the MIG's fingerprint, so repeated table runs of one circuit family
     reuse it.
@@ -142,7 +138,7 @@ def measure_mig(
     start = time.perf_counter()
     fix = not paper_accounting
     naive_opts = CompilerOptions.naive(fix_output_polarity=fix)
-    full_opts = compiler_options or CompilerOptions(fix_output_polarity=fix)
+    full_opts = CompilerOptions(fix_output_polarity=fix)
 
     # One context per graph: the naive compile and the #N measurement share
     # the cleanup; the two compiles of the rewritten MIG share all analyses.
@@ -152,7 +148,7 @@ def measure_mig(
 
     rewritten = rewrite_for_plim(
         mig,
-        plim_rewrite_options(fix, effort=effort, objective=objective),
+        plim_rewrite_options(fix, effort=effort),
         cache=cache,
     )
     rewritten_context = AnalysisContext(rewritten)
@@ -183,9 +179,7 @@ def run_benchmark(
     *,
     effort: int = 4,
     shuffled: bool = False,
-    shuffle_seed: int = 42,
     paper_accounting: bool = True,
-    objective="size",
     cache: Optional[SynthesisCache] = None,
 ) -> Table1Row:
     """Build one EPFL benchmark and measure its Table 1 row.
@@ -198,31 +192,26 @@ def run_benchmark(
     """
     mig = benchmark_info(name).build(scale)
     if shuffled:
-        mig = shuffle_topological(mig, seed=shuffle_seed)
+        mig = shuffle_topological(mig, seed=42)
         cache = None
     return measure_mig(
         mig,
         name,
         effort=effort,
         paper_accounting=paper_accounting,
-        objective=objective,
         cache=cache,
     )
 
 
 def _benchmark_task(payload, cache=None):
     """Module-level task so the table can fan out over a process pool."""
-    name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective = (
-        payload
-    )
+    name, scale, effort, shuffled, paper_accounting = payload
     return run_benchmark(
         name,
         scale,
         effort=effort,
         shuffled=shuffled,
-        shuffle_seed=shuffle_seed,
         paper_accounting=paper_accounting,
-        objective=objective,
         cache=cache,
     )
 
@@ -233,11 +222,9 @@ def run_table1(
     *,
     effort: int = 4,
     shuffled: bool = False,
-    shuffle_seed: int = 42,
     paper_accounting: bool = True,
     progress=None,
     workers: Optional[int] = None,
-    objective="size",
     cache: Optional[SynthesisCache] = None,
     policy: Optional[TaskPolicy] = None,
 ) -> Table1Result:
@@ -249,10 +236,7 @@ def run_table1(
     :func:`~repro.core.batch.parallel_imap`).  ``workers`` fans the
     benchmarks out over a process pool (``None``, the default, means one
     per CPU — the package-wide convention); row order is deterministic
-    regardless.  ``objective`` is the Algorithm 1 target ("size", the
-    paper's; cost-model objectives like "plim" produce a what-if table
-    with the same layout — models are picklable, so pooled runs work).
-    ``cache`` attaches a :class:`~repro.core.cache.SynthesisCache`
+    regardless.  ``cache`` attaches a :class:`~repro.core.cache.SynthesisCache`
     memoizing each row's rewriting step (shared with pool workers by
     :func:`~repro.core.batch.parallel_imap`; ignored for
     ``shuffled=True`` runs, whose whole point is order sensitivity that
@@ -265,8 +249,7 @@ def run_table1(
     """
     selected = list(names) if names is not None else list(BENCHMARK_NAMES)
     payloads = [
-        (name, scale, effort, shuffled, shuffle_seed, paper_accounting, objective)
-        for name in selected
+        (name, scale, effort, shuffled, paper_accounting) for name in selected
     ]
     rows = []
     failures = []

@@ -4,7 +4,7 @@ RRAM cells endure a bounded number of programming cycles, which is why the
 paper's allocator recycles the *oldest* released cell first (FIFO): reuse is
 spread across many cells instead of hammering the most recently freed one.
 This module quantifies that effect from a machine's write counters so the
-allocator ablation (DESIGN.md experiment X3) can report concrete numbers.
+allocator ablation (docs/cli.md#plimc-ablate) can report concrete numbers.
 
 Run the machine with ``width=1`` when flip counts matter: with packed
 patterns a "flip" means *any* universe flipped, which overstates physical

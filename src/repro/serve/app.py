@@ -182,6 +182,35 @@ class FingerprintMemo:
         }
 
 
+def _check_job_params(params: dict) -> None:
+    """Refuse job ``params`` the job could only fail on later (400).
+
+    ``objective`` and ``effort`` go through the same
+    :class:`~repro.core.rewriting.RewriteOptions` check as a compile's
+    ``options``; the counts are non-negative integers (``max_points`` may
+    be ``null``: no cap) and ``verify`` is a boolean.
+    """
+    from repro.core.rewriting import RewriteOptions
+
+    try:
+        RewriteOptions(
+            effort=params.get("effort", 4),
+            objective=params.get("objective", "size"),
+        )
+    except ReproError as exc:
+        raise ProtocolError(400, "bad-request", str(exc)) from None
+    for name in ("max_iterations", "max_points"):
+        value = params.get(name, 0)
+        if value is None and name == "max_points":
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ProtocolError(
+                400, "bad-request", f"{name!r} must be a non-negative integer"
+            )
+    if not isinstance(params.get("verify", False), bool):
+        raise ProtocolError(400, "bad-request", "'verify' must be a boolean")
+
+
 def _read_circuit(payload: dict) -> tuple:
     """Parse and fingerprint a request's circuit (one executor hop).
 
@@ -520,6 +549,7 @@ class PlimServer:
                 "bad-request",
                 f"unknown params for {kind!r} jobs: {sorted(unknown)}",
             )
+        _check_job_params(params)
         if self._draining:
             raise ProtocolError(
                 503, "draining", "server is draining; no new work accepted"

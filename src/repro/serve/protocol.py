@@ -283,9 +283,6 @@ def compile_options(payload: dict) -> dict:
     }
     if not isinstance(normalized["rewrite"], bool):
         raise ProtocolError(400, "bad-request", "'rewrite' must be a boolean")
-    # the objective travels as a name: JSON cannot carry a CostModel
-    if not isinstance(normalized["objective"], str):
-        raise ProtocolError(400, "bad-request", "'objective' must be a string")
     # one error contract with the library: RewriteOptions checks the rest
     try:
         RewriteOptions(

@@ -25,7 +25,6 @@ from typing import Optional
 from repro.core.cache import REWRITE_KIND, SynthesisCache
 from repro.core.compiler import CompilerOptions
 from repro.core.pipeline import compile_mig, plim_rewrite_options
-from repro.core.rewriting import _normalize_objective
 from repro.mig.graph import Mig
 from repro.mig.io_mig import write_mig
 
@@ -103,8 +102,7 @@ def serve_compile_task(payload: dict, cache: SynthesisCache):
     mig_text = None
     if ropts is not None:
         # the key rewrite_for_plim stored a fresh rewrite under
-        key = cache.rewrite_key(fingerprint, _normalize_objective(ropts)[0])
-        mig_text = cache.fresh_text(REWRITE_KIND, key)
+        mig_text = cache.fresh_text(REWRITE_KIND, cache.rewrite_key(fingerprint, ropts))
     record = build_record(payload.get("name"), result, mig_text)
     cache.put_compilation(fingerprint, ropts, copts, record)
     return record, False

@@ -155,6 +155,69 @@ class TestJobValidationAndListing:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        ("kind", "params"),
+        [
+            ("cost-loop", {"max_iterations": "x"}),
+            ("cost-loop", {"max_iterations": -1}),
+            ("cost-loop", {"max_iterations": True}),
+            ("cost-loop", {"max_iterations": None}),
+            ("cost-loop", {"objective": "nope"}),
+            ("cost-loop", {"objective": ["plim"]}),
+            ("cost-loop", {"effort": -1}),
+            ("cost-loop", {"effort": 1.5}),
+            ("pareto", {"max_points": "x"}),
+            ("pareto", {"max_points": -2}),
+            ("pareto", {"max_points": False}),
+            ("pareto", {"effort": True}),
+            ("pareto", {"verify": "yes"}),
+            ("pareto", {"verify": 1}),
+        ],
+    )
+    def test_bad_params_refused_before_a_job_exists(self, mig_text, kind, params):
+        """A param the job would only fail on (or misread) is a 400 at
+        submission, like a compile's bad ``options`` — no job is made."""
+        app = make_app()
+
+        async def main():
+            response = await apost(app, "/jobs", job_payload(mig_text, kind, **params))
+            return response, (await aget(app, "/jobs")).json()
+
+        response, listing = asyncio.run(main())
+        assert response.status == 400, response.body
+        assert response.json()["error"]["code"] == "bad-request"
+        assert listing["jobs"] == [] and app.counters["jobs"] == 0
+
+    def test_objective_and_effort_share_the_compile_check(self, mig_text):
+        """``/jobs`` and ``/compile`` refuse a bad objective or effort
+        with the same message."""
+        app = make_app()
+        for bad in ({"objective": "nope"}, {"effort": -1}):
+            job = asyncio.run(apost(app, "/jobs", job_payload(mig_text, "cost-loop", **bad)))
+            compile_ = asyncio.run(
+                apost(app, "/compile", {"circuit": mig_text, "format": "mig", "options": bad})
+            )
+            assert job.status == compile_.status == 400
+            assert job.json()["error"] == compile_.json()["error"]
+
+    @pytest.mark.parametrize(
+        ("kind", "params"),
+        [
+            ("pareto", {"max_points": None, "verify": True, "effort": 1}),
+            ("pareto", {"max_points": 0, "effort": 1}),
+            ("cost-loop", {"max_iterations": 0, "effort": 0, "objective": "static-plim"}),
+        ],
+    )
+    def test_edge_params_still_run(self, mig_text, kind, params):
+        app = make_app()
+
+        async def main():
+            submitted = await apost(app, "/jobs", job_payload(mig_text, kind, **params))
+            assert submitted.status == 202, submitted.body
+            return await poll_job(app, submitted.json()["job_id"])
+
+        assert asyncio.run(main())["state"] == "done"
+
     def test_missing_job_is_404(self):
         response = asyncio.run(aget(make_app(), "/jobs/job-99"))
         assert response.status == 404

@@ -1,22 +1,18 @@
-"""Pluggable cost models and the synthesize→schedule→re-synthesize loop.
-
-The ISSUE 8 tentpole contracts:
+"""Cost models and the synthesize→schedule→re-synthesize loop.
 
 * the four built-in models (:class:`NodeCount`, :class:`Depth`,
   :class:`StaticPlim`, :class:`CompiledPlim`) measure real quantities —
   #N/#D from the graph, the §4.2.2 estimate, and Algorithm 2's actual
   #I/#R/cycles/wear — and expose orderable objective keys;
-* ``RewriteOptions(objective=NodeCount())`` is **bit-identical** to the
-  legacy ``objective="size"`` string on every registry circuit (same
-  fingerprint — the model collapses onto the dedicated engine), and
-  alias/instance forms share one synthesis-cache identity;
+* an objective is a :data:`COST_MODELS` name and nothing else: every
+  entry point refuses a model instance, agrees on what a name means, and
+  keys the synthesis cache on the name;
 * :func:`compile_cost_loop` never ships a program worse than its own
   baseline, stays function-preserving, respects ``max_iterations``, and
   strictly beats the one-shot #N-optimal rewrite on at least one
   registry circuit (the paper-gap observation the loop exists to close);
-* :class:`CompiledPlim`'s per-fingerprint memo is a private cache — it
-  never crosses pickle boundaries and never leaks into the model's
-  ``repr``/equality (its cache identity).
+* a guided search compiles each distinct candidate once, and the loop
+  compiles once more, for the program it ships.
 """
 
 import pickle
@@ -24,6 +20,7 @@ import pickle
 import pytest
 
 from repro.circuits.registry import BENCHMARK_NAMES, build
+import repro.core.rewriting
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
 from repro.core.cost import (
@@ -37,6 +34,7 @@ from repro.core.cost import (
     estimate_instructions,
     resolve_cost_model,
 )
+from repro.core.pipeline import compile_mig, plim_rewrite_options
 from repro.core.rewriting import (
     RewriteOptions,
     compile_cost_loop,
@@ -110,13 +108,6 @@ class TestModelMeasurements:
         honest = CompiledPlim(paper_accounting=False).measure(m)
         assert honest["num_instructions"] > paper["num_instructions"]
 
-    def test_compiled_plim_memoizes_per_fingerprint(self):
-        m = fa_mig()
-        model = CompiledPlim()
-        first = model.measure(m)
-        assert model.measure(m) is first  # second call is the memo hit
-        assert model.measure(fa_mig()) is first  # same structure, same entry
-
     def test_report_mapping_interface(self):
         report = CostReport(model="x", metrics={"num_gates": 3}, objective=(3,))
         assert report["num_gates"] == 3
@@ -133,9 +124,12 @@ class TestResolution:
         assert model.name == alias
         assert type(model) is COST_MODELS[alias]
 
-    def test_instances_pass_through(self):
-        model = CompiledPlim(allocator_policy="lifo")
-        assert resolve_cost_model(model) is model
+    @pytest.mark.parametrize(
+        "model", [NodeCount(), CompiledPlim()], ids=lambda m: type(m).__name__
+    )
+    def test_instances_are_refused(self, model):
+        with pytest.raises(ReproError, match="unknown cost model"):
+            resolve_cost_model(model)
 
     def test_unknown_alias_rejected(self):
         with pytest.raises(ReproError, match="unknown cost model"):
@@ -172,8 +166,6 @@ class TestObjectiveVocabulary:
 
     @pytest.mark.parametrize("objective", ["balanced", ["size"]])
     def test_unknown_objective_refused_by_every_api(self, objective):
-        from repro.core.pipeline import compile_mig
-
         with pytest.raises(ReproError, match="unknown rewrite objective"):
             RewriteOptions(objective=objective)
         with pytest.raises(ReproError, match="unknown rewrite objective"):
@@ -181,69 +173,105 @@ class TestObjectiveVocabulary:
         with pytest.raises(ReproError, match="unknown rewrite objective"):
             compile_mig(fa_mig(), objective=objective)
 
+    @pytest.mark.parametrize(
+        "model",
+        [NodeCount(), Depth(), StaticPlim(), CompiledPlim()],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_model_instances_refused_by_every_api(self, model):
+        """A model instance is not an objective: each entry point names
+        the accepted names instead of running it."""
+        accepted = repr(tuple(COST_MODELS))
+        calls = [
+            lambda: RewriteOptions(objective=model),
+            lambda: plim_rewrite_options(False, objective=model),
+            lambda: compile_mig(fa_mig(), objective=model),
+            lambda: compile_cost_loop(fa_mig(), objective=model),
+        ]
+        for call in calls:
+            with pytest.raises(ReproError, match="unknown rewrite objective") as info:
+                call()
+            assert accepted in str(info.value)
+
 
 class TestLegacyEquivalence:
-    """Model objectives collapse onto the dedicated engines bit-identically
-    — the ISSUE 8 no-regression acceptance bar."""
+    """Each name means one thing on every entry point, and the name is
+    the cache identity."""
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_node_count_is_bit_identical_to_size(self, name):
+        """``"size"`` is the :class:`NodeCount` model, run on the Algorithm 1
+        engine: the default options, the name, and ``compile_mig`` under
+        paper accounting give one rewrite, whose #N/#D the model reports."""
         mig = build(name, "ci")
-        legacy = rewrite_for_plim(mig, RewriteOptions(objective="size"))
-        model = rewrite_for_plim(mig, RewriteOptions(objective=NodeCount()))
-        assert model.fingerprint() == legacy.fingerprint(), name
+        assert type(resolve_cost_model("size")) is NodeCount
+        default = rewrite_for_plim(mig)
+        named = rewrite_for_plim(mig, RewriteOptions(objective="size"))
+        piped = compile_mig(
+            mig,
+            objective="size",
+            compiler_options=CompilerOptions(fix_output_polarity=False),
+        ).compiled_mig
+        assert named.fingerprint() == default.fingerprint(), name
+        assert piped.fingerprint() == default.fingerprint(), name
+        report = NodeCount().measure(named)
+        assert report.objective == (named.num_gates, mig_depth(named))
 
     def test_depth_model_is_bit_identical_to_depth(self):
+        assert type(resolve_cost_model("depth")) is Depth
         for name in ("ctrl", "int2float", "priority"):
             mig = build(name, "ci")
-            legacy = rewrite_for_plim(mig, RewriteOptions(objective="depth"))
-            model = rewrite_for_plim(mig, RewriteOptions(objective=Depth()))
-            assert model.fingerprint() == legacy.fingerprint(), name
+            named = rewrite_for_plim(mig, RewriteOptions(objective="depth"))
+            piped = compile_mig(
+                mig,
+                objective="depth",
+                compiler_options=CompilerOptions(fix_output_polarity=False),
+            ).compiled_mig
+            assert piped.fingerprint() == named.fingerprint(), name
+            assert Depth().measure(named).objective == (
+                mig_depth(named), named.num_gates,
+            )
 
     def test_size_alias_shares_cache_entries(self, tmp_path):
-        """``objective=NodeCount()`` canonicalizes to the "size" string
-        before the cache key is computed, so the two forms hit each
-        other's entries."""
+        """The default options are ``objective="size"``, so the two
+        spellings hit each other's entries."""
         mig = build("ctrl", "ci")
         writer = SynthesisCache(tmp_path)
         rewrite_for_plim(mig, RewriteOptions(objective="size"), cache=writer)
         assert writer.stats.stores == 1
         reader = SynthesisCache(tmp_path)
-        hit = rewrite_for_plim(
-            mig, RewriteOptions(objective=NodeCount()), cache=reader
-        )
+        hit = rewrite_for_plim(mig, RewriteOptions(), cache=reader)
         assert reader.stats.hits == 1 and reader.stats.stores == 0
         assert hit.fingerprint() == rewrite_for_plim(mig).fingerprint()
 
-    def test_plim_alias_shares_cache_identity_with_instance(self, tmp_path):
-        """The "plim" alias resolves to a default :class:`CompiledPlim`
-        stored back into the options, so alias and instance runs share
-        every cached inner rewrite."""
+    def test_plim_rewrite_is_keyed_on_the_name(self, tmp_path):
+        """A guided rewrite is stored under the options exactly as given
+        (``objective="plim"``), and a second run is a lookup."""
         mig = build("ctrl", "ci")
+        opts = RewriteOptions(effort=2, objective="plim")
         writer = SynthesisCache(tmp_path)
-        rewrite_for_plim(mig, RewriteOptions(effort=2, objective="plim"), cache=writer)
+        shipped = rewrite_for_plim(mig, opts, cache=writer)
         assert writer.stats.stores >= 1
+        assert "objective='plim'" in repr(opts)
         reader = SynthesisCache(tmp_path)
-        rewrite_for_plim(
-            mig, RewriteOptions(effort=2, objective=CompiledPlim()), cache=reader
-        )
-        assert reader.stats.hits >= 1 and reader.stats.stores == 0
+        stored = reader.get_rewrite(mig.fingerprint(), opts)
+        assert stored is not None
+        assert stored.fingerprint() == shipped.fingerprint()
+        rewrite_for_plim(mig, opts, cache=reader)
+        assert reader.stats.stores == 0
 
-    def test_non_default_model_params_do_not_collide(self, tmp_path):
-        """A differently-parameterized model is a different cache identity
-        — its guided run stores fresh inner-rewrite entries instead of
-        reusing the default model's."""
+    def test_guided_objectives_do_not_collide(self, tmp_path):
+        """``"static-plim"`` after ``"plim"`` on one input stores its own
+        result instead of answering with the other objective's."""
         mig = build("ctrl", "ci")
         rewrite_for_plim(
             mig, RewriteOptions(effort=2, objective="plim"),
             cache=SynthesisCache(tmp_path),
         )
         probe = SynthesisCache(tmp_path)
-        rewrite_for_plim(
-            mig,
-            RewriteOptions(effort=2, objective=CompiledPlim(allocator_policy="lifo")),
-            cache=probe,
-        )
+        opts = RewriteOptions(effort=2, objective="static-plim")
+        assert probe.get_rewrite(mig.fingerprint(), opts) is None
+        rewrite_for_plim(mig, opts, cache=probe)
         assert probe.stats.stores >= 1
 
 
@@ -321,38 +349,84 @@ class TestCostLoop:
         assert result.model == "static-plim"
         assert result.final["instructions"] == estimate_instructions(result.mig)
 
-    def test_compiler_options_override_the_final_compile(self):
-        honest = compile_cost_loop(
-            build("ctrl", "ci"),
-            effort=2,
-            compiler_options=CompilerOptions(fix_output_polarity=True),
-        )
-        paper = compile_cost_loop(build("ctrl", "ci"), effort=2)
-        assert honest.num_instructions >= paper.num_instructions
+    def test_final_is_the_search_winner_report(self):
+        """``final`` is the search's report of the shipped graph, and the
+        shipped program is the one that report measured."""
+        result = compile_cost_loop(build("router", "ci"), effort=2)
+        assert result.final == CompiledPlim().measure(result.mig).metrics
+        assert result.final["num_instructions"] == result.num_instructions
+        assert result.final["num_rrams"] == result.num_rrams
 
-    def test_loop_accepts_model_instances(self):
-        result = compile_cost_loop(
-            build("ctrl", "ci"), effort=2,
-            objective=CompiledPlim(allocator_policy="lifo"),
-        )
-        assert result.model == "plim"
-        assert result.program.num_instructions == result.num_instructions
+    def test_loop_refuses_model_instances(self):
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            compile_cost_loop(
+                build("ctrl", "ci"), effort=2,
+                objective=CompiledPlim(allocator_policy="lifo"),
+            )
+
+
+def spy_compiles(monkeypatch) -> list:
+    """Record the fingerprint of every graph ``PlimCompiler.compile`` sees."""
+    seen = []
+    compile_ = PlimCompiler.compile
+
+    def spy(self, mig, *args, **kwargs):
+        seen.append(mig.fingerprint())
+        return compile_(self, mig, *args, **kwargs)
+
+    monkeypatch.setattr(PlimCompiler, "compile", spy)
+    return seen
+
+
+def spy_candidates(monkeypatch) -> list:
+    """Record the fingerprint of every candidate the guided search rewrites."""
+    seen = []
+    rewrite = repro.core.rewriting.rewrite_for_plim
+
+    def spy(mig, options=None, **kwargs):
+        result = rewrite(mig, options, **kwargs)
+        seen.append(result.fingerprint())
+        return result
+
+    monkeypatch.setattr(repro.core.rewriting, "rewrite_for_plim", spy)
+    return seen
+
+
+class TestMeasurementMemo:
+    """The guided search is the one place measurements are memoized."""
+
+    @pytest.mark.parametrize("name", ["int2float", "router", "priority"])
+    def test_guided_search_compiles_each_fingerprint_once(self, monkeypatch, name):
+        mig = build(name, "ci")
+        compiles = spy_compiles(monkeypatch)
+        candidates = spy_candidates(monkeypatch)
+        result = compile_cost_loop(mig, effort=2)
+        distinct = {mig.fingerprint(), *candidates}
+        assert len(result.steps) == 1 + len(candidates) > len(distinct)
+        # one compile per distinct graph measured, plus the shipped program
+        assert sorted(compiles[:-1]) == sorted(distinct)
+        assert compiles[-1] == result.mig.fingerprint()
+
+    def test_guided_rewrite_compiles_each_fingerprint_once(self, monkeypatch):
+        mig = build("int2float", "ci")
+        compiles = spy_compiles(monkeypatch)
+        candidates = spy_candidates(monkeypatch)
+        rewrite_for_plim(mig, RewriteOptions(effort=2, objective="plim"))
+        assert sorted(compiles) == sorted({mig.fingerprint(), *candidates})
+
+    def test_warm_measurement_cache_leaves_one_compile(self, monkeypatch):
+        mig = build("router", "ci")
+        cache = SynthesisCache()
+        cold = compile_cost_loop(mig, effort=2, cache=cache)
+        compiles = spy_compiles(monkeypatch)
+        warm = compile_cost_loop(mig, effort=2, cache=cache)
+        assert compiles == [warm.mig.fingerprint()]
+        assert warm.final == cold.final and warm.steps == cold.steps
 
 
 class TestPickling:
-    def test_compiled_plim_pickle_drops_the_memo(self):
-        model = CompiledPlim()
-        model.measure(fa_mig())
-        assert model._memo
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone == model  # identity excludes the memo
-        assert clone._memo == {}
-        # the clone re-measures identically
-        assert (
-            clone.measure(fa_mig()).metrics == model.measure(fa_mig()).metrics
-        )
-
     def test_memo_is_not_cache_identity(self):
+        """Measuring leaves a model's identity (its fields) unchanged."""
         warm = CompiledPlim()
         warm.measure(fa_mig())
         cold = CompiledPlim()

@@ -6,7 +6,8 @@ Three rot gates, all also run by the CI ``docs`` job:
 * every runnable example in the public-API docstrings (the exports of
   ``repro/__init__.py`` plus the modules that carry them) must still
   produce its documented output;
-* every intra-repo link in ``README.md`` and ``docs/*.md`` must resolve
+* every intra-repo link in ``README.md`` and ``docs/*.md``, and every
+  ``*.md`` name in a ``src/`` file, must resolve
   (``tools/check_links.py``);
 * every Sphinx cross-reference in a ``src/`` docstring that names a
   ``repro.*`` object must resolve to a module or attribute.
@@ -101,6 +102,26 @@ def test_link_checker_catches_breakage(tmp_path):
     )
     errors = checker.check_links(tmp_path)
     assert len(errors) == 1 and "docs/missing.md" in errors[0]
+
+
+def test_link_checker_catches_dangling_source_references(tmp_path):
+    """A ``*.md`` name in a ``src/`` file must name a repo file (from the
+    root), and its fragment a heading of it."""
+    checker = _load_check_links()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "cli.md").write_text("## plimc ablate\n", encoding="utf-8")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""See docs/cli.md#plimc-ablate and docs/cli.md.\n\n'
+        'Status per DESIGN.md §4; ablations in docs/cli.md#plimc-gone."""\n',
+        encoding="utf-8",
+    )
+    errors = checker.check_links(tmp_path)
+    assert sorted(errors) == [
+        "src/pkg/mod.py:3: broken link -> DESIGN.md",
+        "src/pkg/mod.py:3: dangling anchor -> docs/cli.md#plimc-gone",
+    ]
 
 
 def test_link_checker_catches_dangling_anchors(tmp_path):

@@ -11,7 +11,8 @@ object RRAM allocator (``tests/compile_reference.py``) and the pool's
 fault injector (``tests/faults.py``).  Rewriting objectives have one
 vocabulary, the cost-model aliases, no module under ``src/`` imports a
 name it never uses, and every function, class and method under ``src/``
-has a reader.  Settings no caller changed stay removed.
+has a reader.  Settings no caller changed stay removed.  An objective
+is a name: no entry point takes a cost-model instance.
 """
 
 import ast
@@ -30,6 +31,7 @@ import repro.core.cost
 import repro.core.resilience
 import repro.core.rewriting
 import repro.core.schedule
+import repro.eval.ablations
 import repro.mig.algebra
 import repro.plim.verify
 from repro.cli import build_parser
@@ -37,11 +39,12 @@ from repro.core.batch import compile_many, parallel_imap, parallel_map
 from repro.core.compiler import CompilerOptions
 from repro.core.pipeline import compile_mig
 from repro.core.pareto import pareto_sweep
-from repro.core.cost import CompiledPlim
-from repro.core.rewriting import RewriteOptions
+from repro.core.cost import CompiledPlim, measure_program
+from repro.core.rewriting import RewriteOptions, compile_cost_loop
 from repro.errors import CompilationError, ReproError
 from repro.eval.fig3 import fig3b
-from repro.eval.table1 import run_table1
+from repro.eval.ablations import allocator_ablation, selection_ablation
+from repro.eval.table1 import measure_mig, run_benchmark, run_table1
 from repro.mig.algebra import try_associativity_depth
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
@@ -379,6 +382,7 @@ def test_dead_definitions_stay_gone(owner, name):
         (RewriteOptions, "size_rules"),
         (RewriteOptions, "inverter_rules"),
         (CompilerOptions, "clean"),
+        (CompiledPlim, "input_seed"),
     ],
 )
 def test_unchanged_settings_stay_gone(options, field):
@@ -393,6 +397,67 @@ def test_unchanged_settings_stay_gone(options, field):
 )
 def test_ignored_parameters_stay_gone(function, parameter):
     assert parameter not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize(
+    ("function", "parameter"),
+    [
+        (measure_mig, "objective"),
+        (measure_mig, "compiler_options"),
+        (run_benchmark, "objective"),
+        (run_benchmark, "shuffle_seed"),
+        (run_table1, "objective"),
+        (run_table1, "shuffle_seed"),
+        (selection_ablation, "shuffle_seed"),
+        (allocator_ablation, "input_seed"),
+        (measure_program, "input_seed"),
+        (compile_cost_loop, "compiler_options"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_unused_parameters_stay_gone(function, parameter):
+    """Parameters no shipped caller set were removed, not deprecated."""
+    assert parameter not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize(
+    ("owner", "name"),
+    [
+        (repro.core.rewriting, "_normalize_objective"),
+        (repro.core.rewriting, "_rewrite_guided"),
+        (repro.eval.ablations, "cost_loop_ablation"),
+        (repro, "CostModel"),
+        (repro, "NodeCount"),
+        (repro, "Depth"),
+        (repro, "StaticPlim"),
+        (repro, "resolve_cost_model"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_objective_instance_machinery_is_gone(owner, name):
+    """Objectives are names; the cost models live in ``repro.core.cost``."""
+    assert not hasattr(owner, name)
+    if owner is repro:
+        assert name not in repro.__all__
+        assert hasattr(repro.core.cost, name)
+
+
+def test_compiled_plim_carries_no_memo():
+    assert [f.name for f in dataclasses.fields(CompiledPlim)] == [
+        "paper_accounting", "allocator_policy",
+    ]
+    assert "__getstate__" not in vars(CompiledPlim)
+
+
+def test_serve_worker_imports_no_private_name():
+    tree = ast.parse((SRC / "serve" / "worker.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 def test_dfs_reorder_mode_is_gone():

@@ -14,6 +14,8 @@ pinned here against the work it replaces.
   gate they could flip; where it counts none they must do nothing.
 * Dropping never-materialized reservations keeps the cached topological
   order, which must still equal a fresh sort.
+* The threshold-3 inverter sweep is pinned on random MIGs where it flips
+  a gate, against the whole-graph reference rewriter.
 
 Each check runs on the registry circuits at ci scale, on AIGER
 round-tripped inputs (which carry unreachable cones) and on random MIGs.
@@ -39,6 +41,7 @@ from repro.mig.io_aiger import read_aiger, write_aiger
 from repro.mig.signal import Signal
 
 from conftest import random_mig
+from rewrite_reference import rewrite_reference
 from test_size_phases import graph_state
 
 OPTIONS = {
@@ -412,3 +415,23 @@ def test_idle_distributivity_is_not_repeated_in_later_cycles(monkeypatch):
     rewritten = rewrite_for_plim(mig, RewriteOptions(effort=3, early_exit=False))
     assert calls == ["_distributivity_phase"]
     assert rewritten.num_gates == 2
+
+
+@pytest.mark.parametrize("seed", [4, 50, 99])
+def test_push_sweep_fires_and_matches_the_reference(seed, monkeypatch):
+    """Four inputs read by 40 gates, 70% of edges complemented: here the
+    cost-aware sweep leaves a gate with three complemented children, and
+    Algorithm 1's final sweep must flip it as the reference pass does."""
+    mig = random_mig(seed, num_pis=4, num_gates=40, num_pos=4, invert_probability=0.7)
+    flips = []
+    sweep = rewriting._sweep_push_inverters
+
+    def counted(work, threshold):
+        edits = work.edit_count
+        sweep(work, threshold)
+        flips.append(work.edit_count - edits)
+
+    monkeypatch.setattr(rewriting, "_sweep_push_inverters", counted)
+    rewritten = rewrite_for_plim(mig)
+    assert sum(flips) >= 1
+    assert rewritten.fingerprint() == rewrite_reference(mig).fingerprint()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Intra-repo link checker for README.md and docs/*.md.
+"""Intra-repo link checker for README.md, docs/*.md and src/**/*.py.
 
 Scans Markdown files for inline links/images (``[text](target)``) and
 reference definitions (``[label]: target``), and fails when a relative
@@ -9,7 +9,10 @@ this is a docs-rot gate for *intra-repo* references, not a crawler.
 A ``#fragment`` on a Markdown target (``docs/cli.md#plimc-pareto``, or an
 in-page ``#section``) must match one of that file's heading anchors,
 slugged the way GitHub does (see :func:`heading_slugs`); fragments on
-other targets are not checked.
+other targets are not checked.  Python sources under ``src/`` are
+scanned for ``*.md`` names (``docs/rewriting.md``, with an optional
+``#fragment``), which must name a Markdown file relative to the
+repository root.
 
 Used three ways, all sharing :func:`check_links`:
 
@@ -30,6 +33,8 @@ _INLINE = re.compile(r"!?\[[^\]]*\]\(\s*<?([^)\s>]+)>?[^)]*\)")
 #: reference-style definitions at line start: [label]: target
 _REFDEF = re.compile(r"^\s{0,3}\[[^\]]+\]:\s+<?(\S+?)>?(?:\s|$)", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+#: a Markdown file named in source text, with an optional #fragment
+_MD_NAME = re.compile(r"(?<![\w./-])([\w./-]+\.md)(?:#([\w-]+))?")
 
 
 def _strip_code(text: str) -> str:
@@ -71,6 +76,17 @@ def heading_slugs(text: str) -> set[str]:
     return slugs
 
 
+def _target_errors(where: str, resolved: Path, target: str, fragment: str) -> list[str]:
+    """The broken-link message for ``target`` (resolved to ``resolved``),
+    or a dangling-anchor one when ``fragment`` names no heading of it."""
+    if not resolved.exists():
+        return [f"{where}: broken link -> {target}"]
+    if fragment and resolved.suffix == ".md":
+        if fragment not in heading_slugs(resolved.read_text(encoding="utf-8")):
+            return [f"{where}: dangling anchor -> {target}"]
+    return []
+
+
 def check_file(path: Path, root: Path) -> list[str]:
     """Broken-link messages for one Markdown file (empty = healthy)."""
     errors = []
@@ -82,23 +98,42 @@ def check_file(path: Path, root: Path) -> list[str]:
             resolved = path
         else:
             resolved = (root if base.startswith("/") else path.parent) / base.lstrip("/")
-        if not resolved.exists():
-            errors.append(f"{path.relative_to(root)}: broken link -> {target}")
-        elif fragment and resolved.suffix == ".md":
-            if fragment not in heading_slugs(resolved.read_text(encoding="utf-8")):
-                errors.append(f"{path.relative_to(root)}: dangling anchor -> {target}")
+        errors.extend(_target_errors(str(path.relative_to(root)), resolved, target, fragment))
     return errors
 
 
-def check_links(root: Path) -> list[str]:
-    """Check README.md and every docs/*.md under ``root``; return errors."""
-    files = sorted(root.glob("docs/*.md"))
+def check_source(path: Path, root: Path) -> list[str]:
+    """Broken-reference messages for the ``*.md`` names one source file
+    mentions, each resolved against the repository root."""
+    errors = []
+    text = path.read_text(encoding="utf-8")
+    for number, line in enumerate(text.splitlines(), start=1):
+        for match in _MD_NAME.finditer(line):
+            name, fragment = match.groups()
+            where = f"{path.relative_to(root)}:{number}"
+            errors.extend(_target_errors(where, root / name, match.group(0), fragment))
+    return errors
+
+
+def checked_files(root: Path) -> tuple[list[Path], list[Path]]:
+    """The Markdown files (README.md, docs/*.md) and the Python sources
+    (src/**/*.py) under ``root``."""
+    docs = sorted(root.glob("docs/*.md"))
     readme = root / "README.md"
     if readme.exists():
-        files.insert(0, readme)
+        docs.insert(0, readme)
+    return docs, sorted(root.glob("src/**/*.py"))
+
+
+def check_links(root: Path) -> list[str]:
+    """Check README.md, every docs/*.md and every src/**/*.py under
+    ``root``; return errors."""
+    docs, sources = checked_files(root)
     errors = []
-    for path in files:
+    for path in docs:
         errors.extend(check_file(path, root))
+    for path in sources:
+        errors.extend(check_source(path, root))
     return errors
 
 
@@ -107,7 +142,7 @@ def main(argv=None) -> int:
     errors = check_links(root)
     for error in errors:
         print(error, file=sys.stderr)
-    checked = len(sorted(root.glob("docs/*.md"))) + int((root / "README.md").exists())
+    checked = sum(map(len, checked_files(root)))
     if errors:
         print(f"{len(errors)} broken link(s) in {checked} file(s)", file=sys.stderr)
         return 1
