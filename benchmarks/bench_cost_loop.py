@@ -3,22 +3,20 @@
 Measures :func:`repro.core.rewriting.compile_cost_loop` throughput on
 representative circuits (pytest-benchmark mode) and — run directly
 (``python benchmarks/bench_cost_loop.py [--scale ci]``) — runs **every**
-Table 1 registry circuit three ways:
+Table 1 registry circuit two ways:
 
 * ``size`` — plain Algorithm 1 (the #N-optimal MIG), compiled once;
-* ``static-plim`` — guided rewriting against the §4.2.2 instruction
-  *estimate*;
 * ``plim`` — guided rewriting against the real compiled #I/#R
   (synthesize → schedule → re-synthesize to a cost fixed point).
 
-All three are compiled under identical options, so their #I are directly
+Both are compiled under identical options, so their #I are directly
 comparable.  The snapshot asserts the loop never ships a worse program
 than the size rewrite and that on at least one circuit the #N-optimal
 MIG is *not* #I-optimal (the loop strictly improves it) — the paper-gap
-observation this PR's cost models exist to close.  Results land in
+observation the compiled objective exists to close.  Results land in
 ``BENCH_cost_loop.json`` next to this file, so successive PRs have a
-machine-readable trajectory of the static-vs-compiled objective gap,
-loop iteration counts and wall time.
+machine-readable trajectory of the compiled objective's gain over
+``size``, loop iteration counts and wall time.
 """
 
 try:
@@ -61,13 +59,13 @@ if pytest is not None:
 
 
 # ----------------------------------------------------------------------
-# standalone mode: static-vs-compiled trajectory (BENCH_cost_loop.json)
+# standalone mode: size-vs-compiled trajectory (BENCH_cost_loop.json)
 # ----------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
     """Run the cost loop on every registry circuit and write
-    BENCH_cost_loop.json (static-vs-compiled #I, iterations, wall time)."""
+    BENCH_cost_loop.json (size-vs-compiled #I, iterations, wall time)."""
     import time
 
     import _common
@@ -86,10 +84,7 @@ def main(argv=None) -> int:
         size_i = size_rewrite_instructions(mig, args.effort)
 
         start = time.perf_counter()
-        static = compile_cost_loop(mig, objective="static-plim", effort=args.effort)
-        static_s = time.perf_counter() - start
-        start = time.perf_counter()
-        compiled = compile_cost_loop(mig, objective="plim", effort=args.effort)
+        compiled = compile_cost_loop(mig, effort=args.effort)
         compiled_s = time.perf_counter() - start
 
         assert compiled.num_instructions <= compiled.baseline["num_instructions"], (
@@ -107,19 +102,15 @@ def main(argv=None) -> int:
                 "name": name,
                 "baseline_i": compiled.baseline["num_instructions"],
                 "size_i": size_i,
-                "static_i": static.num_instructions,
                 "plim_i": compiled.num_instructions,
                 "plim_r": compiled.num_rrams,
-                "static_iterations": static.iterations,
                 "plim_iterations": compiled.iterations,
                 "converged": compiled.converged,
-                "static_seconds": round(static_s, 4),
                 "plim_seconds": round(compiled_s, 4),
             }
         )
         print(
-            f"{name:12s} size #I {size_i:6d}  static {static.num_instructions:6d}  "
-            f"plim {compiled.num_instructions:6d}  "
+            f"{name:12s} size #I {size_i:6d}  plim {compiled.num_instructions:6d}  "
             f"({compiled.iterations} round(s), {compiled_s:.2f}s)"
         )
 

@@ -3,7 +3,7 @@
 Subcommands::
 
     plimc compile <circuit> [-o out.plim] [--naive] [--no-rewrite]
-                  [--objective size|depth|static-plim|plim]
+                  [--objective size|depth|plim]
                   [--cache-dir DIR] ...
     plimc stats <circuit>
     plimc run <program.plim> --set a=1 --set b=0 ...
@@ -46,7 +46,7 @@ from pathlib import Path
 from repro._version import __version__
 from repro.circuits.registry import BENCHMARK_NAMES, SCALES, benchmark_info
 from repro.core.compiler import CompilerOptions
-from repro.core.cost import COST_MODELS
+from repro.core.cost import OBJECTIVE_NAMES
 from repro.core.pipeline import compile_mig
 from repro.core.resilience import ON_ERROR_MODES, TaskError, TaskFailure, TaskPolicy
 from repro.errors import ReproError
@@ -519,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compile",
         help="compile a circuit file to a PLiM program",
-        epilog="examples: plimc compile adder.blif --objective plim;  "
+        epilog="examples: plimc compile adder.blif --objective plim (keeps the "
+        "rewrite whose compiled program has the fewest instructions);  "
         "plimc compile c.mig --objective depth;  "
         "use 'plimc pareto' to sweep the whole (#N, #D) trade-off",
     )
@@ -550,11 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--objective",
-        choices=list(COST_MODELS),
+        choices=OBJECTIVE_NAMES,
         default="size",
         help="rewriting objective: node count (size, the paper's Algorithm 1), "
-        "critical path (depth), the §4.2.2 instruction estimate "
-        "(static-plim) or real measured Algorithm 2 cost (plim, the "
+        "critical path (depth) or real measured Algorithm 2 cost (plim, the "
         "synthesize/schedule/re-synthesize loop)",
     )
     p.add_argument(

@@ -7,7 +7,7 @@
 * :mod:`repro.core.schedule` — §4.2.1 candidate selection keys.
 * :mod:`repro.core.translate_fast` — §4.2.2 node translation case analysis
   and §4.2.3 cell release/reuse, as one per-gate step.
-* :mod:`repro.core.cost` — the static cost model driving rewriting choices.
+* :mod:`repro.core.cost` — the §4.2.2 estimate and the compiled cost.
 * :mod:`repro.core.pipeline` — the end-to-end convenience API.
 * :mod:`repro.core.batch` — the batched parallel compilation driver.
 """

@@ -54,8 +54,9 @@ from typing import (
 from repro.circuits.registry import build as build_benchmark
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
+from repro.core.pipeline import plim_rewrite_options
 from repro.core.resilience import TaskFailure, TaskPolicy, _iter_inline, _Supervisor
-from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.core.rewriting import rewrite_for_plim
 from repro.errors import ReproError
 from repro.mig.context import AnalysisContext
 from repro.mig.graph import Mig
@@ -233,31 +234,38 @@ def _resolve_spec(spec: CircuitSpec) -> tuple[str, Mig]:
 
 
 def _compile_task(payload, cache=None):
-    """One worker task: every option set on one circuit, context shared."""
+    """One worker task: every option set on one circuit, contexts shared.
+
+    With ``rewrite`` each distinct ``fix_output_polarity`` among the
+    option sets gets one rewrite under :func:`plim_rewrite_options`, so
+    every cell compiles the graph :func:`~repro.core.pipeline.compile_mig`
+    would; option sets that compile one graph share its
+    :class:`~repro.mig.context.AnalysisContext`.
+    """
     circuit_index, spec, option_sets, rewrite, effort, keep_programs = payload
     name, mig = _resolve_spec(spec)
-    if rewrite:
-        mig = rewrite_for_plim(mig, RewriteOptions(effort=effort), cache=cache)
-    context = AnalysisContext(mig)
-    # Prime the analyses every option set shares so the first set's timer
-    # doesn't absorb the one-time cost (order-dependent reorders like the
-    # "best" DFS image stay inside the timers — they are real per-set work
-    # the first time an option set asks for them).
-    compiled = context.cleaned()
-    _ = compiled.use_counts  # and the parents it is derived from
-    if any(o.level_rule and o.scheduling == "priority" for _, o in option_sets):
-        _ = compiled.levels
+    keys = [o.fix_output_polarity if rewrite else None for _, o in option_sets]
+    contexts = {}
+    for key in keys:
+        if key not in contexts:
+            graph = mig
+            if rewrite:
+                graph = rewrite_for_plim(
+                    mig, plim_rewrite_options(key, effort=effort), cache=cache
+                )
+            contexts[key] = _primed_context(graph, option_sets)
     results = []
-    for option_index, (label, options) in enumerate(option_sets):
+    for option_index, ((label, options), key) in enumerate(zip(option_sets, keys)):
+        context = contexts[key]
         start = time.perf_counter()
-        program = PlimCompiler(options).compile(mig, context=context)
+        program = PlimCompiler(options).compile(context.mig, context=context)
         results.append(
             BatchResult(
                 circuit=name,
                 option_label=label,
                 circuit_index=circuit_index,
                 option_index=option_index,
-                num_gates=compiled.mig.num_gates,
+                num_gates=context.cleaned().mig.num_gates,
                 num_instructions=program.num_instructions,
                 num_rrams=program.num_rrams,
                 seconds=time.perf_counter() - start,
@@ -265,6 +273,20 @@ def _compile_task(payload, cache=None):
             )
         )
     return results
+
+
+def _primed_context(mig: Mig, option_sets) -> AnalysisContext:
+    """An :class:`~repro.mig.context.AnalysisContext` of ``mig`` with the
+    analyses every option set shares already computed, so the first
+    set's timer doesn't absorb the one-time cost (order-dependent
+    reorders like the "best" DFS image stay inside the timers — they are
+    real per-set work the first time an option set asks for them)."""
+    context = AnalysisContext(mig)
+    compiled = context.cleaned()
+    _ = compiled.use_counts  # and the parents it is derived from
+    if any(o.level_rule and o.scheduling == "priority" for _, o in option_sets):
+        _ = compiled.levels
+    return context
 
 
 def _label_option_sets(

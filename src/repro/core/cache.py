@@ -20,7 +20,7 @@ recomputation:
   ``(fingerprint, RewriteOptions, CompilerOptions)`` — what a
   ``plimc serve`` warm hit returns without recomputing Algorithm 2.
 * **measurements** — :class:`~repro.core.cost.CostReport` results of
-  expensive cost models (:class:`~repro.core.cost.CompiledPlim`), keyed
+  compiled measurements (:class:`~repro.core.cost.CompiledPlim`), keyed
   on ``(fingerprint, repr(model))`` — the guided rewriting drivers and
   ``compile_cost_loop`` measure hundreds of candidate graphs, many of
   them structurally repeated across iterations and runs.
@@ -114,13 +114,19 @@ _FORMAT_VERSION = 1
 #: computed it (old entries then simply miss and are recomputed).  The
 #: package version is folded in as well, but it moves too rarely to be
 #: the only guard.
-ALGORITHM_REVISION = 8  # the guided (cost-model) objectives no longer
+ALGORITHM_REVISION = 9  # honest-mode (paper_accounting=False) Pareto
+# sweeps rewrite with po_negation_cost=2, as compile_mig does for a
+# polarity-fixing compile; the front key records only paper_accounting,
+# so a front computed by the old po_negation_cost=0 rewrites must miss.
+# (compile_many(rewrite=True) made the same change; its rewrites are
+# keyed on their options, which carry po_negation_cost.)
+# (Previously 8 — the guided (cost-model) objectives no longer
 # try a "balanced" candidate per round, which changes some static-plim
 # results (int2float and mem_ctrl at ci scale, cavlc at default scale).
 # Deliberately NOT bumped when objectives became names only: the rewrite
 # and compilation keys of "static-plim"/"plim" now carry the name instead
 # of a model repr, and measurement keys a CompiledPlim repr without
-# ``input_seed``, so older entries miss once; no output changed.
+# ``input_seed``, so older entries miss once; no output changed.)
 # (Previously 7 — Ω.A collapses a match whose second inner child is the
 # outer ``x`` or ``x̄`` (``⟨x u ⟨y u x̄⟩⟩ = u``), which changes the
 # rewritten i2c at ci scale.)

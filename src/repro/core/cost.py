@@ -1,4 +1,4 @@
-"""Cost models: what rewriting optimizes, from node counts to real PLiM cost.
+"""What rewriting optimizes: the §4.2.2 estimate and the real PLiM cost.
 
 The rewriting algorithm (paper §4.1) optimizes the MIG "w.r.t. the expected
 number of instructions and required RRAMs in the translated PLiM program"
@@ -12,55 +12,40 @@ translation will be.  The estimate follows the §4.2.2 case analysis:
 * a node with **no** complemented child needs one negation too — unless a
   constant child lets operand B be the constant's inverse for free.
 
-The static model intentionally ignores dynamic effects (complement caching,
+The estimate intentionally ignores dynamic effects (complement caching,
 cell reuse); those depend on the schedule and are handled by the compiler
 itself.
 
-On top of the per-node estimators this module defines the cost models
-the rewriting drivers and the Pareto sweep optimize against, one per
-:data:`COST_MODELS` name:
-
-* ``"size"`` — :class:`NodeCount`, the paper's Algorithm 1 objective (#N);
-* ``"depth"`` — :class:`Depth`, critical-path length (#D) for parallel
-  targets;
-* ``"static-plim"`` — :class:`StaticPlim`, the §4.2.2 instruction/RRAM
-  estimate above;
-* ``"plim"`` — :class:`CompiledPlim`, the *real* cost: run Algorithm 2 on
-  the candidate and report measured #I/#R/cycles plus endurance wear from
-  an actual machine execution (:mod:`repro.plim.endurance`).
-
-An objective is always given by its name; :func:`resolve_cost_model` is
-the one place that turns a name into a model.  Models are frozen
-dataclasses, so their ``repr`` is deterministic and keys the
+The estimate stays per node: Algorithm 1's inverter sweep balances it
+before and after each flip.  Objectives are names, one per
+:data:`OBJECTIVE_NAMES` entry: ``"size"`` (#N, the paper's Algorithm 1)
+and ``"depth"`` (#D) run their rewriting engines directly, and
+``"plim"`` ranks guided-search candidates by :class:`CompiledPlim`, the
+*real* cost: Algorithm 2 on the candidate, with measured #I/#R/cycles
+plus endurance wear from an actual machine execution
+(:mod:`repro.plim.endurance`).  :class:`CompiledPlim` is a frozen
+dataclass, so its ``repr`` is deterministic and keys the
 :class:`~repro.core.cache.SynthesisCache` ``"measurements"`` kind:
 
-    >>> from repro.core.cost import resolve_cost_model
-    >>> resolve_cost_model("plim")
+    >>> from repro.core.cost import CompiledPlim
+    >>> CompiledPlim()
     CompiledPlim(paper_accounting=True, allocator_policy='fifo')
-    >>> resolve_cost_model("size").name
-    'size'
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.errors import ReproError
 from repro.mig.analysis import complement_histogram, depth as mig_depth
 from repro.mig.graph import Mig
 from repro.plim.endurance import EnduranceReport, work_cell_wear
 from repro.plim.machine import PlimMachine
 from repro.plim.program import Program
 
-if TYPE_CHECKING:  # import cycle: the compiler's translator uses this module
-    from repro.mig.context import AnalysisContext
-
 #: instructions needed to materialize one complement into a work cell
 NEGATION_INSTRUCTIONS = 2
-#: work cells needed per materialized complement
-NEGATION_RRAMS = 1
 
 
 def negation_cost(num_complemented: int, has_const: bool) -> int:
@@ -109,16 +94,6 @@ def estimate_instructions(mig: Mig, po_negation_cost: int = 0) -> int:
     return total
 
 
-def estimate_extra_rrams(mig: Mig) -> int:
-    """Expected work cells spent on complement materializations alone.
-
-    A lower bound companion to :func:`estimate_instructions`; the true #R
-    additionally depends on scheduling and cell reuse.
-    """
-    negation_instructions = estimate_from_histogram(0, *complement_histogram(mig))
-    return NEGATION_RRAMS * negation_instructions // NEGATION_INSTRUCTIONS
-
-
 def measure_program(
     program: Program, pi_names: Sequence[str]
 ) -> tuple[PlimMachine, EnduranceReport]:
@@ -138,19 +113,18 @@ def measure_program(
 
 
 # ----------------------------------------------------------------------
-# cost models
+# the compiled cost
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CostReport:
-    """One model's measurement of one MIG.
+    """One :class:`CompiledPlim` measurement of one MIG.
 
-    ``metrics`` maps metric names to numbers (every model reports at
-    least ``num_gates`` and ``depth``); ``objective`` is the orderable
-    tuple the rewriting drivers minimize (lexicographic — the model's
-    primary metric first, tie-breakers after).  ``wear`` is attached by
-    :class:`CompiledPlim` only.
+    ``metrics`` maps metric names to numbers; ``objective`` is the
+    orderable tuple the guided search minimizes (lexicographic: #I, #R,
+    #N, #D).  ``wear`` is the program's work-cell
+    :class:`~repro.plim.endurance.EnduranceReport`.
     """
 
     model: str
@@ -185,99 +159,8 @@ class CostReport:
         )
 
 
-class CostModel:
-    """Protocol of a rewriting objective (subclass the frozen dataclasses).
-
-    A model measures a whole MIG (:meth:`measure`); the report's
-    orderable ``objective`` is what the guided drivers minimize.
-    :func:`~repro.core.rewriting.rewrite_for_plim` runs ``"size"`` and
-    ``"depth"`` on their dedicated engines, every other model on the
-    measure-and-select loop.  Implementations are frozen dataclasses: a
-    deterministic ``repr`` is the model's measurement-cache identity.
-    """
-
-    #: the :data:`COST_MODELS` name of the model
-    name: str = "abstract"
-
-    def measure(
-        self,
-        mig: Mig,
-        *,
-        context: "Optional[AnalysisContext]" = None,
-        cache=None,
-    ) -> CostReport:
-        """Measure ``mig``.  ``cache`` is an optional
-        :class:`~repro.core.cache.SynthesisCache`; models whose
-        measurement is expensive (:class:`CompiledPlim`) memoize reports
-        under its ``"measurements"`` kind, cheap models ignore it."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class NodeCount(CostModel):
-    """#N — the paper's Algorithm 1 objective (serial PLiM programs pay
-    one translation per gate, so node count is the first-order cost)."""
-
-    name = "size"
-
-    def measure(self, mig: Mig, *, context=None, cache=None) -> CostReport:
-        num_gates = mig.num_gates
-        d = mig_depth(mig)
-        return CostReport(
-            model=self.name,
-            metrics={"num_gates": num_gates, "depth": d},
-            objective=(num_gates, d),
-        )
-
-
-@dataclass(frozen=True)
-class Depth(CostModel):
-    """#D — critical-path length, the cost parallel in-memory targets pay."""
-
-    name = "depth"
-
-    def measure(self, mig: Mig, *, context=None, cache=None) -> CostReport:
-        num_gates = mig.num_gates
-        d = mig_depth(mig)
-        return CostReport(
-            model=self.name,
-            metrics={"num_gates": num_gates, "depth": d},
-            objective=(d, num_gates),
-        )
-
-
-@dataclass(frozen=True)
-class StaticPlim(CostModel):
-    """The §4.2.2 estimator: expected #I (and extra RRAMs) before scheduling.
-
-    Exactly the quantity Algorithm 1's inverter cost balance reasons
-    about, lifted to a whole-graph objective.  ``po_negation_cost``
-    charges complemented primary outputs (0 = the paper's accounting).
-    """
-
-    name = "static-plim"
-
-    po_negation_cost: int = 0
-
-    def measure(self, mig: Mig, *, context=None, cache=None) -> CostReport:
-        instructions = estimate_instructions(mig, self.po_negation_cost)
-        extra_rrams = estimate_extra_rrams(mig)
-        num_gates = mig.num_gates
-        d = mig_depth(mig)
-        return CostReport(
-            model=self.name,
-            metrics={
-                "instructions": instructions,
-                "extra_rrams": extra_rrams,
-                "num_gates": num_gates,
-                "depth": d,
-            },
-            objective=(instructions, extra_rrams, num_gates, d),
-        )
-
-
-@dataclass(frozen=True)
-class CompiledPlim(CostModel):
+class CompiledPlim:
     """The real cost: Algorithm 2's measured #I/#R/cycles plus write wear.
 
     Every measurement compiles the candidate MIG with
@@ -300,8 +183,6 @@ class CompiledPlim(CostModel):
     the cache is disk-backed.
     """
 
-    name = "plim"
-
     paper_accounting: bool = True
     allocator_policy: str = "fifo"
 
@@ -317,7 +198,7 @@ class CompiledPlim(CostModel):
         num_gates = mig.num_gates
         d = mig_depth(mig)
         report = CostReport(
-            model=self.name,
+            model="plim",
             metrics={
                 "num_instructions": program.num_instructions,
                 "num_rrams": program.num_rrams,
@@ -347,26 +228,6 @@ class CompiledPlim(CostModel):
         )
 
 
-#: the objective names ``RewriteOptions.objective``, ``plimc compile
-#: --objective`` and ``compile_cost_loop`` accept, and their models
-COST_MODELS = {
-    "size": NodeCount,
-    "depth": Depth,
-    "static-plim": StaticPlim,
-    "plim": CompiledPlim,
-}
-
-
-def resolve_cost_model(name: str) -> CostModel:
-    """The default-parameter :class:`CostModel` a :data:`COST_MODELS`
-    name stands for.
-
-    Raises :class:`~repro.errors.ReproError` for anything that is not one
-    of the names (model instances included).
-    """
-    factory = COST_MODELS.get(name) if isinstance(name, str) else None
-    if factory is None:
-        raise ReproError(
-            f"unknown cost model {name!r}; expected one of {tuple(COST_MODELS)}"
-        )
-    return factory()
+#: the objective names ``RewriteOptions.objective`` and ``plimc compile
+#: --objective`` accept
+OBJECTIVE_NAMES = ("size", "depth", "plim")

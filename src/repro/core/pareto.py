@@ -48,7 +48,7 @@ Example::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from repro.core.batch import CircuitSpec, _resolve_spec, parallel_imap
@@ -56,7 +56,8 @@ from repro.core.cache import SynthesisCache
 from repro.core.cost import measure_program
 from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.rewriting import RewriteOptions, rewrite_for_plim
+from repro.core.pipeline import plim_rewrite_options
+from repro.core.rewriting import rewrite_for_plim
 from repro.errors import MigError
 from repro.mig.analysis import depth as mig_depth
 from repro.mig.equivalence import equivalent
@@ -539,10 +540,13 @@ def pareto_sweep(
     # The two unconstrained extremes anchor the budget range.  The depth
     # anchor's rewritten graph seeds every budget below the raw input's
     # depth (the rewrite is deterministic), so no worker re-derives it.
+    # Every rewrite charges complemented outputs as its compile does
+    # (plim_rewrite_options), so each anchor is what compile_mig ships.
+    size_options = plim_rewrite_options(fix_polarity, effort=effort)
     anchors = run_phase(
         [
-            ("size", RewriteOptions(effort=effort), None),
-            ("depth", RewriteOptions(effort=effort, objective="depth"), None),
+            ("size", size_options, None),
+            ("depth", replace(size_options, objective="depth"), None),
         ],
     )
     candidates = [point for point, _ in anchors.values()]
@@ -556,7 +560,7 @@ def pareto_sweep(
             [
                 (
                     f"budget={b}",
-                    RewriteOptions(effort=effort, depth_budget=b),
+                    replace(size_options, depth_budget=b),
                     depth_seed if input_depth > b else None,
                 )
                 for b in _subsample(

@@ -104,10 +104,9 @@ def compile_mig(
     """Rewrite (optional) and compile ``mig`` into a PLiM program.
 
     ``effort`` is the rewriter's cycle count and ``objective`` its target,
-    a :data:`~repro.core.cost.COST_MODELS` name ("size" — Algorithm 1,
-    the default — "depth" for critical-path rewriting, "static-plim" or
-    "plim" for guided measure-and-select rewriting against estimated or
-    real compiled cost — see
+    a :data:`~repro.core.cost.OBJECTIVE_NAMES` name ("size" — Algorithm 1,
+    the default — "depth" for critical-path rewriting, "plim" for guided
+    measure-and-select rewriting against the real compiled cost — see
     :func:`repro.core.rewriting.compile_cost_loop` for the loop with full
     reporting; all ignored when an explicit ``rewrite_options`` is
     given).  When the compiler is configured to fix output polarity (the

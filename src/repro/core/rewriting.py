@@ -42,13 +42,11 @@ if TYPE_CHECKING:  # import cycle: cache deserialization reaches back here
     from repro.plim.program import Program
 
 from repro.core.cost import (
-    COST_MODELS,
+    OBJECTIVE_NAMES,
     CompiledPlim,
-    CostModel,
     CostReport,
     estimate_from_histogram,
     negation_cost,
-    resolve_cost_model,
 )
 from repro.errors import MigError, ReproError
 from repro.mig.algebra import (
@@ -97,11 +95,11 @@ class RewriteOptions:
     #: only one, and the field stays because its repr is part of every
     #: rewrite cache key
     engine: str = "worklist"
-    #: optimization target, a :data:`~repro.core.cost.COST_MODELS` name.
+    #: optimization target, a :data:`~repro.core.cost.OBJECTIVE_NAMES` name.
     #: "size" is the paper's Algorithm 1 (serial PLiM programs only care
     #: about node count), "depth" runs critical-path Ω.A swaps only
-    #: (parallel in-memory targets), and "static-plim" and "plim" run the
-    #: guided measure-and-select driver against their model's objective
+    #: (parallel in-memory targets), and "plim" runs the guided
+    #: measure-and-select driver against the compiled program's cost
     objective: str = "size"
     #: hard depth ceiling for size rewriting: size rules reject any
     #: candidate that could push a primary-output level past the budget,
@@ -124,10 +122,10 @@ class RewriteOptions:
                 f"unknown rewrite engine {self.engine!r}; expected one of {ENGINES}"
             )
         objective = self.objective
-        if not (isinstance(objective, str) and objective in COST_MODELS):
+        if not (isinstance(objective, str) and objective in OBJECTIVE_NAMES):
             raise ReproError(
                 f"unknown rewrite objective {objective!r}; expected one of "
-                f"{tuple(COST_MODELS)}"
+                f"{OBJECTIVE_NAMES}"
             )
 
 
@@ -140,8 +138,8 @@ def rewrite_for_plim(
     """Run MIG rewriting on ``mig`` and return the rewritten MIG.
 
     ``options.objective`` picks the target: ``"size"`` is the paper's
-    Algorithm 1, ``"depth"`` the critical-path rewriter, ``"static-plim"``
-    and ``"plim"`` the guided measure-and-select loop.
+    Algorithm 1, ``"depth"`` the critical-path rewriter, ``"plim"`` the
+    guided measure-and-select loop.
     ``options.depth_budget`` puts a hard depth ceiling under size
     rewriting (a budget below the input's depth raises
     :class:`~repro.errors.MigError`).  ``mig`` itself is never modified,
@@ -197,8 +195,7 @@ def rewrite_for_plim(
     elif opts.objective == "depth":
         result = _rewrite_depth_worklist(mig, opts)
     else:
-        model = resolve_cost_model(opts.objective)
-        result = _guided_search(mig, opts, model, cache=cache)[0]
+        result = _guided_search(mig, opts, cache=cache)[0]
     if cache is not None:
         cache.put_rewrite(fingerprint, opts, result)
     return result
@@ -516,10 +513,9 @@ def _sweep_inverters_cost_aware(work: Mig, po_negation_cost: int = 0) -> None:
     replacing the gate by its complement.  The decision is greedy: flips
     already applied to earlier (topologically lower) nodes are exact, later
     siblings are estimated at their current polarity — which is simply the
-    current in-place state.  The flip balance consults the static model's
-    :func:`~repro.core.cost.negation_cost` (it *is* the per-node
-    :class:`~repro.core.cost.StaticPlim` objective, restricted to the
-    touched nodes), tabulated once per sweep.
+    current in-place state.  The flip balance consults
+    :func:`~repro.core.cost.negation_cost` (the §4.2.2 estimate,
+    restricted to the touched nodes), tabulated once per sweep.
     """
     # extra[c][has_const]: negation cost of c complemented non-constant
     # children (c + 1 covers a parent whose edge to us becomes complemented)
@@ -686,9 +682,9 @@ class CostLoopStep:
     #: which strategy produced the candidate ("input", "size", "size+psi",
     #: "depth")
     variant: str
-    #: whether the candidate improved the model objective and was kept
+    #: whether the candidate improved the compiled objective and was kept
     accepted: bool
-    #: the model's metrics for the candidate
+    #: the compiled metrics for the candidate
     metrics: dict
 
 
@@ -697,9 +693,10 @@ class CostLoopResult:
     """Result of :func:`compile_cost_loop`.
 
     ``mig`` is the cost-selected rewritten graph, ``program`` its
-    Algorithm 2 compilation under the model's own compiler options (so
-    the reported #I/#R are exactly what the loop optimized).
-    ``baseline``/``final`` are the model's metrics before/after, and
+    Algorithm 2 compilation under the measurement's compiler options (so
+    the reported #I/#R are exactly what the loop optimized).  ``model``
+    is ``"plim"``; ``baseline``/``final`` are the compiled metrics
+    before/after, and
     ``steps`` the full audit trail of candidate evaluations.
     """
 
@@ -742,8 +739,8 @@ def _guided_variants(opts: RewriteOptions) -> tuple:
     trades a node of sharing for a cheaper complement structure — the
     single biggest #I winner on the registry), and — when no depth budget
     constrains the search — pure depth rewriting (occasionally cheaper to
-    translate at equal #N).  The model, not the
-    strategy, decides what is kept.
+    translate at equal #N).  The compiled cost, not the strategy,
+    decides what is kept.
     """
     base = dict(
         effort=opts.effort,
@@ -767,33 +764,30 @@ def _guided_variants(opts: RewriteOptions) -> tuple:
 def _guided_search(
     mig: Mig,
     opts: RewriteOptions,
-    model: CostModel,
     *,
     cache: "Optional[SynthesisCache]" = None,
     max_rounds: Optional[int] = None,
     progress: Optional[Callable[["CostLoopStep"], None]] = None,
 ) -> tuple[Mig, CostReport, list, int, bool]:
-    """Measure-and-select driver: iterate rewriting to a model fixed point.
+    """Measure-and-select driver: iterate rewriting to a cost fixed point.
 
     Each round rewrites the incumbent under every :func:`_guided_variants`
-    strategy, measures each candidate with ``model``, and keeps the best
-    (strictly improving) one; the loop stops when a round improves
-    nothing (``converged``) or after ``max_rounds`` rounds (the bounded
-    iteration budget — defaults to ``opts.effort``).  The un-rewritten
-    input is the baseline candidate, so the result is never worse than
-    the input under the model.  Under :class:`~repro.core.cost.CompiledPlim`
-    each candidate :meth:`~repro.mig.graph.Mig.fingerprint` is compiled
-    once: a variant that lands on a graph already seen reuses its report.
+    strategy, compiles each candidate (:class:`~repro.core.cost.CompiledPlim`),
+    and keeps the best (strictly improving) one; the loop stops when a
+    round improves nothing (``converged``) or after ``max_rounds`` rounds
+    (the bounded iteration budget — defaults to ``opts.effort``).  The
+    un-rewritten input is the baseline candidate, so the result is never
+    worse than the input.  Each candidate
+    :meth:`~repro.mig.graph.Mig.fingerprint` is compiled once: a variant
+    that lands on a graph already seen reuses its report.
     Returns ``(best, best_report, steps, rounds_run, converged)``.
     """
+    model = CompiledPlim()
     reports: dict = {}
 
     def measure(candidate: Mig) -> CostReport:
-        # Only compiled measurements are memoized.  A fingerprint ignores
-        # unreachable gates, which ``num_gates`` counts, so a hit can
-        # carry another graph's #N; the cheap models measure every time.
-        if not isinstance(model, CompiledPlim):
-            return model.measure(candidate, cache=cache)
+        # A fingerprint ignores unreachable gates, which ``num_gates``
+        # counts, so a hit can carry another graph's #N.
         fingerprint = candidate.fingerprint()
         report = reports.get(fingerprint)
         if report is None:
@@ -833,7 +827,6 @@ def _guided_search(
 def compile_cost_loop(
     mig: Mig,
     *,
-    objective: str = "plim",
     effort: int = 4,
     max_iterations: int = 4,
     cache: "Optional[SynthesisCache]" = None,
@@ -841,24 +834,24 @@ def compile_cost_loop(
 ) -> CostLoopResult:
     """Iterate synthesize→schedule→re-synthesize to a cost fixed point.
 
-    The closed loop ROADMAP item 3 asks for: rewrite the MIG, measure the
-    candidate under the ``objective`` model (default ``"plim"`` — a real
-    Algorithm 2 compile + machine execution via
-    :class:`~repro.core.cost.CompiledPlim`), feed the measurement back as
+    The ``"plim"`` objective with full reporting: rewrite the MIG,
+    measure the candidate by a real Algorithm 2 compile + machine
+    execution (:class:`~repro.core.cost.CompiledPlim`), feed the
+    measurement back as
     the selection criterion, and repeat until no rewriting strategy
     improves the measured cost (or ``max_iterations`` rounds elapse — the
     bounded iteration budget).  ``effort`` is each inner rewrite's
     Algorithm 1 cycle count; ``cache`` memoizes the inner rewrites *and*
-    the cost-model measurements (the ``"measurements"`` cache kind), so
+    the compiled measurements (the ``"measurements"`` cache kind), so
     converged loops are cheap to re-run — across processes when the cache
     is disk-backed.
 
-    The final program is compiled under the model's own accounting
-    (:meth:`~repro.core.cost.CompiledPlim.compiler_options`; paper
-    accounting for the other models), so the reported #I/#R are exactly
-    the quantity the loop minimized.  ``final`` is the search's own
-    report of the winner, so the only compile beyond the search's
-    measurements is the one of the shipped program.
+    The final program is compiled under the measurement's own accounting
+    (:meth:`~repro.core.cost.CompiledPlim.compiler_options`), so the
+    reported #I/#R are exactly the quantity the loop minimized.
+    ``final`` is the search's own report of the winner, so the only
+    compile beyond the search's measurements is the one of the shipped
+    program.
 
     Example — the loop never does worse than one-shot size rewriting:
 
@@ -873,24 +866,18 @@ def compile_cost_loop(
         >>> loop.num_instructions <= one_shot.num_instructions
         True
     """
-    from repro.core.compiler import CompilerOptions, PlimCompiler
+    from repro.core.compiler import PlimCompiler
 
     start = time.perf_counter()
-    opts = RewriteOptions(effort=effort, objective=objective)
-    model = resolve_cost_model(objective)
+    opts = RewriteOptions(effort=effort, objective="plim")
     best, final, steps, rounds, converged = _guided_search(
-        mig, opts, model, cache=cache, max_rounds=max_iterations,
-        progress=progress,
+        mig, opts, cache=cache, max_rounds=max_iterations, progress=progress,
     )
-    if isinstance(model, CompiledPlim):
-        copts = model.compiler_options()
-    else:
-        copts = CompilerOptions(fix_output_polarity=False)
-    program = PlimCompiler(copts).compile(best)
+    program = PlimCompiler(CompiledPlim().compiler_options()).compile(best)
     return CostLoopResult(
         mig=best,
         program=program,
-        model=model.name,
+        model="plim",
         steps=tuple(steps),
         iterations=rounds,
         converged=converged,

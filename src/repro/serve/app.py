@@ -82,7 +82,7 @@ FINGERPRINT_MEMO_CAPACITY = 4096
 #: job kinds → allowed params (validated before a job is created)
 _JOB_PARAMS = {
     "pareto": {"effort", "max_points", "verify"},
-    "cost-loop": {"objective", "effort", "max_iterations"},
+    "cost-loop": {"effort", "max_iterations"},
 }
 
 
@@ -185,7 +185,7 @@ class FingerprintMemo:
 def _check_job_params(params: dict) -> None:
     """Refuse job ``params`` the job could only fail on later (400).
 
-    ``objective`` and ``effort`` go through the same
+    ``effort`` goes through the same
     :class:`~repro.core.rewriting.RewriteOptions` check as a compile's
     ``options``; the counts are non-negative integers (``max_points`` may
     be ``null``: no cap) and ``verify`` is a boolean.
@@ -193,10 +193,7 @@ def _check_job_params(params: dict) -> None:
     from repro.core.rewriting import RewriteOptions
 
     try:
-        RewriteOptions(
-            effort=params.get("effort", 4),
-            objective=params.get("objective", "size"),
-        )
+        RewriteOptions(effort=params.get("effort", 4))
     except ReproError as exc:
         raise ProtocolError(400, "bad-request", str(exc)) from None
     for name in ("max_iterations", "max_points"):
@@ -639,7 +636,6 @@ class PlimServer:
 
             loop_result = compile_cost_loop(
                 mig,
-                objective=params.get("objective", "plim"),
                 effort=params.get("effort", 2),
                 max_iterations=params.get("max_iterations", 2),
                 cache=cache,

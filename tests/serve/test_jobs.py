@@ -189,23 +189,38 @@ class TestJobValidationAndListing:
         assert listing["jobs"] == [] and app.counters["jobs"] == 0
 
     def test_objective_and_effort_share_the_compile_check(self, mig_text):
-        """``/jobs`` and ``/compile`` refuse a bad objective or effort
-        with the same message."""
+        """``/jobs`` and ``/compile`` refuse a bad effort with the same
+        message; a job takes no objective at all (the cost loop always
+        measures the compiled program)."""
         app = make_app()
-        for bad in ({"objective": "nope"}, {"effort": -1}):
-            job = asyncio.run(apost(app, "/jobs", job_payload(mig_text, "cost-loop", **bad)))
-            compile_ = asyncio.run(
-                apost(app, "/compile", {"circuit": mig_text, "format": "mig", "options": bad})
+        bad = {"effort": -1}
+        job = asyncio.run(apost(app, "/jobs", job_payload(mig_text, "cost-loop", **bad)))
+        compile_ = asyncio.run(
+            apost(app, "/compile", {"circuit": mig_text, "format": "mig", "options": bad})
+        )
+        assert job.status == compile_.status == 400
+        assert job.json()["error"] == compile_.json()["error"]
+
+    @pytest.mark.parametrize("objective", ["plim", "static-plim", "size"])
+    def test_cost_loop_takes_no_objective(self, mig_text, objective):
+        response = asyncio.run(
+            apost(
+                make_app(),
+                "/jobs",
+                job_payload(mig_text, "cost-loop", objective=objective),
             )
-            assert job.status == compile_.status == 400
-            assert job.json()["error"] == compile_.json()["error"]
+        )
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["code"] == "bad-request"
+        assert error["message"] == "unknown params for 'cost-loop' jobs: ['objective']"
 
     @pytest.mark.parametrize(
         ("kind", "params"),
         [
             ("pareto", {"max_points": None, "verify": True, "effort": 1}),
             ("pareto", {"max_points": 0, "effort": 1}),
-            ("cost-loop", {"max_iterations": 0, "effort": 0, "objective": "static-plim"}),
+            ("cost-loop", {"max_iterations": 0, "effort": 0}),
         ],
     )
     def test_edge_params_still_run(self, mig_text, kind, params):

@@ -20,6 +20,7 @@ import pytest
 from repro.circuits.registry import BENCHMARK_NAMES, build
 from repro.core.batch import BatchResult, compile_many, parallel_map, resolve_workers
 from repro.core.compiler import CompilerOptions, PlimCompiler
+from repro.core.pipeline import compile_mig
 from repro.core.resilience import TaskFailure, TaskPolicy
 from repro.errors import MigError, ReproError
 from repro.mig import analysis
@@ -192,6 +193,25 @@ class TestCompileMany:
         (plain,) = compile_many([("int2float", "ci")])
         (rewritten,) = compile_many([("int2float", "ci")], rewrite=True)
         assert rewritten.num_instructions <= plain.num_instructions
+
+    def test_rewrite_in_batch_ships_what_compile_mig_ships(self):
+        """Each option set compiles the rewrite ``compile_mig`` would make
+        for it: complemented outputs are charged when the compile fixes
+        them (``ctrl@ci`` ships 83/24 either way, not 86/26)."""
+        option_sets = {
+            "honest": CompilerOptions(),
+            "paper": CompilerOptions(fix_output_polarity=False),
+            "naive": CompilerOptions.naive(),
+        }
+        cells = compile_many(CI_SPECS, option_sets, rewrite=True, workers=1)
+        for cell in cells:
+            direct = compile_mig(
+                build(cell.circuit, "ci"),
+                compiler_options=option_sets[cell.option_label],
+            )
+            assert cell.counts == (
+                direct.num_gates, direct.num_instructions, direct.num_rrams,
+            ), (cell.circuit, cell.option_label)
 
     def test_result_repr_and_counts(self):
         (result,) = compile_many([("ctrl", "ci")])

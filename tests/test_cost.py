@@ -1,12 +1,8 @@
-"""Unit tests for repro.core.cost (the static cost model)."""
+"""Unit tests for repro.core.cost (the §4.2.2 estimate)."""
 
 import pytest
 
-from repro.core.cost import (
-    estimate_extra_rrams,
-    estimate_instructions,
-    negation_cost,
-)
+from repro.core.cost import estimate_instructions, negation_cost
 from repro.mig.graph import Mig
 from repro.mig.signal import Signal
 
@@ -83,10 +79,9 @@ class TestEstimates:
     def test_totals(self, mig):
         m, a, b, c = mig
         m.add_maj(~a, b, c)  # 1
-        m.add_maj(~a, ~b, c)  # 3, one extra RRAM
+        m.add_maj(~a, ~b, c)  # 3
         m.add_po(Signal.make(len(m) - 1), "f")
         assert estimate_instructions(m) == 4
-        assert estimate_extra_rrams(m) == 1
 
     def test_po_negation_cost(self, mig):
         m, a, b, c = mig
@@ -100,7 +95,6 @@ class TestEstimates:
         m.add_maj(a, b, c)
         assert m.num_gates == 1
         assert estimate_instructions(m) == 3
-        assert estimate_extra_rrams(m) == 1
 
     def test_rewriting_reduces_estimate(self):
         """The estimator must reward what Algorithm 1 does."""

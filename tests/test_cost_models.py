@@ -1,12 +1,10 @@
-"""Cost models and the synthesize→schedule→re-synthesize loop.
+"""The compiled cost and the synthesize→schedule→re-synthesize loop.
 
-* the four built-in models (:class:`NodeCount`, :class:`Depth`,
-  :class:`StaticPlim`, :class:`CompiledPlim`) measure real quantities —
-  #N/#D from the graph, the §4.2.2 estimate, and Algorithm 2's actual
-  #I/#R/cycles/wear — and expose orderable objective keys;
-* an objective is a :data:`COST_MODELS` name and nothing else: every
-  entry point refuses a model instance, agrees on what a name means, and
-  keys the synthesis cache on the name;
+* :class:`CompiledPlim` measures Algorithm 2's actual #I/#R/cycles/wear
+  and exposes an orderable objective key;
+* an objective is an :data:`OBJECTIVE_NAMES` name and nothing else:
+  every entry point refuses anything else, agrees on what a name means,
+  and keys the synthesis cache on the name;
 * :func:`compile_cost_loop` never ships a program worse than its own
   baseline, stays function-preserving, respects ``max_iterations``, and
   strictly beats the one-shot #N-optimal rewrite on at least one
@@ -23,17 +21,7 @@ from repro.circuits.registry import BENCHMARK_NAMES, build
 import repro.core.rewriting
 from repro.core.cache import SynthesisCache
 from repro.core.compiler import CompilerOptions, PlimCompiler
-from repro.core.cost import (
-    COST_MODELS,
-    CompiledPlim,
-    CostReport,
-    Depth,
-    NodeCount,
-    StaticPlim,
-    estimate_extra_rrams,
-    estimate_instructions,
-    resolve_cost_model,
-)
+from repro.core.cost import OBJECTIVE_NAMES, CompiledPlim, CostReport
 from repro.core.pipeline import compile_mig, plim_rewrite_options
 from repro.core.rewriting import (
     RewriteOptions,
@@ -60,33 +48,6 @@ def fa_mig():
 
 
 class TestModelMeasurements:
-    def test_node_count_reports_graph_metrics(self):
-        m = fa_mig()
-        report = NodeCount().measure(m)
-        assert report.model == "size"
-        assert report["num_gates"] == m.num_gates
-        assert report["depth"] == mig_depth(m)
-        assert report.objective == (m.num_gates, mig_depth(m))
-        assert report.wear is None
-
-    def test_depth_orders_by_depth_first(self):
-        m = fa_mig()
-        report = Depth().measure(m)
-        assert report.objective == (mig_depth(m), m.num_gates)
-
-    def test_static_plim_matches_the_422_estimator(self):
-        m = fa_mig()
-        report = StaticPlim().measure(m)
-        assert report["instructions"] == estimate_instructions(m)
-        assert report["extra_rrams"] == estimate_extra_rrams(m)
-        assert report.objective[0] == estimate_instructions(m)
-
-    def test_static_plim_charges_po_negations_when_asked(self):
-        m = fa_mig()  # one complemented PO
-        free = StaticPlim().measure(m)
-        honest = StaticPlim(po_negation_cost=2).measure(m)
-        assert honest["instructions"] == free["instructions"] + 2
-
     def test_compiled_plim_measures_the_real_program(self):
         m = fa_mig()
         model = CompiledPlim()
@@ -98,8 +59,8 @@ class TestModelMeasurements:
         assert report.wear is not None
         assert report["max_writes"] == report.wear.max_writes
         assert report["total_writes"] == report.wear.total_writes
-        assert report.objective[:2] == (
-            program.num_instructions, program.num_rrams,
+        assert report.objective == (
+            program.num_instructions, program.num_rrams, m.num_gates, mig_depth(m),
         )
 
     def test_compiled_plim_honest_accounting_costs_more(self):
@@ -118,33 +79,29 @@ class TestModelMeasurements:
 
 
 class TestResolution:
-    @pytest.mark.parametrize("alias", sorted(COST_MODELS))
+    @pytest.mark.parametrize("alias", sorted(OBJECTIVE_NAMES))
     def test_aliases_resolve(self, alias):
-        model = resolve_cost_model(alias)
-        assert model.name == alias
-        assert type(model) is COST_MODELS[alias]
+        assert RewriteOptions(objective=alias).objective == alias
 
-    @pytest.mark.parametrize(
-        "model", [NodeCount(), CompiledPlim()], ids=lambda m: type(m).__name__
-    )
+    @pytest.mark.parametrize("model", [CompiledPlim()], ids=lambda m: type(m).__name__)
     def test_instances_are_refused(self, model):
-        with pytest.raises(ReproError, match="unknown cost model"):
-            resolve_cost_model(model)
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            RewriteOptions(objective=model)
 
     def test_unknown_alias_rejected(self):
-        with pytest.raises(ReproError, match="unknown cost model"):
-            resolve_cost_model("area")
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            RewriteOptions(objective="area")
 
     def test_balanced_is_a_strategy_not_a_model(self):
         # the removed "balanced" strategy measured nothing, so it never
-        # was a cost model
-        with pytest.raises(ReproError, match="unknown cost model"):
-            resolve_cost_model("balanced")
+        # was an objective
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            RewriteOptions(objective="balanced")
 
     @pytest.mark.parametrize("objective", [["size"], None, 3])
     def test_non_string_alias_rejected(self, objective):
-        with pytest.raises(ReproError, match="unknown cost model"):
-            resolve_cost_model(objective)
+        with pytest.raises(ReproError, match="unknown rewrite objective"):
+            RewriteOptions(objective=objective)
 
     def test_unknown_rewrite_objective_rejected(self):
         with pytest.raises(ReproError, match="unknown rewrite objective"):
@@ -152,13 +109,14 @@ class TestResolution:
 
 
 class TestObjectiveVocabulary:
-    """Every objective name is a :data:`COST_MODELS` alias, everywhere."""
+    """Every objective name is an :data:`OBJECTIVE_NAMES` entry, everywhere."""
 
     def test_accepted_names_are_the_cost_model_aliases(self):
         from repro.cli import build_parser
         from repro.serve.protocol import compile_options
 
-        for name in COST_MODELS:
+        assert OBJECTIVE_NAMES == ("size", "depth", "plim")
+        for name in OBJECTIVE_NAMES:
             args = build_parser().parse_args(["compile", "c.mig", "--objective", name])
             assert args.objective == name
             assert RewriteOptions(objective=name).objective == name
@@ -173,25 +131,65 @@ class TestObjectiveVocabulary:
         with pytest.raises(ReproError, match="unknown rewrite objective"):
             compile_mig(fa_mig(), objective=objective)
 
-    @pytest.mark.parametrize(
-        "model",
-        [NodeCount(), Depth(), StaticPlim(), CompiledPlim()],
-        ids=lambda m: type(m).__name__,
-    )
+    @pytest.mark.parametrize("model", [CompiledPlim()], ids=lambda m: type(m).__name__)
     def test_model_instances_refused_by_every_api(self, model):
-        """A model instance is not an objective: each entry point names
-        the accepted names instead of running it."""
-        accepted = repr(tuple(COST_MODELS))
+        """A measurement instance is not an objective: each entry point
+        names the accepted names instead of running it."""
+        accepted = repr(OBJECTIVE_NAMES)
         calls = [
             lambda: RewriteOptions(objective=model),
             lambda: plim_rewrite_options(False, objective=model),
             lambda: compile_mig(fa_mig(), objective=model),
-            lambda: compile_cost_loop(fa_mig(), objective=model),
         ]
         for call in calls:
             with pytest.raises(ReproError, match="unknown rewrite objective") as info:
                 call()
             assert accepted in str(info.value)
+
+
+class TestRemovedObjective:
+    """``"static-plim"`` left; every front end refuses it by name."""
+
+    def test_rewrite_options_names_the_remaining_objectives(self):
+        with pytest.raises(ReproError, match="unknown rewrite objective") as info:
+            RewriteOptions(objective="static-plim")
+        assert repr(("size", "depth", "plim")) in str(info.value)
+
+    def test_plimc_compile_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.mig.io_mig import write_mig
+
+        path = tmp_path / "fa.mig"
+        write_mig(fa_mig(), path)
+        with pytest.raises(SystemExit) as info:
+            main(["compile", str(path), "--objective", "static-plim"])
+        assert info.value.code == 2
+        assert "invalid choice: 'static-plim'" in capsys.readouterr().err
+
+    def test_serve_compile_answers_400_with_the_library_message(self):
+        import asyncio
+        import io
+        import json
+
+        from repro.mig.io_mig import write_mig
+        from repro.serve.app import PlimServer, ServerConfig
+        from repro.serve.protocol import Request, canonical_json
+
+        text = io.StringIO()
+        write_mig(fa_mig(), text)
+        body = canonical_json(
+            {"circuit": text.getvalue(), "format": "mig",
+             "options": {"objective": "static-plim"}}
+        )
+        response = asyncio.run(
+            PlimServer(ServerConfig()).handle(Request("POST", "/compile", body))
+        )
+        with pytest.raises(ReproError) as library:
+            RewriteOptions(objective="static-plim")
+        assert response.status == 400
+        error = json.loads(response.body)["error"]
+        assert error["code"] == "bad-request"
+        assert error["message"] == str(library.value)
 
 
 class TestLegacyEquivalence:
@@ -200,11 +198,9 @@ class TestLegacyEquivalence:
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_node_count_is_bit_identical_to_size(self, name):
-        """``"size"`` is the :class:`NodeCount` model, run on the Algorithm 1
-        engine: the default options, the name, and ``compile_mig`` under
-        paper accounting give one rewrite, whose #N/#D the model reports."""
+        """``"size"`` is the Algorithm 1 engine: the default options, the
+        name, and ``compile_mig`` under paper accounting give one rewrite."""
         mig = build(name, "ci")
-        assert type(resolve_cost_model("size")) is NodeCount
         default = rewrite_for_plim(mig)
         named = rewrite_for_plim(mig, RewriteOptions(objective="size"))
         piped = compile_mig(
@@ -214,11 +210,8 @@ class TestLegacyEquivalence:
         ).compiled_mig
         assert named.fingerprint() == default.fingerprint(), name
         assert piped.fingerprint() == default.fingerprint(), name
-        report = NodeCount().measure(named)
-        assert report.objective == (named.num_gates, mig_depth(named))
 
     def test_depth_model_is_bit_identical_to_depth(self):
-        assert type(resolve_cost_model("depth")) is Depth
         for name in ("ctrl", "int2float", "priority"):
             mig = build(name, "ci")
             named = rewrite_for_plim(mig, RewriteOptions(objective="depth"))
@@ -228,9 +221,6 @@ class TestLegacyEquivalence:
                 compiler_options=CompilerOptions(fix_output_polarity=False),
             ).compiled_mig
             assert piped.fingerprint() == named.fingerprint(), name
-            assert Depth().measure(named).objective == (
-                mig_depth(named), named.num_gates,
-            )
 
     def test_size_alias_shares_cache_entries(self, tmp_path):
         """The default options are ``objective="size"``, so the two
@@ -261,15 +251,15 @@ class TestLegacyEquivalence:
         assert reader.stats.stores == 0
 
     def test_guided_objectives_do_not_collide(self, tmp_path):
-        """``"static-plim"`` after ``"plim"`` on one input stores its own
-        result instead of answering with the other objective's."""
+        """``"plim"`` after ``"size"`` on one input stores its own result
+        instead of answering with the other objective's."""
         mig = build("ctrl", "ci")
         rewrite_for_plim(
-            mig, RewriteOptions(effort=2, objective="plim"),
+            mig, RewriteOptions(effort=2, objective="size"),
             cache=SynthesisCache(tmp_path),
         )
         probe = SynthesisCache(tmp_path)
-        opts = RewriteOptions(effort=2, objective="static-plim")
+        opts = RewriteOptions(effort=2, objective="plim")
         assert probe.get_rewrite(mig.fingerprint(), opts) is None
         rewrite_for_plim(mig, opts, cache=probe)
         assert probe.stats.stores >= 1
@@ -279,11 +269,9 @@ class TestGuidedRewriting:
     def test_guided_never_worse_than_input(self):
         for seed in range(4):
             mig = random_mig(seed=seed, num_pis=4, num_gates=20)
-            baseline = StaticPlim().measure(mig).objective
-            best = rewrite_for_plim(
-                mig, RewriteOptions(effort=2, objective="static-plim")
-            )
-            assert StaticPlim().measure(best).objective <= baseline
+            baseline = CompiledPlim().measure(mig).objective
+            best = rewrite_for_plim(mig, RewriteOptions(effort=2, objective="plim"))
+            assert CompiledPlim().measure(best).objective <= baseline
             assert equivalent(mig, best).equivalent
 
     def test_guided_preserves_function_on_registry(self):
@@ -344,10 +332,14 @@ class TestCostLoop:
         assert (first.iteration, first.variant, first.accepted) == (0, "input", True)
         assert first.metrics == result.baseline
 
-    def test_static_objective_reports_the_estimate(self):
-        result = compile_cost_loop(build("ctrl", "ci"), objective="static-plim")
-        assert result.model == "static-plim"
-        assert result.final["instructions"] == estimate_instructions(result.mig)
+    def test_loop_refuses_model_instances(self):
+        """The loop always measures the compiled program: it takes no
+        objective, so a model instance has nowhere to go."""
+        with pytest.raises(TypeError, match="objective"):
+            compile_cost_loop(
+                build("ctrl", "ci"), effort=2,
+                objective=CompiledPlim(allocator_policy="lifo"),
+            )
 
     def test_final_is_the_search_winner_report(self):
         """``final`` is the search's report of the shipped graph, and the
@@ -356,13 +348,6 @@ class TestCostLoop:
         assert result.final == CompiledPlim().measure(result.mig).metrics
         assert result.final["num_instructions"] == result.num_instructions
         assert result.final["num_rrams"] == result.num_rrams
-
-    def test_loop_refuses_model_instances(self):
-        with pytest.raises(ReproError, match="unknown rewrite objective"):
-            compile_cost_loop(
-                build("ctrl", "ci"), effort=2,
-                objective=CompiledPlim(allocator_policy="lifo"),
-            )
 
 
 def spy_compiles(monkeypatch) -> list:
@@ -434,6 +419,5 @@ class TestPickling:
         assert repr(warm) == repr(cold)
 
     def test_all_models_pickle_round_trip(self):
-        for model in (NodeCount(), Depth(), StaticPlim(po_negation_cost=2),
-                      CompiledPlim(paper_accounting=False)):
+        for model in (CompiledPlim(), CompiledPlim(paper_accounting=False)):
             assert pickle.loads(pickle.dumps(model)) == model

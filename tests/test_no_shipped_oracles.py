@@ -160,13 +160,13 @@ def test_object_allocator_is_not_exported():
 
 @pytest.mark.parametrize("name", ["estimate", "CostEstimate"])
 def test_no_estimate_bundle(name):
-    """``estimate_instructions``/``estimate_extra_rrams`` are the estimates."""
+    """``estimate_instructions`` is the estimate."""
     assert not hasattr(repro.core.cost, name)
 
 
 @pytest.mark.parametrize("name", ["OBJECTIVES", "MODEL_OBJECTIVES"])
 def test_no_second_objective_vocabulary(name):
-    """Every objective name is a ``repro.core.cost.COST_MODELS`` alias."""
+    """Every objective name is in ``repro.core.cost.OBJECTIVE_NAMES``."""
     assert not hasattr(repro.core.rewriting, name)
 
 
@@ -412,6 +412,7 @@ def test_ignored_parameters_stay_gone(function, parameter):
         (allocator_ablation, "input_seed"),
         (measure_program, "input_seed"),
         (compile_cost_loop, "compiler_options"),
+        (compile_cost_loop, "objective"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -431,15 +432,24 @@ def test_unused_parameters_stay_gone(function, parameter):
         (repro, "Depth"),
         (repro, "StaticPlim"),
         (repro, "resolve_cost_model"),
+        (repro.core.cost, "CostModel"),
+        (repro.core.cost, "NodeCount"),
+        (repro.core.cost, "Depth"),
+        (repro.core.cost, "StaticPlim"),
+        (repro.core.cost, "resolve_cost_model"),
+        (repro.core.cost, "COST_MODELS"),
+        (repro.core.cost, "estimate_extra_rrams"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_objective_instance_machinery_is_gone(owner, name):
-    """Objectives are names; the cost models live in ``repro.core.cost``."""
+    """Objectives are names, and the only measured one is ``"plim"``:
+    the cost-model classes, their registry and the estimate only
+    ``static-plim`` read are gone from the package."""
     assert not hasattr(owner, name)
+    assert not hasattr(repro.core.cost, name)
     if owner is repro:
         assert name not in repro.__all__
-        assert hasattr(repro.core.cost, name)
 
 
 def test_compiled_plim_carries_no_memo():

@@ -30,6 +30,7 @@ from repro.core.pareto import (
     _subsample,
     pareto_sweep,
 )
+from repro.core.pipeline import compile_mig
 from repro.core.resilience import TaskPolicy
 from repro.core.rewriting import RewriteOptions, rewrite_for_plim
 from repro.errors import MigError, ReproError
@@ -187,6 +188,23 @@ def test_int2float_front_is_pinned():
 
 
 class TestParetoSweepMechanics:
+    def test_honest_anchors_ship_what_compile_mig_ships(self):
+        """Under ``paper_accounting=False`` the anchors' rewrites charge
+        complemented outputs like ``compile_mig``'s, so each anchor's
+        counts are ``compile_mig``'s (``ctrl@ci`` size: 83/24, not 86/26)."""
+        for name in BENCHMARK_NAMES:
+            front = pareto_sweep(
+                (name, "ci"), workers=1, max_points=0, verify=False,
+                paper_accounting=False,
+            )
+            anchors = {p.label: p for p in front.points + front.dominated}
+            for objective in ("size", "depth"):
+                direct = compile_mig(build(name, "ci"), objective=objective)
+                point = anchors[objective]
+                assert (point.num_gates, point.num_instructions, point.num_rrams) == (
+                    direct.num_gates, direct.num_instructions, direct.num_rrams,
+                ), (name, objective)
+
     def test_deterministic_across_worker_counts(self):
         serial = pareto_sweep(("router", "ci"), workers=1)
         pooled = pareto_sweep(("router", "ci"), workers=2)
